@@ -93,38 +93,31 @@ def _policies(args):
     return out
 
 
-def _dump_trace(path, instance, policy, trials, seed, shared):
-    from .engine import simulate
-
-    rows = []
-    for k in range(trials):
-        tr = simulate(instance, policy, seed, k, shared_durations=shared)
-        for rec in tr.records:
-            rows.append((k, rec.arrival, rec.time,
-                         rec.decision, "" if rec.resource is None else rec.resource,
-                         ";".join(str(u) for u in rec.units), rec.reward))
-    _emit(rows, ["trial", "arrival", "time", "decision", "resource", "units", "reward"], path)
-
-
 def cmd_run(args) -> int:
     from .engine import run_trials
 
     inst, name = _load_instance(args)
     named = _policies(args)
+    if args.trace and len(named) != 1:
+        raise CliError("--trace needs exactly one policy")
     rows = []
     rids = [r.id for r in inst.resources]
+    traces = [] if args.trace else None
     for pname, pol in named:
         s = run_trials(inst, pol, args.trials, args.seed,
-                       threads=args.threads, shared_durations=args.shared_durations)
+                       shared_durations=args.shared_durations, traces=traces)
         rows.append([name, pname, args.trials, args.seed, s.mean, s.se, s.ci95[0], s.ci95[1]]
                     + [s.per_resource_mean[r] for r in rids])
     header = (["instance", "policy", "trials", "seed", "mean", "se", "ci_lo", "ci_hi"]
               + [f"mean_r{r}" for r in rids])
     _emit(rows, header, args.out)
     if args.trace:
-        if len(named) != 1:
-            raise CliError("--trace needs exactly one policy")
-        _dump_trace(args.trace, inst, named[0][1], args.trials, args.seed, args.shared_durations)
+        trace_rows = [(tr.trial, rec.arrival, rec.time, rec.decision,
+                       "" if rec.resource is None else rec.resource,
+                       ";".join(str(u) for u in rec.units), rec.reward)
+                      for tr in traces for rec in tr.records]
+        _emit(trace_rows, ["trial", "arrival", "time", "decision", "resource", "units", "reward"],
+              args.trace)
     return 0
 
 
@@ -144,7 +137,7 @@ def cmd_compare(args) -> int:
                 pol = policies.make_policy(pname)
             except ValueError:
                 raise CliError(f"unknown policy {pname!r}") from None
-            s = run_trials(inst, pol, args.trials, args.seed, threads=args.threads)
+            s = run_trials(inst, pol, args.trials, args.seed)
             mean, se = s.mean, s.se
         rows.append([name, pname, args.trials, args.seed, mean, se, lp, mean / lp if lp else float("nan")])
     _emit(rows, ["instance", "policy", "trials", "seed", "mean", "se", "lp_value", "ratio"], args.out)
@@ -217,6 +210,10 @@ def build_parser() -> argparse.ArgumentParser:
                                  description="online allocation of reusable resources: trials and benchmarks")
     sub = ap.add_subparsers(dest="command", required=True)
 
+    def add_threads_opt(p):
+        p.add_argument("--threads", type=int, default=int(os.environ.get("REUSE_ALLOC_THREADS", "1")),
+                       help="accepted and ignored: trials run serially (default $REUSE_ALLOC_THREADS)")
+
     def add_instance_opts(p):
         p.add_argument("--instance", help="instance JSON file")
         p.add_argument("--gen", help="built-in generator name")
@@ -229,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--policies", required=True, help="comma-separated policy names")
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--threads", type=int, default=int(os.environ.get("REUSE_ALLOC_THREADS", "1")))
+    add_threads_opt(p)
     p.add_argument("--trace", help="dump per-arrival trace CSV here")
     p.add_argument("--shared-durations", action="store_true",
                    help="multi-unit allocations share one duration draw")
@@ -240,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--policies", required=True)
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--threads", type=int, default=int(os.environ.get("REUSE_ALLOC_THREADS", "1")))
+    add_threads_opt(p)
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("lp", help="solve the fluid LP bound")

@@ -210,10 +210,15 @@ def mass_at_inf(dist) -> float:
     return dist.mass_at_inf()
 
 
-def sample(dist, key: DurationStreamKey, seed: int):
-    """Deterministic duration draw for (dist, key, seed); may be +inf."""
-    u = rng.uniform(seed, rng.TAG_DURATION, key.resource, key.unit, key.use)
-    return dist.sample_u(u)
+def sample(dist, key: DurationStreamKey, seed: int, stream: int = None):
+    """Deterministic duration draw for (dist, key, seed); may be +inf.
+
+    `stream`, when given, must be rng.derive(seed, TAG_DURATION, key.resource);
+    callers drawing many units of one resource pass it to fold it only once.
+    """
+    if stream is None:
+        stream = rng.derive(seed, rng.TAG_DURATION, key.resource)
+    return dist.sample_u(rng.uniform_from(stream, key.unit, key.use))
 
 
 def sample_array(dist, us: np.ndarray) -> np.ndarray:

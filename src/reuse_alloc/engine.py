@@ -117,6 +117,7 @@ def simulate(instance: model.Instance, policy, master_seed: int, trial_id: int,
     total = 0.0
     per_resource = {r.id: 0.0 for r in instance.resources}
     records = [] if collect_trace else None
+    streams = {}             # rid -> duration stream state, folded once per trial
 
     def draw_duration(rid: int, rank: int, t: int):
         lv = state.live[rid]
@@ -125,18 +126,25 @@ def simulate(instance: model.Instance, policy, master_seed: int, trial_id: int,
         else:
             lv.use_count[rank] += 1
             key = DurationStreamKey(rid, rank, lv.use_count[rank])
-        return sample(lv.res.usage, key, trial_seed)
+        stream = streams.get(rid)
+        if stream is None:
+            stream = streams[rid] = rng.derive(trial_seed, rng.TAG_DURATION, rid)
+        return sample(lv.res.usage, key, trial_seed, stream)
 
     def allocate(rid: int, ranks, t: int):
         nonlocal seq, total
         lv = state.live[rid]
         durations = []
         shared = draw_duration(rid, ranks[0], t) if shared_durations and ranks else None
+        avail = lv.avail
         for rank in ranks:
-            try:
-                lv.avail.remove(rank)
-            except ValueError:
-                raise PolicyProtocolViolation(f"unit {rank} of resource {rid} is not available") from None
+            if avail and avail[-1] == rank:     # top-rank allocation, the common case
+                avail.pop()
+            else:
+                try:
+                    avail.remove(rank)
+                except ValueError:
+                    raise PolicyProtocolViolation(f"unit {rank} of resource {rid} is not available") from None
             d = shared if shared_durations else draw_duration(rid, rank, t)
             durations.append(d)
             if math.isinf(d):
@@ -221,54 +229,38 @@ def simulate(instance: model.Instance, policy, master_seed: int, trial_id: int,
 
 
 def run_trials(instance: model.Instance, policy, trials: int, master_seed: int,
-               threads: int = 1, shared_durations: bool = False) -> Summary:
-    """Independent trials k = 0..trials-1; aggregation is order-independent."""
+               threads: int = 1, shared_durations: bool = False, traces: list = None) -> Summary:
+    """Independent trials k = 0..trials-1, run in order, then summarized.
+
+    `threads` is accepted for compatibility and ignored: the trials are pure
+    Python, so a thread pool ran no faster than this serial loop. When
+    `traces` is a list it is filled with every trial's full trace, records
+    included, from the same pass that makes the summary.
+    """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    totals = np.zeros(trials)
-    rids = [r.id for r in instance.resources]
-    per_res = {rid: np.zeros(trials) for rid in rids}
+    runs = (simulate(instance, policy, master_seed, k, collect_trace=traces is not None,
+                     shared_durations=shared_durations) for k in range(trials))
+    if traces is not None:
+        traces[:] = runs
+        runs = traces
+    return summarize(runs)
+
+
+def summarize(traces) -> Summary:
+    """Mean, standard error, 95% interval and per-resource means over trials."""
+    totals = []
+    per_res: dict = {}
     events: dict = {}
-
-    def run_range(lo, hi):
-        for k in range(lo, hi):
-            tr = simulate(instance, policy, master_seed, k,
-                          collect_trace=False, shared_durations=shared_durations)
-            totals[k] = tr.total_reward
-            for rid in rids:
-                per_res[rid][k] = tr.per_resource[rid]
-            for name, v in tr.events.items():
-                events[name] = events.get(name, 0) + v
-
-    if threads and threads > 1:
-        # Trials write disjoint slots and event counts are integer sums, so
-        # the reduction is order-free; each worker gets its own policy clone
-        # because policy state is per-trial.
-        from concurrent.futures import ThreadPoolExecutor
-
-        chunk = (trials + threads - 1) // threads
-        bounds = [(lo, min(lo + chunk, trials)) for lo in range(0, trials, chunk)]
-
-        def worker(b):
-            local: dict = {}
-            own = policy.clone() if hasattr(policy, "clone") else policy
-            for k in range(b[0], b[1]):
-                tr = simulate(instance, own, master_seed, k,
-                              collect_trace=False, shared_durations=shared_durations)
-                totals[k] = tr.total_reward
-                for rid in rids:
-                    per_res[rid][k] = tr.per_resource[rid]
-                for name, v in tr.events.items():
-                    local[name] = local.get(name, 0) + v
-            return local
-
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            for part in ex.map(worker, bounds):
-                for name, v in part.items():
-                    events[name] = events.get(name, 0) + v
-    else:
-        run_range(0, trials)
-
+    for tr in traces:
+        totals.append(tr.total_reward)
+        for rid, v in tr.per_resource.items():
+            per_res.setdefault(rid, []).append(v)
+        for name, v in tr.events.items():
+            events[name] = events.get(name, 0) + v
+    trials = len(totals)
+    totals = np.array(totals)
+    per_res = {rid: np.array(v) for rid, v in per_res.items()}
     mean = float(totals.mean())
     se = float(totals.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
     root = math.sqrt(trials)

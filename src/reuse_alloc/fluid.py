@@ -13,6 +13,13 @@ simulator's returns-before-match event order) rather than silently dropped.
 Units can be aggregated into rank buckets: the exact guide uses one bucket
 per unit, the geometrically quantized variant groups ranks into levels
 floor((1+eps)^j) and treats each group as a single unit of larger mass.
+
+The work is proportional to what changes. A parcel leaves the ledger once
+its CDF level reaches cdf(+inf), after which it can return nothing more, and
+the mass a dropped parcel never returned is kept per bucket in `lost`, so
+Y + outstanding + lost still equals each bucket's size. The highest bucket
+at or above the waterfall's floor is searched from a cached bound that only
+returns can raise, so the scans of a guide run are amortized over its units.
 """
 
 from __future__ import annotations
@@ -51,6 +58,7 @@ class ResourceFluid:
         self.index_value = np.array(levels, dtype=float)        # rank used in scores
         self.size = np.array([bounds[j + 1] - bounds[j] for j in range(len(levels))], dtype=float)
         self.Y = self.size.copy()
+        self.lost = np.zeros(len(levels))    # mass of dropped parcels never credited back
         self.n_groups = len(levels)
         cap = 64
         self._time = np.zeros(cap)
@@ -59,6 +67,10 @@ class ResourceFluid:
         self._group = np.zeros(cap, dtype=np.int64)
         self._n = 0
         self._mass_inf = res.usage.mass_at_inf()
+        self._cdf_inf = res.usage.cdf(math.inf)
+        # Every bucket above _hint has Y < _hint_floor.
+        self._hint = self.n_groups - 1
+        self._hint_floor = None
 
     def _grow(self):
         cap = max(64, 2 * len(self._time))
@@ -71,30 +83,46 @@ class ResourceFluid:
     def advance(self, now: float):
         """Credit returns accumulated up to time `now` back into Y."""
         n = self._n
-        if n == 0 or self._mass_inf == 1.0:
+        if n == 0:
             return
+        mass, group = self._mass[:n], self._group[:n]
         new_cdf = np.asarray(self.res.usage.cdf(now - self._time[:n]), dtype=float)
-        delta = self._mass[:n] * (new_cdf - self._credited[:n])
-        np.add.at(self.Y, self._group[:n], delta)
+        delta = mass * (new_cdf - self._credited[:n])
+        np.add.at(self.Y, group, delta)
+        rising = delta > 0.0
+        if rising.any():
+            self._hint = max(self._hint, int(group[rising].max()))
         self._credited[:n] = new_cdf
+        # A parcel at cdf(+inf) returns nothing more (delta is exactly 0.0
+        # from then on); without mass at +inf, one whose remainder is below
+        # PRUNE_TOL is dropped as well.
         if self._mass_inf == 0.0:
-            keep = self._mass[:n] * (1.0 - new_cdf) >= PRUNE_TOL
-            if not keep.all():
-                m = int(keep.sum())
-                for name in ("_time", "_mass", "_credited", "_group"):
-                    arr = getattr(self, name)
-                    arr[:m] = arr[:n][keep]
-                self._n = m
+            keep = mass * (1.0 - new_cdf) >= PRUNE_TOL
+        else:
+            keep = new_cdf != self._cdf_inf
+        if not keep.all():
+            drop = ~keep
+            np.add.at(self.lost, group[drop], mass[drop] * (1.0 - new_cdf[drop]))
+            m = int(keep.sum())
+            for name in ("_time", "_mass", "_credited", "_group"):
+                arr = getattr(self, name)
+                arr[:m] = arr[:n][keep]
+            self._n = m
 
     def top_group(self, floor: float = ZERO_TOL) -> int:
         """Index of the highest bucket with mass >= floor, else -1."""
-        for g in range(self.n_groups - 1, -1, -1):
-            if self.Y[g] >= floor:
-                return g
-        return -1
+        g = self._hint if floor == self._hint_floor else self.n_groups - 1
+        Y = self.Y
+        while g >= 0 and not Y[g] >= floor:
+            g -= 1
+        self._hint, self._hint_floor = g, floor
+        return g
 
     def consume(self, g: int, amount: float, now: float):
         self.Y[g] -= amount
+        if self._mass_inf == 1.0:       # nothing of it ever returns
+            self.lost[g] += amount
+            return
         if self._n == len(self._time):
             self._grow()
         i = self._n
@@ -105,9 +133,9 @@ class ResourceFluid:
         self._n = i + 1
 
     def conservation_error(self) -> float:
-        """Max deviation of Y + outstanding un-returned mass from bucket size."""
+        """Max deviation of Y + outstanding + lost mass from bucket size."""
         n = self._n
-        out = np.zeros(self.n_groups)
+        out = self.lost.copy()
         if n:
             np.add.at(out, self._group[:n], self._mass[:n] * (1.0 - self._credited[:n]))
         return float(np.abs(self.Y + out - self.size).max())

@@ -22,7 +22,6 @@ scaling every reward by a positive constant.
 
 from __future__ import annotations
 
-import copy
 import math
 
 from . import model, rng
@@ -91,7 +90,8 @@ def rba_budgeted_decide(arrival, state):
 
 
 class Policy:
-    """Base: per-trial state only; clones share read-only precomputation."""
+    """Base: per-trial state is reset by start_trial; precomputation such as
+    a guide is built once and reused by every later trial."""
 
     mode = model.MATCHING
 
@@ -102,9 +102,6 @@ class Policy:
         self.instance = instance
         self.trial_seed = trial_seed
         self.trial_events = {}
-
-    def clone(self):
-        return copy.copy(self)
 
 
 class GreedyPolicy(Policy):

@@ -38,7 +38,11 @@ def _mix(z: int) -> int:
 
 def derive(seed: int, *parts: int) -> int:
     """Fold integer key parts into a 64-bit state, one mix per part."""
-    h = _mix((seed ^ 0x9D2C5680A7B4F2E1) & _MASK)
+    return fold(_mix((seed ^ 0x9D2C5680A7B4F2E1) & _MASK), *parts)
+
+
+def fold(h: int, *parts: int) -> int:
+    """Continue a fold from state `h`: fold(derive(s, *a), *b) == derive(s, *a, *b)."""
     for p in parts:
         h = _mix(((h + _GOLDEN) ^ ((p * _FOLD) & _MASK)) & _MASK)
     return h
@@ -47,6 +51,12 @@ def derive(seed: int, *parts: int) -> int:
 def uniform(seed: int, *parts: int) -> float:
     """One uniform in [0, 1), a pure function of (seed, parts)."""
     return (derive(seed, *parts) >> 11) * 2.0**-53
+
+
+def uniform_from(h: int, *parts: int) -> float:
+    """uniform_from(derive(s, *a), *b) == uniform(s, *a, *b), for callers
+    that draw many keys under one prefix and fold it once."""
+    return (fold(h, *parts) >> 11) * 2.0**-53
 
 
 def _mix_vec_inplace(z: np.ndarray) -> np.ndarray:

@@ -51,7 +51,8 @@ def solve(c, A, b) -> SimplexResult:
     bland = False
     stall = 0
     last_obj = 0.0
-    for pivots in range(1, MAX_PIVOTS + 1):
+    pivots = 0
+    while pivots < MAX_PIVOTS:
         costs = T[m, :-1]
         if bland:
             neg = np.nonzero(costs < -OPT_TOL)[0]
@@ -82,6 +83,7 @@ def solve(c, A, b) -> SimplexResult:
         if nz.size:
             T[nz] -= np.outer(colv[nz], T[i, :])
         basis[i] = j
+        pivots += 1
 
         obj = T[m, -1]
         if obj <= last_obj + 1e-12:

@@ -9,13 +9,17 @@ counter) are reconstructed from death and attempt counters.
 
 The water-filling ratio is the closed form of continuous water-filling on the
 upper-triangular family, computed from harmonic numbers alone.
+
+The reference fluid is the plain form of `ResourceFluid`: a full top-down
+scan for the highest bucket, and a ledger that keeps and re-credits every
+parcel with mass at +inf at every arrival.
 """
 
 from fractions import Fraction
 
 import numpy as np
 
-from reuse_alloc import model, rng
+from reuse_alloc import fluid, model, rng
 from reuse_alloc.distributions import ZeroOrInf
 
 
@@ -79,3 +83,37 @@ def water_filling_ratio(n: int) -> float:
         harmonic.append(harmonic[-1] + Fraction(1, i))
     k = max(k for k in range(n + 1) if harmonic[n] - harmonic[n - k] <= 1)
     return float((k + (n - k) * (1 - (harmonic[n] - harmonic[n - k]))) / n)
+
+
+def linear_top_group(rf, floor=fluid.ZERO_TOL):
+    """Reference `ResourceFluid.top_group`: scan every bucket from the top."""
+    for g in range(rf.n_groups - 1, -1, -1):
+        if rf.Y[g] >= floor:
+            return g
+    return -1
+
+
+def keep_all_advance(rf, now):
+    """Reference `ResourceFluid.advance`: credit every parcel's CDF increment;
+    only parcels of families without mass at +inf are ever pruned."""
+    n = rf._n
+    if n == 0:
+        return
+    new_cdf = np.asarray(rf.res.usage.cdf(now - rf._time[:n]), dtype=float)
+    np.add.at(rf.Y, rf._group[:n], rf._mass[:n] * (new_cdf - rf._credited[:n]))
+    rf._credited[:n] = new_cdf
+    if rf._mass_inf == 0.0:
+        keep = rf._mass[:n] * (1.0 - new_cdf) >= fluid.PRUNE_TOL
+        m = int(keep.sum())
+        for name in ("_time", "_mass", "_credited", "_group"):
+            arr = getattr(rf, name)
+            arr[:m] = arr[:n][keep]
+        rf._n = m
+
+
+def use_reference_fluid(monkeypatch, advance=True):
+    """Swap the reference scan (and, with `advance`, the keep-all ledger)
+    into `ResourceFluid` for the rest of the test."""
+    monkeypatch.setattr(fluid.ResourceFluid, "top_group", linear_top_group)
+    if advance:
+        monkeypatch.setattr(fluid.ResourceFluid, "advance", keep_all_advance)

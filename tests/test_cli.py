@@ -118,6 +118,27 @@ def test_trace_dump_schema(capsys, tmp_path):
     assert len(lines) == 1 + 2 * 8  # two trials, eight arrivals each
 
 
+def test_trace_is_recorded_in_the_summarized_pass(capsys, tmp_path, monkeypatch):
+    from reuse_alloc import engine
+
+    calls = []
+    simulate = engine.simulate
+    monkeypatch.setattr(engine, "simulate", lambda *a, **k: calls.append(a[3]) or simulate(*a, **k))
+    argv = ["run", "--gen", "example_a1", "--param", "n", "3", "--policies", "rba",
+            "--trials", "4", "--seed", "2"]
+    _, plain, _ = run_cli(capsys, argv)
+    calls.clear()
+    trace = tmp_path / "trace.csv"
+    code, traced, _ = run_cli(capsys, argv + ["--trace", str(trace)])
+    assert code == 0
+    assert traced == plain
+    assert calls == [0, 1, 2, 3]
+    rows = [line.split(",") for line in trace.read_text().splitlines()[1:]]
+    means = plain.splitlines()[1].split(",")
+    per_trial = [sum(float(r[6]) for r in rows if r[0] == str(k)) for k in range(4)]
+    assert float(means[4]) == pytest.approx(sum(per_trial) / 4)
+
+
 def test_trace_requires_single_policy(capsys, tmp_path):
     code, _, err = run_cli(capsys, ["run", "--gen", "example_a1", "--param", "n", "2",
                                     "--policies", "greedy,rba", "--trials", "2", "--seed", "1",

@@ -110,6 +110,40 @@ def test_policy_protocol_violation_unavailable():
         engine.simulate(inst, BadPolicy(), 7, 0)
 
 
+def test_budgeted_allocation_below_the_top_rank():
+    class LowRanks(policies.Policy):
+        mode = model.BUDGETED
+
+        def __init__(self, ranks):
+            super().__init__()
+            self.ranks = ranks
+
+        def decide(self, t, arrival, state):
+            return 0, self.ranks
+
+    inst = model.Instance(
+        mode=model.BUDGETED,
+        resources=(model.Resource(0, 4, 1.0, NonReusable()),),
+        arrivals=(model.Arrival(0.0, model.BudgetedBids({0: 2})),),
+    )
+    tr = engine.simulate(inst, LowRanks((1, 3)), 7, 0, check_invariants=True)
+    assert tr.records[0].units == (1, 3)
+    with pytest.raises(engine.PolicyProtocolViolation):
+        engine.simulate(inst, LowRanks((2, 2)), 7, 0)
+
+
+def test_run_trials_traces_come_from_the_summarized_pass():
+    inst = single_resource(TwoPointInf(1.0, 0.5), capacity=2, times=(0.0, 1.0, 2.0, 3.0))
+    traces = []
+    s = engine.run_trials(inst, policies.GreedyPolicy(), 30, 6, traces=traces)
+    assert s == engine.run_trials(inst, policies.GreedyPolicy(), 30, 6)
+    assert s == engine.summarize(traces)
+    assert [tr.trial for tr in traces] == list(range(30))
+    for tr in traces:
+        assert tr.total_reward == engine.simulate(inst, policies.GreedyPolicy(), 6, tr.trial).total_reward
+        assert len(tr.records) == len(inst.arrivals)
+
+
 def test_policy_mode_mismatch_rejected():
     inst = single_resource(NonReusable())
     with pytest.raises(engine.PolicyProtocolViolation):

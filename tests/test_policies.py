@@ -2,8 +2,11 @@ import math
 
 import pytest
 
+from helpers import use_reference_fluid
 from reuse_alloc import engine, model, policies
-from reuse_alloc.distributions import Deterministic, Exponential, NonReusable, TwoPointInf
+from reuse_alloc.assortment import MNL, AstgalgGuide, run_astgalg
+from reuse_alloc.distributions import (Deterministic, Exponential, MixtureWithInf, NonReusable,
+                                       TwoPointInf, Uniform, ZeroOrInf)
 from reuse_alloc.fluid import quantized_levels
 from reuse_alloc.generators import BatteryParams, example_a1, random_battery
 from reuse_alloc.policies import (BalancePolicy, GreedyPolicy, RbaPolicy, SalgPolicy,
@@ -187,6 +190,95 @@ def test_quantized_keeps_most_fluid_value():
     exact = run_galg(inst)
     quant = run_galg(inst, variant="quant", eps=eps)
     assert quant.fluid_reward >= (1.0 - eps) * exact.fluid_reward
+
+
+# --- fast fluid waterfall against the reference scan -----------------------------
+
+INF_USAGES = (TwoPointInf(1.5, 0.4), ZeroOrInf(0.3), MixtureWithInf(0.6, Exponential(0.7)),
+              MixtureWithInf(0.8, Uniform(0.5, 2.0)), Exponential(1.1))
+
+
+def with_usages(inst, usages):
+    res = tuple(model.Resource(r.id, r.capacity, r.reward, usages[i % len(usages)])
+                for i, r in enumerate(inst.resources))
+    return model.Instance(mode=inst.mode, resources=res, arrivals=inst.arrivals,
+                          choice_models=inst.choice_models)
+
+
+def inf_battery():
+    """Matching instances whose durations have mass at +inf."""
+    params = BatteryParams(n_instances=2, n_resources=5, n_arrivals=300, capacity_range=(5, 30),
+                           dist_mix=("two_point_inf", "zero_or_inf"), horizon=30.0)
+    a, b = random_battery(params, seed=77)
+    return [a, with_usages(b, INF_USAGES)]
+
+
+def inf_assortment_instance():
+    usages = (TwoPointInf(1.0, 0.5), MixtureWithInf(0.7, Exponential(0.8)), ZeroOrInf(0.4))
+    res = tuple(model.Resource(i, 15 + 5 * i, 1.0 + 0.3 * i, usages[i]) for i in range(3))
+    cm = MNL(v0=0.4, weights={0: 1.0, 1: 2.0, 2: 0.7})
+    arrivals = tuple(model.Arrival(0.25 * t, model.AssortmentRequest(0, {i: 1 + (t + i) % 2 for i in range(3)}))
+                     for t in range(150))
+    return model.Instance(mode=model.ASSORTMENT, resources=res, arrivals=arrivals, choice_models=(cm,))
+
+
+GUIDE_CASES = [("a1", "exact", 0.0), ("inf0", "exact", 0.0), ("inf1", "exact", 0.0),
+               ("inf0", "quant", 0.2), ("inf1", "quant", 0.2), ("inf0", "thresh", 0.1),
+               ("inf1", "thresh", 0.1)]
+
+
+def guide_instance(key):
+    return example_a1(200) if key == "a1" else inf_battery()[int(key[-1])]
+
+
+@pytest.mark.parametrize("key,variant,eps", GUIDE_CASES)
+@pytest.mark.parametrize("reference_advance", [False, True])
+def test_fast_guide_equals_reference_scan(monkeypatch, key, variant, eps, reference_advance):
+    inst = guide_instance(key)
+    fast = run_galg(inst, variant=variant, eps=eps)
+    use_reference_fluid(monkeypatch, advance=reference_advance)
+    ref = run_galg(inst, variant=variant, eps=eps)
+    assert fast.x == ref.x
+    assert fast.allocs == ref.allocs
+
+
+@pytest.mark.parametrize("reference_advance", [False, True])
+def test_fast_assortment_guide_equals_reference_scan(monkeypatch, reference_advance):
+    inst = inf_assortment_instance()
+    fast = run_astgalg(inst)
+    use_reference_fluid(monkeypatch, advance=reference_advance)
+    ref = run_astgalg(inst)
+    assert fast.collections == ref.collections
+    assert fast.allocs == ref.allocs
+
+
+@pytest.mark.parametrize("key,variant,eps", [c for c in GUIDE_CASES if c[0] != "a1"])
+def test_guide_conservation_with_mass_at_inf(key, variant, eps):
+    inst = guide_instance(key)
+    guide = policies.GalgGuide(inst, variant=variant, eps=eps)
+    for arrival in inst.arrivals:
+        guide.step(arrival)
+        assert guide.inv.conservation_error() < 1e-9
+    assert any(rf.lost.sum() > 0.0 for rf in guide.inv.state.values())
+
+
+def test_assortment_guide_conservation_with_mass_at_inf():
+    inst = inf_assortment_instance()
+    guide = AstgalgGuide(inst)
+    for arrival in inst.arrivals:
+        guide.step(arrival)
+        assert guide.inv.conservation_error() < 1e-9
+
+
+def test_ledger_drops_parcels_whose_returns_are_over():
+    n = 200
+    inst = example_a1(n)
+    guide = policies.GalgGuide(inst)
+    for arrival in inst.arrivals[: 3 * n]:      # the burst and the spread phase
+        guide.step(arrival)
+    for rf in guide.inv.state.values():
+        assert rf._n < rf.res.capacity
+    assert guide.inv.conservation_error() < 1e-9
 
 
 # --- salg ----------------------------------------------------------------------

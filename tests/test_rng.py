@@ -28,3 +28,14 @@ def test_streams_uncorrelated():
     a = rng.uniform_array(7, (1, 0), np.arange(100_000))
     b = rng.uniform_array(7, (1, 1), np.arange(100_000))
     assert abs(np.corrcoef(a, b)[0, 1]) < 0.02
+
+
+def test_fold_continues_derive_for_random_keys():
+    gen = np.random.default_rng(2024)
+    for _ in range(200):
+        seed = int(gen.integers(0, 2**63))
+        key = [int(k) for k in gen.integers(0, 2**40, size=int(gen.integers(1, 6)))]
+        cut = int(gen.integers(0, len(key) + 1))
+        h = rng.derive(seed, *key[:cut])
+        assert rng.fold(h, *key[cut:]) == rng.derive(seed, *key)
+        assert rng.uniform_from(h, *key[cut:]) == rng.uniform(seed, *key)

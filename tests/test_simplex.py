@@ -34,6 +34,16 @@ def test_trivial_single_variable():
     assert res.status == simplex.OPTIMAL
     assert res.objective == pytest.approx(1.0)
     assert res.x[0] == pytest.approx(1.0)
+    assert res.pivots == 1
+
+
+def test_all_slack_optimum_reports_zero_pivots():
+    # With c <= 0 the all-slack basis (x = 0) is already optimal.
+    res = simplex.solve([-1.0, 0.0], [[1.0, 1.0], [2.0, 1.0]], [1.0, 3.0])
+    assert res.status == simplex.OPTIMAL
+    assert res.objective == 0.0
+    assert res.pivots == 0
+    assert (res.x == 0.0).all()
 
 
 def test_degenerate_duplicate_rows_no_cycling():
