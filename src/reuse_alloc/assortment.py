@@ -22,8 +22,7 @@ import math
 from dataclasses import dataclass
 
 from . import model, rng
-from .fluid import ZERO_TOL, FluidInventory
-from .policies import Policy, reduced_price
+from .policies import FluidGuide, Policy, reduced_price
 
 PM_TOL = 1e-12
 
@@ -33,10 +32,6 @@ class ElementNotInSet(ValueError):
 
 
 class TargetTooLarge(ValueError):
-    pass
-
-
-class TooLarge(ValueError):
     pass
 
 
@@ -74,11 +69,6 @@ class ExplicitTable:
         if i not in S:
             raise ElementNotInSet(f"{i} not offered in {sorted(S)}")
         return self.phi[frozenset(S)].get(i, 0.0)
-
-
-def choice_prob(cm, S, i) -> float:
-    """P(resource i chosen from offered set S)."""
-    return cm.prob(frozenset(S), i)
 
 
 def validate_choice_model(cm, tol: float = 1e-9) -> list:
@@ -134,15 +124,13 @@ def choice_model_from_json(obj: dict):
 
 # --- probability match --------------------------------------------------------
 
-PM_DEBUG = False  # verify every collection exactly before returning it
-
-
-def probability_match(S, cm, targets: dict, method: str = "auto"):
+def probability_match(S, cm, targets: dict, method: str = "auto", verify: bool = False):
     """Weighted nested assortments reproducing the target choice probabilities.
 
     Returns a list of (assortment, weight) with assortments nested inside S,
     weights summing to <= 1, and sum_{A_j containing s} u_j phi(A_j, s) == p_s
-    for every s in S. Raises TargetTooLarge if some p_s > phi(S, s).
+    for every s in S. Raises TargetTooLarge if some p_s > phi(S, s). With
+    `verify`, the collection is checked exactly before it is returned.
     """
     S = sorted(S)
     for s in S:
@@ -153,7 +141,7 @@ def probability_match(S, cm, targets: dict, method: str = "auto"):
         out = _probability_match_mnl(S, cm, targets)
     else:
         out = _probability_match_generic(S, cm, targets)
-    if PM_DEBUG:
+    if verify:
         verify_probability_match(out, cm, S, targets)
     return out
 
@@ -258,7 +246,7 @@ def assortment_oracle(cm, feasible, w: dict):
                 best, best_val = frozenset(cand[:k]), val
         return best
     if len(cm.items) > 20:
-        raise TooLarge("explicit-table oracle is limited to 20 items")
+        raise model.TooLarge("explicit-table oracle is limited to 20 items")
     items = [i for i in cm.items if i in w]
     best, best_val = frozenset(), 0.0
     for r in range(1, len(items) + 1):
@@ -276,70 +264,25 @@ def assortment_oracle(cm, feasible, w: dict):
 
 # --- fluid guide for assortment mode -------------------------------------------
 
-class AstgalgGuide:
+class AstgalgGuide(FluidGuide):
     """Fluid assortment guide: per arrival, a weighted collection of
     reduced-price-optimal assortments consumed under fluid reusability."""
 
     def __init__(self, instance: model.Instance):
         if instance.mode != model.ASSORTMENT:
             raise ValueError("assortment guide needs an assortment-mode instance")
-        self.instance = instance
-        self.inv = FluidInventory(instance)
+        super().__init__(instance)
         self.collections = []   # per arrival: [(assortment, weight)]
-        self.allocs = []        # per arrival: [(rid, rank value, mass)]
-        self._next = 0
-        self._iter_cap = sum(r.capacity for r in instance.resources) + len(instance.resources) + 1
+
+    def _offer(self, arrival, w):
+        cm = self.instance.choice_models[arrival.demand.choice_model]
+        A = assortment_oracle(cm, arrival.demand.feasible, w)
+        return A, {rid: cm.prob(A, rid) for rid in sorted(A)}
 
     def step(self, arrival):
-        self.inv.advance(arrival.time)
-        cm = self.instance.choice_models[arrival.demand.choice_model]
-        bids = arrival.demand.bids()
-        active = sorted(bids)
-        collection = []
-        allocs = []
-        eta = 0.0
-        iters = 0
-        while eta < 1.0 - ZERO_TOL and active and iters < self._iter_cap:
-            iters += 1
-            w = {}
-            tops = {}
-            stale = []
-            for rid in active:
-                rf = self.inv.state[rid]
-                g = rf.top_group()
-                if g < 0:
-                    stale.append(rid)
-                    continue
-                tops[rid] = g
-                w[rid] = bids[rid] * reduced_price(rf.res.reward, rf.index_value[g], rf.res.capacity)
-            for rid in stale:
-                active.remove(rid)
-            if not w:
-                break
-            A = assortment_oracle(cm, arrival.demand.feasible, w)
-            if not A:
-                break
-            u = 1.0 - eta
-            for rid in A:
-                rf = self.inv.state[rid]
-                u = min(u, rf.Y[tops[rid]] / (bids[rid] * cm.prob(A, rid)))
-            for rid in sorted(A):
-                rf = self.inv.state[rid]
-                g = tops[rid]
-                mass = min(u * bids[rid] * cm.prob(A, rid), rf.Y[g])
-                rf.consume(g, mass, arrival.time)
-                allocs.append((rid, float(rf.index_value[g]), mass))
-            collection.append((A, u))
-            eta += u
+        collection = self._waterfall(arrival, arrival.demand.bids())
         self.collections.append(collection)
-        self.allocs.append(allocs)
-        self._next += 1
         return collection
-
-    def run(self):
-        for arrival in self.instance.arrivals[self._next:]:
-            self.step(arrival)
-        return self
 
     def per_resource_reward(self) -> dict:
         out = {r.id: 0.0 for r in self.instance.resources}
@@ -370,29 +313,14 @@ class AstalgPolicy(Policy):
     def __init__(self, gamma_lower: float = None):
         super().__init__()
         self.gamma_lower = gamma_lower
-        self._guide_for = None
 
     def _prepare(self, instance):
         self.guide = run_astgalg(instance)
         gam = self.gamma_lower if self.gamma_lower is not None else model.gamma(instance)
         self.delta = math.sqrt(2.0 * max(math.log(gam), 0.0) / gam) if gam > 0 else 0.0
-        self._guide_for = instance
-
-    def start_trial(self, instance, trial_seed: int):
-        super().start_trial(instance, trial_seed)
-        if self._guide_for is not instance:
-            self._prepare(instance)
 
     def decide(self, t, arrival, state):
-        collection = self.guide.collections[t]
-        u1 = rng.uniform(self.trial_seed, rng.TAG_POLICY, t, 0)
-        sampled = None
-        acc = 0.0
-        for A, wgt in collection:
-            acc += wgt
-            if u1 < acc:
-                sampled = A
-                break
+        sampled = rng.pick(rng.uniform(self.trial_seed, rng.TAG_POLICY, t, 0), self.guide.collections[t])
         if not sampled:
             return frozenset()
         bids = arrival.demand.bids()
@@ -402,13 +330,7 @@ class AstalgPolicy(Policy):
         cm = self.instance.choice_models[arrival.demand.choice_model]
         targets = {s: cm.prob(sampled, s) / (1.0 + self.delta) for s in usable}
         pieces = probability_match(usable, cm, targets)
-        u2 = rng.uniform(self.trial_seed, rng.TAG_POLICY, t, 1)
-        acc = 0.0
-        for A, wgt in pieces:
-            acc += wgt
-            if u2 < acc:
-                return A
-        return frozenset()
+        return rng.pick(rng.uniform(self.trial_seed, rng.TAG_POLICY, t, 1), pieces) or frozenset()
 
 
 class RbaAssortmentPolicy(Policy):

@@ -34,10 +34,6 @@ class UnsupportedMode(ValueError):
     pass
 
 
-class TooLarge(ValueError):
-    pass
-
-
 @dataclass
 class LpModel:
     """max obj.y s.t. rows.y <= rhs, 0 <= y <= 1 (upper bounds are implied
@@ -133,32 +129,18 @@ class LpRoundingPolicy(Policy):
         c_min = min(r.capacity for r in instance.resources)
         self.delta = math.sqrt(math.log(c_min) / c_min) if c_min > 1 else 0.0
         scale = 1.0 / (1.0 + 2.0 * self.delta)
-        self._intervals = []
-        for t, arr in enumerate(instance.arrivals):
-            cum = 0.0
-            row = []
-            for rid in sorted(arr.demand.bids()):
-                w = sol.y.get((t, rid), 0.0) * scale
-                if w > 0.0:
-                    cum += w
-                    row.append((cum, rid))
-            self._intervals.append(row)
+        self._rows = [[(rid, w) for rid in sorted(arr.demand.bids())
+                       if (w := sol.y.get((t, rid), 0.0) * scale) > 0.0]
+                      for t, arr in enumerate(instance.arrivals)]
 
     def decide(self, t, arrival, state):
-        u = rng.uniform(self.trial_seed, rng.TAG_POLICY, t)
-        for cum, rid in self._intervals[t]:
-            if u < cum:
-                if state.available_count(rid) == 0:
-                    return None
-                if self.mode == model.MATCHING:
-                    return rid
-                take = min(arrival.demand.bids()[rid], state.available_count(rid))
-                return rid, tuple(state.top_ranks(rid, take))
-        return None
-
-
-def lp_rounding_policy(instance: model.Instance, sol: LpSolution) -> LpRoundingPolicy:
-    return LpRoundingPolicy(instance, sol)
+        rid = rng.pick(rng.uniform(self.trial_seed, rng.TAG_POLICY, t), self._rows[t])
+        if rid is None or state.available_count(rid) == 0:
+            return None
+        if self.mode == model.MATCHING:
+            return rid
+        take = min(arrival.demand.bids()[rid], state.available_count(rid))
+        return rid, tuple(state.top_ranks(rid, take))
 
 
 # --- brute-force clairvoyant ----------------------------------------------------
@@ -177,12 +159,12 @@ def brute_force_clairvoyant(instance: model.Instance) -> float:
     """
     T = len(instance.arrivals)
     if T > 8:
-        raise TooLarge("clairvoyant limited to 8 arrivals")
+        raise model.TooLarge("clairvoyant limited to 8 arrivals")
     if sum(r.capacity for r in instance.resources) > 6:
-        raise TooLarge("clairvoyant limited to 6 total units")
+        raise model.TooLarge("clairvoyant limited to 6 total units")
     for r in instance.resources:
         if not isinstance(r.usage, _FINITE_SUPPORT):
-            raise TooLarge(f"resource {r.id}: clairvoyant needs finite-support durations")
+            raise model.TooLarge(f"resource {r.id}: clairvoyant needs finite-support durations")
     rids = [r.id for r in instance.resources]
     res = {r.id: r for r in instance.resources}
     times = [a.time for a in instance.arrivals]

@@ -58,19 +58,23 @@ def _gen_kwargs(pairs):
     return out
 
 
+def _generate(name: str, pairs):
+    maker = _GENERATORS.get(name)
+    if maker is None:
+        raise CliError(f"unknown generator {name!r}")
+    try:
+        return maker(**_gen_kwargs(pairs))
+    except (TypeError, ValueError) as exc:
+        raise CliError(f"bad generator parameters: {exc}") from None
+
+
 def _load_instance(args) -> tuple:
     if getattr(args, "instance", None):
         with open(args.instance) as fh:
             inst = model.from_json(json.load(fh))
         name = os.path.basename(args.instance)
     elif getattr(args, "gen", None):
-        maker = _GENERATORS.get(args.gen)
-        if maker is None:
-            raise CliError(f"unknown generator {args.gen!r}")
-        try:
-            inst = maker(**_gen_kwargs(args.param))
-        except TypeError as exc:
-            raise CliError(f"bad generator parameters: {exc}") from None
+        inst = _generate(args.gen, args.param)
         name = args.gen
     else:
         raise CliError("provide --instance FILE or --gen NAME")
@@ -80,16 +84,20 @@ def _load_instance(args) -> tuple:
     return inst, name
 
 
+def _policy(name: str):
+    try:
+        return policies.make_policy(name)
+    except ValueError as exc:
+        raise CliError(str(exc)) from None
+
+
 def _policies(args):
     out = []
     for name in args.policies.split(","):
         name = name.strip()
         if name == "galg":
             raise CliError("galg is a benchmark value; use `compare` with policy galg")
-        try:
-            out.append((name, policies.make_policy(name)))
-        except ValueError:
-            raise CliError(f"unknown policy {name!r}") from None
+        out.append((name, _policy(name)))
     return out
 
 
@@ -133,11 +141,7 @@ def cmd_compare(args) -> int:
             guide = policies.run_galg(inst)
             mean, se = guide.fluid_reward, 0.0
         else:
-            try:
-                pol = policies.make_policy(pname)
-            except ValueError:
-                raise CliError(f"unknown policy {pname!r}") from None
-            s = run_trials(inst, pol, args.trials, args.seed)
+            s = run_trials(inst, _policy(pname), args.trials, args.seed)
             mean, se = s.mean, s.se
         rows.append([name, pname, args.trials, args.seed, mean, se, lp, mean / lp if lp else float("nan")])
     _emit(rows, ["instance", "policy", "trials", "seed", "mean", "se", "lp_value", "ratio"], args.out)
@@ -163,7 +167,7 @@ def cmd_lp(args) -> int:
 def cmd_certify(args) -> int:
     inst, name = _load_instance(args)
     sol = benchmarks.solve_lp(benchmarks.build_lp(inst))
-    opt = benchmarks.lp_rounding_policy(inst, sol)
+    opt = benchmarks.LpRoundingPolicy(inst, sol)
     report = benchmarks.certificate_check(inst, args.alg, opt, args.trials,
                                           args.alpha, args.beta, master_seed=args.seed)
     rows = [[name, r.resource, r.theta, r.opt_lambda_sum, r.opt_i, r.lhs, r.rhs, r.se,
@@ -176,13 +180,7 @@ def cmd_certify(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    maker = _GENERATORS.get(args.name)
-    if maker is None:
-        raise CliError(f"unknown generator {args.name!r}")
-    try:
-        inst = maker(**_gen_kwargs(args.param))
-    except TypeError as exc:
-        raise CliError(f"bad generator parameters: {exc}") from None
+    inst = _generate(args.name, args.param)
     text = json.dumps(model.to_json(inst), indent=None)
     if args.out:
         with open(args.out, "w") as fh:
@@ -211,8 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     def add_threads_opt(p):
-        p.add_argument("--threads", type=int, default=int(os.environ.get("REUSE_ALLOC_THREADS", "1")),
-                       help="accepted and ignored: trials run serially (default $REUSE_ALLOC_THREADS)")
+        p.add_argument("--threads", type=int, default=1, help="accepted and ignored: trials run serially")
 
     def add_instance_opts(p):
         p.add_argument("--instance", help="instance JSON file")
@@ -272,6 +269,8 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
+        if getattr(args, "trials", 1) < 1:
+            raise CliError("--trials must be >= 1")
         return args.func(args)
     except (CliError, benchmarks.UnsupportedMode, model.NoEdges, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -201,15 +201,6 @@ class NonReusable:
         return np.full(u.shape, INF) if isinstance(u, np.ndarray) else INF
 
 
-def cdf(dist, t):
-    """P(duration <= t); right-continuous, includes any atom at t."""
-    return dist.cdf(t)
-
-
-def mass_at_inf(dist) -> float:
-    return dist.mass_at_inf()
-
-
 def sample(dist, key: DurationStreamKey, seed: int, stream: int = None):
     """Deterministic duration draw for (dist, key, seed); may be +inf.
 
@@ -219,11 +210,6 @@ def sample(dist, key: DurationStreamKey, seed: int, stream: int = None):
     if stream is None:
         stream = rng.derive(seed, rng.TAG_DURATION, key.resource)
     return dist.sample_u(rng.uniform_from(stream, key.unit, key.use))
-
-
-def sample_array(dist, us: np.ndarray) -> np.ndarray:
-    """Map an array of uniforms to durations (vectorized inverse transform)."""
-    return dist.sample_u(us)
 
 
 def compute_L(dist, eps: float, grid: float = 1e-3) -> float:

@@ -202,13 +202,8 @@ def simulate(instance: model.Instance, policy, master_seed: int, trial_id: int,
                     raise PolicyProtocolViolation(f"arrival {t}: offered resource {rid} is unavailable")
             chosen = None
             if offer:
-                u = rng.uniform(trial_seed, rng.TAG_CHOICE, t)
-                acc = 0.0
-                for rid in sorted(offer):
-                    acc += cm.prob(offer, rid)
-                    if u < acc:
-                        chosen = rid
-                        break
+                chosen = rng.pick(rng.uniform(trial_seed, rng.TAG_CHOICE, t),
+                                  ((rid, cm.prob(offer, rid)) for rid in sorted(offer)))
             if chosen is None:
                 if collect_trace:
                     rec = ArrivalRecord(t, arrival.time, "offer", None, (), (), 0.0, tuple(sorted(offer)))
@@ -229,13 +224,11 @@ def simulate(instance: model.Instance, policy, master_seed: int, trial_id: int,
 
 
 def run_trials(instance: model.Instance, policy, trials: int, master_seed: int,
-               threads: int = 1, shared_durations: bool = False, traces: list = None) -> Summary:
+               shared_durations: bool = False, traces: list = None) -> Summary:
     """Independent trials k = 0..trials-1, run in order, then summarized.
 
-    `threads` is accepted for compatibility and ignored: the trials are pure
-    Python, so a thread pool ran no faster than this serial loop. When
-    `traces` is a list it is filled with every trial's full trace, records
-    included, from the same pass that makes the summary.
+    When `traces` is a list it is filled with every trial's full trace,
+    records included, from the same pass that makes the summary.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")

@@ -10,6 +10,7 @@ before matching that arrival.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 from . import distributions
@@ -22,6 +23,10 @@ MODES = (MATCHING, BUDGETED, ASSORTMENT)
 
 class NoEdges(ValueError):
     """Raised when an instance has no demand at all."""
+
+
+class TooLarge(ValueError):
+    """Raised when an exhaustive search is asked for more than it allows."""
 
 
 @dataclass(frozen=True)
@@ -139,8 +144,8 @@ def validate(instance: Instance) -> list:
         seen.add(r.id)
         if r.capacity < 1:
             bad.append(f"resource {r.id}: capacity must be >= 1")
-        if r.reward < 0:
-            bad.append(f"resource {r.id}: reward must be >= 0")
+        if not 0 <= r.reward < math.inf:
+            bad.append(f"resource {r.id}: reward must be finite and >= 0")
         for msg in distributions.validate(r.usage):
             bad.append(f"resource {r.id}: {msg}")
     want = _DEMAND_FOR_MODE[instance.mode]
@@ -149,8 +154,8 @@ def validate(instance: Instance) -> list:
         if prev is not None and arr.time < prev:
             bad.append(f"times not nondecreasing at index {t}")
         prev = arr.time
-        if arr.time < 0:
-            bad.append(f"negative time at arrival {t}")
+        if not 0 <= arr.time < math.inf:
+            bad.append(f"arrival {t}: time must be finite and >= 0")
         if not isinstance(arr.demand, want):
             bad.append(f"arrival {t}: demand kind does not match mode {instance.mode}")
             continue

@@ -11,7 +11,8 @@ Decision rules, with g(x) = exp(-x) throughout:
   - galg: the fluid guide running rba under fluid reusability, producing a
     fractional allocation x_{it} per arrival (a benchmark value, not a trial
     policy). Two faster variants quantize ranks geometrically or skip units
-    holding less than an eps fraction.
+    holding less than an eps fraction. Its waterfall, `FluidGuide`, is shared
+    with the assortment guide, of which galg is the single-item case.
   - salg: non-adaptive sampler that matches arrival t to resource i with
     probability x_{it}/(1+delta_i) using the guide's output, and leaves t
     unmatched when the sampled resource has nothing available.
@@ -90,10 +91,13 @@ def rba_budgeted_decide(arrival, state):
 
 
 class Policy:
-    """Base: per-trial state is reset by start_trial; precomputation such as
-    a guide is built once and reused by every later trial."""
+    """Base: per-trial state is reset by start_trial; `_prepare` builds
+    per-instance precomputation such as a guide once, before the instance's
+    first trial, and every later trial reuses it."""
 
     mode = model.MATCHING
+    events = ()                 # names of the per-trial event counters
+    _guide_for = None
 
     def __init__(self):
         self.trial_events: dict = {}
@@ -101,7 +105,13 @@ class Policy:
     def start_trial(self, instance, trial_seed: int):
         self.instance = instance
         self.trial_seed = trial_seed
-        self.trial_events = {}
+        self.trial_events = dict.fromkeys(self.events, 0)
+        if self._guide_for is not instance:
+            self._prepare(instance)
+            self._guide_for = instance
+
+    def _prepare(self, instance):
+        pass
 
 
 class GreedyPolicy(Policy):
@@ -136,70 +146,122 @@ class RbaBudgetedPolicy(Policy):
 
 # --- fluid guide -------------------------------------------------------------
 
-class GalgGuide:
-    """Fluid guide: rba on per-unit fluid masses, one step per arrival.
+def check_eps(variant: str, eps: float):
+    """Raise ValueError unless eps suits the fast guide variant."""
+    hi = 1.0 if variant == "thresh" else math.inf
+    if variant in ("quant", "thresh") and not 0.0 <= eps < hi:
+        raise ValueError(f"{variant} eps must be in [0, {hi}), got {eps}")
+
+
+class FluidGuide:
+    """The reduced-price waterfall under fluid reusability, one step per
+    arrival, shared by the matching guide (galg) and the assortment guide
+    (astgalg).
+
+    A step advances the fluid clock and scores every neighbour by its bid
+    times the reduced price of its highest bucket holding at least `floor`.
+    The subclass's `_offer` turns the scores into a choice and its shares
+    {rid: probability the arrival takes rid}; the choice is served at the
+    largest weight that keeps every bucket nonnegative and the arrival's
+    total at most 1, until the arrival is fully served or nothing is left.
+    Within a step only the served resources change, so only they are
+    re-scored.
+    """
+
+    floor = ZERO_TOL
+
+    def __init__(self, instance, quantize_eps: float = 0.0):
+        self.instance = instance
+        self.inv = FluidInventory(instance, quantize_eps=quantize_eps)
+        self.allocs = []       # per arrival: [(rid, rank value, mass)]
+        self._next = 0
+        self._iter_cap = sum(r.capacity for r in instance.resources) + len(instance.resources) + 1
+        # Reduced price of every bucket, per resource, computed once.
+        self._price = {rid: [reduced_price(rf.res.reward, v, rf.res.capacity) for v in rf.index_value.tolist()]
+                       for rid, rf in self.inv.state.items()}
+
+    def _waterfall(self, arrival, bids: dict) -> list:
+        """Serve one arrival with id-sorted `bids`; books its allocs and
+        returns the served [(choice, weight)]."""
+        self._next += 1
+        self.inv.advance(arrival.time)
+        state, floor, price = self.inv.state, self.floor, self._price
+        tops, w = {}, {}       # ascending ids, so argmax ties go to the lower id
+        for rid in bids:
+            g = state[rid].top_group(floor)
+            if g >= 0:
+                tops[rid] = g
+                w[rid] = bids[rid] * price[rid][g]
+        served, allocs = [], []
+        eta = 0.0
+        iters = 0
+        while eta < 1.0 - ZERO_TOL and w and iters < self._iter_cap:
+            iters += 1
+            choice, shares = self._offer(arrival, w)
+            if not shares:
+                break
+            u = 1.0 - eta      # min() spelt out below: this loop is galg's hot path
+            for rid, p in shares.items():
+                y = state[rid].Y.item(tops[rid]) / (bids[rid] * p)
+                if y < u:
+                    u = y
+            for rid, p in shares.items():
+                rf, g = state[rid], tops[rid]
+                mass, y = u * bids[rid] * p, rf.Y.item(g)
+                if y < mass:
+                    mass = y
+                rf.consume(g, mass, arrival.time)
+                allocs.append((rid, rf.index_value.item(g), mass))
+                g = rf.top_group(floor)
+                if g < 0:
+                    del tops[rid], w[rid]
+                else:
+                    tops[rid] = g
+                    w[rid] = bids[rid] * price[rid][g]
+            served.append((choice, u))
+            eta += u
+        self.allocs.append(allocs)
+        return served
+
+    def run(self):
+        for arrival in self.instance.arrivals[self._next:]:
+            self.step(arrival)
+        return self
+
+
+class GalgGuide(FluidGuide):
+    """Fluid guide for matching: rba on per-unit fluid masses. Each arrival
+    is offered its best-scoring neighbour and takes it with probability 1.
 
     variant "quant" buckets unit ranks into levels floor((1+eps)^j); variant
     "thresh" treats a unit as unavailable unless at least eps of it is free.
     """
 
     def __init__(self, instance, variant: str = "exact", eps: float = 0.0):
-        if instance.mode not in (model.MATCHING,):
+        if instance.mode != model.MATCHING:
             raise ValueError("the fluid guide runs on matching instances")
-        self.instance = instance
+        check_eps(variant, eps)
+        super().__init__(instance, quantize_eps=eps if variant == "quant" else 0.0)
         self.variant = variant
         self.eps = eps
-        self.inv = FluidInventory(instance, quantize_eps=eps if variant == "quant" else 0.0)
-        self.floor = eps if variant == "thresh" else ZERO_TOL
-        if variant == "thresh" and not 0.0 <= eps < 1.0:
-            raise ValueError("threshold eps must be in [0, 1)")
+        if variant == "thresh":
+            self.floor = max(eps, ZERO_TOL)
         self.x = []            # per arrival: {rid: x_it}
-        self.allocs = []       # per arrival: [(rid, rank value, amount)]
-        self._next = 0
-        self._iter_cap = sum(r.capacity for r in instance.resources) + len(instance.resources) + 1
+
+    def _offer(self, arrival, w):
+        best, best_score = None, -1.0
+        for rid, score in w.items():
+            if score > best_score:
+                best, best_score = rid, score
+        return best, {best: 1.0}
 
     def step(self, arrival):
         """Fluid update for this arrival, then the reduced-price waterfall."""
-        t = self._next
-        self._next += 1
-        self.inv.advance(arrival.time)
-        floor = max(self.floor, ZERO_TOL)
-        active = list(arrival.demand.sorted_ids())
         xt: dict = {}
-        allocs = []
-        eta = 0.0
-        iters = 0
-        while eta < 1.0 - ZERO_TOL and active and iters < self._iter_cap:
-            iters += 1
-            best_rid, best_g, best_score = None, -1, -1.0
-            stale = []
-            for rid in active:
-                rf = self.inv.state[rid]
-                g = rf.top_group(floor)
-                if g < 0:
-                    stale.append(rid)
-                    continue
-                score = reduced_price(rf.res.reward, rf.index_value[g], rf.res.capacity)
-                if score > best_score:
-                    best_rid, best_g, best_score = rid, g, score
-            for rid in stale:
-                active.remove(rid)
-            if best_rid is None:
-                break
-            rf = self.inv.state[best_rid]
-            take = min(rf.Y[best_g], 1.0 - eta)
-            rf.consume(best_g, take, arrival.time)
-            xt[best_rid] = xt.get(best_rid, 0.0) + take
-            allocs.append((best_rid, float(rf.index_value[best_g]), take))
-            eta += take
+        for rid, take in self._waterfall(arrival, arrival.demand.bids()):
+            xt[rid] = xt.get(rid, 0.0) + take
         self.x.append(xt)
-        self.allocs.append(allocs)
         return xt
-
-    def run(self):
-        for arrival in self.instance.arrivals[self._next:]:
-            self.step(arrival)
-        return self
 
     @property
     def fluid_reward(self) -> float:
@@ -227,71 +289,46 @@ class SalgPolicy(Policy):
     """Samples the guide's fractional matching, deflated by 1/(1+delta_i)."""
 
     name = "salg"
+    events = ("salg_sampled", "salg_sampled_unavailable")
 
     def __init__(self, variant: str = "exact", eps: float = 0.0):
         super().__init__()
+        check_eps(variant, eps)
         self.variant = variant
         self.eps = eps
-        self._guide_for = None
-        self._intervals = None
 
     def _prepare(self, instance):
-        guide = run_galg(instance, variant=self.variant, eps=self.eps)
+        self.guide = run_galg(instance, variant=self.variant, eps=self.eps)
         deltas = {r.id: salg_delta(r.capacity) for r in instance.resources}
-        intervals = []
-        for xt in guide.x:
-            cum = 0.0
-            row = []
-            for rid in sorted(xt):
-                w = xt[rid] / (1.0 + deltas[rid])
-                if w > 0.0:
-                    cum += w
-                    row.append((cum, rid))
-            intervals.append(row)
-        self._guide_for = instance
-        self._intervals = intervals
-        self.guide = guide
-
-    def start_trial(self, instance, trial_seed: int):
-        super().start_trial(instance, trial_seed)
-        if self._guide_for is not instance:
-            self._prepare(instance)
-        self.trial_events = {"salg_sampled": 0, "salg_sampled_unavailable": 0}
+        self._rows = [[(rid, w) for rid in sorted(xt) if (w := xt[rid] / (1.0 + deltas[rid])) > 0.0]
+                      for xt in self.guide.x]
 
     def decide(self, t, arrival, state):
-        u = rng.uniform(self.trial_seed, rng.TAG_POLICY, t)
-        for cum, rid in self._intervals[t]:
-            if u < cum:
-                self.trial_events["salg_sampled"] += 1
-                if state.available_count(rid) > 0:
-                    return rid
-                self.trial_events["salg_sampled_unavailable"] += 1
-                return None
+        rid = rng.pick(rng.uniform(self.trial_seed, rng.TAG_POLICY, t), self._rows[t])
+        if rid is None:
+            return None
+        self.trial_events["salg_sampled"] += 1
+        if state.available_count(rid) > 0:
+            return rid
+        self.trial_events["salg_sampled_unavailable"] += 1
         return None
 
 
 def make_policy(name: str):
-    """CLI policy names; `galg` itself is a benchmark value, not a policy."""
-    if name == "greedy":
-        return GreedyPolicy()
-    if name == "balance":
-        return BalancePolicy()
-    if name == "rba":
-        return RbaPolicy()
-    if name == "rba_budgeted":
-        return RbaBudgetedPolicy()
-    if name == "salg":
-        return SalgPolicy()
-    if name.startswith("galg_fast_quant:"):
-        return SalgPolicy(variant="quant", eps=float(name.split(":", 1)[1]))
-    if name.startswith("galg_fast_thresh:"):
-        return SalgPolicy(variant="thresh", eps=float(name.split(":", 1)[1]))
-    if name == "rba_assortment":
-        from .assortment import RbaAssortmentPolicy
+    """CLI policy names; `galg` itself is a benchmark value, not a policy.
+    Raises ValueError for an unknown name or a bad fast-variant eps."""
+    from .assortment import AstalgPolicy, RbaAssortmentPolicy
 
-        return RbaAssortmentPolicy()
-    if name == "astalg":
-        from .assortment import AstalgPolicy
-
-        return AstalgPolicy()
+    plain = {"greedy": GreedyPolicy, "balance": BalancePolicy, "rba": RbaPolicy,
+             "rba_budgeted": RbaBudgetedPolicy, "salg": SalgPolicy,
+             "rba_assortment": RbaAssortmentPolicy, "astalg": AstalgPolicy}
+    fast = {"galg_fast_quant": "quant", "galg_fast_thresh": "thresh"}
+    prefix, _, eps = name.partition(":")
+    if name in plain:
+        return plain[name]()
+    if prefix in fast:
+        try:
+            return SalgPolicy(variant=fast[prefix], eps=float(eps))
+        except ValueError as exc:
+            raise ValueError(f"policy {name!r}: {exc}") from None
     raise ValueError(f"unknown policy {name!r}")

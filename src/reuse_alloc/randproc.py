@@ -19,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .distributions import sample_array
 
 
 @dataclass(frozen=True)
@@ -99,7 +98,7 @@ def simulate_process(spec: ProcessSpec, seed: int, trials: int) -> ProcessSummar
             if take.any():
                 ud = rng.uniform_array(seed, (rng.TAG_DURATION, t), ids[take])
                 match_time[take] = s
-                duration[take] = sample_array(spec.dist, ud)
+                duration[take] = spec.dist.sample_u(ud)
                 rewards[take] += 1.0
     mean = float(rewards.mean())
     se = float(rewards.std(ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0

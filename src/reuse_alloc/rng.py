@@ -82,14 +82,22 @@ def uniform_array(seed: int, parts: tuple, counters: np.ndarray) -> np.ndarray:
     return h * 2.0**-53
 
 
+def _u64(x):
+    """x mod 2**64 as uint64, the way the scalar chain reduces every key;
+    x is a Python int of any sign or size, or an integer array."""
+    if isinstance(x, int):
+        return np.uint64(x & _MASK)
+    return np.asarray(x).astype(np.uint64, copy=False)
+
+
 def derive_vec(seed, *parts) -> np.ndarray:
     """Array counterpart of derive(): seed and any part may be integer arrays
     (broadcast elementwise); equals the scalar chain entry by entry."""
     with np.errstate(over="ignore"):
-        h = np.asarray(seed, dtype=np.uint64) ^ np.uint64(0x9D2C5680A7B4F2E1)
+        h = _u64(seed) ^ np.uint64(0x9D2C5680A7B4F2E1)
         h = _mix_vec_inplace(np.array(h, dtype=np.uint64))
         for p in parts:
-            h = (h + np.uint64(_GOLDEN)) ^ (np.asarray(p, dtype=np.uint64) * np.uint64(_FOLD))
+            h = (h + np.uint64(_GOLDEN)) ^ (_u64(p) * np.uint64(_FOLD))
             h = _mix_vec_inplace(np.array(h, dtype=np.uint64))
     return h
 
@@ -98,3 +106,14 @@ def uniform_vec(seed, *parts) -> np.ndarray:
     """Broadcasting uniforms: elementwise equal to uniform(seed_i, *parts_i)."""
     h = derive_vec(seed, *parts)
     return (h >> np.uint64(11)) * 2.0**-53
+
+
+def pick(u: float, weighted):
+    """The first value whose running weight total exceeds u, scanning
+    (value, weight) pairs in order; None when u is at or above the total."""
+    acc = 0.0
+    for value, w in weighted:
+        acc += w
+        if u < acc:
+            return value
+    return None

@@ -13,6 +13,10 @@ upper-triangular family, computed from harmonic numbers alone.
 The reference fluid is the plain form of `ResourceFluid`: a full top-down
 scan for the highest bucket, and a ledger that keeps and re-credits every
 parcel with mass at +inf at every arrival.
+
+The reference waterfalls are the matching and assortment guides written as
+two loops of their own, each re-scoring every active neighbour on every
+iteration, so the shared `FluidGuide` waterfall can be checked against them.
 """
 
 from fractions import Fraction
@@ -20,6 +24,8 @@ from fractions import Fraction
 import numpy as np
 
 from reuse_alloc import fluid, model, rng
+from reuse_alloc.assortment import assortment_oracle
+from reuse_alloc.policies import reduced_price
 from reuse_alloc.distributions import ZeroOrInf
 
 
@@ -117,3 +123,95 @@ def use_reference_fluid(monkeypatch, advance=True):
     monkeypatch.setattr(fluid.ResourceFluid, "top_group", linear_top_group)
     if advance:
         monkeypatch.setattr(fluid.ResourceFluid, "advance", keep_all_advance)
+
+
+def reference_galg(instance, variant="exact", eps=0.0):
+    """The matching guide's waterfall on its own: per arrival, serve the
+    argmax reduced price (ties to the lower id) until the arrival is full.
+    Returns (x, allocs) as `GalgGuide` records them."""
+    inv = fluid.FluidInventory(instance, quantize_eps=eps if variant == "quant" else 0.0)
+    floor = max(eps if variant == "thresh" else fluid.ZERO_TOL, fluid.ZERO_TOL)
+    cap = sum(r.capacity for r in instance.resources) + len(instance.resources) + 1
+    xs, all_allocs = [], []
+    for arrival in instance.arrivals:
+        inv.advance(arrival.time)
+        active = list(arrival.demand.sorted_ids())
+        xt, allocs = {}, []
+        eta = 0.0
+        iters = 0
+        while eta < 1.0 - fluid.ZERO_TOL and active and iters < cap:
+            iters += 1
+            best_rid, best_g, best_score = None, -1, -1.0
+            stale = []
+            for rid in active:
+                rf = inv.state[rid]
+                g = rf.top_group(floor)
+                if g < 0:
+                    stale.append(rid)
+                    continue
+                score = reduced_price(rf.res.reward, rf.index_value[g], rf.res.capacity)
+                if score > best_score:
+                    best_rid, best_g, best_score = rid, g, score
+            for rid in stale:
+                active.remove(rid)
+            if best_rid is None:
+                break
+            rf = inv.state[best_rid]
+            take = min(rf.Y[best_g], 1.0 - eta)
+            rf.consume(best_g, take, arrival.time)
+            xt[best_rid] = xt.get(best_rid, 0.0) + take
+            allocs.append((best_rid, float(rf.index_value[best_g]), take))
+            eta += take
+        xs.append(xt)
+        all_allocs.append(allocs)
+    return xs, all_allocs
+
+
+def reference_astgalg(instance):
+    """The assortment guide's waterfall on its own: per arrival, offer the
+    oracle's assortment under bid-weighted reduced prices at the largest
+    weight the buckets allow. Returns (collections, allocs) as
+    `AstgalgGuide` records them."""
+    inv = fluid.FluidInventory(instance)
+    cap = sum(r.capacity for r in instance.resources) + len(instance.resources) + 1
+    collections, all_allocs = [], []
+    for arrival in instance.arrivals:
+        inv.advance(arrival.time)
+        cm = instance.choice_models[arrival.demand.choice_model]
+        bids = arrival.demand.bids()
+        active = sorted(bids)
+        collection, allocs = [], []
+        eta = 0.0
+        iters = 0
+        while eta < 1.0 - fluid.ZERO_TOL and active and iters < cap:
+            iters += 1
+            w, tops, stale = {}, {}, []
+            for rid in active:
+                rf = inv.state[rid]
+                g = rf.top_group()
+                if g < 0:
+                    stale.append(rid)
+                    continue
+                tops[rid] = g
+                w[rid] = bids[rid] * reduced_price(rf.res.reward, rf.index_value[g], rf.res.capacity)
+            for rid in stale:
+                active.remove(rid)
+            if not w:
+                break
+            A = assortment_oracle(cm, arrival.demand.feasible, w)
+            if not A:
+                break
+            u = 1.0 - eta
+            for rid in A:
+                u = min(u, inv.state[rid].Y[tops[rid]] / (bids[rid] * cm.prob(A, rid)))
+            for rid in sorted(A):
+                rf = inv.state[rid]
+                g = tops[rid]
+                mass = min(u * bids[rid] * cm.prob(A, rid), rf.Y[g])
+                rf.consume(g, mass, arrival.time)
+                allocs.append((rid, float(rf.index_value[g]), mass))
+            collection.append((A, u))
+            eta += u
+        collections.append(collection)
+        all_allocs.append(allocs)
+    return collections, all_allocs

@@ -26,9 +26,9 @@ import numpy as np
 from helpers import stochastic_rewards_greedy, water_filling_ratio
 
 from reuse_alloc import model
-from reuse_alloc.assortment import (MNL, AstalgPolicy, choice_prob, probability_match,
+from reuse_alloc.assortment import (MNL, AstalgPolicy, probability_match,
                                     run_astgalg, verify_probability_match)
-from reuse_alloc.benchmarks import (build_lp, certificate_check, lp_rounding_policy, lp_value,
+from reuse_alloc.benchmarks import (LpRoundingPolicy, build_lp, certificate_check, lp_value,
                                     brute_force_clairvoyant, solve_lp)
 from reuse_alloc.distributions import (Deterministic, Exponential, TwoPointInf, Uniform)
 from reuse_alloc.engine import run_trials
@@ -54,7 +54,7 @@ def test_acceptance_01_probability_match_exactness():
         items = list(range(m))
         weights = {i: math.exp(rnd.uniform(math.log(0.01), math.log(100.0))) for i in items}
         cm = MNL(v0=math.exp(rnd.uniform(-2.0, 2.0)), weights=weights)
-        targets = {i: choice_prob(cm, set(items), i) * rnd.random() for i in items}
+        targets = {i: cm.prob(frozenset(items), i) * rnd.random() for i in items}
         gen = probability_match(items, cm, targets, method="generic")
         fast = probability_match(items, cm, targets, method="mnl")
         verify_probability_match(gen, cm, items, targets, tol=1e-9)   # (i)-(iii)
@@ -368,14 +368,14 @@ def test_acceptance_11_certificate_and_negative_control():
         c_min = min(r.capacity for r in inst.resources)
         alpha = 0.99 * (1.0 - 1.0 / math.e) * math.exp(-1.0 / c_min)
         beta = 1.01 * math.exp(1.0 / c_min)
-        opt = lp_rounding_policy(inst, solve_lp(build_lp(inst)))
+        opt = LpRoundingPolicy(inst, solve_lp(build_lp(inst)))
         rep = certificate_check(inst, "galg", opt, trials, alpha, beta, master_seed=1100 + idx)
         assert rep.cond1_passed and rep.cond3_passed
     tri = upper_triangular(10, 100)
     c_min = 100
     alpha = 0.99 * (1.0 - 1.0 / math.e) * math.exp(-1.0 / c_min)
     beta = 1.01 * math.exp(1.0 / c_min)
-    opt = lp_rounding_policy(tri, solve_lp(build_lp(tri)))
+    opt = LpRoundingPolicy(tri, solve_lp(build_lp(tri)))
     neg = certificate_check(tri, "galg_swapped", opt, trials, alpha, beta, master_seed=1199)
     assert not neg.cond3_passed
     n_fail = sum(1 for r in neg.rows if not r.passed)

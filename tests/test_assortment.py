@@ -4,10 +4,9 @@ import random
 
 import pytest
 
-from reuse_alloc import assortment as ast
 from reuse_alloc import engine, model, policies
 from reuse_alloc.assortment import (MNL, AstalgPolicy, ElementNotInSet, ExplicitTable,
-                                    TargetTooLarge, assortment_oracle, choice_prob, probability_match,
+                                    TargetTooLarge, assortment_oracle, probability_match,
                                     run_astgalg, validate_choice_model, verify_probability_match)
 from reuse_alloc.distributions import Exponential, NonReusable, TwoPointInf
 
@@ -27,24 +26,24 @@ def mnl_table(items, v0, weights):
 
 def test_choice_prob_symmetric_mnl():
     cm = MNL(v0=1.0, weights={1: 1.0, 2: 1.0})
-    assert choice_prob(cm, {1, 2}, 1) == pytest.approx(1.0 / 3.0)
+    assert cm.prob(frozenset({1, 2}), 1) == pytest.approx(1.0 / 3.0)
 
 
 def test_choice_prob_lopsided_mnl():
     cm = MNL(v0=0.01, weights={1: 100.0, 2: 1.0})
-    assert choice_prob(cm, {1, 2}, 1) == pytest.approx(100.0 / 101.01)
-    assert choice_prob(cm, {1, 2}, 1) == pytest.approx(0.99000, abs=5e-6)
+    assert cm.prob(frozenset({1, 2}), 1) == pytest.approx(100.0 / 101.01)
+    assert cm.prob(frozenset({1, 2}), 1) == pytest.approx(0.99000, abs=5e-6)
 
 
 def test_choice_prob_forced_singleton():
     cm = MNL(v0=0.0, weights={1: 3.0})
-    assert choice_prob(cm, {1}, 1) == 1.0
+    assert cm.prob(frozenset({1}), 1) == 1.0
 
 
 def test_choice_prob_requires_membership():
     cm = MNL(v0=1.0, weights={1: 1.0, 2: 1.0})
     with pytest.raises(ElementNotInSet):
-        choice_prob(cm, {2}, 1)
+        cm.prob(frozenset({2}), 1)
 
 
 def test_weak_substitution_validation():
@@ -60,7 +59,7 @@ def test_weak_substitution_validation():
 
 def test_probability_match_full_targets_single_set():
     cm = MNL(v0=1.0, weights={1: 2.0, 2: 1.0})
-    targets = {s: choice_prob(cm, {1, 2}, s) for s in (1, 2)}
+    targets = {s: cm.prob(frozenset({1, 2}), s) for s in (1, 2)}
     out = probability_match({1, 2}, cm, targets)
     assert len(out) == 1
     A, u = out[0]
@@ -105,7 +104,7 @@ def test_probability_match_properties_random_mnl():
         items = list(range(m))
         weights = {i: math.exp(rnd.uniform(math.log(0.01), math.log(100.0))) for i in items}
         cm = MNL(v0=math.exp(rnd.uniform(-2, 2)), weights=weights)
-        targets = {i: choice_prob(cm, set(items), i) * rnd.random() for i in items}
+        targets = {i: cm.prob(frozenset(items), i) * rnd.random() for i in items}
         gen = probability_match(items, cm, targets, method="generic")
         fast = probability_match(items, cm, targets, method="mnl")
         verify_probability_match(gen, cm, items, targets, tol=1e-9)
@@ -137,7 +136,7 @@ def test_oracle_zero_weight_item_is_dropped_without_loss():
     best = assortment_oracle(cm, model.AllSubsets(), w)
     assert 2 not in best
     def val(S):
-        return sum(w[i] * choice_prob(cm, S, i) for i in S)
+        return sum(w[i] * cm.prob(frozenset(S), i) for i in S)
     assert val(best) >= val(frozenset({0, 1, 2})) - 1e-12
     assert {0, 1} <= best
 
@@ -275,10 +274,6 @@ def test_choice_model_json_round_trip():
 
 
 def test_probability_match_debug_mode_verifies_each_call():
-    ast.PM_DEBUG = True
-    try:
-        cm = MNL(v0=1.0, weights={1: 1.0, 2: 1.0})
-        out = probability_match({1, 2}, cm, {1: 1.0 / 3.0, 2: 1.0 / 4.0})
-        assert sum(u for _, u in out) == pytest.approx(11.0 / 12.0)
-    finally:
-        ast.PM_DEBUG = False
+    cm = MNL(v0=1.0, weights={1: 1.0, 2: 1.0})
+    out = probability_match({1, 2}, cm, {1: 1.0 / 3.0, 2: 1.0 / 4.0}, verify=True)
+    assert sum(u for _, u in out) == pytest.approx(11.0 / 12.0)

@@ -4,8 +4,8 @@ import pytest
 from scipy.optimize import linprog
 
 from reuse_alloc import benchmarks, engine, model, policies
-from reuse_alloc.benchmarks import (TooLarge, UnsupportedMode, brute_force_clairvoyant, build_lp,
-                                    certificate_check, lp_rounding_policy, lp_value, solve_lp)
+from reuse_alloc.benchmarks import (LpRoundingPolicy, UnsupportedMode, brute_force_clairvoyant, build_lp,
+                                    certificate_check, lp_value, solve_lp)
 from reuse_alloc.distributions import Deterministic, NonReusable, TwoPointInf, ZeroOrInf
 from reuse_alloc.generators import (BatteryParams, example_a1, mnl_counterexample, random_battery,
                                     upper_triangular)
@@ -82,7 +82,7 @@ def test_lp_dominates_simulation():
 def test_lp_rounding_matches_at_lp_rate():
     inst = single(NonReusable(), capacity=100, times=tuple(float(t) for t in range(100)))
     sol = solve_lp(build_lp(inst))
-    pol = lp_rounding_policy(inst, sol)
+    pol = LpRoundingPolicy(inst, sol)
     s = engine.run_trials(inst, pol, 2000, 5)
     delta = math.sqrt(math.log(100) / 100)
     assert s.mean / sol.objective == pytest.approx(1.0 / (1.0 + 2.0 * delta), abs=0.01)
@@ -93,7 +93,7 @@ def test_lp_rounding_zero_solution_never_matches():
     sol = solve_lp(build_lp(inst))
     zero = benchmarks.LpSolution(status=sol.status, objective=0.0,
                                  y={k: 0.0 for k in sol.y})
-    s = engine.run_trials(inst, lp_rounding_policy(inst, zero), 50, 2)
+    s = engine.run_trials(inst, LpRoundingPolicy(inst, zero), 50, 2)
     assert s.mean == 0.0
 
 
@@ -118,14 +118,14 @@ def test_brute_force_two_point_prefers_waiting_when_useful():
 
 
 def test_brute_force_guards():
-    with pytest.raises(TooLarge):
+    with pytest.raises(model.TooLarge):
         brute_force_clairvoyant(single(NonReusable(), capacity=3, times=tuple(range(9))))
     big = model.Instance(
         mode=model.MATCHING,
         resources=(model.Resource(0, 7, 1.0, NonReusable()),),
         arrivals=(model.Arrival(0.0, model.MatchingEdges(frozenset({0}))),),
     )
-    with pytest.raises(TooLarge):
+    with pytest.raises(model.TooLarge):
         brute_force_clairvoyant(big)
     cont = single(Deterministic(1.0))
     ok = brute_force_clairvoyant(cont)  # deterministic is finite-support
@@ -169,7 +169,7 @@ def cert_instance():
 def test_certificate_alpha_zero_always_passes():
     inst = cert_instance()
     sol = solve_lp(build_lp(inst))
-    rep = certificate_check(inst, "galg", lp_rounding_policy(inst, sol), 80, 0.0, 50.0, master_seed=4)
+    rep = certificate_check(inst, "galg", LpRoundingPolicy(inst, sol), 80, 0.0, 50.0, master_seed=4)
     assert rep.passed
 
 
@@ -179,7 +179,7 @@ def test_certificate_galg_candidate_passes_with_theory_constants():
     alpha = 0.99 * (1 - 1 / math.e) * math.exp(-1.0 / c_min)
     beta = 1.01 * math.exp(1.0 / c_min)
     sol = solve_lp(build_lp(inst))
-    rep = certificate_check(inst, "galg", lp_rounding_policy(inst, sol), 400, alpha, beta, master_seed=4)
+    rep = certificate_check(inst, "galg", LpRoundingPolicy(inst, sol), 400, alpha, beta, master_seed=4)
     assert rep.cond1_passed
     assert rep.cond3_passed
 
@@ -192,7 +192,7 @@ def test_certificate_swapped_candidate_fails():
     alpha = 0.99 * (1 - 1 / math.e) * math.exp(-1.0 / c_min)
     beta = 1.01 * math.exp(1.0 / c_min)
     sol = solve_lp(build_lp(inst))
-    rep = certificate_check(inst, "galg_swapped", lp_rounding_policy(inst, sol), 300, alpha, beta,
+    rep = certificate_check(inst, "galg_swapped", LpRoundingPolicy(inst, sol), 300, alpha, beta,
                             master_seed=4)
     assert not rep.cond3_passed
 
@@ -200,6 +200,6 @@ def test_certificate_swapped_candidate_fails():
 def test_certificate_rba_candidate_runs():
     inst = cert_instance()
     sol = solve_lp(build_lp(inst))
-    rep = certificate_check(inst, "rba", lp_rounding_policy(inst, sol), 150, 0.3, 1.05, master_seed=6)
+    rep = certificate_check(inst, "rba", LpRoundingPolicy(inst, sol), 150, 0.3, 1.05, master_seed=6)
     assert rep.cond1_passed  # beta = 1 holds by construction for this candidate
     assert isinstance(rep.rows[0].lhs, float)

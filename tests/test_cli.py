@@ -38,6 +38,25 @@ def test_unknown_policy_exits_2(capsys):
     assert "unknown policy" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "--gen", "example_a1", "--param", "n", "2", "--policies", "greedy", "--trials", "0"],
+    ["run", "--gen", "example_a1", "--param", "n", "0", "--policies", "greedy", "--trials", "2"],
+    ["run", "--gen", "example_a1", "--param", "n", "2", "--policies", "galg_fast_thresh:1.5", "--trials", "2"],
+])
+def test_bad_input_gives_one_error_line(capsys, argv):
+    code, out, err = run_cli(capsys, argv + ["--seed", "1"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_threads_env_is_not_read(capsys, monkeypatch):
+    monkeypatch.setenv("REUSE_ALLOC_THREADS", "two")
+    code, out, _ = run_cli(capsys, ["gen", "example_a1", "--param", "n", "2"])
+    assert code == 0
+    assert len(model.from_json(json.loads(out)).arrivals) == 8
+
+
 def test_galg_rejected_as_trial_policy(capsys):
     code, _, err = run_cli(capsys, ["run", "--gen", "example_a1", "--param", "n", "2",
                                     "--policies", "galg", "--trials", "2", "--seed", "1"])

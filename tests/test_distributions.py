@@ -23,32 +23,32 @@ ALL_VARIANTS = [
 
 def test_cdf_two_point_below_and_at_atom():
     d = TwoPointInf(d=1.0, p=0.5)
-    assert dist.cdf(d, 0.5) == 0.0
-    assert dist.cdf(d, 1.0) == 0.5  # atom included: right-continuous
-    assert dist.cdf(d, 5.0) == 0.5
+    assert d.cdf(0.5) == 0.0
+    assert d.cdf(1.0) == 0.5  # atom included: right-continuous
+    assert d.cdf(5.0) == 0.5
 
 
 def test_cdf_exponential_closed_form():
     e = Exponential(rate=1.0)
-    assert dist.cdf(e, 1.0) == pytest.approx(1.0 - math.exp(-1.0), abs=1e-12)
-    assert dist.cdf(e, 1.0) == pytest.approx(0.63212, abs=5e-6)
+    assert e.cdf(1.0) == pytest.approx(1.0 - math.exp(-1.0), abs=1e-12)
+    assert e.cdf(1.0) == pytest.approx(0.63212, abs=5e-6)
 
 
 def test_mass_at_inf():
-    assert dist.mass_at_inf(TwoPointInf(1.0, 0.5)) == 0.5
-    assert dist.mass_at_inf(Exponential(1.0)) == 0.0
-    assert dist.mass_at_inf(MixtureWithInf(0.9, Exponential(1.0))) == pytest.approx(0.1)
-    assert dist.mass_at_inf(NonReusable()) == 1.0
-    assert dist.mass_at_inf(ZeroOrInf(0.25)) == 0.75
+    assert TwoPointInf(1.0, 0.5).mass_at_inf() == 0.5
+    assert Exponential(1.0).mass_at_inf() == 0.0
+    assert MixtureWithInf(0.9, Exponential(1.0)).mass_at_inf() == pytest.approx(0.1)
+    assert NonReusable().mass_at_inf() == 1.0
+    assert ZeroOrInf(0.25).mass_at_inf() == 0.75
 
 
 def test_cdf_monotone_on_grid():
     ts = np.linspace(0.0, 20.0, 400)
     for d in ALL_VARIANTS:
-        vals = np.asarray(dist.cdf(d, ts), dtype=float)
+        vals = np.asarray(d.cdf(ts), dtype=float)
         assert (np.diff(vals) >= -1e-15).all()
         assert vals.min() >= 0.0
-        assert vals.max() <= 1.0 - dist.mass_at_inf(d) + 1e-15
+        assert vals.max() <= 1.0 - d.mass_at_inf() + 1e-15
 
 
 def test_sample_deterministic_and_nonreusable():
@@ -68,17 +68,17 @@ def test_two_point_long_run_frequency():
     # Counting oracle over one million distinct keys.
     d = TwoPointInf(d=1.0, p=0.5)
     us = rng.uniform_array(2024, (rng.TAG_DURATION, 7, 1), np.arange(1_000_000))
-    finite = np.isfinite(dist.sample_array(d, us))
+    finite = np.isfinite(d.sample_u(us))
     assert abs(finite.mean() - 0.5) < 0.002
 
 
 @pytest.mark.parametrize("d", [Exponential(1.3), Uniform(0.5, 2.0), WeibullIFR(1.0, 2.0)])
 def test_sample_cdf_consistency_ks(d):
     us = rng.uniform_array(5, (rng.TAG_DURATION, 1, 0), np.arange(100_000))
-    xs = np.sort(np.asarray(dist.sample_array(d, us)))
+    xs = np.sort(np.asarray(d.sample_u(us)))
     emp_hi = np.arange(1, xs.size + 1) / xs.size
     emp_lo = np.arange(0, xs.size) / xs.size
-    cdf_vals = np.asarray(dist.cdf(d, xs))
+    cdf_vals = np.asarray(d.cdf(xs))
     ks = max(np.abs(emp_hi - cdf_vals).max(), np.abs(emp_lo - cdf_vals).max())
     assert ks < 0.01
 
@@ -86,7 +86,7 @@ def test_sample_cdf_consistency_ks(d):
 def test_mixture_sampling_split():
     d = MixtureWithInf(p_finite=0.9, base=Exponential(1.0))
     us = rng.uniform_array(11, (rng.TAG_DURATION, 2, 0), np.arange(200_000))
-    xs = np.asarray(dist.sample_array(d, us))
+    xs = np.asarray(d.sample_u(us))
     finite = np.isfinite(xs)
     assert abs(finite.mean() - 0.9) < 0.005
     # The finite branch must still follow the base law.

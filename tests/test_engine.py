@@ -56,13 +56,6 @@ def test_summary_deterministic_and_se_zero():
     assert s1.se == 0.0 and s1.mean == 3.0
 
 
-def test_summary_threads_equivalent():
-    inst = single_resource(TwoPointInf(1.0, 0.5), times=(0.0, 2.0, 4.0, 6.0))
-    a = engine.run_trials(inst, policies.GreedyPolicy(), 200, 5, threads=1)
-    b = engine.run_trials(inst, policies.GreedyPolicy(), 200, 5, threads=4)
-    assert a == b
-
-
 def test_common_random_numbers_across_policies():
     # Same seed, same (resource, unit, use) keys: identical realized durations
     # wherever both policies allocate the same use of the same unit.

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -34,6 +35,18 @@ def test_validate_dangling_reference():
         arrivals=(model.Arrival(0.0, model.MatchingEdges(frozenset({7}))),),
     )
     assert model.validate(inst) == ["unknown resource 7 at arrival 0"]
+
+
+def test_validate_rejects_non_finite_reward_and_time():
+    inst = model.Instance(
+        mode=model.MATCHING,
+        resources=(model.Resource(0, 1, math.nan, NonReusable()),
+                   model.Resource(1, 1, math.inf, NonReusable())),
+        arrivals=(model.Arrival(math.nan, model.MatchingEdges(frozenset({0}))),),
+    )
+    assert model.validate(inst) == ["resource 0: reward must be finite and >= 0",
+                                    "resource 1: reward must be finite and >= 0",
+                                    "arrival 0: time must be finite and >= 0"]
 
 
 def test_validate_is_pure():

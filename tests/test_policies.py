@@ -2,7 +2,8 @@ import math
 
 import pytest
 
-from helpers import use_reference_fluid
+from helpers import reference_astgalg, reference_galg, use_reference_fluid
+from test_acceptance import assortment_battery
 from reuse_alloc import engine, model, policies
 from reuse_alloc.assortment import MNL, AstgalgGuide, run_astgalg
 from reuse_alloc.distributions import (Deterministic, Exponential, MixtureWithInf, NonReusable,
@@ -252,6 +253,24 @@ def test_fast_assortment_guide_equals_reference_scan(monkeypatch, reference_adva
     assert fast.allocs == ref.allocs
 
 
+@pytest.mark.parametrize("key,variant,eps", GUIDE_CASES + [("a1", "quant", 0.2), ("a1", "thresh", 0.1)])
+def test_guide_equals_reference_waterfall(key, variant, eps):
+    inst = guide_instance(key)
+    guide = run_galg(inst, variant=variant, eps=eps)
+    x, allocs = reference_galg(inst, variant=variant, eps=eps)
+    assert guide.x == x
+    assert guide.allocs == allocs
+
+
+@pytest.mark.parametrize("idx", range(4))
+def test_assortment_guide_equals_reference_waterfall(idx):
+    inst = ([inf_assortment_instance()] + assortment_battery())[idx]
+    guide = run_astgalg(inst)
+    collections, allocs = reference_astgalg(inst)
+    assert guide.collections == collections
+    assert guide.allocs == allocs
+
+
 @pytest.mark.parametrize("key,variant,eps", [c for c in GUIDE_CASES if c[0] != "a1"])
 def test_guide_conservation_with_mass_at_inf(key, variant, eps):
     inst = guide_instance(key)
@@ -344,6 +363,13 @@ def test_make_policy_names():
     assert make_policy("galg_fast_thresh:0.1").eps == 0.1
     with pytest.raises(ValueError):
         make_policy("foo")
+
+
+@pytest.mark.parametrize("name", ["galg_fast_thresh:1.5", "galg_fast_thresh:-0.1", "galg_fast_thresh:nan",
+                                  "galg_fast_quant:-1", "galg_fast_quant:inf", "galg_fast_quant:x"])
+def test_make_policy_rejects_bad_eps(name):
+    with pytest.raises(ValueError):
+        make_policy(name)
 
 
 def test_rba_budgeted_scale_invariance():

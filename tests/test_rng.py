@@ -1,4 +1,6 @@
 import numpy as np
+from hypothesis import given
+from hypothesis import strategies as st
 
 from reuse_alloc import rng
 
@@ -39,3 +41,13 @@ def test_fold_continues_derive_for_random_keys():
         h = rng.derive(seed, *key[:cut])
         assert rng.fold(h, *key[cut:]) == rng.derive(seed, *key)
         assert rng.uniform_from(h, *key[cut:]) == rng.uniform(seed, *key)
+
+
+KEYS = st.integers(min_value=-2**70, max_value=2**70)
+
+
+@given(seed=st.one_of(st.integers(-2**63, -1), st.integers(2**63, 2**66), KEYS),
+       parts=st.lists(st.integers(-2**65, 2**65), max_size=4))
+def test_vector_matches_scalar_for_any_int_seed(seed, parts):
+    assert rng.uniform_vec(seed, *parts) == rng.uniform(seed, *parts)
+    assert rng.uniform_vec(np.array([seed % 2**64], dtype=np.uint64), *parts)[0] == rng.uniform(seed, *parts)
