@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 
 from . import model, rng
-from .policies import FluidGuide, Policy, reduced_price
+from .policies import FluidGuide, Policy, top_price
 
 PM_TOL = 1e-12
 
@@ -309,6 +309,7 @@ class AstalgPolicy(Policy):
 
     name = "astalg"
     mode = model.ASSORTMENT
+    coin_columns = (0, 1)       # the collection draw, then the probability-match draw
 
     def __init__(self, gamma_lower: float = None):
         super().__init__()
@@ -320,7 +321,8 @@ class AstalgPolicy(Policy):
         self.delta = math.sqrt(2.0 * max(math.log(gam), 0.0) / gam) if gam > 0 else 0.0
 
     def decide(self, t, arrival, state):
-        sampled = rng.pick(rng.uniform(self.trial_seed, rng.TAG_POLICY, t, 0), self.guide.collections[t])
+        coins = self.coins()[t]
+        sampled = rng.pick(coins[0], self.guide.collections[t])
         if not sampled:
             return frozenset()
         bids = arrival.demand.bids()
@@ -330,7 +332,7 @@ class AstalgPolicy(Policy):
         cm = self.instance.choice_models[arrival.demand.choice_model]
         targets = {s: cm.prob(sampled, s) / (1.0 + self.delta) for s in usable}
         pieces = probability_match(usable, cm, targets)
-        return rng.pick(rng.uniform(self.trial_seed, rng.TAG_POLICY, t, 1), pieces) or frozenset()
+        return rng.pick(coins[1], pieces) or frozenset()
 
 
 class RbaAssortmentPolicy(Policy):
@@ -343,12 +345,9 @@ class RbaAssortmentPolicy(Policy):
         cm = self.instance.choice_models[arrival.demand.choice_model]
         w = {}
         for rid, bid in arrival.demand.bids().items():
-            avail = state.available_count(rid)
-            if avail == 0:
-                continue
-            res = state.live[rid].res
-            w[rid] = sum(reduced_price(res.reward, k, res.capacity)
-                         for k in state.top_ranks(rid, min(bid, avail)))
+            lv = state.live[rid]
+            if lv.avail:
+                w[rid] = top_price(lv, bid)[1]
         if not w:
             return frozenset()
         return assortment_oracle(cm, arrival.demand.feasible, w)

@@ -134,7 +134,7 @@ class LpRoundingPolicy(Policy):
                       for t, arr in enumerate(instance.arrivals)]
 
     def decide(self, t, arrival, state):
-        rid = rng.pick(rng.uniform(self.trial_seed, rng.TAG_POLICY, t), self._rows[t])
+        rid = rng.pick(self.coins()[t], self._rows[t])
         if rid is None or state.available_count(rid) == 0:
             return None
         if self.mode == model.MATCHING:

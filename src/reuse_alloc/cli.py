@@ -68,10 +68,21 @@ def _generate(name: str, pairs):
         raise CliError(f"bad generator parameters: {exc}") from None
 
 
+def _read_json(path: str, parse):
+    """parse(the JSON value in `path`); a file that is not JSON, or does not
+    fit the schema, is one CliError."""
+    with open(path) as fh:
+        try:
+            return parse(json.load(fh))
+        except KeyError as exc:
+            raise CliError(f"{path}: missing field {exc.args[0]!r}") from None
+        except (TypeError, AttributeError, ValueError) as exc:   # json.JSONDecodeError is a ValueError
+            raise CliError(f"{path}: {exc}") from None
+
+
 def _load_instance(args) -> tuple:
     if getattr(args, "instance", None):
-        with open(args.instance) as fh:
-            inst = model.from_json(json.load(fh))
+        inst = _read_json(args.instance, model.from_json)
         name = os.path.basename(args.instance)
     elif getattr(args, "gen", None):
         inst = _generate(args.gen, args.param)
@@ -133,15 +144,17 @@ def cmd_compare(args) -> int:
     from .engine import run_trials
 
     inst, name = _load_instance(args)
+    # Every policy is checked before the LP solve, which can take long.
+    named = [(pname, None if pname == "galg" else _policy(pname))
+             for pname in (p.strip() for p in args.policies.split(","))]
     lp = benchmarks.lp_value(inst)
     rows = []
-    for pname in args.policies.split(","):
-        pname = pname.strip()
-        if pname == "galg":
+    for pname, pol in named:
+        if pol is None:
             guide = policies.run_galg(inst)
             mean, se = guide.fluid_reward, 0.0
         else:
-            s = run_trials(inst, _policy(pname), args.trials, args.seed)
+            s = run_trials(inst, pol, args.trials, args.seed)
             mean, se = s.mean, s.se
         rows.append([name, pname, args.trials, args.seed, mean, se, lp, mean / lp if lp else float("nan")])
     _emit(rows, ["instance", "policy", "trials", "seed", "mean", "se", "lp_value", "ratio"], args.out)
@@ -190,12 +203,13 @@ def cmd_gen(args) -> int:
     return 0
 
 
+def _process_spec(obj) -> randproc.ProcessSpec:
+    return randproc.ProcessSpec(dist=distributions.from_json(obj["distribution"]),
+                                sigma=tuple(obj["sigma"]), p=tuple(obj["p"]))
+
+
 def cmd_randproc(args) -> int:
-    with open(args.spec) as fh:
-        obj = json.load(fh)
-    spec = randproc.ProcessSpec(
-        dist=distributions.from_json(obj["distribution"]),
-        sigma=tuple(obj["sigma"]), p=tuple(obj["p"]))
+    spec = _read_json(args.spec, _process_spec)
     eta, reward = randproc.fluid_process(spec)
     rows = [[t, spec.sigma[t], spec.p[t], float(eta[t])] for t in range(len(eta))]
     rows.append(["reward", "", "", reward])

@@ -204,12 +204,12 @@ class NonReusable:
 def sample(dist, key: DurationStreamKey, seed: int, stream: int = None):
     """Deterministic duration draw for (dist, key, seed); may be +inf.
 
-    `stream`, when given, must be rng.derive(seed, TAG_DURATION, key.resource);
-    callers drawing many units of one resource pass it to fold it only once.
+    `stream`, when given, must be rng.derive(seed, TAG_DURATION, key.resource,
+    key.unit); callers drawing many uses of one unit pass it to fold it only once.
     """
     if stream is None:
-        stream = rng.derive(seed, rng.TAG_DURATION, key.resource)
-    return dist.sample_u(rng.uniform_from(stream, key.unit, key.use))
+        stream = rng.derive(seed, rng.TAG_DURATION, key.resource, key.unit)
+    return dist.sample_u(rng.uniform_from(stream, key.use))
 
 
 def compute_L(dist, eps: float, grid: float = 1e-3) -> float:
@@ -255,14 +255,24 @@ def to_json(dist) -> dict:
     raise UnsupportedDistribution(f"no JSON encoding for {dist!r}")
 
 
+def _number(obj: dict, kind: str, name: str):
+    value = obj[name]
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{kind} {name} must be a number, got {value!r}")
+    return value
+
+
 def from_json(obj: dict):
+    """The distribution `obj` describes. A missing parameter raises KeyError
+    with its name, a non-numeric one ValueError, an unknown type
+    UnsupportedDistribution."""
     kind = obj["type"]
     if kind == "mixture_inf":
-        return MixtureWithInf(p_finite=obj["p_finite"], base=from_json(obj["base"]))
+        return MixtureWithInf(p_finite=_number(obj, kind, "p_finite"), base=from_json(obj["base"]))
     if kind not in _CODECS:
         raise UnsupportedDistribution(f"unknown distribution type {kind!r}")
     cls, fields = _CODECS[kind]
-    return cls(**{f: obj[f] for f in fields})
+    return cls(**{f: _number(obj, kind, f) for f in fields})
 
 
 def validate(dist) -> list:

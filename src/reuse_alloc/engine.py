@@ -64,14 +64,19 @@ class Summary:
 class _ResourceLive:
     """Mutable per-trial unit bookkeeping for one resource."""
 
-    __slots__ = ("res", "avail", "in_use", "dead", "use_count")
+    __slots__ = ("res", "prices", "avail", "in_use", "dead", "use_count", "stream", "unit_streams")
 
     def __init__(self, res: model.Resource):
         self.res = res
+        self.prices = res.prices
         self.avail = list(range(1, res.capacity + 1))  # ascending ranks
         self.in_use = 0
         self.dead = 0
         self.use_count = [0] * (res.capacity + 1)
+        # Duration streams of the resource and of each unit slot, folded on
+        # first use in the trial; slot 0 is the shared draw's.
+        self.stream = None
+        self.unit_streams = [None] * (res.capacity + 1)
 
 
 class EngineState:
@@ -117,19 +122,21 @@ def simulate(instance: model.Instance, policy, master_seed: int, trial_id: int,
     total = 0.0
     per_resource = {r.id: 0.0 for r in instance.resources}
     records = [] if collect_trace else None
-    streams = {}             # rid -> duration stream state, folded once per trial
+    choice_coins = None      # rng.uniform(trial_seed, TAG_CHOICE, t) for every t, drawn on first use
+    duration_root = rng.derive(trial_seed, rng.TAG_DURATION)   # folded with (resource, rank, use) per draw
 
     def draw_duration(rid: int, rank: int, t: int):
         lv = state.live[rid]
         if shared_durations:
-            key = DurationStreamKey(rid, 0, t)   # unit slot 0 marks the shared draw
+            rank, use = 0, t                    # unit slot 0 marks the shared draw
         else:
-            lv.use_count[rank] += 1
-            key = DurationStreamKey(rid, rank, lv.use_count[rank])
-        stream = streams.get(rid)
+            use = lv.use_count[rank] = lv.use_count[rank] + 1
+        stream = lv.unit_streams[rank]
         if stream is None:
-            stream = streams[rid] = rng.derive(trial_seed, rng.TAG_DURATION, rid)
-        return sample(lv.res.usage, key, trial_seed, stream)
+            if lv.stream is None:
+                lv.stream = rng.fold(duration_root, rid)
+            stream = lv.unit_streams[rank] = rng.fold(lv.stream, rank)
+        return sample(lv.res.usage, DurationStreamKey(rid, rank, use), trial_seed, stream)
 
     def allocate(rid: int, ranks, t: int):
         nonlocal seq, total
@@ -202,8 +209,10 @@ def simulate(instance: model.Instance, policy, master_seed: int, trial_id: int,
                     raise PolicyProtocolViolation(f"arrival {t}: offered resource {rid} is unavailable")
             chosen = None
             if offer:
-                chosen = rng.pick(rng.uniform(trial_seed, rng.TAG_CHOICE, t),
-                                  ((rid, cm.prob(offer, rid)) for rid in sorted(offer)))
+                if choice_coins is None:
+                    choice_coins = rng.uniform_vec(trial_seed, rng.TAG_CHOICE,
+                                                   np.arange(len(instance.arrivals))).tolist()
+                chosen = rng.pick(choice_coins[t], ((rid, cm.prob(offer, rid)) for rid in sorted(offer)))
             if chosen is None:
                 if collect_trace:
                     rec = ArrivalRecord(t, arrival.time, "offer", None, (), (), 0.0, tuple(sorted(offer)))

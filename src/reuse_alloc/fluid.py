@@ -68,6 +68,10 @@ class ResourceFluid:
         self._n = 0
         self._mass_inf = res.usage.mass_at_inf()
         self._cdf_inf = res.usage.cdf(math.inf)
+        self._cdf0 = res.usage.cdf(0.0)
+        # The clock of the last advance, and how many parcels it settled.
+        self._clock = None
+        self._settled = 0
         # Every bucket above _hint has Y < _hint_floor.
         self._hint = self.n_groups - 1
         self._hint_floor = None
@@ -82,17 +86,28 @@ class ResourceFluid:
 
     def advance(self, now: float):
         """Credit returns accumulated up to time `now` back into Y."""
-        n = self._n
+        # At an unchanged clock the parcels the last advance settled are
+        # credited up to `now` already: their delta is exactly 0.0 and their
+        # keep/drop result stands, so only parcels booked since then count.
+        # Those were booked at `now`; with cdf(0) = 0 they too have nothing
+        # to credit, and they stay unless their mass is below PRUNE_TOL.
+        k, n = 0, self._n
+        if now == self._clock:
+            k = self._settled
+            if k == n or self._cdf0 == 0.0 and self._mass[k:n].min() >= PRUNE_TOL:
+                self._settled = n
+                return
+        self._clock = now
         if n == 0:
             return
-        mass, group = self._mass[:n], self._group[:n]
-        new_cdf = np.asarray(self.res.usage.cdf(now - self._time[:n]), dtype=float)
-        delta = mass * (new_cdf - self._credited[:n])
+        mass, group = self._mass[k:n], self._group[k:n]
+        new_cdf = np.asarray(self.res.usage.cdf(now - self._time[k:n]), dtype=float)
+        delta = mass * (new_cdf - self._credited[k:n])
         np.add.at(self.Y, group, delta)
         rising = delta > 0.0
         if rising.any():
             self._hint = max(self._hint, int(group[rising].max()))
-        self._credited[:n] = new_cdf
+        self._credited[k:n] = new_cdf
         # A parcel at cdf(+inf) returns nothing more (delta is exactly 0.0
         # from then on); without mass at +inf, one whose remainder is below
         # PRUNE_TOL is dropped as well.
@@ -103,11 +118,12 @@ class ResourceFluid:
         if not keep.all():
             drop = ~keep
             np.add.at(self.lost, group[drop], mass[drop] * (1.0 - new_cdf[drop]))
-            m = int(keep.sum())
+            m = k + int(keep.sum())
             for name in ("_time", "_mass", "_credited", "_group"):
                 arr = getattr(self, name)
-                arr[:m] = arr[:n][keep]
+                arr[k:m] = arr[k:n][keep]
             self._n = m
+        self._settled = self._n
 
     def top_group(self, floor: float = ZERO_TOL) -> int:
         """Index of the highest bucket with mass >= floor, else -1."""

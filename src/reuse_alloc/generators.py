@@ -65,15 +65,8 @@ def _balance_reduced_prices(inst: model.Instance) -> list:
     from .policies import BalancePolicy
 
     tr = simulate(inst, BalancePolicy(), master_seed=0, trial_id=0)
-    caps = {r.id: r.capacity for r in inst.resources}
-    rewards = {r.id: r.reward for r in inst.resources}
-    out = []
-    for rec in tr.records:
-        if rec.resource is None:
-            out.append(0.0)
-        else:
-            out.append(rewards[rec.resource] * (1.0 - math.exp(-rec.units[0] / caps[rec.resource])))
-    return out
+    return [0.0 if rec.resource is None else inst.resource_by_id(rec.resource).prices[rec.units[0]]
+            for rec in tr.records]
 
 
 def example_a2(n: int, mu: float) -> model.Instance:

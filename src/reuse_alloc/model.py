@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from . import distributions
 
@@ -36,28 +38,47 @@ class Resource:
     reward: float           # per allocated unit, >= 0
     usage: object           # duration distribution (see distributions)
 
+    @cached_property
+    def prices(self) -> list:
+        """Reduced price of unit rank k, for k = 1..capacity, built once;
+        index 0, no unit, holds 0.0."""
+        from .policies import reduced_price  # local import: policies imports this module
+
+        return [0.0] + [reduced_price(self.reward, k, self.capacity) for k in range(1, self.capacity + 1)]
+
+
+class _Demand:
+    """bids() is {resource id: units} over the bids >= 1 in ascending id
+    order. Instances never change, so it is built once per demand, and
+    callers must not mutate it."""
+
+    def bids(self) -> dict:
+        return self._bids
+
+    @cached_property
+    def _bids(self) -> dict:
+        return {i: b for i, b in sorted(self.amounts.items()) if b >= 1}
+
 
 @dataclass(frozen=True)
-class MatchingEdges:
+class MatchingEdges(_Demand):
     resources: frozenset    # ids the arrival can be matched to
 
-    def bids(self):
-        return {i: 1 for i in self.sorted_ids()}
-
     def sorted_ids(self) -> tuple:
-        ids = getattr(self, "_sorted", None)
-        if ids is None:
-            ids = tuple(sorted(self.resources))
-            object.__setattr__(self, "_sorted", ids)
-        return ids
+        return self._sorted
+
+    @cached_property
+    def _sorted(self) -> tuple:
+        return tuple(sorted(self.resources))
+
+    @cached_property
+    def _bids(self) -> dict:
+        return dict.fromkeys(self._sorted, 1)
 
 
 @dataclass(frozen=True)
-class BudgetedBids:
+class BudgetedBids(_Demand):
     amounts: dict           # resource id -> requested units; 0 means no edge
-
-    def bids(self):
-        return {i: b for i, b in sorted(self.amounts.items()) if b >= 1}
 
 
 @dataclass(frozen=True)
@@ -83,13 +104,10 @@ class ExplicitList:
 
 
 @dataclass(frozen=True)
-class AssortmentRequest:
+class AssortmentRequest(_Demand):
     choice_model: int       # index into instance.choice_models
     amounts: dict           # resource id -> requested units
     feasible: object = field(default_factory=AllSubsets)
-
-    def bids(self):
-        return {i: b for i, b in sorted(self.amounts.items()) if b >= 1}
 
 
 @dataclass(frozen=True)
@@ -116,19 +134,19 @@ class Instance:
     def resource_by_id(self, rid: int) -> Resource:
         return self._index[rid]
 
-    @property
-    def _index(self):
-        idx = getattr(self, "_idx_cache", None)
-        if idx is None:
-            idx = {r.id: r for r in self.resources}
-            object.__setattr__(self, "_idx_cache", idx)
-        return idx
+    @cached_property
+    def _index(self) -> dict:
+        return {r.id: r for r in self.resources}
 
     def edges(self):
         """Yield (arrival index, resource id, bid) over all positive bids."""
         for t, arr in enumerate(self.arrivals):
             for rid, b in arr.demand.bids().items():
                 yield t, rid, b
+
+
+def _real(x) -> bool:
+    return isinstance(x, (int, float)) or isinstance(x, numbers.Real)   # the first test is the fast one
 
 
 def validate(instance: Instance) -> list:
@@ -142,19 +160,21 @@ def validate(instance: Instance) -> list:
         if r.id in seen:
             bad.append(f"duplicate resource id {r.id}")
         seen.add(r.id)
-        if r.capacity < 1:
-            bad.append(f"resource {r.id}: capacity must be >= 1")
-        if not 0 <= r.reward < math.inf:
+        if not isinstance(r.capacity, numbers.Integral) or r.capacity < 1:
+            bad.append(f"resource {r.id}: capacity must be an integer >= 1")
+        if not (_real(r.reward) and 0 <= r.reward < math.inf):
             bad.append(f"resource {r.id}: reward must be finite and >= 0")
         for msg in distributions.validate(r.usage):
             bad.append(f"resource {r.id}: {msg}")
     want = _DEMAND_FOR_MODE[instance.mode]
     prev = None
     for t, arr in enumerate(instance.arrivals):
-        if prev is not None and arr.time < prev:
+        numeric = _real(arr.time)
+        if numeric and prev is not None and arr.time < prev:
             bad.append(f"times not nondecreasing at index {t}")
-        prev = arr.time
-        if not 0 <= arr.time < math.inf:
+        if numeric:
+            prev = arr.time
+        if not (numeric and 0 <= arr.time < math.inf):
             bad.append(f"arrival {t}: time must be finite and >= 0")
         if not isinstance(arr.demand, want):
             bad.append(f"arrival {t}: demand kind does not match mode {instance.mode}")
@@ -167,7 +187,8 @@ def validate(instance: Instance) -> list:
             if not isinstance(b, int) or b < 0:
                 bad.append(f"arrival {t}: bid for resource {rid} must be a nonnegative integer")
         if isinstance(arr.demand, AssortmentRequest):
-            if not 0 <= arr.demand.choice_model < len(instance.choice_models):
+            cm_index = arr.demand.choice_model
+            if not (isinstance(cm_index, numbers.Integral) and 0 <= cm_index < len(instance.choice_models)):
                 bad.append(f"arrival {t}: choice model {arr.demand.choice_model} does not exist")
             else:
                 cm = instance.choice_models[arr.demand.choice_model]
@@ -234,6 +255,8 @@ def _demand_from_json(obj):
         return MatchingEdges(resources=frozenset(obj["resources"]))
     if kind == "bids":
         return BudgetedBids(amounts={int(i): b for i, b in obj["bids"].items()})
+    if kind != "assortment":
+        raise ValueError(f"unknown demand type {kind!r}")
     return AssortmentRequest(
         choice_model=obj["choice_model"],
         amounts={int(i): b for i, b in obj["bids"].items()},
@@ -257,18 +280,31 @@ def to_json(instance: Instance) -> dict:
 
 
 def from_json(obj: dict) -> Instance:
+    """The instance `obj` describes. JSON that does not fit the schema raises
+    one ValueError naming the first resource, arrival or choice model at
+    fault; `validate` checks the values afterwards."""
     from . import assortment
 
-    return Instance(
-        mode=obj["mode"],
-        resources=tuple(
-            Resource(id=r["id"], capacity=r["capacity"], reward=r["reward"],
-                     usage=distributions.from_json(r["usage"]))
-            for r in obj["resources"]
-        ),
-        arrivals=tuple(Arrival(time=a["time"], demand=_demand_from_json(a["demand"])) for a in obj["arrivals"]),
-        choice_models=tuple(assortment.choice_model_from_json(m) for m in obj.get("choice_models", [])),
-    )
+    part, i = "instance", None        # where the parse is, for the error message
+    try:
+        mode, resource_objs, arrival_objs = obj["mode"], obj["resources"], obj["arrivals"]
+        choice_model_objs = obj.get("choice_models", [])
+        part, resources = "resources", []
+        for i, r in enumerate(resource_objs):
+            resources.append(Resource(id=r["id"], capacity=r["capacity"], reward=r["reward"],
+                                      usage=distributions.from_json(r["usage"])))
+        part, i, arrivals = "arrivals", None, []
+        for i, a in enumerate(arrival_objs):
+            arrivals.append(Arrival(time=a["time"], demand=_demand_from_json(a["demand"])))
+        part, i, choice_models = "choice_models", None, []
+        for i, m in enumerate(choice_model_objs):
+            choice_models.append(assortment.choice_model_from_json(m))
+    except (KeyError, TypeError, AttributeError, ValueError) as exc:
+        where = part if i is None else f"{part}[{i}]"
+        if isinstance(exc, KeyError):
+            raise ValueError(f"{where}: missing field {exc.args[0]!r}") from None
+        raise ValueError(f"{where}: {exc}") from None
+    return Instance(mode=mode, resources=resources, arrivals=arrivals, choice_models=choice_models)
 
 
 def dumps(instance: Instance) -> str:

@@ -25,6 +25,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from . import model, rng
 from .fluid import ZERO_TOL, FluidInventory
 
@@ -48,12 +50,13 @@ def greedy_decide(arrival, state):
 def balance_decide(arrival, state):
     """argmax r_i (1 - e^{-y_i/c_i}) over available neighbors, or None."""
     best, best_score = None, -1.0
+    live = state.live
     for rid in arrival.demand.sorted_ids():
-        lv = state.live[rid]
+        lv = live[rid]
         y = len(lv.avail)
         if y == 0:
             continue
-        score = lv.res.reward * (1.0 - math.exp(-y / lv.res.capacity))
+        score = lv.prices[y]          # the reduced-price formula at y
         if score > best_score:
             best, best_score = rid, score
     return best
@@ -62,27 +65,35 @@ def balance_decide(arrival, state):
 def rba_decide(arrival, state):
     """(resource id, unit rank) maximizing the reduced price, or None."""
     best, best_score = None, -1.0
+    live = state.live
     for rid in arrival.demand.sorted_ids():
-        z = state.z(rid)
-        if z == 0:
+        lv = live[rid]
+        if not lv.avail:
             continue
-        res = state.live[rid].res
-        score = reduced_price(res.reward, z, res.capacity)
+        z = lv.avail[-1]
+        score = lv.prices[z]
         if score > best_score:
             best, best_score = (rid, z), score
     return best
 
 
+def top_price(lv, bid: int) -> tuple:
+    """The top min(bid, available) ranks of a resource's live state,
+    descending, and their summed reduced price (added in that order)."""
+    avail = lv.avail
+    ranks = avail[: -min(bid, len(avail)) - 1 : -1]
+    return ranks, sum(map(lv.prices.__getitem__, ranks))
+
+
 def rba_budgeted_decide(arrival, state):
     """(resource id, top ranks) maximizing the summed reduced price, or None."""
     best, best_ranks, best_score = None, None, -1.0
+    live = state.live
     for rid, bid in arrival.demand.bids().items():  # bids() is id-sorted
-        avail = state.available_count(rid)
-        if avail == 0:
+        lv = live[rid]
+        if not lv.avail:
             continue
-        res = state.live[rid].res
-        ranks = state.top_ranks(rid, min(bid, avail))
-        score = sum(reduced_price(res.reward, k, res.capacity) for k in ranks)
+        ranks, score = top_price(lv, bid)
         if score > best_score:
             best, best_ranks, best_score = rid, tuple(ranks), score
     if best is None:
@@ -97,6 +108,7 @@ class Policy:
 
     mode = model.MATCHING
     events = ()                 # names of the per-trial event counters
+    coin_columns = None         # (k, ...): coins per (arrival, k) instead of per arrival
     _guide_for = None
 
     def __init__(self):
@@ -106,12 +118,23 @@ class Policy:
         self.instance = instance
         self.trial_seed = trial_seed
         self.trial_events = dict.fromkeys(self.events, 0)
+        self._coins = None
         if self._guide_for is not instance:
             self._prepare(instance)
             self._guide_for = instance
 
     def _prepare(self, instance):
         pass
+
+    def coins(self) -> list:
+        """This trial's coins rng.uniform(trial_seed, TAG_POLICY, t), or
+        (t, k) for each k in `coin_columns`, for every arrival t, drawn in
+        one vector call on first use."""
+        if self._coins is None:
+            t = np.arange(len(self.instance.arrivals))
+            keys = (t,) if self.coin_columns is None else (t[:, None], self.coin_columns)
+            self._coins = rng.uniform_vec(self.trial_seed, rng.TAG_POLICY, *keys).tolist()
+        return self._coins
 
 
 class GreedyPolicy(Policy):
@@ -176,8 +199,8 @@ class FluidGuide:
         self.allocs = []       # per arrival: [(rid, rank value, mass)]
         self._next = 0
         self._iter_cap = sum(r.capacity for r in instance.resources) + len(instance.resources) + 1
-        # Reduced price of every bucket, per resource, computed once.
-        self._price = {rid: [reduced_price(rf.res.reward, v, rf.res.capacity) for v in rf.index_value.tolist()]
+        # Reduced price of every bucket, per resource, read at its integer rank.
+        self._price = {rid: [rf.res.prices[int(v)] for v in rf.index_value.tolist()]
                        for rid, rf in self.inv.state.items()}
 
     def _waterfall(self, arrival, bids: dict) -> list:
@@ -304,7 +327,7 @@ class SalgPolicy(Policy):
                       for xt in self.guide.x]
 
     def decide(self, t, arrival, state):
-        rid = rng.pick(rng.uniform(self.trial_seed, rng.TAG_POLICY, t), self._rows[t])
+        rid = rng.pick(self.coins()[t], self._rows[t])
         if rid is None:
             return None
         self.trial_events["salg_sampled"] += 1

@@ -59,12 +59,15 @@ def uniform_from(h: int, *parts: int) -> float:
     return (fold(h, *parts) >> 11) * 2.0**-53
 
 
+_U30, _U27, _U31, _UM1, _UM2 = (np.uint64(v) for v in (30, 27, 31, _M1, _M2))
+
+
 def _mix_vec_inplace(z: np.ndarray) -> np.ndarray:
-    z ^= z >> np.uint64(30)
-    z *= np.uint64(_M1)
-    z ^= z >> np.uint64(27)
-    z *= np.uint64(_M2)
-    z ^= z >> np.uint64(31)
+    z ^= z >> _U30
+    z *= _UM1
+    z ^= z >> _U27
+    z *= _UM2
+    z ^= z >> _U31
     return z
 
 
@@ -94,8 +97,14 @@ def derive_vec(seed, *parts) -> np.ndarray:
     """Array counterpart of derive(): seed and any part may be integer arrays
     (broadcast elementwise); equals the scalar chain entry by entry."""
     with np.errstate(over="ignore"):
-        h = _u64(seed) ^ np.uint64(0x9D2C5680A7B4F2E1)
-        h = _mix_vec_inplace(np.array(h, dtype=np.uint64))
+        if isinstance(seed, int):   # the leading Python ints take the scalar chain
+            k = 0
+            while k < len(parts) and isinstance(parts[k], int):
+                k += 1
+            h, parts = np.uint64(derive(seed, *parts[:k])), parts[k:]
+        else:
+            h = _u64(seed) ^ np.uint64(0x9D2C5680A7B4F2E1)
+            h = _mix_vec_inplace(np.array(h, dtype=np.uint64))
         for p in parts:
             h = (h + np.uint64(_GOLDEN)) ^ (_u64(p) * np.uint64(_FOLD))
             h = _mix_vec_inplace(np.array(h, dtype=np.uint64))

@@ -50,6 +50,54 @@ def test_bad_input_gives_one_error_line(capsys, argv):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("policies,message", [("rba,foo", "unknown policy 'foo'"),
+                                               ("galg_fast_thresh:1.5", "thresh eps must be in")])
+def test_compare_checks_policies_before_the_lp_solve(capsys, monkeypatch, policies, message):
+    from reuse_alloc import benchmarks
+
+    def no_solve(instance):
+        raise AssertionError("the LP solve started")
+
+    monkeypatch.setattr(benchmarks, "lp_value", no_solve)
+    code, out, err = run_cli(capsys, ["compare", "--gen", "example_a1", "--param", "n", "150",
+                                      "--policies", policies, "--trials", "2", "--seed", "1"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+
+
+def _instance_json():
+    return {"mode": "matching",
+            "resources": [{"id": 0, "capacity": 2, "reward": 1.0,
+                           "usage": {"type": "exponential", "rate": 1.0}}],
+            "arrivals": [{"time": 0.0, "demand": {"type": "edges", "resources": [0]}}]}
+
+
+def _without_reward(obj):
+    del obj["resources"][0]["reward"]
+    return json.dumps(obj)
+
+
+def _capacity_x(obj):
+    obj["resources"][0]["capacity"] = "x"
+    return json.dumps(obj)
+
+
+@pytest.mark.parametrize("text,message", [
+    (_without_reward, "resources[0]: missing field 'reward'"),
+    (_capacity_x, "resource 0: capacity must be an integer >= 1"),
+    (lambda obj: json.dumps(obj)[:60], "Expecting"),          # a truncated file
+])
+def test_malformed_instance_json_gives_one_error_line(capsys, tmp_path, text, message):
+    path = tmp_path / "instance.json"
+    path.write_text(text(_instance_json()))
+    code, out, err = run_cli(capsys, ["run", "--instance", str(path), "--policies", "rba",
+                                      "--trials", "2", "--seed", "1"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+
+
 def test_threads_env_is_not_read(capsys, monkeypatch):
     monkeypatch.setenv("REUSE_ALLOC_THREADS", "two")
     code, out, _ = run_cli(capsys, ["gen", "example_a1", "--param", "n", "2"])

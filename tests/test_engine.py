@@ -1,8 +1,13 @@
+import functools
+
 import pytest
 
-from reuse_alloc import engine, model, policies
+from test_acceptance import assortment_battery
+from reuse_alloc import benchmarks, engine, model, policies, rng
 from reuse_alloc.assortment import MNL
-from reuse_alloc.distributions import Deterministic, NonReusable, TwoPointInf, ZeroOrInf
+from reuse_alloc.distributions import (Deterministic, DurationStreamKey, NonReusable, TwoPointInf,
+                                       ZeroOrInf, sample)
+from reuse_alloc.generators import BatteryParams, example_a1, random_battery
 from reuse_alloc.randproc import ProcessSpec, fluid_process
 
 
@@ -195,3 +200,79 @@ def test_per_resource_summary_and_ci():
     lo, hi = s.ci95
     assert lo == pytest.approx(s.mean - 1.96 * s.se)
     assert hi == pytest.approx(s.mean + 1.96 * s.se)
+
+
+# -- the draw contract, against the scalar chain ---------------------------------
+
+@functools.lru_cache(maxsize=None)
+def contract_instance(key):
+    params = dict(n_instances=1, n_resources=4, n_arrivals=120, capacity_range=(3, 12), horizon=20.0)
+    if key == "matching":
+        return random_battery(BatteryParams(**params), seed=61)[0]
+    if key == "budgeted":
+        return random_battery(BatteryParams(**params, mode=model.BUDGETED, max_bid=3), seed=62)[0]
+    if key == "assortment":
+        return assortment_battery()[0]
+    return example_a1(30)
+
+
+def contract_policy(name, inst):
+    if name == "lp_rounding":
+        return benchmarks.LpRoundingPolicy(inst, benchmarks.solve_lp(benchmarks.build_lp(inst)))
+    return policies.make_policy(name)
+
+
+@pytest.mark.parametrize("key,name,shared", [
+    ("matching", "rba", False), ("matching", "salg", False), ("budgeted", "rba_budgeted", False),
+    ("budgeted", "lp_rounding", False), ("assortment", "astalg", False),
+    ("assortment", "rba_assortment", False), ("a1", "salg", False), ("a1", "galg_fast_quant:0.1", False),
+    ("budgeted", "rba_budgeted", True), ("assortment", "astalg", True)])
+def test_draws_follow_the_scalar_chain(monkeypatch, key, name, shared):
+    """Every duration in a trace is sample(dist, (resource, rank, use)) with
+    `use` counted along the trace, or (resource, 0, arrival) when allocations
+    share one draw; every coin list equals rng.uniform entry by entry."""
+    inst = contract_instance(key)
+    pol = contract_policy(name, inst)
+    vectors = []                       # every (seed, key parts, output) of rng.uniform_vec
+    uniform_vec = rng.uniform_vec
+    monkeypatch.setattr(rng, "uniform_vec",
+                        lambda seed, *parts: vectors.append((seed, parts, uniform_vec(seed, *parts)))
+                        or vectors[-1][2])
+    usage = {r.id: r.usage for r in inst.resources}
+    arrivals = range(len(inst.arrivals))
+    for trial in range(3):
+        trial_seed = rng.derive(5, rng.TAG_TRIAL, trial)
+        tr = engine.simulate(inst, pol, 5, trial, shared_durations=shared)
+        uses = {}
+        for rec in tr.records:
+            for rank, d in zip(rec.units, rec.durations):
+                if shared:
+                    draw = DurationStreamKey(rec.resource, 0, rec.arrival)
+                else:
+                    uses[rec.resource, rank] = uses.get((rec.resource, rank), 0) + 1
+                    draw = DurationStreamKey(rec.resource, rank, uses[rec.resource, rank])
+                assert d == sample(usage[rec.resource], draw, trial_seed)
+            u = rng.uniform(trial_seed, rng.TAG_POLICY, rec.arrival)
+            if name in ("salg", "lp_rounding", "galg_fast_quant:0.1") and rec.resource is not None:
+                assert rec.resource == rng.pick(u, pol._rows[rec.arrival])
+            if name == "astalg":               # the offer lies in the collection's sampled set
+                u = rng.uniform(trial_seed, rng.TAG_POLICY, rec.arrival, 0)
+                assert set(rec.offered) <= (rng.pick(u, pol.guide.collections[rec.arrival]) or set())
+            if rec.offered:                    # the engine's choice draw
+                offer = frozenset(rec.offered)
+                cm = inst.choice_models[inst.arrivals[rec.arrival].demand.choice_model]
+                u = rng.uniform(trial_seed, rng.TAG_CHOICE, rec.arrival)
+                assert rec.resource == rng.pick(u, [(rid, cm.prob(offer, rid)) for rid in rec.offered])
+        if name in ("salg", "lp_rounding", "galg_fast_quant:0.1"):
+            assert pol.coins() == [rng.uniform(trial_seed, rng.TAG_POLICY, t) for t in arrivals]
+        if name == "astalg":
+            assert pol.coins() == [[rng.uniform(trial_seed, rng.TAG_POLICY, t, k) for k in (0, 1)]
+                                   for t in arrivals]
+    for seed, (tag, t, *cols), out in vectors:
+        if cols:
+            expected = [[rng.uniform(seed, tag, i, k) for k in cols[0]] for i in t.ravel().tolist()]
+        else:
+            expected = [rng.uniform(seed, tag, i) for i in t.tolist()]
+        assert out.tolist() == expected
+    if inst.mode == model.ASSORTMENT:
+        assert rng.TAG_CHOICE in {tag for _, (tag, *_), _ in vectors}

@@ -2,13 +2,13 @@ import math
 
 import pytest
 
-from helpers import reference_astgalg, reference_galg, use_reference_fluid
+from helpers import keep_all_advance, reference_astgalg, reference_galg, use_reference_fluid
 from test_acceptance import assortment_battery
 from reuse_alloc import engine, model, policies
 from reuse_alloc.assortment import MNL, AstgalgGuide, run_astgalg
 from reuse_alloc.distributions import (Deterministic, Exponential, MixtureWithInf, NonReusable,
                                        TwoPointInf, Uniform, ZeroOrInf)
-from reuse_alloc.fluid import quantized_levels
+from reuse_alloc.fluid import ResourceFluid, quantized_levels
 from reuse_alloc.generators import BatteryParams, example_a1, random_battery
 from reuse_alloc.policies import (BalancePolicy, GreedyPolicy, RbaPolicy, SalgPolicy,
                                   balance_decide, greedy_decide, make_policy, rba_budgeted_decide,
@@ -269,6 +269,53 @@ def test_assortment_guide_equals_reference_waterfall(idx):
     collections, allocs = reference_astgalg(inst)
     assert guide.collections == collections
     assert guide.allocs == allocs
+
+
+def repeated_clock_instance():
+    """Bursts of arrivals at one time, on families with cdf(0) > 0 (an
+    immediate return) next to ones with cdf(0) = 0."""
+    usages = (ZeroOrInf(0.4), Deterministic(0.0), TwoPointInf(0.0, 0.6), Exponential(0.8),
+              MixtureWithInf(0.7, Deterministic(0.0)))
+    res = tuple(model.Resource(i, 4 + 2 * i, 1.0 + 0.2 * i, usages[i]) for i in range(5))
+    times = [0.0] * 12 + [0.5] * 6 + [0.75] + [2.0] * 9 + [2.5] * 4
+    arrivals = tuple(model.Arrival(tm, model.MatchingEdges(frozenset({t % 5, (t + 2) % 5, 3})))
+                     for t, tm in enumerate(times))
+    return model.Instance(mode=model.MATCHING, resources=res, arrivals=arrivals)
+
+
+@pytest.mark.parametrize("variant,eps", [("exact", 0.0), ("quant", 0.3), ("thresh", 0.2)])
+def test_guide_at_repeated_clocks_equals_reference_fluid(monkeypatch, variant, eps):
+    inst = repeated_clock_instance()
+    fast = run_galg(inst, variant=variant, eps=eps)
+    use_reference_fluid(monkeypatch)
+    ref = run_galg(inst, variant=variant, eps=eps)
+    assert fast.x == ref.x
+    assert fast.allocs == ref.allocs
+
+
+@pytest.mark.parametrize("usage", [ZeroOrInf(0.4), Deterministic(0.0), Exponential(0.8), Uniform(0.0, 1.0),
+                                   MixtureWithInf(0.7, Deterministic(0.0))])
+def test_advance_at_an_unchanged_clock_equals_reference_fluid(usage):
+    # Parcels booked between two advances at one clock, tiny ones (below
+    # PRUNE_TOL) included: Y equals the reference's after every advance, and
+    # so does the ledger where the reference drops parcels too.
+    res = model.Resource(0, 3, 1.0, usage)
+    fast, ref = ResourceFluid(res), ResourceFluid(res)
+
+    def advance_both(now):
+        fast.advance(now)
+        keep_all_advance(ref, now)
+        assert fast.Y.tolist() == ref.Y.tolist()
+        if usage.mass_at_inf() == 0.0:
+            assert fast._mass[: fast._n].tolist() == ref._mass[: ref._n].tolist()
+
+    for now, g, mass in [(0.0, 2, 0.5), (0.0, 1, 1e-16), (0.0, 2, 0.25), (1.0, 0, 0.3), (1.0, 1, 2e-16),
+                         (1.0, 2, 0.1), (1.5, 0, 0.2), (1.5, 0, 0.1)]:
+        advance_both(now)
+        fast.consume(g, mass, now)
+        ref.consume(g, mass, now)
+    for now in (1.5, 1.5, 4.0):
+        advance_both(now)
 
 
 @pytest.mark.parametrize("key,variant,eps", [c for c in GUIDE_CASES if c[0] != "a1"])
