@@ -28,6 +28,7 @@ from .engine import simulate
 from .policies import Policy, run_galg
 
 OPTIMAL = simplex.OPTIMAL
+CHECK_TOL = 1e-9             # check_lp_solution's tolerance, relative to max(1, |objective|)
 
 
 class UnsupportedMode(ValueError):
@@ -58,57 +59,84 @@ class LpSolution:
 def build_lp(instance: model.Instance) -> LpModel:
     """Exact fluid LP; capacity rows are emitted once per (resource, arrival
     time bucket with a new edge) because later rows with no new edge have
-    pointwise smaller coefficients and the same right-hand side."""
+    pointwise smaller coefficients and the same right-hand side.
+
+    One pass groups the edges by resource and by arrival. A resource's edges
+    come in arrival order, so its row at bucket end tau holds a prefix of
+    them; an arrival's edges are contiguous, so its demand row is one run of
+    columns. Each coefficient is bid * (1 - F(age)) with the scalar CDF F,
+    evaluated once per distinct age of the resource."""
     if instance.mode not in (model.MATCHING, model.BUDGETED):
         raise UnsupportedMode("the LP bound covers matching and budgeted modes")
     edges = list(instance.edges())
-    col = {(t, rid): e for e, (t, rid, _) in enumerate(edges)}
-    times = np.array([a.time for a in instance.arrivals])
+    n = len(edges)
     rewards = {r.id: r.reward for r in instance.resources}
+    obj = np.array([bid * rewards[rid] for (_, rid, bid) in edges])
+    times = np.array([a.time for a in instance.arrivals])
 
-    # Last arrival index of each distinct-time group.
+    # Last arrival index of each distinct-time group, per arrival.
     group_end = {}
     for t, a in enumerate(instance.arrivals):
         group_end[a.time] = t
+    end = np.array([group_end[a.time] for a in instance.arrivals], dtype=np.int64)
 
-    n = len(edges)
-    row_kinds = []
-    data = []
-    rhs = []
+    edge_t = np.array([t for t, _, _ in edges], dtype=np.int64)
+    edge_bid = np.array([bid for _, _, bid in edges], dtype=np.int64)
+    mine = {rid: [] for rid in rewards}
+    for e, (_, rid, _) in enumerate(edges):
+        mine[rid].append(e)
+    blocks = []
     for res in instance.resources:
-        mine = [(t, bid) for (t, rid, bid) in edges if rid == res.id]
-        if not mine:
-            continue
-        taus = sorted({group_end[times[t]] for t, _ in mine})
-        for tau in taus:
-            row = np.zeros(n)
-            a_tau = times[tau]
-            for t, bid in mine:
-                if t <= tau:
-                    row[col[(t, res.id)]] = bid * (1.0 - res.usage.cdf(a_tau - times[t]))
-            data.append(row)
-            rhs.append(float(res.capacity))
-            row_kinds.append(("cap", res.id, tau))
-    for t, a in enumerate(instance.arrivals):
-        here = [col[(t, rid)] for (tt, rid, _) in edges if tt == t]
-        if not here:
-            continue
-        row = np.zeros(n)
-        row[here] = 1.0
-        data.append(row)
-        rhs.append(1.0)
-        row_kinds.append(("demand", t))
-
-    obj = np.array([bid * rewards[rid] for (_, rid, bid) in edges])
-    rows = np.vstack(data) if data else np.zeros((0, n))
-    return LpModel(instance=instance, edges=edges, obj=obj, rows=rows,
-                   rhs=np.array(rhs), row_kinds=row_kinds)
+        es = np.array(mine[res.id], dtype=np.int64)
+        if es.size:
+            blocks.append((res, es, np.unique(end[edge_t[es]])))
+    demand_t = np.unique(edge_t)
+    n_cap = sum(taus.size for _, _, taus in blocks)
+    rows = np.zeros((n_cap + demand_t.size, n))
+    rhs = np.ones(n_cap + demand_t.size)
+    row_kinds = []
+    r0 = 0
+    for res, es, taus in blocks:
+        ts = edge_t[es]
+        # Row k holds the first lens[k] edges; (row_of, at) lists every (row, edge) pair.
+        lens = np.searchsorted(ts, taus, side="right")
+        row_of = np.repeat(np.arange(taus.size), lens)
+        at = np.arange(row_of.size) - np.repeat(np.cumsum(lens) - lens, lens)
+        ages, which = np.unique(times[taus[row_of]] - times[ts[at]], return_inverse=True)
+        cdf = np.array([res.usage.cdf(age) for age in ages], dtype=float)
+        rows[r0 + row_of, es[at]] = edge_bid[es[at]] * (1.0 - cdf[which])
+        rhs[r0 : r0 + taus.size] = float(res.capacity)
+        row_kinds += [("cap", res.id, tau) for tau in taus.tolist()]
+        r0 += taus.size
+    rows[r0 + np.searchsorted(demand_t, edge_t), np.arange(n)] = 1.0
+    row_kinds += [("demand", t) for t in demand_t.tolist()]
+    return LpModel(instance=instance, edges=edges, obj=obj, rows=rows, rhs=rhs, row_kinds=row_kinds)
 
 
 def solve_lp(lp: LpModel) -> LpSolution:
+    """Solve `lp`; an optimum must pass `check_lp_solution`, else
+    RuntimeError names the check that failed."""
     res = simplex.solve(lp.obj, lp.rows, lp.rhs)
+    if res.status == OPTIMAL:
+        check_lp_solution(lp, res)
     y = {(t, rid): float(res.x[e]) for e, (t, rid, _) in enumerate(lp.edges)}
     return LpSolution(status=res.status, objective=res.objective, y=y, pivots=res.pivots)
+
+
+def check_lp_solution(lp: LpModel, res: simplex.SimplexResult) -> None:
+    """Check the primal x and the duals y of an optimum: A x <= b and x >= 0,
+    y >= 0 and A^T y >= c, and |b.y - c.x| (weak duality makes b.y an upper
+    bound on every feasible c.x), each within CHECK_TOL * max(1, |objective|)."""
+    tol = CHECK_TOL * max(1.0, abs(res.objective))
+    x, y = res.x, res.y
+    breaches = (
+        ("primal residual", max((lp.rows @ x - lp.rhs).max(initial=0.0), -x.min(initial=0.0))),
+        ("dual feasibility", max(-y.min(initial=0.0), (lp.obj - lp.rows.T @ y).max(initial=0.0))),
+        ("duality gap", abs(lp.rhs @ y - lp.obj @ x)),
+    )
+    for name, breach in breaches:
+        if not breach <= tol:
+            raise RuntimeError(f"LP solution check failed: {name} {float(breach):.3g} exceeds {tol:.3g}")
 
 
 def lp_value(instance: model.Instance) -> float:

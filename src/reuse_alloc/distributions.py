@@ -16,7 +16,9 @@ Conventions shared with the simulator and the fluid relaxations:
 
 from __future__ import annotations
 
+import dataclasses
 import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -275,8 +277,26 @@ def from_json(obj: dict):
     return cls(**{f: _number(obj, kind, f) for f in fields})
 
 
+def _finite(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+
+
 def validate(dist) -> list:
-    """Parameter checks; returns human-readable violations (empty if OK)."""
+    """Parameter checks; returns human-readable violations (empty if OK).
+    A parameter that is not a finite number gets its own message and skips
+    the range checks of its distribution, which could not compare it."""
+    params = ([f.name for f in dataclasses.fields(dist) if f.name != "base"]
+              if dataclasses.is_dataclass(dist) else [])
+    bad = [f"{type(dist).__name__} {name} must be a finite number, got {getattr(dist, name)!r}"
+           for name in params if not _finite(getattr(dist, name))]
+    if not bad:
+        bad = _range_violations(dist)
+    if isinstance(dist, MixtureWithInf):
+        bad.extend(validate(dist.base))
+    return bad
+
+
+def _range_violations(dist) -> list:
     bad = []
     if isinstance(dist, Deterministic) and dist.d < 0:
         bad.append("deterministic duration must be >= 0")
@@ -293,8 +313,6 @@ def validate(dist) -> list:
         bad.append("uniform needs 0 <= lo < hi")
     if isinstance(dist, WeibullIFR) and (dist.scale <= 0 or dist.shape < 1):
         bad.append("weibull needs scale > 0 and shape >= 1")
-    if isinstance(dist, MixtureWithInf):
-        if not 0.0 <= dist.p_finite <= 1.0:
-            bad.append("mixture p_finite must be in [0, 1]")
-        bad.extend(validate(dist.base))
+    if isinstance(dist, MixtureWithInf) and not 0.0 <= dist.p_finite <= 1.0:
+        bad.append("mixture p_finite must be in [0, 1]")
     return bad

@@ -6,6 +6,24 @@ side is nonnegative (capacities and per-arrival demand bounds). Pivoting is
 Dantzig (most negative reduced cost) for speed, with an automatic permanent
 switch to Bland's smallest-index rule once the objective stalls, which is the
 anti-cycling guarantee. Both rules are deterministic.
+
+The tableau is stored dense, but a pivot only touches the block it can
+change: the rows with a nonzero entry in the pivot column, and within them
+the columns where the (scaled) pivot row is nonzero. Every skipped entry
+would have had an exact zero, colv[r] * 0.0, subtracted from it, which
+leaves any nonzero value as it is. So every nonzero entry, ratio test,
+basis choice, x, objective, dual and pivot count is bit-identical to the
+full-row update. The one thing that can differ is a zero's sign: a -0.0
+stays -0.0 where the full update could turn it into +0.0. The fluid LPs put
+-0.0 only into the cost row's structural block (-c where a reward is 0;
+`build_lp` writes no -0.0 into A or b), where no comparison tells -0.0 from
++0.0 and no output reads it. On the
+fluid LPs most pivot rows and columns are sparse (assignment-like demand
+rows, one capacity row per resource and time), so a pivot costs far less
+than the (m + 1) x (n + m + 1) of a full update.
+
+At an optimum the cost row's slack block holds the duals y of the rows
+Ax <= b: y >= 0, A^T y >= c and b.y = c.x up to rounding.
 """
 
 from __future__ import annotations
@@ -30,6 +48,7 @@ class SimplexResult:
     objective: float
     x: np.ndarray
     pivots: int
+    y: np.ndarray            # row duals: the cost row's slack block
 
 
 def solve(c, A, b) -> SimplexResult:
@@ -38,16 +57,18 @@ def solve(c, A, b) -> SimplexResult:
     b = np.asarray(b, dtype=float)
     m, n = A.shape
     if (b < 0).any():
-        return SimplexResult(INFEASIBLE, 0.0, np.zeros(n), 0)
+        return SimplexResult(INFEASIBLE, 0.0, np.zeros(n), 0, np.zeros(m))
 
     # Tableau: [A | I | b], last row holds reduced costs (-c) and the value.
     T = np.zeros((m + 1, n + m + 1))
     T[:m, :n] = A
-    T[:m, n : n + m] = np.eye(m)
+    slack = np.arange(m)
+    T[slack, n + slack] = 1.0
     T[:m, -1] = b
     T[m, :n] = -c
     basis = np.arange(n, n + m)
 
+    status = OPTIMAL
     bland = False
     stall = 0
     last_obj = 0.0
@@ -77,11 +98,10 @@ def solve(c, A, b) -> SimplexResult:
         T[i, :] /= T[i, j]
         colv = T[:, j].copy()
         colv[i] = 0.0
-        # Exact zeros in the pivot column skip whole rows losslessly; on the
-        # assignment-like LPs built here most rows stay untouched per pivot.
-        nz = np.flatnonzero(colv)
+        nz = (colv != 0.0).nonzero()[0]   # a bool mask finds nonzeros faster than flatnonzero
         if nz.size:
-            T[nz] -= np.outer(colv[nz], T[i, :])
+            cols = (T[i] != 0.0).nonzero()[0]
+            T[np.ix_(nz, cols)] -= np.outer(colv[nz], T[i, cols])
         basis[i] = j
         pivots += 1
 
@@ -94,9 +114,9 @@ def solve(c, A, b) -> SimplexResult:
             stall = 0
         last_obj = obj
     else:
-        return SimplexResult(ITERATION_LIMIT, float(T[m, -1]), _extract(T, basis, n, m), MAX_PIVOTS)
+        status = ITERATION_LIMIT
 
-    return SimplexResult(OPTIMAL, float(T[m, -1]), _extract(T, basis, n, m), pivots)
+    return SimplexResult(status, float(T[m, -1]), _extract(T, basis, n, m), pivots, T[m, n : n + m].copy())
 
 
 def _extract(T, basis, n, m):

@@ -17,6 +17,11 @@ parcel with mass at +inf at every arrival.
 The reference waterfalls are the matching and assortment guides written as
 two loops of their own, each re-scoring every active neighbour on every
 iteration, so the shared `FluidGuide` waterfall can be checked against them.
+
+The reference simplex updates the whole tableau row of every touched row at
+each pivot, and the reference LP builder scans every edge for every row and
+stacks the rows one by one; the sparse pivot and the grouped builder must
+match them bit for bit.
 """
 
 from fractions import Fraction
@@ -25,6 +30,9 @@ import numpy as np
 
 from reuse_alloc import fluid, model, rng
 from reuse_alloc.assortment import assortment_oracle
+from reuse_alloc.benchmarks import LpModel, UnsupportedMode
+from reuse_alloc.simplex import (FEAS_TOL, INFEASIBLE, ITERATION_LIMIT, MAX_PIVOTS, OPT_TOL, OPTIMAL,
+                                 STALL_LIMIT, SimplexResult)
 from reuse_alloc.policies import reduced_price
 from reuse_alloc.distributions import ZeroOrInf
 
@@ -215,3 +223,129 @@ def reference_astgalg(instance):
         collections.append(collection)
         all_allocs.append(allocs)
     return collections, all_allocs
+
+
+def reference_simplex(c, A, b):
+    """`simplex.solve` with the full-row pivot update and the m x m identity
+    temporary; its duals are the cost row's slack block."""
+    c = np.asarray(c, dtype=float)
+    A = np.asarray(A, dtype=float)
+    b = np.asarray(b, dtype=float)
+    m, n = A.shape
+    if (b < 0).any():
+        return SimplexResult(INFEASIBLE, 0.0, np.zeros(n), 0, np.zeros(m))
+
+    # Tableau: [A | I | b], last row holds reduced costs (-c) and the value.
+    T = np.zeros((m + 1, n + m + 1))
+    T[:m, :n] = A
+    T[:m, n : n + m] = np.eye(m)
+    T[:m, -1] = b
+    T[m, :n] = -c
+    basis = np.arange(n, n + m)
+
+    bland = False
+    stall = 0
+    last_obj = 0.0
+    pivots = 0
+    while pivots < MAX_PIVOTS:
+        costs = T[m, :-1]
+        if bland:
+            neg = np.nonzero(costs < -OPT_TOL)[0]
+            if neg.size == 0:
+                break
+            j = int(neg[0])
+        else:
+            j = int(np.argmin(costs))
+            if costs[j] >= -OPT_TOL:
+                break
+        col = T[:m, j]
+        pos = np.nonzero(col > FEAS_TOL)[0]
+        if pos.size == 0:
+            # Our models bound every variable through a demand row, so an
+            # unbounded ray means a malformed input; surface it loudly.
+            raise ValueError("LP is unbounded")
+        ratios = T[pos, -1] / col[pos]
+        best = ratios.min()
+        tied = pos[ratios <= best + FEAS_TOL]
+        i = int(tied[np.argmin(basis[tied])])  # smallest basis index on ties
+
+        T[i, :] /= T[i, j]
+        colv = T[:, j].copy()
+        colv[i] = 0.0
+        # Exact zeros in the pivot column skip whole rows losslessly; on the
+        # assignment-like LPs built here most rows stay untouched per pivot.
+        nz = np.flatnonzero(colv)
+        if nz.size:
+            T[nz] -= np.outer(colv[nz], T[i, :])
+        basis[i] = j
+        pivots += 1
+
+        obj = T[m, -1]
+        if obj <= last_obj + 1e-12:
+            stall += 1
+            if stall >= STALL_LIMIT:
+                bland = True
+        else:
+            stall = 0
+        last_obj = obj
+    else:
+        return SimplexResult(ITERATION_LIMIT, float(T[m, -1]), _reference_extract(T, basis, n, m), MAX_PIVOTS,
+                             T[m, n : n + m].copy())
+
+    return SimplexResult(OPTIMAL, float(T[m, -1]), _reference_extract(T, basis, n, m), pivots,
+                         T[m, n : n + m].copy())
+
+
+def _reference_extract(T, basis, n, m):
+    x = np.zeros(n + m)
+    x[basis] = T[: m, -1]
+    return x[:n]
+
+
+def reference_build_lp(instance: model.Instance) -> LpModel:
+    """`benchmarks.build_lp` row by row: every capacity row scans every edge,
+    every demand row scans every edge, and the rows are stacked at the end."""
+    if instance.mode not in (model.MATCHING, model.BUDGETED):
+        raise UnsupportedMode("the LP bound covers matching and budgeted modes")
+    edges = list(instance.edges())
+    col = {(t, rid): e for e, (t, rid, _) in enumerate(edges)}
+    times = np.array([a.time for a in instance.arrivals])
+    rewards = {r.id: r.reward for r in instance.resources}
+
+    # Last arrival index of each distinct-time group.
+    group_end = {}
+    for t, a in enumerate(instance.arrivals):
+        group_end[a.time] = t
+
+    n = len(edges)
+    row_kinds = []
+    data = []
+    rhs = []
+    for res in instance.resources:
+        mine = [(t, bid) for (t, rid, bid) in edges if rid == res.id]
+        if not mine:
+            continue
+        taus = sorted({group_end[times[t]] for t, _ in mine})
+        for tau in taus:
+            row = np.zeros(n)
+            a_tau = times[tau]
+            for t, bid in mine:
+                if t <= tau:
+                    row[col[(t, res.id)]] = bid * (1.0 - res.usage.cdf(a_tau - times[t]))
+            data.append(row)
+            rhs.append(float(res.capacity))
+            row_kinds.append(("cap", res.id, tau))
+    for t, a in enumerate(instance.arrivals):
+        here = [col[(t, rid)] for (tt, rid, _) in edges if tt == t]
+        if not here:
+            continue
+        row = np.zeros(n)
+        row[here] = 1.0
+        data.append(row)
+        rhs.append(1.0)
+        row_kinds.append(("demand", t))
+
+    obj = np.array([bid * rewards[rid] for (_, rid, bid) in edges])
+    rows = np.vstack(data) if data else np.zeros((0, n))
+    return LpModel(instance=instance, edges=edges, obj=obj, rows=rows,
+                   rhs=np.array(rhs), row_kinds=row_kinds)

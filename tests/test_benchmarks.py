@@ -1,12 +1,16 @@
+import dataclasses
 import math
 
+import numpy as np
 import pytest
+from helpers import reference_build_lp
 from scipy.optimize import linprog
 
-from reuse_alloc import benchmarks, engine, model, policies
+from reuse_alloc import benchmarks, engine, model, policies, simplex
 from reuse_alloc.benchmarks import (LpRoundingPolicy, UnsupportedMode, brute_force_clairvoyant, build_lp,
                                     certificate_check, lp_value, solve_lp)
-from reuse_alloc.distributions import Deterministic, NonReusable, TwoPointInf, ZeroOrInf
+from reuse_alloc.distributions import (Deterministic, Exponential, MixtureWithInf, NonReusable, TwoPointInf,
+                                       Uniform, WeibullIFR, ZeroOrInf)
 from reuse_alloc.generators import (BatteryParams, example_a1, mnl_counterexample, random_battery,
                                     upper_triangular)
 
@@ -95,6 +99,90 @@ def test_lp_rounding_zero_solution_never_matches():
                                  y={k: 0.0 for k in sol.y})
     s = engine.run_trials(inst, LpRoundingPolicy(inst, zero), 50, 2)
     assert s.mean == 0.0
+
+
+# --- LP builder parity and the solution check ------------------------------------
+
+BURSTS = (0.0, 0.0, 0.0, 0.4, 0.4, 1.0, 1.0, 1.0, 1.7, 2.5, 2.5, 4.0)
+
+
+def bursty_instance(mode, times=BURSTS):
+    """Repeated arrival times, an arrival with no edge (budgeted: all its bids
+    are 0), and one resource of each continuous family."""
+    usages = (Exponential(0.7), Uniform(0.2, 1.3), WeibullIFR(0.8, 1.7),
+              MixtureWithInf(0.6, Deterministic(0.5)), Deterministic(0.0))
+    resources = tuple(model.Resource(i, 3 + i, 1.0 + 0.25 * i, u) for i, u in enumerate(usages))
+    arrivals = []
+    for t, time in enumerate(times):
+        ids = [i for i in range(len(usages)) if (t + i) % 3 != 0] if t != 6 else []
+        demand = (model.MatchingEdges(frozenset(ids)) if mode == model.MATCHING
+                  else model.BudgetedBids({i: 1 + (t + i) % 3 if i in ids else 0 for i in range(len(usages))}))
+        arrivals.append(model.Arrival(time, demand))
+    return model.Instance(mode=mode, resources=resources, arrivals=tuple(arrivals))
+
+
+def builder_cases():
+    cases = [("example_a1", example_a1(20)), ("example_a1_dummies", example_a1(6, dummy_resources=True)),
+             ("upper_triangular", upper_triangular(6, 5)),
+             ("bursty_matching", bursty_instance(model.MATCHING)),
+             ("bursty_budgeted", bursty_instance(model.BUDGETED)),
+             ("integer_times", bursty_instance(model.MATCHING, times=(0, 0, 1, 1, 1, 2, 4, 4, 5, 7, 7, 9)))]
+    for mode, bid in ((model.MATCHING, 1), (model.BUDGETED, 3)):
+        for mix in (("exponential", "uniform", "weibull", "deterministic", "two_point_inf"),
+                    ("zero_or_inf", "non_reusable", "two_point_inf")):
+            battery = random_battery(BatteryParams(n_instances=2, n_resources=5, n_arrivals=60,
+                                                   capacity_range=(2, 6), horizon=12.0, dist_mix=mix,
+                                                   mode=mode, max_bid=bid), seed=len(mix))
+            cases += [(f"{mode}_{mix[0]}_{k}", inst) for k, inst in enumerate(battery)]
+    return [pytest.param(inst, id=name) for name, inst in cases]
+
+
+@pytest.mark.parametrize("inst", builder_cases())
+def test_build_lp_matches_reference(inst):
+    got, want = build_lp(inst), reference_build_lp(inst)
+    assert got.edges == want.edges
+    assert got.rows.shape == want.rows.shape
+    assert got.rows.tobytes() == want.rows.tobytes()
+    assert got.rhs.tobytes() == want.rhs.tobytes()
+    assert got.obj.tobytes() == want.obj.tobytes()
+    assert repr(got.row_kinds) == repr(want.row_kinds)
+
+
+def test_bursty_instance_has_what_it_claims():
+    inst = bursty_instance(model.BUDGETED)
+    assert model.validate(inst) == []
+    lp = build_lp(inst)
+    assert ("demand", 6) not in lp.row_kinds
+    assert {kind[2] for kind in lp.row_kinds if kind[0] == "cap"} >= {2, 4, 7}   # ends of the bursts
+    assert lp_value(inst) == pytest.approx(scipy_lp_value(inst), abs=1e-9)
+
+
+@pytest.mark.parametrize("tamper, check", [
+    (lambda r: dataclasses.replace(r, x=r.x * 1.01), "primal residual"),
+    (lambda r: dataclasses.replace(r, x=np.where(r.x > 0.0, r.x, -1e-6)), "primal residual"),
+    (lambda r: dataclasses.replace(r, y=r.y - 1e-6), "dual feasibility"),
+    (lambda r: dataclasses.replace(r, y=np.where(r.y > 0.0, r.y * 0.5, 0.0)), "dual feasibility"),
+    (lambda r: dataclasses.replace(r, y=r.y + 1e-6), "duality gap"),
+])
+def test_lp_solution_check_names_the_failed_check(tamper, check):
+    lp = build_lp(example_a1(4))
+    res = simplex.solve(lp.obj, lp.rows, lp.rhs)
+    benchmarks.check_lp_solution(lp, res)
+    with pytest.raises(RuntimeError, match=check):
+        benchmarks.check_lp_solution(lp, tamper(res))
+
+
+def test_solve_lp_checks_every_optimum(monkeypatch):
+    lp = build_lp(example_a1(3))
+    real = simplex.solve
+
+    def negated_duals(c, A, b):
+        res = real(c, A, b)
+        return dataclasses.replace(res, y=-res.y)
+
+    monkeypatch.setattr(simplex, "solve", negated_duals)
+    with pytest.raises(RuntimeError, match="dual feasibility"):
+        solve_lp(lp)
 
 
 # --- brute-force clairvoyant -----------------------------------------------------

@@ -125,3 +125,20 @@ def test_validate_flags_bad_parameters():
     assert dist.validate(Uniform(lo=2.0, hi=1.0))
     assert dist.validate(WeibullIFR(scale=1.0, shape=0.5))
     assert not dist.validate(Exponential(0.3))
+
+
+@pytest.mark.parametrize("d, want", [
+    (Exponential("x"), ["Exponential rate must be a finite number, got 'x'"]),
+    (Exponential(math.nan), ["Exponential rate must be a finite number, got nan"]),
+    (Uniform(0.0, INF), ["Uniform hi must be a finite number, got inf"]),
+    (Deterministic(True), ["Deterministic d must be a finite number, got True"]),
+    (WeibullIFR(None, 2.0), ["WeibullIFR scale must be a finite number, got None"]),
+    (MixtureWithInf(math.nan, Exponential(-1.0)),
+     ["MixtureWithInf p_finite must be a finite number, got nan", "exponential rate must be > 0"]),
+])
+def test_validate_reports_non_finite_parameters(d, want):
+    assert dist.validate(d) == want
+
+
+def test_validate_accepts_numpy_scalars():
+    assert dist.validate(Uniform(np.float64(0.5), np.int64(2))) == []

@@ -4,7 +4,7 @@ import math
 import pytest
 
 from reuse_alloc import model
-from reuse_alloc.distributions import NonReusable, TwoPointInf
+from reuse_alloc.distributions import Exponential, NonReusable, TwoPointInf
 from reuse_alloc.generators import example_a1, mnl_counterexample
 
 
@@ -47,6 +47,15 @@ def test_validate_rejects_non_finite_reward_and_time():
     assert model.validate(inst) == ["resource 0: reward must be finite and >= 0",
                                     "resource 1: reward must be finite and >= 0",
                                     "arrival 0: time must be finite and >= 0"]
+
+
+def test_validate_reports_a_non_numeric_distribution_parameter():
+    inst = model.Instance(
+        mode=model.MATCHING,
+        resources=(model.Resource(0, 2, 1.0, Exponential("x")),),
+        arrivals=(model.Arrival(0.0, model.MatchingEdges(frozenset({0}))),),
+    )
+    assert model.validate(inst) == ["resource 0: Exponential rate must be a finite number, got 'x'"]
 
 
 def test_validate_is_pure():

@@ -1,7 +1,11 @@
 import itertools
 
+import helpers
 import numpy as np
 import pytest
+from helpers import reference_simplex
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from reuse_alloc import simplex
@@ -104,3 +108,104 @@ def test_solution_respects_constraints():
     res = simplex.solve(c, A, b)
     assert (A @ res.x <= b + 1e-7).all()
     assert (res.x >= -1e-9).all()
+
+
+# --- parity with the full-row pivot update ------------------------------------
+
+def assert_same_as_reference(c, A, b):
+    want = reference_simplex(c, A, b)
+    got = simplex.solve(c, A, b)
+    assert got.status == want.status
+    assert got.pivots == want.pivots
+    assert got.objective.hex() == want.objective.hex()
+    assert got.x.tobytes() == want.x.tobytes()
+    assert got.y.tobytes() == want.y.tobytes()
+    return got
+
+
+def random_lp(rng, m, n, density):
+    A = rng.uniform(0.0, 1.0, (m, n)) * (rng.uniform(size=(m, n)) < density)
+    return rng.uniform(-0.5, 2.0, n), A, rng.uniform(0.5, 3.0, m)
+
+
+@pytest.mark.parametrize("m, n, density", [(8, 5, 1.0), (12, 30, 0.5), (40, 60, 0.2), (50, 200, 0.05),
+                                           (120, 80, 0.03)])
+def test_matches_reference_on_random_lps(m, n, density):
+    rng = np.random.default_rng(m * 1000 + n)
+    for _ in range(4):
+        c, A, b = random_lp(rng, m, n, density)
+        A = np.vstack([A, np.eye(n)])          # x <= 1 keeps every LP bounded
+        assert assert_same_as_reference(c, A, np.concatenate([b, np.ones(n)])).status == simplex.OPTIMAL
+
+
+def test_matches_reference_with_zero_objective_columns():
+    # -c puts -0.0 in the cost row wherever a reward is 0; the sparse update
+    # keeps that sign where the full update would flip it to +0.0.
+    rng = np.random.default_rng(11)
+    for _ in range(5):
+        c, A, b = random_lp(rng, 30, 40, 0.15)
+        c[::3] = 0.0
+        A = np.vstack([A, np.eye(40)])
+        res = assert_same_as_reference(c, A, np.concatenate([b, np.ones(40)]))
+        assert res.pivots > 0
+
+
+def degenerate_chain_lp(n, copies):
+    """x_j <= x_{j+1} (each row `copies` times, right-hand side 0) and
+    sum(x) <= 1, after two variables z0 + z1 <= 1 with small costs. Dantzig
+    enters the chain first and stalls there for n - 1 pivots; once Bland's
+    rule takes over it enters z0 before z1, one pivot more than Dantzig."""
+    chain = np.zeros((n - 1, n))
+    chain[np.arange(n - 1), np.arange(n - 1)] = 1.0
+    chain[np.arange(n - 1), np.arange(1, n)] = -1.0
+    body = np.vstack([chain] * copies + [np.ones((1, n))])
+    A = np.zeros((body.shape[0] + 1, n + 2))
+    A[0, :2] = 1.0
+    A[1:, 2:] = body
+    b = np.zeros(A.shape[0])
+    b[0] = b[-1] = 1.0
+    c = np.concatenate([[0.01, 0.02], np.linspace(2.0, 1.0, n)])
+    return c, A, b
+
+
+def test_matches_reference_through_the_bland_switch(monkeypatch):
+    c, A, b = degenerate_chain_lp(80, copies=2)
+    res = assert_same_as_reference(c, A, b)
+    assert res.status == simplex.OPTIMAL
+    assert res.objective == pytest.approx(1.52)
+    monkeypatch.setattr(helpers, "STALL_LIMIT", simplex.MAX_PIVOTS)
+    assert reference_simplex(c, A, b).pivots == res.pivots - 1   # so Bland's rule did take over
+
+
+_ENTRIES = st.sampled_from([0.0, 0.0, 0.0, 0.25, 0.5, 1.0, 1.0, 2.0, 1.0 / 3.0, -0.5])
+
+
+@given(st.integers(1, 7), st.integers(1, 9), st.data())
+def test_matches_reference_on_generated_lps(m, n, data):
+    A = np.array(data.draw(st.lists(st.lists(_ENTRIES, min_size=n, max_size=n), min_size=m, max_size=m)))
+    b = np.array(data.draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 3.0]), min_size=m, max_size=m)))
+    c = np.array(data.draw(st.lists(st.sampled_from([0.0, 1.0, 0.5, -1.0, 2.0, 0.1]), min_size=n, max_size=n)))
+    A = np.vstack([A, np.eye(n)])
+    b = np.concatenate([b, np.ones(n)])
+    assert_same_as_reference(c, A, b)
+
+
+def test_duals_certify_the_optimum():
+    rng = np.random.default_rng(5)
+    for _ in range(5):
+        c, A, b = random_lp(rng, 20, 30, 0.3)
+        A = np.vstack([A, np.eye(30)])
+        b = np.concatenate([b, np.ones(30)])
+        res = simplex.solve(c, A, b)
+        assert (res.y >= -1e-9).all()
+        assert (A.T @ res.y >= c - 1e-9).all()
+        assert b @ res.y == pytest.approx(res.objective, abs=1e-9)
+        assert c @ res.x == pytest.approx(res.objective, abs=1e-9)
+
+
+def test_matches_reference_at_the_iteration_limit(monkeypatch):
+    c, A, b = degenerate_chain_lp(10, copies=1)
+    monkeypatch.setattr(simplex, "MAX_PIVOTS", 4)
+    monkeypatch.setattr(helpers, "MAX_PIVOTS", 4)
+    res = assert_same_as_reference(c, A, b)
+    assert (res.status, res.pivots) == (simplex.ITERATION_LIMIT, 4)
