@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -178,6 +179,9 @@ def cmd_lp(args) -> int:
 
 
 def cmd_certify(args) -> int:
+    for flag, value in (("--alpha", args.alpha), ("--beta", args.beta)):
+        if not math.isfinite(value):
+            raise CliError(f"{flag} must be a finite number, got {value}")
     inst, name = _load_instance(args)
     sol = benchmarks.solve_lp(benchmarks.build_lp(inst))
     opt = benchmarks.LpRoundingPolicy(inst, sol)

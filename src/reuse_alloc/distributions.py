@@ -214,6 +214,21 @@ def sample(dist, key: DurationStreamKey, seed: int, stream: int = None):
     return dist.sample_u(rng.uniform_from(stream, key.use))
 
 
+def fixed_duration(dist):
+    """The duration every draw of `dist` gives whatever its uniform, or None
+    when the draw depends on it: d for Deterministic(d), +inf for a family
+    whose finite branch has probability 0 (its `sample_u` tests u < 0)."""
+    if isinstance(dist, Deterministic):
+        return dist.d
+    if isinstance(dist, NonReusable):
+        return INF
+    if isinstance(dist, (ZeroOrInf, TwoPointInf)) and dist.p <= 0.0:
+        return INF
+    if isinstance(dist, MixtureWithInf) and dist.p_finite <= 0.0:
+        return INF
+    return None
+
+
 def compute_L(dist, eps: float, grid: float = 1e-3) -> float:
     """Boundedness diagnostic max_x [F(x + F^{-1}(eps)) - F(x)] / eps.
 

@@ -9,7 +9,9 @@ scheduled. Reward accrues at match time, `reward * units allocated`.
 All randomness flows from (master seed, trial id): durations are keyed by
 (resource, unit rank, use counter), policy coins and customer choice by
 arrival index. Two policies run under the same seed therefore see identical
-durations for the same unit-use key.
+durations for the same unit-use key. A family whose draw cannot depend on its
+uniform (Deterministic, or no finite branch) gives its one duration without
+touching the stream.
 """
 
 from __future__ import annotations
@@ -127,6 +129,8 @@ def simulate(instance: model.Instance, policy, master_seed: int, trial_id: int,
 
     def draw_duration(rid: int, rank: int, t: int):
         lv = state.live[rid]
+        if lv.res.fixed_duration is not None:  # no draw can change it
+            return lv.res.fixed_duration
         if shared_durations:
             rank, use = 0, t                    # unit slot 0 marks the shared draw
         else:

@@ -46,6 +46,12 @@ class Resource:
 
         return [0.0] + [reduced_price(self.reward, k, self.capacity) for k in range(1, self.capacity + 1)]
 
+    @cached_property
+    def fixed_duration(self):
+        """The duration every use of a unit lasts, or None when it is drawn
+        (see distributions.fixed_duration)."""
+        return distributions.fixed_duration(self.usage)
+
 
 class _Demand:
     """bids() is {resource id: units} over the bids >= 1 in ascending id

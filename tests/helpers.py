@@ -10,9 +10,11 @@ counter) are reconstructed from death and attempt counters.
 The water-filling ratio is the closed form of continuous water-filling on the
 upper-triangular family, computed from harmonic numbers alone.
 
-The reference fluid is the plain form of `ResourceFluid`: a full top-down
-scan for the highest bucket, and a ledger that keeps and re-credits every
-parcel with mass at +inf at every arrival.
+The reference fluid is `ReferenceResourceFluid`, a ledger per resource that
+makes one CDF call per resource at every arrival, as the fluid did before
+block pricing; the block-priced inventory must match it bit for bit. Its
+plainer forms are a full top-down scan for the highest bucket, and a ledger
+that keeps and re-credits every parcel with mass at +inf at every arrival.
 
 The reference waterfalls are the matching and assortment guides written as
 two loops of their own, each re-scoring every active neighbour on every
@@ -24,11 +26,13 @@ stacks the rows one by one; the sparse pivot and the grouped builder must
 match them bit for bit.
 """
 
+import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 
-from reuse_alloc import fluid, model, rng
+from reuse_alloc import fluid, model, policies, rng
 from reuse_alloc.assortment import assortment_oracle
 from reuse_alloc.benchmarks import LpModel, UnsupportedMode
 from reuse_alloc.simplex import (FEAS_TOL, INFEASIBLE, ITERATION_LIMIT, MAX_PIVOTS, OPT_TOL, OPTIMAL,
@@ -99,8 +103,145 @@ def water_filling_ratio(n: int) -> float:
     return float((k + (n - k) * (1 - (harmonic[n] - harmonic[n - k]))) / n)
 
 
+class ReferenceResourceFluid:
+    """`fluid.ResourceFluid` before block pricing: Y masses plus its own
+    outstanding-parcel ledger, advanced with one CDF call per advance."""
+
+    def __init__(self, res, levels=None):
+        self.res = res
+        c = res.capacity
+        if levels is None:
+            levels = list(range(1, c + 1))
+        bounds = levels + [c + 1]
+        self.index_value = np.array(levels, dtype=float)        # rank used in scores
+        self.size = np.array([bounds[j + 1] - bounds[j] for j in range(len(levels))], dtype=float)
+        self.Y = self.size.copy()
+        self.lost = np.zeros(len(levels))    # mass of dropped parcels never credited back
+        self.n_groups = len(levels)
+        cap = 64
+        self._time = np.zeros(cap)
+        self._mass = np.zeros(cap)
+        self._credited = np.zeros(cap)
+        self._group = np.zeros(cap, dtype=np.int64)
+        self._n = 0
+        self._mass_inf = res.usage.mass_at_inf()
+        self._cdf_inf = res.usage.cdf(math.inf)
+        self._cdf0 = res.usage.cdf(0.0)
+        # The clock of the last advance, and how many parcels it settled.
+        self._clock = None
+        self._settled = 0
+        # Every bucket above _hint has Y < _hint_floor.
+        self._hint = self.n_groups - 1
+        self._hint_floor = None
+
+    def _grow(self):
+        cap = max(64, 2 * len(self._time))
+        for name in ("_time", "_mass", "_credited", "_group"):
+            old = getattr(self, name)
+            new = np.zeros(cap, dtype=old.dtype)
+            new[: self._n] = old[: self._n]
+            setattr(self, name, new)
+
+    def advance(self, now: float):
+        """Credit returns accumulated up to time `now` back into Y."""
+        # At an unchanged clock the parcels the last advance settled are
+        # credited up to `now` already: their delta is exactly 0.0 and their
+        # keep/drop result stands, so only parcels booked since then count.
+        # Those were booked at `now`; with cdf(0) = 0 they too have nothing
+        # to credit, and they stay unless their mass is below PRUNE_TOL.
+        k, n = 0, self._n
+        if now == self._clock:
+            k = self._settled
+            if k == n or self._cdf0 == 0.0 and self._mass[k:n].min() >= fluid.PRUNE_TOL:
+                self._settled = n
+                return
+        self._clock = now
+        if n == 0:
+            return
+        mass, group = self._mass[k:n], self._group[k:n]
+        new_cdf = np.asarray(self.res.usage.cdf(now - self._time[k:n]), dtype=float)
+        delta = mass * (new_cdf - self._credited[k:n])
+        np.add.at(self.Y, group, delta)
+        rising = delta > 0.0
+        if rising.any():
+            self._hint = max(self._hint, int(group[rising].max()))
+        self._credited[k:n] = new_cdf
+        # A parcel at cdf(+inf) returns nothing more (delta is exactly 0.0
+        # from then on); without mass at +inf, one whose remainder is below
+        # PRUNE_TOL is dropped as well.
+        if self._mass_inf == 0.0:
+            keep = mass * (1.0 - new_cdf) >= fluid.PRUNE_TOL
+        else:
+            keep = new_cdf != self._cdf_inf
+        if not keep.all():
+            drop = ~keep
+            np.add.at(self.lost, group[drop], mass[drop] * (1.0 - new_cdf[drop]))
+            m = k + int(keep.sum())
+            for name in ("_time", "_mass", "_credited", "_group"):
+                arr = getattr(self, name)
+                arr[k:m] = arr[k:n][keep]
+            self._n = m
+        self._settled = self._n
+
+    def top_group(self, floor: float = fluid.ZERO_TOL) -> int:
+        """Index of the highest bucket with mass >= floor, else -1."""
+        g = self._hint if floor == self._hint_floor else self.n_groups - 1
+        Y = self.Y
+        while g >= 0 and not Y[g] >= floor:
+            g -= 1
+        self._hint, self._hint_floor = g, floor
+        return g
+
+    def consume(self, g: int, amount: float, now: float):
+        self.Y[g] -= amount
+        if self._mass_inf == 1.0:       # nothing of it ever returns
+            self.lost[g] += amount
+            return
+        if self._n == len(self._time):
+            self._grow()
+        i = self._n
+        self._time[i] = now
+        self._mass[i] = amount
+        self._credited[i] = 0.0
+        self._group[i] = g
+        self._n = i + 1
+
+    def conservation_error(self) -> float:
+        """Max deviation of Y + outstanding + lost mass from bucket size."""
+        n = self._n
+        out = self.lost.copy()
+        if n:
+            np.add.at(out, self._group[:n], self._mass[:n] * (1.0 - self._credited[:n]))
+        return float(np.abs(self.Y + out - self.size).max())
+
+
+class ReferenceInventory:
+    """`fluid.FluidInventory` before block pricing: every resource advanced
+    on its own at every arrival."""
+
+    def __init__(self, instance, quantize_eps: float = 0.0):
+        self.instance = instance
+        self.state = {}
+        for r in instance.resources:
+            levels = fluid.quantized_levels(r.capacity, quantize_eps) if quantize_eps > 0 else None
+            self.state[r.id] = ReferenceResourceFluid(r, levels)
+
+    def advance(self, now: float):
+        for rf in self.state.values():
+            rf.advance(now)
+
+    def conservation_error(self) -> float:
+        return max(rf.conservation_error() for rf in self.state.values())
+
+
+def reference_guide(make, instance):
+    """The guide `make(instance)` builds, on `ReferenceInventory`."""
+    with mock.patch.object(policies, "FluidInventory", ReferenceInventory):
+        return make(instance)
+
+
 def linear_top_group(rf, floor=fluid.ZERO_TOL):
-    """Reference `ResourceFluid.top_group`: scan every bucket from the top."""
+    """Reference `top_group`: scan every bucket from the top."""
     for g in range(rf.n_groups - 1, -1, -1):
         if rf.Y[g] >= floor:
             return g
@@ -108,8 +249,9 @@ def linear_top_group(rf, floor=fluid.ZERO_TOL):
 
 
 def keep_all_advance(rf, now):
-    """Reference `ResourceFluid.advance`: credit every parcel's CDF increment;
-    only parcels of families without mass at +inf are ever pruned."""
+    """Reference `ReferenceResourceFluid.advance`: credit every parcel's CDF
+    increment at every advance; only parcels of families without mass at
+    +inf are ever pruned."""
     n = rf._n
     if n == 0:
         return
@@ -126,11 +268,12 @@ def keep_all_advance(rf, now):
 
 
 def use_reference_fluid(monkeypatch, advance=True):
-    """Swap the reference scan (and, with `advance`, the keep-all ledger)
-    into `ResourceFluid` for the rest of the test."""
-    monkeypatch.setattr(fluid.ResourceFluid, "top_group", linear_top_group)
+    """Build the guides on `ReferenceInventory` with the full scan (and, with
+    `advance`, the keep-all ledger) for the rest of the test."""
+    monkeypatch.setattr(policies, "FluidInventory", ReferenceInventory)
+    monkeypatch.setattr(ReferenceResourceFluid, "top_group", linear_top_group)
     if advance:
-        monkeypatch.setattr(fluid.ResourceFluid, "advance", keep_all_advance)
+        monkeypatch.setattr(ReferenceResourceFluid, "advance", keep_all_advance)
 
 
 def reference_galg(instance, variant="exact", eps=0.0):

@@ -66,6 +66,23 @@ def test_compare_checks_policies_before_the_lp_solve(capsys, monkeypatch, polici
     assert err.startswith("error: ") and err.count("\n") == 1 and message in err
 
 
+@pytest.mark.parametrize("flag,value", [("--alpha", "nan"), ("--beta", "inf"), ("--alpha", "-inf")])
+def test_certify_rejects_a_non_finite_parameter_before_the_lp(capsys, monkeypatch, flag, value):
+    from reuse_alloc import benchmarks
+
+    def no_solve(lp):
+        raise AssertionError("the LP solve started")
+
+    monkeypatch.setattr(benchmarks, "solve_lp", no_solve)
+    params = {"--alpha": "0.5", "--beta": "1.0", flag: value}
+    code, out, err = run_cli(capsys, ["certify", "--gen", "upper_triangular", "--param", "n_resources", "2",
+                                      "--param", "capacity", "2", "--trials", "2", "--seed", "1",
+                                      *[f"{k}={v}" for k, v in params.items()]])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and f"{flag} must be a finite number" in err
+
+
 def _instance_json():
     return {"mode": "matching",
             "resources": [{"id": 0, "capacity": 2, "reward": 1.0,

@@ -5,8 +5,9 @@ import pytest
 from test_acceptance import assortment_battery
 from reuse_alloc import benchmarks, engine, model, policies, rng
 from reuse_alloc.assortment import MNL
-from reuse_alloc.distributions import (Deterministic, DurationStreamKey, NonReusable, TwoPointInf,
-                                       ZeroOrInf, sample)
+from reuse_alloc.distributions import (Deterministic, DurationStreamKey, Exponential, MixtureWithInf,
+                                       NonReusable, TwoPointInf, Uniform, WeibullIFR, ZeroOrInf,
+                                       fixed_duration, sample)
 from reuse_alloc.generators import BatteryParams, example_a1, random_battery
 from reuse_alloc.randproc import ProcessSpec, fluid_process
 
@@ -276,3 +277,47 @@ def test_draws_follow_the_scalar_chain(monkeypatch, key, name, shared):
         assert out.tolist() == expected
     if inst.mode == model.ASSORTMENT:
         assert rng.TAG_CHOICE in {tag for _, (tag, *_), _ in vectors}
+
+
+EVERY_FAMILY = (Deterministic(1.5), Deterministic(0.0), NonReusable(), ZeroOrInf(0.0), ZeroOrInf(0.4),
+                TwoPointInf(1.0, 0.0), TwoPointInf(1.0, 0.5), MixtureWithInf(0.0, Exponential(0.8)),
+                MixtureWithInf(0.7, Exponential(0.8)), Exponential(0.8), Uniform(0.5, 2.0),
+                WeibullIFR(1.5, 2.0))
+FIXED = {0: 1.5, 1: 0.0, 2: float("inf"), 3: float("inf"), 5: float("inf"), 7: float("inf")}
+
+
+def test_fixed_duration_is_what_every_uniform_gives():
+    for i, dist in enumerate(EVERY_FAMILY):
+        assert fixed_duration(dist) == FIXED.get(i)
+        if i in FIXED:
+            assert {dist.sample_u(u) for u in (0.0, 0.25, 0.5, 1.0 - 2.0 ** -53)} == {FIXED[i]}
+
+
+@pytest.mark.parametrize("shared", [False, True])
+def test_draws_of_every_family_follow_the_scalar_chain(monkeypatch, shared):
+    """Every duration in a trace is sample(dist, key, trial seed) for every
+    family, and no draw is made for a family whose duration is fixed."""
+    n = len(EVERY_FAMILY)
+    inst = model.Instance(
+        mode=model.BUDGETED,
+        resources=tuple(model.Resource(i, 3, 1.0, d) for i, d in enumerate(EVERY_FAMILY)),
+        arrivals=tuple(model.Arrival(0.5 * t, model.BudgetedBids({t % n: 2, (5 * t + 1) % n: 1}))
+                       for t in range(240)))
+    drawn = []
+    monkeypatch.setattr(engine, "sample", lambda dist, *args: drawn.append(dist) or sample(dist, *args))
+    used = set()
+    for trial in range(3):
+        trial_seed = rng.derive(8, rng.TAG_TRIAL, trial)
+        tr = engine.simulate(inst, policies.RbaBudgetedPolicy(), 8, trial, shared_durations=shared)
+        uses = {}
+        for rec in tr.records:
+            for rank, d in zip(rec.units, rec.durations):
+                used.add(rec.resource)
+                if shared:
+                    key = DurationStreamKey(rec.resource, 0, rec.arrival)
+                else:
+                    uses[rec.resource, rank] = uses.get((rec.resource, rank), 0) + 1
+                    key = DurationStreamKey(rec.resource, rank, uses[rec.resource, rank])
+                assert d == sample(EVERY_FAMILY[rec.resource], key, trial_seed)
+    assert used == set(range(n))
+    assert drawn and not any(fixed_duration(dist) is not None for dist in drawn)

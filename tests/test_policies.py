@@ -2,13 +2,14 @@ import math
 
 import pytest
 
-from helpers import keep_all_advance, reference_astgalg, reference_galg, use_reference_fluid
+from helpers import (ReferenceResourceFluid, keep_all_advance, reference_astgalg, reference_galg,
+                     use_reference_fluid)
 from test_acceptance import assortment_battery
 from reuse_alloc import engine, model, policies
 from reuse_alloc.assortment import MNL, AstgalgGuide, run_astgalg
 from reuse_alloc.distributions import (Deterministic, Exponential, MixtureWithInf, NonReusable,
                                        TwoPointInf, Uniform, ZeroOrInf)
-from reuse_alloc.fluid import ResourceFluid, quantized_levels
+from reuse_alloc.fluid import FluidLedger, ResourceFluid, quantized_levels
 from reuse_alloc.generators import BatteryParams, example_a1, random_battery
 from reuse_alloc.policies import (BalancePolicy, GreedyPolicy, RbaPolicy, SalgPolicy,
                                   balance_decide, greedy_decide, make_policy, rba_budgeted_decide,
@@ -297,25 +298,36 @@ def test_guide_at_repeated_clocks_equals_reference_fluid(monkeypatch, variant, e
                                    MixtureWithInf(0.7, Deterministic(0.0))])
 def test_advance_at_an_unchanged_clock_equals_reference_fluid(usage):
     # Parcels booked between two advances at one clock, tiny ones (below
-    # PRUNE_TOL) included: Y equals the reference's after every advance, and
-    # so does the ledger where the reference drops parcels too.
+    # PRUNE_TOL) included, on a standalone resource (every advance a block of
+    # one): Y and lost equal the reference's after every advance, and so do
+    # the live parcels. Y also equals the keep-all ledger's.
     res = model.Resource(0, 3, 1.0, usage)
-    fast, ref = ResourceFluid(res), ResourceFluid(res)
+    fast, ref, plain = ResourceFluid(res), ReferenceResourceFluid(res), ReferenceResourceFluid(res)
+    ledger = FluidLedger([fast])
 
-    def advance_both(now):
-        fast.advance(now)
-        keep_all_advance(ref, now)
-        assert fast.Y.tolist() == ref.Y.tolist()
-        if usage.mass_at_inf() == 0.0:
-            assert fast._mass[: fast._n].tolist() == ref._mass[: ref._n].tolist()
+    def advance_all(now):
+        ledger.advance(now)
+        ref.advance(now)
+        keep_all_advance(plain, now)
+        assert fast.Y.tobytes() == ref.Y.tobytes() == plain.Y.tobytes()
+        assert fast.lost.tobytes() == ref.lost.tobytes()
+        live = ledger._mass[: ledger._n]
+        assert live[live != 0.0].tolist() == ref._mass[: ref._n].tolist()
 
     for now, g, mass in [(0.0, 2, 0.5), (0.0, 1, 1e-16), (0.0, 2, 0.25), (1.0, 0, 0.3), (1.0, 1, 2e-16),
                          (1.0, 2, 0.1), (1.5, 0, 0.2), (1.5, 0, 0.1)]:
-        advance_both(now)
-        fast.consume(g, mass, now)
-        ref.consume(g, mass, now)
+        advance_all(now)
+        for rf in (fast, ref, plain):
+            rf.consume(g, mass, now)
     for now in (1.5, 1.5, 4.0):
-        advance_both(now)
+        advance_all(now)
+
+
+def test_booking_off_the_clock_is_refused():
+    rf = ResourceFluid(model.Resource(0, 2, 1.0, Exponential(1.0)))
+    FluidLedger([rf]).advance(1.0)
+    with pytest.raises(ValueError, match="clock of the last advance"):
+        rf.consume(1, 0.5, 2.0)
 
 
 @pytest.mark.parametrize("key,variant,eps", [c for c in GUIDE_CASES if c[0] != "a1"])
@@ -342,8 +354,12 @@ def test_ledger_drops_parcels_whose_returns_are_over():
     guide = policies.GalgGuide(inst)
     for arrival in inst.arrivals[: 3 * n]:      # the burst and the spread phase
         guide.step(arrival)
+    ledger = guide.inv.ledger
+    live = ledger._bucket[: ledger._n][ledger._mass[: ledger._n] != 0.0]
+    lo = 0
     for rf in guide.inv.state.values():
-        assert rf._n < rf.res.capacity
+        assert ((live >= lo) & (live < lo + rf.n_groups)).sum() < rf.res.capacity
+        lo += rf.n_groups
     assert guide.inv.conservation_error() < 1e-9
 
 
