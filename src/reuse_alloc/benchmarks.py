@@ -24,8 +24,8 @@ import numpy as np
 
 from . import model, rng, simplex
 from .distributions import Deterministic, NonReusable, TwoPointInf, ZeroOrInf
-from .engine import simulate
-from .policies import Policy, run_galg
+from .engine import lockstep, simulate  # noqa: F401  (perfbench/tracer.py wraps benchmarks.simulate)
+from .policies import Policy, RbaPolicy, pick_batch, pick_table, run_galg
 
 OPTIMAL = simplex.OPTIMAL
 CHECK_TOL = 1e-9             # check_lp_solution's tolerance, relative to max(1, |objective|)
@@ -160,6 +160,7 @@ class LpRoundingPolicy(Policy):
         self._rows = [[(rid, w) for rid in sorted(arr.demand.bids())
                        if (w := sol.y.get((t, rid), 0.0) * scale) > 0.0]
                       for t, arr in enumerate(instance.arrivals)]
+        self._picks = None
 
     def decide(self, t, arrival, state):
         rid = rng.pick(self.coins()[t], self._rows[t])
@@ -169,6 +170,18 @@ class LpRoundingPolicy(Policy):
             return rid
         take = min(arrival.demand.bids()[rid], state.available_count(rid))
         return rid, tuple(state.top_ranks(rid, take))
+
+    def decide_batch(self, t, arrival, batch):
+        if self._picks is None:
+            self._picks = pick_table(self._rows, batch.plan.index)
+        choice = pick_batch(batch.coins()[t], *self._picks[t])
+        avail = np.where(choice >= 0, batch.count[batch.rows, choice], 0)
+        choice = np.where(avail > 0, choice, -1)
+        if self.mode == model.MATCHING:
+            return choice
+        bid = np.zeros(batch.count.shape[1], dtype=np.int64)
+        bid[batch.plan.nbr[t]] = batch.plan.bid[t]
+        return choice, np.minimum(bid[choice], avail)
 
 
 # --- brute-force clairvoyant ----------------------------------------------------
@@ -350,28 +363,35 @@ def _galg_candidate(instance, swapped: bool):
     return lam, theta, guide.fluid_reward, 0.0
 
 
-def _rba_candidate(instance, trials, master_seed):
-    from .policies import RbaPolicy
+def _sum_in_order(x: np.ndarray, axis: int = -1) -> np.ndarray:
+    """x summed along `axis` one term after another, as a loop adds (np.sum
+    adds pairwise). A +0.0 term leaves a sum that starts at +0.0 unchanged."""
+    if not x.shape[axis]:
+        return np.zeros(x.shape[:axis % x.ndim] + x.shape[axis % x.ndim + 1:])
+    return np.take(np.cumsum(x, axis=axis), -1, axis=axis)
 
-    rewards = {r.id: r.reward for r in instance.resources}
-    caps = {r.id: r.capacity for r in instance.resources}
-    lam = np.zeros(len(instance.arrivals))
-    theta = {r.id: 0.0 for r in instance.resources}
-    totals = np.zeros(trials)
-    pol = RbaPolicy()
-    for k in range(trials):
-        tr = simulate(instance, pol, master_seed, k)
-        totals[k] = tr.total_reward
-        for rec in tr.records:
-            if rec.resource is None:
-                continue
-            rid = rec.resource
-            g = math.exp(-rec.units[0] / caps[rid])
-            lam[rec.arrival] += rewards[rid] * (1.0 - g)
-            theta[rid] += rewards[rid] * g
+
+def _rba_candidate(instance, trials, master_seed):
+    """lambda_t and theta_i from rba's sample paths: a match of rank z on
+    resource i adds r_i (1 - g) to lambda_t and r_i g to theta_i, with g =
+    exp(-z / c_i) by the scalar exp. Both add in the order of a pass over
+    the trials, each over its arrivals: lambda_t over the trials, theta_i
+    over its matches in row-major order."""
+    paths = lockstep(instance, RbaPolicy(), trials, master_seed, record=True)
+    rewards = np.array([r.reward for r in instance.resources])
+    caps = [r.capacity for r in instance.resources]
+    matched = paths.resource >= 0
+    res, ranks = paths.resource[matched], paths.rank[matched]
+    g = np.array([math.exp(-z / caps[i]) for i, z in zip(res.tolist(), ranks.tolist())])
+    gain = np.zeros(paths.resource.shape)
+    gain[matched] = rewards[res] * (1.0 - g)
+    lam = _sum_in_order(gain, axis=0)
+    held = rewards[res] * g
+    theta = {r.id: float(_sum_in_order(held[res == i])) for i, r in enumerate(instance.resources)}
     lam /= trials
     for rid in theta:
         theta[rid] /= trials
+    totals = paths.totals
     se = float(totals.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
     return lam, theta, float(totals.mean()), se
 
@@ -382,7 +402,8 @@ def certificate_check(instance: model.Instance, alg: str, opt_policy, trials: in
 
     alg is "galg" (deterministic fluid candidate), "rba" (trace-estimated
     candidate), or "galg_swapped" (negative control with the lambda and theta
-    integrands exchanged). opt_policy supplies the reference sample paths.
+    integrands exchanged). opt_policy supplies the reference sample paths;
+    it needs a batched rule (`engine.batched`), as LpRoundingPolicy has.
     """
     if instance.mode != model.MATCHING:
         raise UnsupportedMode("certificate check runs on matching instances")
@@ -397,16 +418,14 @@ def certificate_check(instance: model.Instance, alg: str, opt_policy, trials: in
 
     rids = [r.id for r in instance.resources]
     rewards = {r.id: r.reward for r in instance.resources}
-    lam_sums = {rid: np.zeros(trials) for rid in rids}
-    units = {rid: np.zeros(trials) for rid in rids}
-    opt_seed = rng.derive(master_seed, 2)
-    for k in range(trials):
-        tr = simulate(instance, opt_policy, opt_seed, k)
-        for rec in tr.records:
-            if rec.resource is None:
-                continue
-            lam_sums[rec.resource][k] += lam[rec.arrival]
-            units[rec.resource][k] += len(rec.units)
+    # Per trial, lambda over the arrivals matched to each resource, added in
+    # arrival order, and the units allocated there.
+    paths = lockstep(instance, opt_policy, trials, rng.derive(master_seed, 2), record=True)
+    lam_sums, units = {}, {}
+    for i, rid in enumerate(rids):
+        mine = paths.resource == i
+        lam_sums[rid] = _sum_in_order(np.where(mine, lam, 0.0), axis=1)
+        units[rid] = np.where(mine, paths.units, 0).sum(axis=1).astype(float)
 
     rows = []
     for rid in rids:

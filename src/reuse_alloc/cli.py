@@ -208,8 +208,11 @@ def cmd_gen(args) -> int:
 
 
 def _process_spec(obj) -> randproc.ProcessSpec:
-    return randproc.ProcessSpec(dist=distributions.from_json(obj["distribution"]),
-                                sigma=tuple(obj["sigma"]), p=tuple(obj["p"]))
+    dist = distributions.from_json(obj["distribution"])
+    bad = distributions.validate(dist)
+    if bad:
+        raise ValueError("invalid distribution: " + "; ".join(bad))
+    return randproc.ProcessSpec(dist=dist, sigma=tuple(obj["sigma"]), p=tuple(obj["p"]))
 
 
 def cmd_randproc(args) -> int:

@@ -19,6 +19,12 @@ Decision rules, with g(x) = exp(-x) throughout:
 
 Ties always break toward the lower resource id. All rules are invariant to
 scaling every reward by a positive constant.
+
+A policy whose class defines `decide_batch` also runs in the lockstep engine
+(`engine.lockstep`): the same rule for a chunk of trials at once, reading
+(trials x resources) arrays of the highest available rank and the available
+count, and returning each trial's resource index (-1 for none), with the
+number of units in budgeted mode.
 """
 
 from __future__ import annotations
@@ -77,6 +83,31 @@ def rba_decide(arrival, state):
     return best
 
 
+def best_of(batch, nb, score, ok) -> tuple:
+    """The batched form of the loops above: per trial, the position in `nb`
+    (neighbour indices in id order) of the highest `score` among the `ok`
+    neighbours, ties to the lower id, and that resource; -1 for none."""
+    j = np.where(ok, score, -1.0).argmax(axis=1)
+    j = np.where(ok[batch.rows, j], j, -1)
+    return j, np.where(j >= 0, nb[j], -1)
+
+
+def pick_table(rows: list, index: dict) -> list:
+    """Per arrival, the running totals of a [(resource id, weight)] row and
+    the resources' indices, for `pick_batch`."""
+    return [(np.cumsum([w for _, w in row], dtype=float), np.array([index[rid] for rid, _ in row], dtype=np.intp))
+            for row in rows]
+
+
+def pick_batch(u: np.ndarray, cum: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """rng.pick for an array of coins: vals[i] at the first running total
+    cum[i] above each u, or -1. np.cumsum adds left to right, as pick does."""
+    if not cum.size:
+        return np.full(u.shape, -1)
+    i = np.searchsorted(cum, u, side="right")
+    return np.where(i < cum.size, vals[np.minimum(i, cum.size - 1)], -1)
+
+
 def top_price(lv, bid: int) -> tuple:
     """The top min(bid, available) ranks of a resource's live state,
     descending, and their summed reduced price (added in that order)."""
@@ -119,6 +150,10 @@ class Policy:
         self.trial_seed = trial_seed
         self.trial_events = dict.fromkeys(self.events, 0)
         self._coins = None
+        self.prepare(instance)
+
+    def prepare(self, instance):
+        """Build the per-instance work once, before the instance's first trial."""
         if self._guide_for is not instance:
             self._prepare(instance)
             self._guide_for = instance
@@ -143,12 +178,21 @@ class GreedyPolicy(Policy):
     def decide(self, t, arrival, state):
         return greedy_decide(arrival, state)
 
+    def decide_batch(self, t, arrival, batch):
+        nb = batch.plan.nbr[t]
+        return best_of(batch, nb, batch.plan.rewards[nb], batch.count[:, nb] > 0)[1]
+
 
 class BalancePolicy(Policy):
     name = "balance"
 
     def decide(self, t, arrival, state):
         return balance_decide(arrival, state)
+
+    def decide_batch(self, t, arrival, batch):
+        nb = batch.plan.nbr[t]
+        y = batch.count[:, nb]
+        return best_of(batch, nb, batch.price(nb, y), y > 0)[1]
 
 
 class RbaPolicy(Policy):
@@ -158,6 +202,11 @@ class RbaPolicy(Policy):
         hit = rba_decide(arrival, state)
         return None if hit is None else hit[0]
 
+    def decide_batch(self, t, arrival, batch):
+        nb = batch.plan.nbr[t]
+        z = batch.top[:, nb]
+        return best_of(batch, nb, batch.price(nb, z), z > 0)[1]
+
 
 class RbaBudgetedPolicy(Policy):
     name = "rba_budgeted"
@@ -165,6 +214,18 @@ class RbaBudgetedPolicy(Policy):
 
     def decide(self, t, arrival, state):
         return rba_budgeted_decide(arrival, state)
+
+    def decide_batch(self, t, arrival, batch):
+        """Scores sum the prices of the top min(bid, available) ranks in
+        descending order; a missing rank is rank 0, priced 0.0."""
+        nb, bid = batch.plan.nbr[t], batch.plan.bid[t]
+        z = ranks = batch.top[:, nb]
+        score = batch.price(nb, z)
+        for level in range(2, int(bid.max()) + 1):
+            ranks = np.where(bid >= level, batch.lower(batch.rows[:, None], nb, ranks), 0)
+            score = score + batch.price(nb, ranks)
+        j, choice = best_of(batch, nb, score, z > 0)
+        return choice, np.minimum(bid[j], batch.count[batch.rows, choice])
 
 
 # --- fluid guide -------------------------------------------------------------
@@ -325,6 +386,7 @@ class SalgPolicy(Policy):
         deltas = {r.id: salg_delta(r.capacity) for r in instance.resources}
         self._rows = [[(rid, w) for rid in sorted(xt) if (w := xt[rid] / (1.0 + deltas[rid])) > 0.0]
                       for xt in self.guide.x]
+        self._picks = None
 
     def decide(self, t, arrival, state):
         rid = rng.pick(self.coins()[t], self._rows[t])
@@ -335,6 +397,16 @@ class SalgPolicy(Policy):
             return rid
         self.trial_events["salg_sampled_unavailable"] += 1
         return None
+
+    def decide_batch(self, t, arrival, batch):
+        if self._picks is None:
+            self._picks = pick_table(self._rows, batch.plan.index)
+        choice = pick_batch(batch.coins()[t], *self._picks[t])
+        sampled = choice >= 0
+        free = sampled & (batch.count[batch.rows, choice] > 0)
+        batch.events["salg_sampled"] += int(sampled.sum())
+        batch.events["salg_sampled_unavailable"] += int((sampled & ~free).sum())
+        return np.where(free, choice, -1)
 
 
 def make_policy(name: str):

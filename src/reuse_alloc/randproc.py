@@ -14,6 +14,7 @@ evaluation device for the random one.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +33,8 @@ class ProcessSpec:
         object.__setattr__(self, "p", tuple(float(q) for q in self.p))
         if len(self.sigma) != len(self.p):
             raise ValueError("sigma and p must have equal length")
+        if not all(map(math.isfinite, self.sigma)):
+            raise ValueError("arrival times must be finite")
         for a, b in zip(self.sigma, self.sigma[1:]):
             if not b > a:
                 raise ValueError("arrival times must be strictly increasing")
@@ -78,33 +81,62 @@ def fluid_process(spec: ProcessSpec):
 
 
 def simulate_process(spec: ProcessSpec, seed: int, trials: int) -> ProcessSummary:
-    """Monte-Carlo over the random process, vectorized across trials."""
+    """Monte-Carlo over the random process, event-driven across trials.
+
+    Trial k's coin at arrival t is rng.uniform(seed, TAG_POLICY, t, k) and
+    the uniform of a use it starts there rng.uniform(seed, TAG_DURATION, t,
+    k), turned into a duration by the family's vector sample_u. Each step
+    moves every trial from the arrival where its unit is free to the next
+    one: t + 1 without a take, else the first t' > t with d <= sigma[t'] -
+    sigma[t] (found by searchsorted, then fixed up against that exact
+    predicate, which keeps atom boundaries exact). Busy spells go into an
+    integer difference array, from which the availability counts follow.
+    """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     T = len(spec.sigma)
-    ids = np.arange(trials)
-    match_time = np.full(trials, -np.inf)
-    duration = np.zeros(trials)            # duration of the current use
+    sigma, p = np.array(spec.sigma), np.array(spec.p)
+    coin_at = rng.derive_vec(seed, rng.TAG_POLICY, np.arange(T))     # the key prefixes of each arrival
+    use_at = rng.derive_vec(seed, rng.TAG_DURATION, np.arange(T))
+    k = np.arange(trials if T else 0, dtype=np.uint64)   # the trials still inside the arrivals
+    t = np.zeros(k.size, dtype=np.int64)         # the arrival where each one's unit is free
     rewards = np.zeros(trials)
-    avail_freq = np.zeros(T)
-    for t, s in enumerate(spec.sigma):
-        # Available iff the current use (if any) has ended by s; comparing
-        # durations against s - match_time keeps atom boundaries exact.
-        avail = duration <= s - match_time
-        avail_freq[t] = avail.mean()
-        if spec.p[t] > 0.0:
-            u = rng.uniform_array(seed, (rng.TAG_POLICY, t), ids)
-            take = avail & (u < spec.p[t])
-            if take.any():
-                ud = rng.uniform_array(seed, (rng.TAG_DURATION, t), ids[take])
-                match_time[take] = s
-                duration[take] = spec.dist.sample_u(ud)
-                rewards[take] += 1.0
+    busy = np.zeros(T + 1, dtype=np.int64)       # difference array of the busy units per arrival
+    while k.size:
+        take = rng.uniform_from_vec(coin_at[t], k) < p[t]
+        nxt = t + 1
+        if take.any():
+            tt, kt = t[take], k[take]
+            d = spec.dist.sample_u(rng.uniform_from_vec(use_at[tt], kt))
+            nxt[take] = free = _first_free(sigma, tt, d)
+            rewards[kt] += 1.0
+            np.add.at(busy, tt + 1, 1)
+            np.add.at(busy, free, -1)
+        left = nxt < T
+        k, t = (k, nxt) if left.all() else (k[left], nxt[left])
+    avail_freq = (trials - np.cumsum(busy[:T])) / trials
     mean = float(rewards.mean())
     se = float(rewards.std(ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0
     return ProcessSummary(trials=trials, mean=mean, se=se,
                           ci95=(mean - 1.96 * se, mean + 1.96 * se),
                           availability=avail_freq)
+
+
+def _first_free(sigma: np.ndarray, t: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Per use started at arrival t with duration d, the first arrival t' > t
+    with d <= sigma[t'] - sigma[t], or len(sigma) when there is none."""
+    T, start = sigma.size, sigma[t]
+    j = np.clip(np.searchsorted(sigma, start + d, side="left"), t + 1, T)
+    while True:                 # the predicate is monotone in t': step j down, then up, to its first true
+        back = (j - 1 > t) & (d <= sigma[j - 1] - start)
+        if not back.any():
+            break
+        j[back] -= 1
+    while True:
+        ahead = (j < T) & ~(d <= sigma[np.minimum(j, T - 1)] - start)
+        if not ahead.any():
+            return j
+        j[ahead] += 1
 
 
 def check_monotonicity(dist, sigma, p_low, p_high, tol: float = 1e-12) -> bool:

@@ -96,18 +96,22 @@ def _u64(x):
 def derive_vec(seed, *parts) -> np.ndarray:
     """Array counterpart of derive(): seed and any part may be integer arrays
     (broadcast elementwise); equals the scalar chain entry by entry."""
+    if isinstance(seed, int):   # the leading Python ints take the scalar chain
+        k = 0
+        while k < len(parts) and isinstance(parts[k], int):
+            k += 1
+        return fold_vec(np.uint64(derive(seed, *parts[:k])), *parts[k:])
     with np.errstate(over="ignore"):
-        if isinstance(seed, int):   # the leading Python ints take the scalar chain
-            k = 0
-            while k < len(parts) and isinstance(parts[k], int):
-                k += 1
-            h, parts = np.uint64(derive(seed, *parts[:k])), parts[k:]
-        else:
-            h = _u64(seed) ^ np.uint64(0x9D2C5680A7B4F2E1)
-            h = _mix_vec_inplace(np.array(h, dtype=np.uint64))
-        for p in parts:
-            h = (h + np.uint64(_GOLDEN)) ^ (_u64(p) * np.uint64(_FOLD))
-            h = _mix_vec_inplace(np.array(h, dtype=np.uint64))
+        h = _u64(seed) ^ np.uint64(0x9D2C5680A7B4F2E1)
+    return fold_vec(_mix_vec_inplace(np.array(h, dtype=np.uint64)), *parts)
+
+
+def fold_vec(h, *parts) -> np.ndarray:
+    """Array counterpart of fold(): continue the folds from uint64 states
+    `h`, broadcasting integer array parts elementwise."""
+    with np.errstate(over="ignore"):
+        for p in parts:   # the xor makes a new array (or a scalar), which the mix may overwrite
+            h = _mix_vec_inplace((h + np.uint64(_GOLDEN)) ^ (_u64(p) * np.uint64(_FOLD)))
     return h
 
 
@@ -115,6 +119,11 @@ def uniform_vec(seed, *parts) -> np.ndarray:
     """Broadcasting uniforms: elementwise equal to uniform(seed_i, *parts_i)."""
     h = derive_vec(seed, *parts)
     return (h >> np.uint64(11)) * 2.0**-53
+
+
+def uniform_from_vec(h, *parts) -> np.ndarray:
+    """Array counterpart of uniform_from(): elementwise uniform_from(h_i, *parts_i)."""
+    return (fold_vec(h, *parts) >> np.uint64(11)) * 2.0**-53
 
 
 def pick(u: float, weighted):

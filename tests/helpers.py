@@ -24,6 +24,12 @@ The reference simplex updates the whole tableau row of every touched row at
 each pivot, and the reference LP builder scans every edge for every row and
 stacks the rows one by one; the sparse pivot and the grouped builder must
 match them bit for bit.
+
+The reference single-unit Monte Carlo steps every trial through every
+arrival, one numpy step per arrival; the event-driven `simulate_process`
+must match it bit for bit. The reference certificate check reads the
+records of one scalar `simulate` trace per trial; the one that reads the
+lockstep engine's per-(trial, arrival) arrays must match it bit for bit.
 """
 
 import math
@@ -34,10 +40,13 @@ import numpy as np
 
 from reuse_alloc import fluid, model, policies, rng
 from reuse_alloc.assortment import assortment_oracle
-from reuse_alloc.benchmarks import LpModel, UnsupportedMode
+from reuse_alloc.benchmarks import (CertificateReport, CertificateRow, LpModel, UnsupportedMode,
+                                    _galg_candidate)
+from reuse_alloc.engine import Paths, simulate
 from reuse_alloc.simplex import (FEAS_TOL, INFEASIBLE, ITERATION_LIMIT, MAX_PIVOTS, OPT_TOL, OPTIMAL,
                                  STALL_LIMIT, SimplexResult)
-from reuse_alloc.policies import reduced_price
+from reuse_alloc.policies import RbaPolicy, reduced_price
+from reuse_alloc.randproc import ProcessSummary
 from reuse_alloc.distributions import ZeroOrInf
 
 
@@ -492,3 +501,134 @@ def reference_build_lp(instance: model.Instance) -> LpModel:
     rows = np.vstack(data) if data else np.zeros((0, n))
     return LpModel(instance=instance, edges=edges, obj=obj, rows=rows,
                    rhs=np.array(rhs), row_kinds=row_kinds)
+
+
+def reference_simulate_process(spec, seed: int, trials: int) -> ProcessSummary:
+    """simulate_process as one numpy step per arrival over all trials."""
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    T = len(spec.sigma)
+    ids = np.arange(trials)
+    match_time = np.full(trials, -np.inf)
+    duration = np.zeros(trials)            # duration of the current use
+    rewards = np.zeros(trials)
+    avail_freq = np.zeros(T)
+    for t, s in enumerate(spec.sigma):
+        # Available iff the current use (if any) has ended by s; comparing
+        # durations against s - match_time keeps atom boundaries exact.
+        avail = duration <= s - match_time
+        avail_freq[t] = avail.mean()
+        if spec.p[t] > 0.0:
+            u = rng.uniform_array(seed, (rng.TAG_POLICY, t), ids)
+            take = avail & (u < spec.p[t])
+            if take.any():
+                ud = rng.uniform_array(seed, (rng.TAG_DURATION, t), ids[take])
+                match_time[take] = s
+                duration[take] = spec.dist.sample_u(ud)
+                rewards[take] += 1.0
+    mean = float(rewards.mean())
+    se = float(rewards.std(ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0
+    return ProcessSummary(trials=trials, mean=mean, se=se,
+                          ci95=(mean - 1.96 * se, mean + 1.96 * se),
+                          availability=avail_freq)
+
+
+def reference_paths(instance: model.Instance, policy, trials: int, master_seed: int) -> Paths:
+    """engine.lockstep(..., record=True) from one scalar trace per trial,
+    reading its records."""
+    index = {r.id: i for i, r in enumerate(instance.resources)}
+    shape = (trials, len(instance.arrivals))
+    paths = Paths(totals=np.zeros(trials), per_resource=np.zeros((len(index), trials)), events={},
+                  resource=np.full(shape, -1, dtype=np.int64), units=np.zeros(shape, dtype=np.int64),
+                  rank=np.zeros(shape, dtype=np.int64))
+    for k in range(trials):
+        tr = simulate(instance, policy, master_seed, k)
+        paths.totals[k] = tr.total_reward
+        for rid, v in tr.per_resource.items():
+            paths.per_resource[index[rid], k] = v
+        for name, v in tr.events.items():
+            paths.events[name] = paths.events.get(name, 0) + v
+        for rec in tr.records:
+            if rec.resource is not None:
+                paths.resource[k, rec.arrival] = index[rec.resource]
+                paths.units[k, rec.arrival] = len(rec.units)
+                paths.rank[k, rec.arrival] = rec.units[0] if rec.units else 0
+    return paths
+
+
+def _reference_rba_candidate(instance, trials, master_seed):
+    """rba's lambda and theta from one scalar trace per trial."""
+    rewards = {r.id: r.reward for r in instance.resources}
+    caps = {r.id: r.capacity for r in instance.resources}
+    lam = np.zeros(len(instance.arrivals))
+    theta = {r.id: 0.0 for r in instance.resources}
+    totals = np.zeros(trials)
+    pol = RbaPolicy()
+    for k in range(trials):
+        tr = simulate(instance, pol, master_seed, k)
+        totals[k] = tr.total_reward
+        for rec in tr.records:
+            if rec.resource is None:
+                continue
+            rid = rec.resource
+            g = math.exp(-rec.units[0] / caps[rid])
+            lam[rec.arrival] += rewards[rid] * (1.0 - g)
+            theta[rid] += rewards[rid] * g
+    lam /= trials
+    for rid in theta:
+        theta[rid] /= trials
+    se = float(totals.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
+    return lam, theta, float(totals.mean()), se
+
+
+def reference_certificate_check(instance: model.Instance, alg: str, opt_policy, trials: int,
+                                alpha: float, beta: float, master_seed: int = 0) -> CertificateReport:
+    """certificate_check from one scalar trace per trial, reading its records.
+
+    alg is "galg" (deterministic fluid candidate), "rba" (trace-estimated
+    candidate), or "galg_swapped" (negative control with the lambda and theta
+    integrands exchanged). opt_policy supplies the reference sample paths.
+    """
+    if instance.mode != model.MATCHING:
+        raise UnsupportedMode("certificate check runs on matching instances")
+    if alg == "galg":
+        lam, theta, alg_value, alg_se = _galg_candidate(instance, swapped=False)
+    elif alg == "galg_swapped":
+        lam, theta, alg_value, alg_se = _galg_candidate(instance, swapped=True)
+    elif alg == "rba":
+        lam, theta, alg_value, alg_se = _reference_rba_candidate(instance, trials, rng.derive(master_seed, 1))
+    else:
+        raise ValueError(f"unknown candidate {alg!r}")
+
+    rids = [r.id for r in instance.resources]
+    rewards = {r.id: r.reward for r in instance.resources}
+    lam_sums = {rid: np.zeros(trials) for rid in rids}
+    units = {rid: np.zeros(trials) for rid in rids}
+    opt_seed = rng.derive(master_seed, 2)
+    for k in range(trials):
+        tr = simulate(instance, opt_policy, opt_seed, k)
+        for rec in tr.records:
+            if rec.resource is None:
+                continue
+            lam_sums[rec.resource][k] += lam[rec.arrival]
+            units[rec.resource][k] += len(rec.units)
+
+    rows = []
+    for rid in rids:
+        diffs = lam_sums[rid] + theta[rid] - alpha * rewards[rid] * units[rid]
+        se = float(diffs.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
+        opt_i = float(rewards[rid] * units[rid].mean())
+        lhs = theta[rid] + float(lam_sums[rid].mean())
+        rows.append(CertificateRow(
+            resource=rid, theta=theta[rid], opt_lambda_sum=float(lam_sums[rid].mean()),
+            opt_i=opt_i, lhs=lhs, rhs=alpha * opt_i, se=se,
+            passed=bool(float(diffs.mean()) >= -3.0 * se - 1e-12)))
+
+    cond1_lhs = float(lam.sum() + sum(theta.values()))
+    cond1_rhs = beta * alg_value
+    cond1_se = beta * alg_se
+    report = CertificateReport(
+        rows=rows, cond1_lhs=cond1_lhs, cond1_rhs=cond1_rhs, cond1_se=cond1_se,
+        cond1_passed=bool(cond1_lhs <= cond1_rhs + 3.0 * cond1_se + 1e-9),
+        alg_value=alg_value, alpha=alpha, beta=beta)
+    return report

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from helpers import reference_build_lp
+from helpers import reference_build_lp, reference_certificate_check
 from scipy.optimize import linprog
 
 from reuse_alloc import benchmarks, engine, model, policies, simplex
@@ -291,3 +291,26 @@ def test_certificate_rba_candidate_runs():
     rep = certificate_check(inst, "rba", LpRoundingPolicy(inst, sol), 150, 0.3, 1.05, master_seed=6)
     assert rep.cond1_passed  # beta = 1 holds by construction for this candidate
     assert isinstance(rep.rows[0].lhs, float)
+
+
+def certificate_parity_instances():
+    from test_acceptance import certificate_battery
+
+    reusable = random_battery(BatteryParams(n_instances=1, n_resources=4, n_arrivals=150, capacity_range=(3, 80),
+                                            horizon=15.0), seed=1112)
+    return certificate_battery() + reusable
+
+
+@pytest.mark.parametrize("idx", range(5))
+def test_certificate_batched_equals_scalar(idx):
+    """The certificate read from the lockstep engine's per-(trial, arrival)
+    arrays equals the one read from scalar records, report field by field."""
+    inst = certificate_parity_instances()[idx]
+    c_min = min(r.capacity for r in inst.resources)
+    alpha = 0.99 * (1.0 - 1.0 / math.e) * math.exp(-1.0 / c_min)
+    beta = 1.01 * math.exp(1.0 / c_min)
+    opt = LpRoundingPolicy(inst, solve_lp(build_lp(inst)))
+    trials = 35
+    for alg in ("galg", "galg_swapped", "rba"):
+        want = repr(reference_certificate_check(inst, alg, opt, trials, alpha, beta, master_seed=1100 + idx))
+        assert repr(certificate_check(inst, alg, opt, trials, alpha, beta, master_seed=1100 + idx)) == want, alg

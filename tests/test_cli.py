@@ -191,6 +191,21 @@ def test_randproc_command(capsys, tmp_path):
     assert lines[4].split(",")[3] == "2"
 
 
+@pytest.mark.parametrize("distribution,sigma,message", [
+    ({"type": "exponential", "rate": 1.0}, [float("nan")], "arrival times must be finite"),
+    ({"type": "exponential", "rate": -1}, [0.0, 1.0], "exponential rate must be > 0"),
+    ({"type": "exponential", "rate": float("inf")}, [0.0, 1.0], "rate must be a finite number"),
+])
+def test_randproc_rejects_a_bad_spec(capsys, tmp_path, distribution, sigma, message):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"distribution": distribution, "sigma": sigma, "p": [0.5] * len(sigma)}))
+    code, out, err = run_cli(capsys, ["randproc", str(path)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+
+
 def test_trace_dump_schema(capsys, tmp_path):
     trace = tmp_path / "trace.csv"
     code, _, _ = run_cli(capsys, ["run", "--gen", "example_a1", "--param", "n", "2",

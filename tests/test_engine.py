@@ -1,14 +1,19 @@
 import functools
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from helpers import reference_paths
 from test_acceptance import assortment_battery
 from reuse_alloc import benchmarks, engine, model, policies, rng
 from reuse_alloc.assortment import MNL
 from reuse_alloc.distributions import (Deterministic, DurationStreamKey, Exponential, MixtureWithInf,
                                        NonReusable, TwoPointInf, Uniform, WeibullIFR, ZeroOrInf,
                                        fixed_duration, sample)
-from reuse_alloc.generators import BatteryParams, example_a1, random_battery
+from reuse_alloc.generators import BatteryParams, example_a1, example_a2, random_battery, upper_triangular
 from reuse_alloc.randproc import ProcessSpec, fluid_process
 
 
@@ -321,3 +326,202 @@ def test_draws_of_every_family_follow_the_scalar_chain(monkeypatch, shared):
                 assert d == sample(EVERY_FAMILY[rec.resource], key, trial_seed)
     assert used == set(range(n))
     assert drawn and not any(fixed_duration(dist) is not None for dist in drawn)
+
+
+# -- the lockstep engine against the scalar one ----------------------------------
+
+MATCHING_RULES = ("greedy", "balance", "rba", "salg", "galg_fast_quant:0.1", "galg_fast_thresh:0.3", "lp_rounding")
+BUDGETED_RULES = ("rba_budgeted", "lp_rounding")
+
+
+def rules_for(inst):
+    return MATCHING_RULES if inst.mode == model.MATCHING else BUDGETED_RULES
+
+
+def summary_bits(s):
+    """Every field of a Summary, floats by their hex, dicts with their key order."""
+    def h(x):
+        return x.hex() if isinstance(x, float) else x
+    return (s.trials, h(s.mean), h(s.se), tuple(map(h, s.ci95)),
+            [(k, h(v)) for k, v in s.per_resource_mean.items()],
+            [(k, h(v)) for k, v in s.per_resource_se.items()], list(s.event_totals.items()))
+
+
+def scalar_summary(inst, pol, trials, seed):
+    return engine.summarize(engine.simulate(inst, pol, seed, k, collect_trace=False) for k in range(trials))
+
+
+def assert_batched_equals_scalar(inst, name, trials, seed):
+    pol = contract_policy(name, inst)
+    assert engine.batched(inst, pol)
+    with mock.patch.object(engine, "simulate", side_effect=AssertionError("took the scalar path")):
+        with mock.patch.object(engine, "BATCH_MIN_TRIALS", min(trials, engine.BATCH_MIN_TRIALS)):
+            got = engine.run_trials(inst, pol, trials, seed)
+    assert summary_bits(got) == summary_bits(scalar_summary(inst, pol, trials, seed)), (name, trials)
+
+
+@functools.lru_cache(maxsize=None)
+def parity_instance(key):
+    fams = ("two_point_inf", "exponential", "deterministic", "uniform", "weibull", "zero_or_inf", "non_reusable")
+    params = dict(n_instances=1, n_resources=5, n_arrivals=200, capacity_range=(2, 90), dist_mix=fams, horizon=25.0)
+    if key == "battery_matching":
+        return random_battery(BatteryParams(**params), seed=91)[0]
+    if key == "battery_budgeted":
+        return random_battery(BatteryParams(**params, mode=model.BUDGETED, max_bid=3), seed=92)[0]
+    if key == "example_a1":
+        return example_a1(150)
+    if key == "example_a2":
+        return example_a2(60, 0.7)
+    return upper_triangular(10, 100)
+
+
+@pytest.mark.parametrize("key", ["battery_matching", "battery_budgeted", "example_a1", "example_a2",
+                                 "upper_triangular"])
+def test_batched_summary_equals_scalar_on_named_instances(key):
+    inst = parity_instance(key)
+    for name in rules_for(inst):
+        assert_batched_equals_scalar(inst, name, engine.BATCH_MIN_TRIALS + 8, 17)
+
+
+@st.composite
+def lockstep_instances(draw, mode):
+    """Small instances over every duration family, with bursts, arrivals
+    without an edge, rewards of 0 and capacities on both sides of 64."""
+    n = draw(st.integers(1, 4))
+    resources = tuple(model.Resource(i, draw(st.sampled_from((1, 2, 3, 5, 66, 70))),
+                                     draw(st.sampled_from((0.0, 0.5, 1.0, 1.7))), draw(st.sampled_from(EVERY_FAMILY)))
+                      for i in range(n))
+    gaps = draw(st.lists(st.sampled_from((0.0, 0.0, 0.25, 0.5, 1.0, 1.5)), min_size=1, max_size=45))
+    arrivals = []
+    for t, time in enumerate(np.cumsum(gaps).tolist()):
+        edges = draw(st.sets(st.integers(0, n - 1), max_size=n))
+        if mode == model.MATCHING:
+            demand = model.MatchingEdges(frozenset(edges))
+        else:
+            demand = model.BudgetedBids({i: draw(st.integers(1, 3)) for i in sorted(edges)})
+        arrivals.append(model.Arrival(time, demand))
+    return model.Instance(mode=mode, resources=resources, arrivals=tuple(arrivals))
+
+
+@pytest.mark.parametrize("mode", [model.MATCHING, model.BUDGETED])
+@settings(max_examples=80)
+@given(data=st.data())
+def test_batched_equals_scalar_property(mode, data):
+    """batched == scalar engine: below and at the crossover, and in chunks of
+    one trial or of a few, so that trials cross chunk boundaries."""
+    inst = data.draw(lockstep_instances(mode))
+    trials = data.draw(st.sampled_from((1, 3, 7, engine.BATCH_MIN_TRIALS)))
+    per_trial = len(inst.arrivals) + sum(r.capacity for r in inst.resources) + 1
+    cells = data.draw(st.sampled_from((engine.TRIAL_CELLS, 1, 3 * per_trial)))
+    # lp_rounding only where the LP has a column: `simplex.solve` fails on an
+    # LP with none (a FOUND line in CHANGES.md); drop this guard once it is mended.
+    has_edge = any(a.demand.bids() for a in inst.arrivals)
+    with mock.patch.object(engine, "TRIAL_CELLS", cells):
+        for name in rules_for(inst):
+            if name == "lp_rounding" and not has_edge:
+                continue
+            assert_batched_equals_scalar(inst, name, trials, data.draw(st.integers(-2, 2**64)))
+
+
+def test_lockstep_paths_equal_the_scalar_records():
+    inst = parity_instance("battery_budgeted")
+    pol = contract_policy("lp_rounding", inst)
+    paths = engine.lockstep(inst, pol, 9, 4, record=True)
+    scalar = reference_paths(inst, pol, 9, 4)
+    for field in ("totals", "per_resource", "resource", "units", "rank"):
+        assert getattr(paths, field).tobytes() == getattr(scalar, field).tobytes(), field
+    assert paths.events == scalar.events
+    assert paths.resource.max() >= 0 and paths.units.max() > 1
+
+
+def test_lower_finds_the_next_available_rank():
+    caps = (1, 2, 63, 64, 65, 130, 200)
+    inst = model.Instance(mode=model.MATCHING,
+                          resources=tuple(model.Resource(i, c, 1.0, NonReusable()) for i, c in enumerate(caps)),
+                          arrivals=(model.Arrival(0.0, model.MatchingEdges(frozenset({0}))),))
+    rnd = np.random.default_rng(3)
+    n = 40
+    batch = engine.Lockstep(engine._Plan(inst), np.arange(n, dtype=np.uint64), (), False)
+    avail = {}
+    words = batch._bits.reshape(n, len(caps), -1)
+    words[:] = 0
+    for k in range(n):
+        for i, c in enumerate(caps):
+            keep = rnd.random() < 0.9
+            ranks = [z for z in range(1, c + 1) if keep and rnd.random() < rnd.choice((0.02, 0.3, 0.9))]
+            avail[k, i] = ranks
+            for z in ranks:
+                words[k, i, (z - 1) // 64] |= np.uint64(1 << ((z - 1) % 64))
+    rows, cols, ranks = [], [], []
+    for (k, i), _ in avail.items():
+        for z in range(0, caps[i] + 1):
+            rows.append(k), cols.append(i), ranks.append(z)
+    got = batch.lower(np.array(rows), np.array(cols), np.array(ranks))
+    want = [max([x for x in avail[k, i] if x < z], default=0) for k, i, z in zip(rows, cols, ranks)]
+    assert got.tolist() == want
+
+
+def test_pick_batch_equals_pick():
+    rnd = np.random.default_rng(8)
+    for _ in range(300):
+        w = rnd.choice((0.1, 0.25, 0.3, 1.0 / 3.0), size=rnd.integers(1, 6)) * rnd.choice((1.0, 0.7))
+        pairs = list(enumerate(w.tolist()))
+        cum, vals = policies.pick_table([pairs], {i: i for i in range(len(pairs))})[0]
+        u = np.concatenate((cum, np.nextafter(cum, 0.0), rnd.random(20)))    # at, below and between totals
+        want = [rng.pick(x, pairs) for x in u.tolist()]
+        assert policies.pick_batch(u, cum, vals).tolist() == [-1 if v is None else v for v in want]
+
+
+def test_bit_length_of_every_width():
+    xs = [0, 1, 2, 3, (1 << 53) - 1, 1 << 53, (1 << 53) + 1, (1 << 63), (1 << 64) - 1, (1 << 64) - (1 << 10),
+          (1 << 64) - (1 << 11) + 1, (1 << 54) - 1] + [1 << k for k in range(64)] + [(1 << k) - 1 for k in range(1, 65)]
+    assert engine._bit_length(np.array(xs, dtype=np.uint64)).tolist() == [x.bit_length() for x in xs]
+
+
+class CountedSimulate:
+    def __init__(self):
+        self.calls = 0
+
+    def __call__(self, *args, **kwargs):
+        self.calls += 1
+        return SIMULATE(*args, **kwargs)
+
+
+SIMULATE = engine.simulate
+
+
+@pytest.mark.parametrize("key,name", [(key, name) for key in ("battery_matching", "battery_budgeted")
+                                      for name in rules_for(parity_instance(key))])
+def test_run_trials_takes_the_batched_path_from_the_crossover(monkeypatch, key, name):
+    inst = parity_instance(key)
+    counted = CountedSimulate()
+    monkeypatch.setattr(engine, "simulate", counted)
+    n = engine.BATCH_MIN_TRIALS
+    engine.run_trials(inst, contract_policy(name, inst), n, 3)
+    engine.run_trials(inst, contract_policy(name, inst), n + 5, 3)
+    assert counted.calls == 0
+    engine.run_trials(inst, contract_policy(name, inst), n - 1, 3)
+    assert counted.calls == n - 1
+    engine.run_trials(inst, contract_policy(name, inst), n, 3, traces=[])
+    assert counted.calls == 2 * n - 1
+    if inst.mode == model.BUDGETED:
+        engine.run_trials(inst, contract_policy(name, inst), n, 3, shared_durations=True)
+        assert counted.calls == 3 * n - 1
+
+
+def test_run_trials_stays_scalar_without_a_batched_rule(monkeypatch):
+    class Cautious(policies.RbaPolicy):       # changes decide, inherits decide_batch
+        def decide(self, t, arrival, state):
+            return None if t % 2 else super().decide(t, arrival, state)
+
+    counted = CountedSimulate()
+    monkeypatch.setattr(engine, "simulate", counted)
+    n = engine.BATCH_MIN_TRIALS
+    engine.run_trials(parity_instance("battery_matching"), Cautious(), n, 3)
+    assert counted.calls == n
+    with pytest.raises(ValueError, match="no batched rule"):
+        engine.lockstep(parity_instance("battery_matching"), Cautious(), n, 3)
+    assortment = contract_instance("assortment")
+    for name in ("rba_assortment", "astalg"):
+        engine.run_trials(assortment, policies.make_policy(name), n, 3)
+    assert counted.calls == 3 * n

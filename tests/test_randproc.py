@@ -4,9 +4,10 @@ import random
 import numpy as np
 import pytest
 
+from helpers import reference_simulate_process
 from reuse_alloc import randproc
-from reuse_alloc.distributions import (Deterministic, Exponential, TwoPointInf, Uniform,
-                                       ZeroOrInf)
+from reuse_alloc.distributions import (Deterministic, Exponential, MixtureWithInf, NonReusable, TwoPointInf,
+                                       Uniform, WeibullIFR, ZeroOrInf)
 from reuse_alloc.randproc import ProcessSpec, fluid_process, simulate_process
 
 
@@ -41,6 +42,12 @@ def test_spec_requires_strictly_increasing_times():
         ProcessSpec(Deterministic(1.0), (0.0, 0.0, 1.0), (1, 1, 1))
     with pytest.raises(ValueError):
         ProcessSpec(Deterministic(1.0), (0.0, 1.0), (1.5, 0.0))
+
+
+@pytest.mark.parametrize("sigma", [(float("nan"),), (0.0, float("inf")), (float("-inf"), 0.0)])
+def test_spec_rejects_non_finite_times(sigma):
+    with pytest.raises(ValueError, match="finite"):
+        ProcessSpec(Exponential(1.0), sigma, (0.5,) * len(sigma))
 
 
 def test_eta_stays_in_unit_interval_random_specs():
@@ -142,3 +149,45 @@ def test_mc_availability_tracks_fluid():
             se = math.sqrt(max(eta[t] * (1 - eta[t]), 0.0) / s.trials)
             assert abs(s.availability[t] - eta[t]) <= 4 * se + 1e-12
         assert abs(s.mean - reward) <= 4 * s.se + 1e-12
+
+
+# -- the event-driven Monte Carlo against the per-arrival reference -------------
+
+TENTHS = tuple(np.cumsum([0.1] * 12).tolist())     # 0.1 steps, rounded as they add up
+
+
+def assert_same_summary(spec, seed, trials):
+    got, want = simulate_process(spec, seed, trials), reference_simulate_process(spec, seed, trials)
+    assert (got.trials, got.mean, got.se, got.ci95) == (want.trials, want.mean, want.se, want.ci95)
+    assert got.availability.dtype == want.availability.dtype
+    assert got.availability.tobytes() == want.availability.tobytes()
+
+
+@pytest.mark.parametrize("spec,trials", [
+    (ProcessSpec(Exponential(0.7), TENTHS, (0.0, 1.0) * 6), 300),                 # p = 0 and p = 1 arrivals
+    (ProcessSpec(ZeroOrInf(0.6), TENTHS, (1.0, 0.5, 0.0) * 4), 300),              # an atom at 0
+    (ProcessSpec(ZeroOrInf(1.0), TENTHS, (1.0,) * 12), 50),                       # every use returns at once
+    (ProcessSpec(Deterministic(0.1), TENTHS, (1.0,) * 12), 50),                   # d equal to the rounded gaps
+    (ProcessSpec(Deterministic(0.5), (0.0, 0.25, 0.5, 0.75, 1.0, 1.5), (1.0,) * 6), 50),
+    (ProcessSpec(Deterministic(1.7 - 0.6), (0.6, 1.7, 2.5, 2.8), (1.0,) * 4), 20),   # 0.6 + d rounds above 1.7
+    (ProcessSpec(Deterministic(0.2), TENTHS, (0.6,) * 12), 300),
+    (ProcessSpec(NonReusable(), TENTHS, (0.3,) * 12), 300),
+    (ProcessSpec(MixtureWithInf(0.6, Exponential(2.0)), TENTHS, (0.8,) * 12), 300),
+    (ProcessSpec(TwoPointInf(0.3, 0.5), TENTHS, (0.9,) * 12), 300),
+    (ProcessSpec(WeibullIFR(0.4, 2.0), TENTHS, (0.7,) * 12), 300),
+    (ProcessSpec(Uniform(0.05, 0.35), TENTHS, (0.7,) * 12), 1),                   # one trial
+    (ProcessSpec(Exponential(1.0), (), ()), 10),                                  # no arrival
+])
+def test_simulate_process_equals_per_arrival_reference(spec, trials):
+    assert_same_summary(spec, 5, trials)
+
+
+def test_simulate_process_equals_reference_on_random_specs():
+    rnd = random.Random(41)
+    families = (Exponential(1.3), Uniform(0.2, 1.1), WeibullIFR(0.7, 2.0), TwoPointInf(0.5, 0.6), ZeroOrInf(0.5),
+                Deterministic(0.3), Deterministic(0.0), NonReusable(), MixtureWithInf(0.6, Exponential(2.0)))
+    for k in range(60):
+        T = rnd.randint(1, 40)
+        sigma = tuple(np.cumsum([rnd.choice([0.1, 0.3, rnd.uniform(0.01, 1.0)]) for _ in range(T)]).tolist())
+        p = tuple(rnd.choice([0.0, 1.0, rnd.random()]) for _ in range(T))
+        assert_same_summary(ProcessSpec(rnd.choice(families), sigma, p), k, rnd.choice([1, 2, 7, 100]))
