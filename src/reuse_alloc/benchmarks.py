@@ -37,15 +37,22 @@ class UnsupportedMode(ValueError):
 
 @dataclass
 class LpModel:
-    """max obj.y s.t. rows.y <= rhs, 0 <= y <= 1 (upper bounds are implied
-    by the per-arrival demand rows, so they are not materialized)."""
+    """max obj.y s.t. A y <= rhs, 0 <= y <= 1 (upper bounds are implied
+    by the per-arrival demand rows, so they are not materialized). `rows`
+    allocates A densely on each access; no CLI command reads it."""
 
     instance: model.Instance
     edges: list              # (arrival index, resource id, bid), defines y order
     obj: np.ndarray
-    rows: np.ndarray
+    A: simplex.Coo
     rhs: np.ndarray
     row_kinds: list          # ("cap", rid, tau) | ("demand", t)
+
+    @property
+    def rows(self) -> np.ndarray:
+        dense = np.zeros(self.A.shape)
+        dense[self.A.row, self.A.col] = self.A.val
+        return dense
 
 
 @dataclass
@@ -65,7 +72,8 @@ def build_lp(instance: model.Instance) -> LpModel:
     come in arrival order, so its row at bucket end tau holds a prefix of
     them; an arrival's edges are contiguous, so its demand row is one run of
     columns. Each coefficient is bid * (1 - F(age)) with the scalar CDF F,
-    evaluated once per distinct age of the resource."""
+    evaluated once per distinct age in a run of the resource's rows. A comes
+    out as coordinates, one per (row, edge) pair; no m x n array is made."""
     if instance.mode not in (model.MATCHING, model.BUDGETED):
         raise UnsupportedMode("the LP bound covers matching and budgeted modes")
     edges = list(instance.edges())
@@ -89,34 +97,49 @@ def build_lp(instance: model.Instance) -> LpModel:
     for res in instance.resources:
         es = np.array(mine[res.id], dtype=np.int64)
         if es.size:
-            blocks.append((res, es, np.unique(end[edge_t[es]])))
+            ts = edge_t[es]
+            taus = np.unique(end[ts])
+            # Row k holds the first lens[k] edges.
+            blocks.append((res, es, ts, taus, np.searchsorted(ts, taus, side="right")))
     demand_t = np.unique(edge_t)
-    n_cap = sum(taus.size for _, _, taus in blocks)
-    rows = np.zeros((n_cap + demand_t.size, n))
-    rhs = np.ones(n_cap + demand_t.size)
+    m = sum(taus.size for _, _, _, taus, _ in blocks) + demand_t.size
+    nnz = sum(int(lens.sum()) for *_, lens in blocks) + n
+    row = np.empty(nnz, dtype=np.int32)
+    col = np.empty(nnz, dtype=np.int32)
+    val = np.empty(nnz)
+    rhs = np.ones(m)
     row_kinds = []
-    r0 = 0
-    for res, es, taus in blocks:
-        ts = edge_t[es]
-        # Row k holds the first lens[k] edges; (row_of, at) lists every (row, edge) pair.
-        lens = np.searchsorted(ts, taus, side="right")
-        row_of = np.repeat(np.arange(taus.size), lens)
-        at = np.arange(row_of.size) - np.repeat(np.cumsum(lens) - lens, lens)
-        ages, which = np.unique(times[taus[row_of]] - times[ts[at]], return_inverse=True)
-        cdf = np.array([res.usage.cdf(age) for age in ages], dtype=float)
-        rows[r0 + row_of, es[at]] = edge_bid[es[at]] * (1.0 - cdf[which])
+    r0 = k0 = 0
+    for res, es, ts, taus, lens in blocks:
+        # A row holds at most n edges, so a run of the rows that start in the
+        # same window of 2n coordinates keeps every temporary under 3n entries.
+        before = np.cumsum(lens) - lens
+        for part in np.split(np.arange(taus.size), np.flatnonzero(np.diff(before // (2 * n))) + 1):
+            # (row_of, at) lists every (row, edge) pair of the run.
+            row_of = np.repeat(part, lens[part])
+            at = np.arange(row_of.size) - np.repeat(before[part] - before[part[0]], lens[part])
+            ages, which = np.unique(times[taus[row_of]] - times[ts[at]], return_inverse=True)
+            cdf = np.array([res.usage.cdf(age) for age in ages], dtype=float)
+            k1 = k0 + row_of.size
+            row[k0:k1] = r0 + row_of
+            col[k0:k1] = es[at]
+            val[k0:k1] = edge_bid[es[at]] * (1.0 - cdf[which])
+            k0 = k1
         rhs[r0 : r0 + taus.size] = float(res.capacity)
         row_kinds += [("cap", res.id, tau) for tau in taus.tolist()]
         r0 += taus.size
-    rows[r0 + np.searchsorted(demand_t, edge_t), np.arange(n)] = 1.0
+    row[k0:] = r0 + np.searchsorted(demand_t, edge_t)
+    col[k0:] = np.arange(n)
+    val[k0:] = 1.0
     row_kinds += [("demand", t) for t in demand_t.tolist()]
-    return LpModel(instance=instance, edges=edges, obj=obj, rows=rows, rhs=rhs, row_kinds=row_kinds)
+    return LpModel(instance=instance, edges=edges, obj=obj, A=simplex.Coo(row, col, val, (m, n)), rhs=rhs,
+                   row_kinds=row_kinds)
 
 
 def solve_lp(lp: LpModel) -> LpSolution:
     """Solve `lp`; an optimum must pass `check_lp_solution`, else
     RuntimeError names the check that failed."""
-    res = simplex.solve(lp.obj, lp.rows, lp.rhs)
+    res = simplex.solve(lp.obj, lp.A, lp.rhs)
     if res.status == OPTIMAL:
         check_lp_solution(lp, res)
     y = {(t, rid): float(res.x[e]) for e, (t, rid, _) in enumerate(lp.edges)}
@@ -128,10 +151,12 @@ def check_lp_solution(lp: LpModel, res: simplex.SimplexResult) -> None:
     y >= 0 and A^T y >= c, and |b.y - c.x| (weak duality makes b.y an upper
     bound on every feasible c.x), each within CHECK_TOL * max(1, |objective|)."""
     tol = CHECK_TOL * max(1.0, abs(res.objective))
-    x, y = res.x, res.y
+    x, y, A = res.x, res.y, lp.A
+    Ax = np.bincount(A.row, weights=A.val * x[A.col], minlength=A.shape[0])
+    ATy = np.bincount(A.col, weights=A.val * y[A.row], minlength=A.shape[1])
     breaches = (
-        ("primal residual", max((lp.rows @ x - lp.rhs).max(initial=0.0), -x.min(initial=0.0))),
-        ("dual feasibility", max(-y.min(initial=0.0), (lp.obj - lp.rows.T @ y).max(initial=0.0))),
+        ("primal residual", max((Ax - lp.rhs).max(initial=0.0), -x.min(initial=0.0))),
+        ("dual feasibility", max(-y.min(initial=0.0), (lp.obj - ATy).max(initial=0.0))),
         ("duality gap", abs(lp.rhs @ y - lp.obj @ x)),
     )
     for name, breach in breaches:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from . import model
 from .assortment import MNL
-from .distributions import (Deterministic, Exponential, NonReusable, TwoPointInf,
+from .distributions import (Deterministic, Exponential, MixtureWithInf, NonReusable, TwoPointInf,
                             Uniform, WeibullIFR, ZeroOrInf)
 
 
@@ -160,6 +160,9 @@ class BatteryParams:
     horizon: float = 50.0
 
 
+_FINITE_KINDS = ("exponential", "deterministic", "uniform", "weibull")   # bases of "mixture_inf"
+
+
 def _random_dist(kind: str, rnd: random.Random):
     if kind == "two_point_inf":
         return TwoPointInf(d=round(rnd.uniform(0.5, 5.0), 3), p=round(rnd.uniform(0.2, 0.9), 3))
@@ -176,6 +179,9 @@ def _random_dist(kind: str, rnd: random.Random):
         return ZeroOrInf(p=round(rnd.uniform(0.2, 0.8), 3))
     if kind == "non_reusable":
         return NonReusable()
+    if kind == "mixture_inf":
+        p_finite = round(rnd.uniform(0.2, 0.9), 3)
+        return MixtureWithInf(p_finite=p_finite, base=_random_dist(rnd.choice(_FINITE_KINDS), rnd))
     raise ValueError(f"unknown distribution kind {kind!r}")
 
 

@@ -5,9 +5,14 @@ external solver. The all-slack basis is feasible because every right-hand
 side is nonnegative (capacities and per-arrival demand bounds). Pivoting is
 Dantzig (most negative reduced cost) for speed, with an automatic permanent
 switch to Bland's smallest-index rule once the objective stalls, which is the
-anti-cycling guarantee. Both rules are deterministic.
+anti-cycling guarantee. Both rules are deterministic. An LP with no column
+is optimal at once: objective 0.0, an empty x and zero duals.
 
-The tableau is stored dense, but a pivot only touches the block it can
+A comes in as coordinates (`Coo`), scattered once into the zero tableau. A
+dense A (as the tests pass it) goes once through `np.nonzero` into the same
+`Coo`, so a -0.0 in it enters as +0.0, a zero that no update reads.
+
+The tableau itself stays dense, but a pivot only touches the block it can
 change: the rows with a nonzero entry in the pivot column, and within them
 the columns where the (scaled) pivot row is nonzero. Every skipped entry
 would have had an exact zero, colv[r] * 0.0, subtracted from it, which
@@ -28,6 +33,7 @@ Ax <= b: y >= 0, A^T y >= c and b.y = c.x up to rounding.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,17 +57,33 @@ class SimplexResult:
     y: np.ndarray            # row duals: the cost row's slack block
 
 
-def solve(c, A, b) -> SimplexResult:
-    c = np.asarray(c, dtype=float)
+# An m x n matrix by coordinates: val[k] at (row[k], col[k]), no position twice.
+Coo = namedtuple("Coo", "row col val shape")
+
+
+def as_coo(A) -> Coo:
+    """A `Coo` as it is; a dense matrix by its nonzero entries."""
+    if isinstance(A, Coo):
+        return A
     A = np.asarray(A, dtype=float)
+    row, col = np.nonzero(A)
+    return Coo(row, col, A[row, col], A.shape)
+
+
+def solve(c, A, b) -> SimplexResult:
+    """Solve max c.x s.t. Ax <= b, x >= 0; A is a `Coo` or a dense matrix."""
+    c = np.asarray(c, dtype=float)
+    A = as_coo(A)
     b = np.asarray(b, dtype=float)
     m, n = A.shape
     if (b < 0).any():
         return SimplexResult(INFEASIBLE, 0.0, np.zeros(n), 0, np.zeros(m))
+    if n == 0:
+        return SimplexResult(OPTIMAL, 0.0, np.zeros(0), 0, np.zeros(m))
 
     # Tableau: [A | I | b], last row holds reduced costs (-c) and the value.
     T = np.zeros((m + 1, n + m + 1))
-    T[:m, :n] = A
+    T[A.row, A.col] = A.val
     slack = np.arange(m)
     T[slack, n + slack] = 1.0
     T[:m, -1] = b

@@ -44,7 +44,7 @@ from reuse_alloc.benchmarks import (CertificateReport, CertificateRow, LpModel, 
                                     _galg_candidate)
 from reuse_alloc.engine import Paths, simulate
 from reuse_alloc.simplex import (FEAS_TOL, INFEASIBLE, ITERATION_LIMIT, MAX_PIVOTS, OPT_TOL, OPTIMAL,
-                                 STALL_LIMIT, SimplexResult)
+                                 STALL_LIMIT, SimplexResult, as_coo)
 from reuse_alloc.policies import RbaPolicy, reduced_price
 from reuse_alloc.randproc import ProcessSummary
 from reuse_alloc.distributions import ZeroOrInf
@@ -499,7 +499,7 @@ def reference_build_lp(instance: model.Instance) -> LpModel:
 
     obj = np.array([bid * rewards[rid] for (_, rid, bid) in edges])
     rows = np.vstack(data) if data else np.zeros((0, n))
-    return LpModel(instance=instance, edges=edges, obj=obj, rows=rows,
+    return LpModel(instance=instance, edges=edges, obj=obj, A=as_coo(rows),
                    rhs=np.array(rhs), row_kinds=row_kinds)
 
 

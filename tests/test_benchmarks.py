@@ -1,14 +1,16 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from helpers import reference_build_lp, reference_certificate_check
+from helpers import reference_build_lp, reference_certificate_check, reference_simplex
 from scipy.optimize import linprog
+from scipy.sparse import coo_array
 
 from reuse_alloc import benchmarks, engine, model, policies, simplex
-from reuse_alloc.benchmarks import (LpRoundingPolicy, UnsupportedMode, brute_force_clairvoyant, build_lp,
-                                    certificate_check, lp_value, solve_lp)
+from reuse_alloc.benchmarks import (OPTIMAL, LpRoundingPolicy, UnsupportedMode, brute_force_clairvoyant,
+                                    build_lp, certificate_check, lp_value, solve_lp)
 from reuse_alloc.distributions import (Deterministic, Exponential, MixtureWithInf, NonReusable, TwoPointInf,
                                        Uniform, WeibullIFR, ZeroOrInf)
 from reuse_alloc.generators import (BatteryParams, example_a1, mnl_counterexample, random_battery,
@@ -25,7 +27,8 @@ def single(usage, capacity=1, reward=1.0, times=(0.0, 1.0)):
 
 def scipy_lp_value(inst):
     lp = build_lp(inst)
-    res = linprog(-lp.obj, A_ub=lp.rows, b_ub=lp.rhs, bounds=[(0, 1)] * len(lp.obj), method="highs")
+    A = coo_array((lp.A.val, (lp.A.row, lp.A.col)), shape=lp.A.shape)
+    res = linprog(-lp.obj, A_ub=A, b_ub=lp.rhs, bounds=[(0, 1)] * len(lp.obj), method="highs")
     return -res.fun
 
 
@@ -134,7 +137,22 @@ def builder_cases():
                                                    capacity_range=(2, 6), horizon=12.0, dist_mix=mix,
                                                    mode=mode, max_bid=bid), seed=len(mix))
             cases += [(f"{mode}_{mix[0]}_{k}", inst) for k, inst in enumerate(battery)]
+    for mode, bid in ((model.MATCHING, 1), (model.BUDGETED, 3)):
+        battery = random_battery(BatteryParams(n_instances=1, n_resources=5, n_arrivals=60, capacity_range=(2, 6),
+                                               horizon=12.0, dist_mix=("mixture_inf",), mode=mode, max_bid=bid),
+                                 seed=13)
+        cases.append((f"{mode}_mixture_inf", battery[0]))
     return [pytest.param(inst, id=name) for name, inst in cases]
+
+
+def offline_bounds_lps():
+    """The three LPs of perfbench's offline_bounds workload."""
+    budgeted = BatteryParams(n_instances=1, n_resources=8, n_arrivals=400, capacity_range=(20, 80),
+                             dist_mix=("exponential", "uniform", "weibull", "deterministic", "two_point_inf"),
+                             edge_prob=0.6, mode=model.BUDGETED, max_bid=3)
+    return [pytest.param(example_a1(300), id="example_a1_n300"),
+            pytest.param(upper_triangular(10, 100), id="upper_triangular_10x100"),
+            pytest.param(random_battery(budgeted, seed=32)[0], id="budgeted_lp")]
 
 
 @pytest.mark.parametrize("inst", builder_cases())
@@ -146,6 +164,61 @@ def test_build_lp_matches_reference(inst):
     assert got.rhs.tobytes() == want.rhs.tobytes()
     assert got.obj.tobytes() == want.obj.tobytes()
     assert repr(got.row_kinds) == repr(want.row_kinds)
+
+
+@pytest.mark.parametrize("inst", builder_cases() + offline_bounds_lps())
+def test_coordinate_solve_matches_reference_simplex(inst):
+    lp = build_lp(inst)
+    got = simplex.solve(lp.obj, lp.A, lp.rhs)
+    want = reference_simplex(lp.obj, lp.rows, lp.rhs)
+    assert (got.status, got.pivots) == (want.status, want.pivots)
+    assert got.objective.hex() == want.objective.hex()
+    assert got.x.tobytes() == want.x.tobytes()
+    assert got.y.tobytes() == want.y.tobytes()
+    sol = solve_lp(lp)
+    assert (sol.status, sol.pivots, sol.objective.hex()) == (want.status, want.pivots, want.objective.hex())
+    assert np.array(list(sol.y.values())).tobytes() == want.x.tobytes()
+
+
+@pytest.mark.parametrize("inst", [pytest.param(example_a1(300), id="example_a1_n300"),
+                                  pytest.param(upper_triangular(10, 100), id="upper_triangular_10x100")])
+def test_lp_holds_no_dense_copy_of_the_matrix(inst):
+    """build_lp stays under a quarter of a dense m x n A, and the solve under
+    its tableau plus the coordinates plus 10%: a dense copy of A would add
+    8mn bytes (21.6 MB and 46 MB here). A first build keeps out what is made
+    only once: lazy imports and the instance's cached bid tables."""
+    build_lp(inst)
+    tracemalloc.start()
+    try:
+        lp = build_lp(inst)
+        build_peak = tracemalloc.get_traced_memory()[1]
+        solve_lp(lp)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    m, n = lp.A.shape
+    coordinates = lp.A.row.nbytes + lp.A.col.nbytes + lp.A.val.nbytes
+    assert build_peak < 8 * m * n / 4
+    assert peak < 1.1 * 8 * (m + 1) * (n + m + 1) + coordinates
+
+
+def test_rows_is_a_fresh_dense_matrix_on_each_access():
+    lp = build_lp(example_a1(3))
+    first = lp.rows
+    first[:] = 7.0
+    assert lp.rows is not first and lp.rows.tobytes() == reference_build_lp(example_a1(3)).rows.tobytes()
+    with pytest.raises(AttributeError):
+        lp.rows = first
+
+
+def test_lp_without_an_edge_is_zero():
+    inst = model.Instance(mode=model.MATCHING, resources=(model.Resource(0, 1, 1.0, NonReusable()),),
+                          arrivals=(model.Arrival(0.0, model.MatchingEdges(frozenset())),))
+    lp = build_lp(inst)
+    assert lp.A.shape == (0, 0) and lp.rows.shape == (0, 0)
+    sol = solve_lp(lp)
+    assert (sol.status, sol.objective, sol.y, sol.pivots) == (OPTIMAL, 0.0, {}, 0)
+    assert lp_value(inst) == 0.0
 
 
 def test_bursty_instance_has_what_it_claims():
@@ -166,7 +239,7 @@ def test_bursty_instance_has_what_it_claims():
 ])
 def test_lp_solution_check_names_the_failed_check(tamper, check):
     lp = build_lp(example_a1(4))
-    res = simplex.solve(lp.obj, lp.rows, lp.rhs)
+    res = simplex.solve(lp.obj, lp.A, lp.rhs)
     benchmarks.check_lp_solution(lp, res)
     with pytest.raises(RuntimeError, match=check):
         benchmarks.check_lp_solution(lp, tamper(res))

@@ -258,6 +258,29 @@ def test_certify_command_runs(capsys):
     assert all(line.endswith("pass") for line in lines[1:])
 
 
+NO_EDGE = {"mode": "matching", "choice_models": [],
+           "resources": [{"id": 0, "capacity": 1, "reward": 1.0,
+                          "usage": {"type": "two_point_inf", "d": 1.0, "p": 0.5}}],
+           "arrivals": [{"time": 0.0, "demand": {"type": "edges", "resources": []}}]}
+
+
+@pytest.mark.parametrize("argv, want", [
+    (["lp"], ["instance,status,lp_value", "no_edge.json,Optimal,0"]),   # the CSV writes 0.0 as 0
+    (["compare", "--policies", "greedy,rba,galg", "--trials", "3", "--seed", "1"],
+     ["instance,policy,trials,seed,mean,se,lp_value,ratio", "no_edge.json,greedy,3,1,0,0,0,nan",
+      "no_edge.json,rba,3,1,0,0,0,nan", "no_edge.json,galg,3,1,0,0,0,nan"]),
+    (["certify", "--alg", "rba", "--trials", "3", "--seed", "1", "--alpha", "0.5", "--beta", "1"],
+     ["instance,resource,theta,opt_lambda_sum,opt_i,lhs,rhs,se,status", "no_edge.json,0,0,0,0,0,0,0,pass",
+      "no_edge.json,cond1,0,,,0,0,0,pass"]),
+])
+def test_lp_commands_on_an_instance_without_an_edge(capsys, tmp_path, monkeypatch, argv, want):
+    (tmp_path / "no_edge.json").write_text(json.dumps(NO_EDGE))
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, argv + ["--instance", "no_edge.json"])
+    assert (code, err) == (0, "")
+    assert out.splitlines() == want
+
+
 def test_compare_rejects_assortment_mode(capsys):
     code, _, err = run_cli(capsys, ["compare", "--gen", "mnl_counterexample",
                                     "--policies", "rba_assortment", "--trials", "5", "--seed", "1"])

@@ -368,6 +368,11 @@ def parity_instance(key):
         return random_battery(BatteryParams(**params), seed=91)[0]
     if key == "battery_budgeted":
         return random_battery(BatteryParams(**params, mode=model.BUDGETED, max_bid=3), seed=92)[0]
+    mixture = {**params, "dist_mix": ("mixture_inf",)}
+    if key == "mixture_matching":
+        return random_battery(BatteryParams(**mixture), seed=93)[0]
+    if key == "mixture_budgeted":
+        return random_battery(BatteryParams(**mixture, mode=model.BUDGETED, max_bid=3), seed=94)[0]
     if key == "example_a1":
         return example_a1(150)
     if key == "example_a2":
@@ -375,8 +380,8 @@ def parity_instance(key):
     return upper_triangular(10, 100)
 
 
-@pytest.mark.parametrize("key", ["battery_matching", "battery_budgeted", "example_a1", "example_a2",
-                                 "upper_triangular"])
+@pytest.mark.parametrize("key", ["battery_matching", "battery_budgeted", "mixture_matching", "mixture_budgeted",
+                                 "example_a1", "example_a2", "upper_triangular"])
 def test_batched_summary_equals_scalar_on_named_instances(key):
     inst = parity_instance(key)
     for name in rules_for(inst):
@@ -413,13 +418,8 @@ def test_batched_equals_scalar_property(mode, data):
     trials = data.draw(st.sampled_from((1, 3, 7, engine.BATCH_MIN_TRIALS)))
     per_trial = len(inst.arrivals) + sum(r.capacity for r in inst.resources) + 1
     cells = data.draw(st.sampled_from((engine.TRIAL_CELLS, 1, 3 * per_trial)))
-    # lp_rounding only where the LP has a column: `simplex.solve` fails on an
-    # LP with none (a FOUND line in CHANGES.md); drop this guard once it is mended.
-    has_edge = any(a.demand.bids() for a in inst.arrivals)
     with mock.patch.object(engine, "TRIAL_CELLS", cells):
         for name in rules_for(inst):
-            if name == "lp_rounding" and not has_edge:
-                continue
             assert_batched_equals_scalar(inst, name, trials, data.draw(st.integers(-2, 2**64)))
 
 

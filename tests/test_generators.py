@@ -7,7 +7,7 @@ from helpers import stochastic_rewards_greedy
 
 from reuse_alloc import engine, model, policies
 from reuse_alloc.benchmarks import lp_value
-from reuse_alloc.distributions import NonReusable, ZeroOrInf
+from reuse_alloc.distributions import MixtureWithInf, NonReusable, ZeroOrInf
 from reuse_alloc.generators import (BatteryParams, battery_hash, example_a1, example_a2,
                                     mnl_counterexample, omniscient_gap, random_battery,
                                     stochastic_rewards_to_reuse, upper_triangular)
@@ -157,6 +157,21 @@ def test_random_battery_golden_hash():
     params = BatteryParams(n_instances=2, n_resources=3, n_arrivals=20, capacity_range=(2, 4))
     got = battery_hash(random_battery(params, seed=2024))
     assert got == "362cbd9f52a8fc74"
+    # Recorded before the "mixture_inf" kind was added: a kind draws only when it is picked.
+    assert battery_hash(random_battery(BatteryParams(), seed=7)) == "f81476a3b9be7fb3"
+
+
+def test_mixture_inf_battery_validates_and_round_trips():
+    battery = random_battery(BatteryParams(n_instances=3, n_resources=6, n_arrivals=40,
+                                           dist_mix=("mixture_inf",)), seed=5)
+    usages = [r.usage for inst in battery for r in inst.resources]
+    assert all(isinstance(u, MixtureWithInf) and 0.0 < u.p_finite < 1.0 and u.base.mass_at_inf() == 0.0
+               for u in usages)
+    assert len({type(u.base) for u in usages}) > 1
+    for inst in battery:
+        assert model.validate(inst) == []
+        assert model.loads(model.dumps(inst)) == inst
+        assert model.dumps(model.loads(model.dumps(inst))) == model.dumps(inst)
 
 
 def test_mnl_counterexample_construction():

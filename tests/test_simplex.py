@@ -64,6 +64,28 @@ def test_zero_objective_and_negative_cost_columns():
     assert res.objective == 0.0
 
 
+@pytest.mark.parametrize("m", [0, 3])
+def test_lp_without_a_column_is_optimal_at_zero(m):
+    res = simplex.solve(np.zeros(0), np.zeros((m, 0)), np.ones(m))
+    assert (res.status, res.objective, res.pivots) == (simplex.OPTIMAL, 0.0, 0)
+    assert res.x.shape == (0,) and res.y.tobytes() == np.zeros(m).tobytes()
+
+
+def test_coordinates_and_dense_input_solve_alike():
+    rng = np.random.default_rng(19)
+    c, A, b = random_lp(rng, 30, 40, 0.15)
+    A = np.vstack([A, np.eye(40)])
+    b = np.concatenate([b, np.ones(40)])
+    coo = simplex.as_coo(A)
+    assert coo.shape == A.shape and coo.val.size == np.count_nonzero(A)
+    order = rng.permutation(coo.val.size)           # the coordinates may come in any order
+    shuffled = simplex.Coo(coo.row[order], coo.col[order], coo.val[order], coo.shape)
+    want = simplex.solve(c, A, b)
+    for got in (simplex.solve(c, coo, b), simplex.solve(c, shuffled, b)):
+        assert (got.status, got.pivots, got.objective.hex()) == (want.status, want.pivots, want.objective.hex())
+        assert got.x.tobytes() == want.x.tobytes() and got.y.tobytes() == want.y.tobytes()
+
+
 def test_infeasible_negative_rhs_reported():
     res = simplex.solve([1.0], [[1.0]], [-1.0])
     assert res.status == simplex.INFEASIBLE
