@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 
 from . import model, rng
@@ -71,20 +72,28 @@ class ExplicitTable:
         return self.phi[frozenset(S)].get(i, 0.0)
 
 
+def _finite_nonnegative(values) -> bool:
+    return all(isinstance(v, numbers.Real) and 0 <= v < math.inf for v in values)
+
+
 def validate_choice_model(cm, tol: float = 1e-9) -> list:
-    """Totals <= 1 and weak substitution; exhaustive for tables (<= 16 items)."""
-    bad = []
+    """Finite nonnegative parameters, totals <= 1 and weak substitution;
+    the last is checked exhaustively for tables of at most 16 items, and not
+    at all for larger ones."""
     if isinstance(cm, MNL):
-        if cm.v0 < 0 or any(v < 0 for v in cm.weights.values()):
-            bad.append("mnl weights must be nonnegative")
-        return bad
+        if _finite_nonnegative([cm.v0, *cm.weights.values()]):
+            return []
+        return ["mnl v0 and weights must be finite and nonnegative"]
+    bad = []
+    for S, row in cm.phi.items():
+        if not _finite_nonnegative(row.values()):
+            return [f"choice probabilities of {sorted(S)} must be finite and nonnegative"]
+        if sum(row.values()) > 1.0 + tol:
+            bad.append(f"choice probabilities of {sorted(S)} exceed 1")
     if len(cm.items) > 16:
-        bad.append("explicit table too large to validate exhaustively")
         return bad
     universe = set(cm.items)
     for S, row in cm.phi.items():
-        if sum(row.values()) > 1.0 + tol:
-            bad.append(f"choice probabilities of {sorted(S)} exceed 1")
         for i in S:
             p_here = row.get(i, 0.0)
             for j in universe - S:
@@ -311,13 +320,9 @@ class AstalgPolicy(Policy):
     mode = model.ASSORTMENT
     coin_columns = (0, 1)       # the collection draw, then the probability-match draw
 
-    def __init__(self, gamma_lower: float = None):
-        super().__init__()
-        self.gamma_lower = gamma_lower
-
     def _prepare(self, instance):
         self.guide = run_astgalg(instance)
-        gam = self.gamma_lower if self.gamma_lower is not None else model.gamma(instance)
+        gam = model.gamma(instance)
         self.delta = math.sqrt(2.0 * max(math.log(gam), 0.0) / gam) if gam > 0 else 0.0
 
     def decide(self, t, arrival, state):

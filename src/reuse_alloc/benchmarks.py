@@ -25,7 +25,7 @@ import numpy as np
 from . import model, rng, simplex
 from .distributions import Deterministic, NonReusable, TwoPointInf, ZeroOrInf
 from .engine import lockstep, simulate  # noqa: F401  (perfbench/tracer.py wraps benchmarks.simulate)
-from .policies import Policy, RbaPolicy, pick_batch, pick_table, run_galg
+from .policies import RbaPolicy, RowSampler, run_galg
 
 OPTIMAL = simplex.OPTIMAL
 CHECK_TOL = 1e-9             # check_lp_solution's tolerance, relative to max(1, |objective|)
@@ -171,10 +171,12 @@ def lp_value(instance: model.Instance) -> float:
     return sol.objective
 
 
-class LpRoundingPolicy(Policy):
+class LpRoundingPolicy(RowSampler):
     """Offline rounding of an LP solution: sample i w.p. y_{it}/(1+2 delta)."""
 
     name = "lp_rounding"
+    events = ("lp_rounding_sampled", "lp_rounding_sampled_unavailable")
+    decide_batch = RowSampler.decide_batch
 
     def __init__(self, instance: model.Instance, sol: LpSolution):
         super().__init__()
@@ -185,28 +187,6 @@ class LpRoundingPolicy(Policy):
         self._rows = [[(rid, w) for rid in sorted(arr.demand.bids())
                        if (w := sol.y.get((t, rid), 0.0) * scale) > 0.0]
                       for t, arr in enumerate(instance.arrivals)]
-        self._picks = None
-
-    def decide(self, t, arrival, state):
-        rid = rng.pick(self.coins()[t], self._rows[t])
-        if rid is None or state.available_count(rid) == 0:
-            return None
-        if self.mode == model.MATCHING:
-            return rid
-        take = min(arrival.demand.bids()[rid], state.available_count(rid))
-        return rid, tuple(state.top_ranks(rid, take))
-
-    def decide_batch(self, t, arrival, batch):
-        if self._picks is None:
-            self._picks = pick_table(self._rows, batch.plan.index)
-        choice = pick_batch(batch.coins()[t], *self._picks[t])
-        avail = np.where(choice >= 0, batch.count[batch.rows, choice], 0)
-        choice = np.where(avail > 0, choice, -1)
-        if self.mode == model.MATCHING:
-            return choice
-        bid = np.zeros(batch.count.shape[1], dtype=np.int64)
-        bid[batch.plan.nbr[t]] = batch.plan.bid[t]
-        return choice, np.minimum(bid[choice], avail)
 
 
 # --- brute-force clairvoyant ----------------------------------------------------

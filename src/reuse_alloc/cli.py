@@ -103,13 +103,22 @@ def _policy(name: str):
         raise CliError(str(exc)) from None
 
 
-def _policies(args):
+def _check_mode(inst, name: str, mode: str):
+    if mode != inst.mode:
+        raise CliError(f"{name} runs on {mode} instances, not {inst.mode} ones")
+
+
+def _policies(args, inst, galg: bool = False) -> list:
+    """(name, policy) for each name in --policies, each checked against the
+    instance's mode before any trial or LP solve; `galg`, the fluid guide
+    value (policy None), only where allowed."""
     out = []
-    for name in args.policies.split(","):
-        name = name.strip()
-        if name == "galg":
+    for name in (p.strip() for p in args.policies.split(",")):
+        if name == "galg" and not galg:
             raise CliError("galg is a benchmark value; use `compare` with policy galg")
-        out.append((name, _policy(name)))
+        pol = None if name == "galg" else _policy(name)
+        _check_mode(inst, f"policy {name!r}", model.MATCHING if pol is None else pol.mode)
+        out.append((name, pol))
     return out
 
 
@@ -117,7 +126,7 @@ def cmd_run(args) -> int:
     from .engine import run_trials
 
     inst, name = _load_instance(args)
-    named = _policies(args)
+    named = _policies(args, inst)
     if args.trace and len(named) != 1:
         raise CliError("--trace needs exactly one policy")
     rows = []
@@ -145,9 +154,7 @@ def cmd_compare(args) -> int:
     from .engine import run_trials
 
     inst, name = _load_instance(args)
-    # Every policy is checked before the LP solve, which can take long.
-    named = [(pname, None if pname == "galg" else _policy(pname))
-             for pname in (p.strip() for p in args.policies.split(","))]
+    named = _policies(args, inst, galg=True)
     lp = benchmarks.lp_value(inst)
     rows = []
     for pname, pol in named:
@@ -164,6 +171,8 @@ def cmd_compare(args) -> int:
 
 def cmd_lp(args) -> int:
     inst, name = _load_instance(args)
+    if args.galg:
+        _check_mode(inst, "galg", model.MATCHING)
     sol = benchmarks.solve_lp(benchmarks.build_lp(inst))
     if args.y_csv:
         rows = [[t, rid, v] for (t, rid), v in sorted(sol.y.items()) if v > 1e-12]
@@ -183,6 +192,7 @@ def cmd_certify(args) -> int:
         if not math.isfinite(value):
             raise CliError(f"{flag} must be a finite number, got {value}")
     inst, name = _load_instance(args)
+    _check_mode(inst, "certify", model.MATCHING)
     sol = benchmarks.solve_lp(benchmarks.build_lp(inst))
     opt = benchmarks.LpRoundingPolicy(inst, sol)
     report = benchmarks.certificate_check(inst, args.alg, opt, args.trials,

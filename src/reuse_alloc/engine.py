@@ -15,20 +15,23 @@ touching the stream.
 
 Two engines share these semantics. `simulate` runs one trial, a policy
 `decide` call per arrival; it is the oracle and the only one that records
-traces. `lockstep` runs a chunk of trials at once as arrays over (trials x
-resources) and (trials x units), for the policies whose class defines a
-batched rule, `decide_batch`, and records per (trial, arrival) what was
-matched when asked. Every key stays the same: trial seeds come
-from `rng.derive_vec`, a unit's duration stream is folded to (resource,
-rank) once per chunk and each draw is one fold of its use counter, and the
-uniform becomes a duration through the family's scalar `sample_u`, the one
-`simulate` calls (numpy's vector log1p, expm1 and exp differ from `math`'s in
-the last bit on some inputs). A return is filed once, at allocation, under
-the first arrival whose time is at or after it,
-`np.searchsorted(times, time + d, side="left")`, and never under the
-allocating arrival itself, so units come back exactly where `simulate` pops
-them. `run_trials` takes the batched path from BATCH_MIN_TRIALS trials on,
-when no trace is asked for and durations are not shared.
+traces. It turns the decision of every mode into one allocation (a
+resource and its unit ranks, plus the offered set in assortment mode) that
+it applies and records in one place. `lockstep` runs a chunk of trials at
+once as arrays over (trials x resources) and (trials x units), for the
+policies whose class defines a batched rule, `decide_batch`, and records
+per (trial, arrival) what was matched when asked; its allocation takes a
+unit count per trial in every mode (1 in matching mode). Every key stays
+the same: trial seeds come from `rng.derive_vec`, a unit's duration stream
+is folded to (resource, rank) once per chunk and each draw is one fold of
+its use counter, and the uniform becomes a duration through the family's
+scalar `sample_u`, the one `simulate` calls (numpy's vector log1p, expm1
+and exp differ from `math`'s in the last bit on some inputs). A return is
+filed once, at allocation, under the first arrival whose time is at or
+after it, `np.searchsorted(times, time + d, side="left")`, and never under
+the allocating arrival itself, so units come back exactly where `simulate`
+pops them. `run_trials` takes the batched path from BATCH_MIN_TRIALS trials
+on, when no trace is asked for and durations are not shared.
 """
 
 from __future__ import annotations
@@ -99,21 +102,13 @@ class _ResourceLive:
 
 
 class EngineState:
-    """Read view handed to policies: current inventory plus the clock."""
+    """Read view handed to policies: the current inventory."""
 
     def __init__(self, instance: model.Instance):
-        self.instance = instance
         self.live = {r.id: _ResourceLive(r) for r in instance.resources}
-        self.time = 0.0
-        self.arrival_index = -1
 
     def available_count(self, rid: int) -> int:
         return len(self.live[rid].avail)
-
-    def z(self, rid: int) -> int:
-        """Highest available unit rank, 0 when none."""
-        a = self.live[rid].avail
-        return a[-1] if a else 0
 
     def top_ranks(self, rid: int, k: int) -> list:
         """The k highest available ranks, descending."""
@@ -159,93 +154,75 @@ def simulate(instance: model.Instance, policy, master_seed: int, trial_id: int,
             stream = lv.unit_streams[rank] = rng.fold(lv.stream, rank)
         return sample(lv.res.usage, DurationStreamKey(rid, rank, use), trial_seed, stream)
 
-    def allocate(rid: int, ranks, t: int):
-        nonlocal seq, total
-        lv = state.live[rid]
-        durations = []
-        shared = draw_duration(rid, ranks[0], t) if shared_durations and ranks else None
-        avail = lv.avail
-        for rank in ranks:
-            if avail and avail[-1] == rank:     # top-rank allocation, the common case
-                avail.pop()
-            else:
-                try:
-                    avail.remove(rank)
-                except ValueError:
-                    raise PolicyProtocolViolation(f"unit {rank} of resource {rid} is not available") from None
-            d = shared if shared_durations else draw_duration(rid, rank, t)
-            durations.append(d)
-            if math.isinf(d):
-                lv.dead += 1
-            else:
-                lv.in_use += 1
-                seq += 1
-                heapq.heappush(returns, (state.time + d, seq, rid, rank))
-        gained = lv.res.reward * len(ranks)
-        total += gained
-        per_resource[rid] += gained
-        return durations, gained
-
     for t, arrival in enumerate(instance.arrivals):
-        state.time = arrival.time
-        state.arrival_index = t
         while returns and returns[0][0] <= arrival.time:
             _, _, rid, rank = heapq.heappop(returns)
             lv = state.live[rid]
             lv.in_use -= 1
             insort(lv.avail, rank)
+        # Every mode's decision becomes one allocation, `ranks` of `rid`, made and recorded below.
         decision = policy.decide(t, arrival, state)
-        rec = None
+        rid, ranks, offer = None, (), ()
         if decision is None:
-            if collect_trace:
-                rec = ArrivalRecord(t, arrival.time, "none", None, (), (), 0.0)
+            kind = "none"
         elif instance.mode == model.MATCHING:
-            rid = decision
+            kind, rid = "match", decision
             if rid not in arrival.demand.resources:
                 raise PolicyProtocolViolation(f"arrival {t}: no edge to resource {rid}")
-            rank = state.z(rid)
-            if rank == 0:
+            avail = state.live[rid].avail
+            if not avail:
                 raise PolicyProtocolViolation(f"arrival {t}: resource {rid} has no available unit")
-            durations, gained = allocate(rid, [rank], t)
-            if collect_trace:
-                rec = ArrivalRecord(t, arrival.time, "match", rid, (rank,), tuple(durations), gained)
+            ranks = (avail[-1],)
         elif instance.mode == model.BUDGETED:
-            rid, ranks = decision
+            kind, (rid, ranks) = "match", decision
             bids = arrival.demand.bids()
             if rid not in bids or len(ranks) > bids[rid]:
                 raise PolicyProtocolViolation(f"arrival {t}: allocation exceeds bid for resource {rid}")
-            durations, gained = allocate(rid, list(ranks), t)
-            if collect_trace:
-                rec = ArrivalRecord(t, arrival.time, "match", rid, tuple(ranks), tuple(durations), gained)
         else:
-            offer = frozenset(decision)
+            kind, offer = "offer", frozenset(decision)
             bids = arrival.demand.bids()
-            cm = instance.choice_models[arrival.demand.choice_model]
             if offer and not arrival.demand.feasible.allows(offer):
                 raise PolicyProtocolViolation(f"arrival {t}: offered set is not feasible")
-            for rid in offer:
-                if rid not in bids:
-                    raise PolicyProtocolViolation(f"arrival {t}: offered resource {rid} has no demand")
-                if state.available_count(rid) == 0:
-                    raise PolicyProtocolViolation(f"arrival {t}: offered resource {rid} is unavailable")
-            chosen = None
+            for i in offer:
+                if i not in bids:
+                    raise PolicyProtocolViolation(f"arrival {t}: offered resource {i} has no demand")
+                if state.available_count(i) == 0:
+                    raise PolicyProtocolViolation(f"arrival {t}: offered resource {i} is unavailable")
             if offer:
                 if choice_coins is None:
                     choice_coins = rng.uniform_vec(trial_seed, rng.TAG_CHOICE,
                                                    np.arange(len(instance.arrivals))).tolist()
-                chosen = rng.pick(choice_coins[t], ((rid, cm.prob(offer, rid)) for rid in sorted(offer)))
-            if chosen is None:
-                if collect_trace:
-                    rec = ArrivalRecord(t, arrival.time, "offer", None, (), (), 0.0, tuple(sorted(offer)))
-            else:
-                take = min(bids[chosen], state.available_count(chosen))
-                ranks = state.top_ranks(chosen, take)
-                durations, gained = allocate(chosen, ranks, t)
-                if collect_trace:
-                    rec = ArrivalRecord(t, arrival.time, "offer", chosen, tuple(ranks),
-                                        tuple(durations), gained, tuple(sorted(offer)))
+                cm = instance.choice_models[arrival.demand.choice_model]
+                rid = rng.pick(choice_coins[t], ((i, cm.prob(offer, i)) for i in sorted(offer)))
+            if rid is not None:
+                ranks = state.top_ranks(rid, min(bids[rid], state.available_count(rid)))
+        durations, gained = [], 0.0
+        if rid is not None:
+            lv = state.live[rid]
+            avail = lv.avail
+            shared = draw_duration(rid, ranks[0], t) if shared_durations and ranks else None
+            for rank in ranks:
+                if avail and avail[-1] == rank:     # top-rank allocation, the common case
+                    avail.pop()
+                else:
+                    try:
+                        avail.remove(rank)
+                    except ValueError:
+                        raise PolicyProtocolViolation(f"unit {rank} of resource {rid} is not available") from None
+                d = shared if shared_durations else draw_duration(rid, rank, t)
+                durations.append(d)
+                if math.isinf(d):
+                    lv.dead += 1
+                else:
+                    lv.in_use += 1
+                    seq += 1
+                    heapq.heappush(returns, (arrival.time + d, seq, rid, rank))
+            gained = lv.res.reward * len(ranks)
+            total += gained
+            per_resource[rid] += gained
         if collect_trace:
-            records.append(rec)
+            records.append(ArrivalRecord(t, arrival.time, kind, rid, tuple(ranks), tuple(durations), gained,
+                                         tuple(sorted(offer))))
         if check_invariants:
             state.check_conservation()
 
@@ -470,18 +447,15 @@ class Lockstep:
         np.maximum.at(self.top.ravel(), pairs, ranks)
         np.add.at(self.count.ravel(), pairs, 1)
 
-    def allocate(self, t: int, choice: np.ndarray, take):
-        """Give each trial the `take` (1 when None) top units of its choice
-        at arrival t; choice -1 is no match."""
+    def allocate(self, t: int, choice: np.ndarray, take: np.ndarray):
+        """Give each trial the `take` top units of its choice at arrival t;
+        choice -1 is no match."""
         rows = np.flatnonzero(choice >= 0)
         if not rows.size:
             return
         plan = self.plan
-        cols = choice[rows]
-        gained = plan.rewards[cols]
-        if take is not None:
-            take = take[rows]
-            gained = gained * take
+        cols, take = choice[rows], take[rows]
+        gained = plan.rewards[cols] * take
         self.total[rows] += gained
         self.per_resource.ravel()[cols * self.n + rows] += gained
         pairs = rows * plan.caps.size + cols
@@ -489,16 +463,14 @@ class Lockstep:
         ranks = top[pairs]
         if self.record:
             self.resource[rows, t] = cols
-            self.units[rows, t] = 1 if take is None else take
+            self.units[rows, t] = take
             self.rank[rows, t] = ranks
-        self.count.ravel()[pairs] -= 1 if take is None else take
+        self.count.ravel()[pairs] -= take
         taken = []                                       # (trials, units, resources) per pass
         while True:                                      # one pass per unit, from the top down
             bits[pairs * self._bits.shape[1] + plan.bit_word[ranks]] &= ~plan.bit[ranks]
             taken.append((rows, plan.uoff[cols] + ranks - 1, cols))
             ranks = top[pairs] = self._lower(pairs, ranks)
-            if take is None:
-                break
             take = take - 1
             more = take > 0
             if not more.any():
@@ -549,11 +521,12 @@ def lockstep(instance: model.Instance, policy, trials: int, master_seed: int,
     for k0 in range(0, trials, size):
         seeds = rng.derive_vec(master_seed, rng.TAG_TRIAL, np.arange(k0, min(trials, k0 + size)))
         batch = Lockstep(plan, seeds, policy.events, record)
+        one = np.ones(batch.n, dtype=np.int64)        # a matching rule's unit count
         for t, arrival in enumerate(instance.arrivals):
             batch.release(t)
             if plan.nbr[t].size:        # no neighbour: no rule matches or counts an event
                 out = policy.decide_batch(t, arrival, batch)
-                choice, take = out if budgeted else (out, None)
+                choice, take = out if budgeted else (out, one)
                 batch.allocate(t, choice, take)
         chunks.append(batch)
     paths = Paths(totals=np.concatenate([c.total for c in chunks]),

@@ -156,7 +156,6 @@ class BatteryParams:
     reward_range: tuple = (0.5, 2.0)
     edge_prob: float = 0.6
     max_bid: int = 1
-    include_upper_triangular: bool = False
     horizon: float = 50.0
 
 
@@ -218,8 +217,6 @@ def random_battery(params: BatteryParams, seed: int) -> list:
         if bad:
             raise AssertionError(f"generator produced an invalid instance: {bad}")
         out.append(inst)
-    if params.include_upper_triangular:
-        out.append(upper_triangular(params.n_resources, params.capacity_range[0]))
     return out
 
 

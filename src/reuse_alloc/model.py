@@ -157,6 +157,8 @@ def _real(x) -> bool:
 
 def validate(instance: Instance) -> list:
     """Every invariant violation as a message; empty iff well formed."""
+    from . import assortment  # local import to avoid a cycle
+
     bad = []
     if instance.mode not in MODES:
         bad.append(f"unknown mode {instance.mode!r}")
@@ -172,6 +174,8 @@ def validate(instance: Instance) -> list:
             bad.append(f"resource {r.id}: reward must be finite and >= 0")
         for msg in distributions.validate(r.usage):
             bad.append(f"resource {r.id}: {msg}")
+    for k, cm in enumerate(instance.choice_models):
+        bad += [f"choice model {k}: {msg}" for msg in assortment.validate_choice_model(cm)]
     want = _DEMAND_FOR_MODE[instance.mode]
     prev = None
     for t, arr in enumerate(instance.arrivals):

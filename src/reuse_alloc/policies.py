@@ -15,10 +15,15 @@ Decision rules, with g(x) = exp(-x) throughout:
     with the assortment guide, of which galg is the single-item case.
   - salg: non-adaptive sampler that matches arrival t to resource i with
     probability x_{it}/(1+delta_i) using the guide's output, and leaves t
-    unmatched when the sampled resource has nothing available.
+    unmatched when the sampled resource has nothing available. Its rule,
+    `RowSampler`, is shared with the LP-rounding benchmark
+    (`benchmarks.LpRoundingPolicy`), which samples the LP's y_{it} instead.
 
-Ties always break toward the lower resource id. All rules are invariant to
-scaling every reward by a positive constant.
+Each rule is its class's `decide`. A matching rule returns a resource id
+and the engine allocates that resource's highest available rank; a
+budgeted rule returns (resource id, ranks). Ties always break toward the
+lower resource id. All rules are invariant to scaling every reward by a
+positive constant.
 
 A policy whose class defines `decide_batch` also runs in the lockstep engine
 (`engine.lockstep`): the same rule for a chunk of trials at once, reading
@@ -41,50 +46,8 @@ def reduced_price(reward: float, rank: int, capacity: int) -> float:
     return reward * (1.0 - math.exp(-rank / capacity))
 
 
-def greedy_decide(arrival, state):
-    """Resource id with max reward among available neighbors, or None."""
-    best, best_score = None, -1.0
-    for rid in arrival.demand.sorted_ids():
-        if state.available_count(rid) == 0:
-            continue
-        r = state.live[rid].res.reward
-        if r > best_score:
-            best, best_score = rid, r
-    return best
-
-
-def balance_decide(arrival, state):
-    """argmax r_i (1 - e^{-y_i/c_i}) over available neighbors, or None."""
-    best, best_score = None, -1.0
-    live = state.live
-    for rid in arrival.demand.sorted_ids():
-        lv = live[rid]
-        y = len(lv.avail)
-        if y == 0:
-            continue
-        score = lv.prices[y]          # the reduced-price formula at y
-        if score > best_score:
-            best, best_score = rid, score
-    return best
-
-
-def rba_decide(arrival, state):
-    """(resource id, unit rank) maximizing the reduced price, or None."""
-    best, best_score = None, -1.0
-    live = state.live
-    for rid in arrival.demand.sorted_ids():
-        lv = live[rid]
-        if not lv.avail:
-            continue
-        z = lv.avail[-1]
-        score = lv.prices[z]
-        if score > best_score:
-            best, best_score = (rid, z), score
-    return best
-
-
 def best_of(batch, nb, score, ok) -> tuple:
-    """The batched form of the loops above: per trial, the position in `nb`
+    """The batched form of the rules' loops: per trial, the position in `nb`
     (neighbour indices in id order) of the highest `score` among the `ok`
     neighbours, ties to the lower id, and that resource; -1 for none."""
     j = np.where(ok, score, -1.0).argmax(axis=1)
@@ -114,22 +77,6 @@ def top_price(lv, bid: int) -> tuple:
     avail = lv.avail
     ranks = avail[: -min(bid, len(avail)) - 1 : -1]
     return ranks, sum(map(lv.prices.__getitem__, ranks))
-
-
-def rba_budgeted_decide(arrival, state):
-    """(resource id, top ranks) maximizing the summed reduced price, or None."""
-    best, best_ranks, best_score = None, None, -1.0
-    live = state.live
-    for rid, bid in arrival.demand.bids().items():  # bids() is id-sorted
-        lv = live[rid]
-        if not lv.avail:
-            continue
-        ranks, score = top_price(lv, bid)
-        if score > best_score:
-            best, best_ranks, best_score = rid, tuple(ranks), score
-    if best is None:
-        return None
-    return best, best_ranks
 
 
 class Policy:
@@ -176,7 +123,15 @@ class GreedyPolicy(Policy):
     name = "greedy"
 
     def decide(self, t, arrival, state):
-        return greedy_decide(arrival, state)
+        """Resource id with max reward among available neighbors, or None."""
+        best, best_score = None, -1.0
+        for rid in arrival.demand.sorted_ids():
+            if state.available_count(rid) == 0:
+                continue
+            r = state.live[rid].res.reward
+            if r > best_score:
+                best, best_score = rid, r
+        return best
 
     def decide_batch(self, t, arrival, batch):
         nb = batch.plan.nbr[t]
@@ -187,7 +142,18 @@ class BalancePolicy(Policy):
     name = "balance"
 
     def decide(self, t, arrival, state):
-        return balance_decide(arrival, state)
+        """argmax r_i (1 - e^{-y_i/c_i}) over available neighbors, or None."""
+        best, best_score = None, -1.0
+        live = state.live
+        for rid in arrival.demand.sorted_ids():
+            lv = live[rid]
+            y = len(lv.avail)
+            if y == 0:
+                continue
+            score = lv.prices[y]          # the reduced-price formula at y
+            if score > best_score:
+                best, best_score = rid, score
+        return best
 
     def decide_batch(self, t, arrival, batch):
         nb = batch.plan.nbr[t]
@@ -199,8 +165,18 @@ class RbaPolicy(Policy):
     name = "rba"
 
     def decide(self, t, arrival, state):
-        hit = rba_decide(arrival, state)
-        return None if hit is None else hit[0]
+        """Resource id maximizing the reduced price of its highest available
+        rank, or None; the engine allocates that rank."""
+        best, best_score = None, -1.0
+        live = state.live
+        for rid in arrival.demand.sorted_ids():
+            lv = live[rid]
+            if not lv.avail:
+                continue
+            score = lv.prices[lv.avail[-1]]
+            if score > best_score:
+                best, best_score = rid, score
+        return best
 
     def decide_batch(self, t, arrival, batch):
         nb = batch.plan.nbr[t]
@@ -213,7 +189,17 @@ class RbaBudgetedPolicy(Policy):
     mode = model.BUDGETED
 
     def decide(self, t, arrival, state):
-        return rba_budgeted_decide(arrival, state)
+        """(resource id, top ranks) maximizing the summed reduced price, or None."""
+        best, best_score = None, -1.0
+        live = state.live
+        for rid, bid in arrival.demand.bids().items():  # bids() is id-sorted
+            lv = live[rid]
+            if not lv.avail:
+                continue
+            ranks, score = top_price(lv, bid)
+            if score > best_score:
+                best, best_score = (rid, tuple(ranks)), score
+        return best
 
     def decide_batch(self, t, arrival, batch):
         """Scores sum the prices of the top min(bid, available) ranks in
@@ -369,11 +355,53 @@ def salg_delta(capacity: int) -> float:
     return math.sqrt(2.0 * math.log(capacity) / capacity)
 
 
-class SalgPolicy(Policy):
+class RowSampler(Policy):
+    """The rule of salg and lp_rounding: arrival t's coin picks a resource
+    from the row `_rows[t]`, [(resource id, probability)] in id order, which
+    is served, with min(bid, available) units in budgeted mode, only if a
+    unit is free. `events` names the counts of sampled arrivals and of those
+    whose pick had nothing free. A subclass builds `_rows` and sets
+    `decide_batch = RowSampler.decide_batch`: `engine.batched` runs only a
+    class's own batched rule."""
+
+    _picks = None               # pick_table of `_rows`, built by the first decide_batch
+
+    def decide(self, t, arrival, state):
+        rid = rng.pick(self.coins()[t], self._rows[t])
+        if rid is None:
+            return None
+        sampled, unavailable = self.events
+        self.trial_events[sampled] += 1
+        free = state.available_count(rid)
+        if not free:
+            self.trial_events[unavailable] += 1
+            return None
+        if self.mode == model.MATCHING:
+            return rid
+        return rid, tuple(state.top_ranks(rid, min(arrival.demand.bids()[rid], free)))
+
+    def decide_batch(self, t, arrival, batch):
+        if self._picks is None:
+            self._picks = pick_table(self._rows, batch.plan.index)
+        choice = pick_batch(batch.coins()[t], *self._picks[t])
+        sampled = choice >= 0
+        free = np.where(sampled, batch.count[batch.rows, choice], 0)
+        batch.events[self.events[0]] += int(sampled.sum())
+        batch.events[self.events[1]] += int((sampled & (free == 0)).sum())
+        choice = np.where(free > 0, choice, -1)
+        if self.mode == model.MATCHING:
+            return choice
+        bid = np.zeros(batch.count.shape[1], dtype=np.int64)
+        bid[batch.plan.nbr[t]] = batch.plan.bid[t]
+        return choice, np.minimum(bid[choice], free)
+
+
+class SalgPolicy(RowSampler):
     """Samples the guide's fractional matching, deflated by 1/(1+delta_i)."""
 
     name = "salg"
     events = ("salg_sampled", "salg_sampled_unavailable")
+    decide_batch = RowSampler.decide_batch
 
     def __init__(self, variant: str = "exact", eps: float = 0.0):
         super().__init__()
@@ -387,26 +415,6 @@ class SalgPolicy(Policy):
         self._rows = [[(rid, w) for rid in sorted(xt) if (w := xt[rid] / (1.0 + deltas[rid])) > 0.0]
                       for xt in self.guide.x]
         self._picks = None
-
-    def decide(self, t, arrival, state):
-        rid = rng.pick(self.coins()[t], self._rows[t])
-        if rid is None:
-            return None
-        self.trial_events["salg_sampled"] += 1
-        if state.available_count(rid) > 0:
-            return rid
-        self.trial_events["salg_sampled_unavailable"] += 1
-        return None
-
-    def decide_batch(self, t, arrival, batch):
-        if self._picks is None:
-            self._picks = pick_table(self._rows, batch.plan.index)
-        choice = pick_batch(batch.coins()[t], *self._picks[t])
-        sampled = choice >= 0
-        free = sampled & (batch.count[batch.rows, choice] > 0)
-        batch.events["salg_sampled"] += int(sampled.sum())
-        batch.events["salg_sampled_unavailable"] += int((sampled & ~free).sum())
-        return np.where(free, choice, -1)
 
 
 def make_policy(name: str):

@@ -55,6 +55,15 @@ def test_weak_substitution_validation():
     assert validate_choice_model(bad)
 
 
+def test_a_large_table_is_not_rejected_for_its_size():
+    items = tuple(range(17))
+    phi = {frozenset({i}): {i: 0.5} for i in items}
+    phi[frozenset(items)] = {i: 1.0 / 17 for i in items}
+    assert validate_choice_model(ExplicitTable(items=items, phi=phi)) == []
+    phi[frozenset({3})] = {3: 1.5}
+    assert validate_choice_model(ExplicitTable(items=items, phi=phi)) == ["choice probabilities of [3] exceed 1"]
+
+
 # --- probability match -------------------------------------------------------------
 
 def test_probability_match_full_targets_single_set():

@@ -115,6 +115,34 @@ def test_malformed_instance_json_gives_one_error_line(capsys, tmp_path, text, me
     assert err.startswith("error: ") and err.count("\n") == 1 and message in err
 
 
+def _assortment_json(choice_model):
+    return json.dumps({
+        "mode": "assortment",
+        "resources": [{"id": i, "capacity": 3, "reward": 1.0, "usage": {"type": "deterministic", "d": 1.0}}
+                      for i in (0, 1)],
+        "arrivals": [{"time": float(t), "demand": {"type": "assortment", "choice_model": 0,
+                                                   "bids": {"0": 1, "1": 1}, "feasible": {"type": "all"}}}
+                     for t in range(4)],
+        "choice_models": [choice_model],
+    })
+
+
+@pytest.mark.parametrize("policy", ["astalg", "rba_assortment"])
+@pytest.mark.parametrize("choice_model,message", [
+    ({"type": "mnl", "v0": 1.0, "weights": {"0": -2.0, "1": 1.0}},
+     "choice model 0: mnl v0 and weights must be finite and nonnegative"),
+    ({"type": "table", "n": 2, "phi": {"{0}": {"0": 0.5}, "{1}": {"1": 0.5}, "{0,1}": {"0": 0.8, "1": 0.8}}},
+     "choice model 0: choice probabilities of [0, 1] exceed 1"),
+])
+def test_bad_choice_model_gives_one_error_line(capsys, tmp_path, policy, choice_model, message):
+    path = tmp_path / "instance.json"
+    path.write_text(_assortment_json(choice_model))
+    code, out, err = run_cli(capsys, ["run", "--instance", str(path), "--policies", policy,
+                                      "--trials", "2", "--seed", "1"])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: invalid instance: ") and err.count("\n") == 1 and message in err
+
+
 def test_threads_env_is_not_read(capsys, monkeypatch):
     monkeypatch.setenv("REUSE_ALLOC_THREADS", "two")
     code, out, _ = run_cli(capsys, ["gen", "example_a1", "--param", "n", "2"])
@@ -288,17 +316,46 @@ def test_compare_rejects_assortment_mode(capsys):
     assert "matching and budgeted" in err
 
 
+BUDGETED = {
+    "mode": "budgeted",
+    "resources": [{"id": 0, "capacity": 6, "reward": 1.0, "usage": {"type": "two_point_inf", "d": 1.0, "p": 0.5}}],
+    "arrivals": [{"time": float(t), "demand": {"type": "bids", "bids": {"0": 2}}} for t in range(5)],
+    "choice_models": [],
+}
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["run", "--gen", "example_a1", "--param", "n", "3", "--policies", "rba_assortment"],
+     "policy 'rba_assortment' runs on assortment instances, not matching ones"),
+    (["run", "--instance", "budgeted.json", "--policies", "rba"], "policy 'rba' runs on matching instances"),
+    (["run", "--instance", "budgeted.json", "--policies", "rba_budgeted,salg"], "policy 'salg' runs on matching"),
+    (["compare", "--instance", "budgeted.json", "--policies", "rba_budgeted,galg"],
+     "policy 'galg' runs on matching instances, not budgeted ones"),
+    (["lp", "--instance", "budgeted.json", "--galg"], "galg runs on matching instances, not budgeted ones"),
+    (["certify", "--instance", "budgeted.json", "--alpha", "0.5", "--beta", "1"],
+     "certify runs on matching instances, not budgeted ones"),
+    (["certify", "--gen", "mnl_counterexample", "--alpha", "0.5", "--beta", "1"],
+     "certify runs on matching instances, not assortment ones"),
+])
+def test_mode_mismatch_is_one_error_line_before_any_work(capsys, tmp_path, monkeypatch, argv, message):
+    from reuse_alloc import benchmarks, engine
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("an LP solve or a trial started")
+
+    monkeypatch.setattr(benchmarks, "solve_lp", no_work)
+    monkeypatch.setattr(engine, "run_trials", no_work)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "budgeted.json").write_text(json.dumps(BUDGETED))
+    seed = [] if argv[0] == "lp" else ["--seed", "1"]
+    code, out, err = run_cli(capsys, argv + seed)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+
+
 def test_budgeted_instance_through_cli(capsys, tmp_path):
-    inst = {
-        "mode": "budgeted",
-        "resources": [{"id": 0, "capacity": 6, "reward": 1.0,
-                       "usage": {"type": "two_point_inf", "d": 1.0, "p": 0.5}}],
-        "arrivals": [{"time": float(t), "demand": {"type": "bids", "bids": {"0": 2}}}
-                     for t in range(5)],
-        "choice_models": [],
-    }
     path = tmp_path / "budgeted.json"
-    path.write_text(json.dumps(inst))
+    path.write_text(json.dumps(BUDGETED))
     code, out, _ = run_cli(capsys, ["compare", "--instance", str(path),
                                     "--policies", "rba_budgeted", "--trials", "200", "--seed", "3"])
     assert code == 0

@@ -136,6 +136,46 @@ def test_budgeted_allocation_below_the_top_rank():
         engine.simulate(inst, LowRanks((2, 2)), 7, 0)
 
 
+class FixedDecision(policies.Policy):
+    """Makes the same decision at every arrival, whatever the state."""
+
+    def __init__(self, mode, decision):
+        super().__init__()
+        self.mode, self.decision = mode, decision
+
+    def decide(self, t, arrival, state):
+        return self.decision
+
+
+def protocol_instance(mode):
+    """Two resources of two units that never return, three arrivals that
+    demand one unit of resource 0 (at most one item per offer)."""
+    demand = {model.MATCHING: model.MatchingEdges(frozenset({0})),
+              model.BUDGETED: model.BudgetedBids({0: 1}),
+              model.ASSORTMENT: model.AssortmentRequest(0, {0: 1}, model.MaxCardinality(1))}[mode]
+    return model.Instance(
+        mode=mode,
+        resources=tuple(model.Resource(i, 2, 1.0, NonReusable()) for i in range(2)),
+        arrivals=tuple(model.Arrival(float(t), demand) for t in range(3)),
+        choice_models=(MNL(v0=0.0, weights={0: 1.0, 1: 1.0}),) if mode == model.ASSORTMENT else ())
+
+
+@pytest.mark.parametrize("mode,policy_mode,decision,message", [
+    (model.MATCHING, model.BUDGETED, None, "policy mode 'budgeted' != instance mode 'matching'"),
+    (model.MATCHING, model.MATCHING, 1, "arrival 0: no edge to resource 1"),
+    (model.MATCHING, model.MATCHING, 0, "arrival 2: resource 0 has no available unit"),
+    (model.BUDGETED, model.BUDGETED, (0, (2, 1)), "arrival 0: allocation exceeds bid for resource 0"),
+    (model.BUDGETED, model.BUDGETED, (0, (2,)), "unit 2 of resource 0 is not available"),
+    (model.ASSORTMENT, model.ASSORTMENT, frozenset({0, 1}), "arrival 0: offered set is not feasible"),
+    (model.ASSORTMENT, model.ASSORTMENT, frozenset({1}), "arrival 0: offered resource 1 has no demand"),
+    (model.ASSORTMENT, model.ASSORTMENT, frozenset({0}), "arrival 2: offered resource 0 is unavailable"),
+])
+def test_every_protocol_violation_is_named(mode, policy_mode, decision, message):
+    with pytest.raises(engine.PolicyProtocolViolation) as err:
+        engine.simulate(protocol_instance(mode), FixedDecision(policy_mode, decision), 7, 0)
+    assert str(err.value) == message
+
+
 def test_run_trials_traces_come_from_the_summarized_pass():
     inst = single_resource(TwoPointInf(1.0, 0.5), capacity=2, times=(0.0, 1.0, 2.0, 3.0))
     traces = []

@@ -144,3 +144,26 @@ def test_validate_choice_model_coverage():
         choice_models=(MNL(v0=1.0, weights={0: 1.0}),),  # resource 1 missing
     )
     assert any("no entry for resource 1" in m for m in model.validate(inst))
+
+
+def test_choice_models_are_validated():
+    from reuse_alloc.assortment import MNL, ExplicitTable
+    res = (model.Resource(0, 1, 1.0, NonReusable()), model.Resource(1, 1, 1.0, NonReusable()))
+    good = MNL(v0=1.0, weights={0: 1.0, 1: 2.0})
+    cases = [(MNL(v0=math.nan, weights={0: 1.0, 1: 1.0}), "mnl v0 and weights must be finite and nonnegative"),
+             (MNL(v0=1.0, weights={0: math.inf, 1: 1.0}), "mnl v0 and weights must be finite and nonnegative"),
+             (MNL(v0=1.0, weights={0: "a", 1: 1.0}), "mnl v0 and weights must be finite and nonnegative"),
+             (ExplicitTable(items=(0, 1), phi={frozenset({0}): {0: math.nan}, frozenset({1}): {1: 0.5},
+                                               frozenset({0, 1}): {0: 0.2, 1: 0.2}}),
+              "choice probabilities of [0] must be finite and nonnegative")]
+    for cm, message in cases:
+        inst = model.Instance(mode=model.ASSORTMENT, resources=res,
+                              arrivals=(model.Arrival(0.0, model.AssortmentRequest(1, {0: 1, 1: 1})),),
+                              choice_models=(good, cm))
+        assert model.validate(inst) == [f"choice model 1: {message}"]
+
+
+def test_valid_choice_models_still_validate():
+    from test_acceptance import assortment_battery
+    for inst in [*assortment_battery(), mnl_counterexample()]:
+        assert model.validate(inst) == []

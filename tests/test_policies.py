@@ -11,9 +11,8 @@ from reuse_alloc.distributions import (Deterministic, Exponential, MixtureWithIn
                                        TwoPointInf, Uniform, ZeroOrInf)
 from reuse_alloc.fluid import FluidLedger, ResourceFluid, quantized_levels
 from reuse_alloc.generators import BatteryParams, example_a1, random_battery
-from reuse_alloc.policies import (BalancePolicy, GreedyPolicy, RbaPolicy, SalgPolicy,
-                                  balance_decide, greedy_decide, make_policy, rba_budgeted_decide,
-                                  rba_decide, run_galg, salg_delta)
+from reuse_alloc.policies import (BalancePolicy, GreedyPolicy, RbaBudgetedPolicy, RbaPolicy, SalgPolicy,
+                                  make_policy, run_galg, salg_delta)
 
 
 def matching_instance(rewards, capacities, usage=None, n_arrivals=1):
@@ -38,22 +37,22 @@ def state_with_avail(inst, avail):
 def test_greedy_prefers_reward_then_lower_id():
     inst = matching_instance([1.0, 2.0], [1, 1])
     st = state_with_avail(inst, {0: [1], 1: [1]})
-    assert greedy_decide(inst.arrivals[0], st) == 1
+    assert GreedyPolicy().decide(0, inst.arrivals[0], st) == 1
     inst2 = matching_instance([1.0, 1.0], [1, 1])
     st2 = state_with_avail(inst2, {0: [1], 1: [1]})
-    assert greedy_decide(inst2.arrivals[0], st2) == 0
+    assert GreedyPolicy().decide(0, inst2.arrivals[0], st2) == 0
     st3 = state_with_avail(inst2, {0: [], 1: []})
-    assert greedy_decide(inst2.arrivals[0], st3) is None
+    assert GreedyPolicy().decide(0, inst2.arrivals[0], st3) is None
 
 
 def test_balance_prefers_fuller_resource():
     inst = matching_instance([1.0, 1.0], [10, 10])
     st = state_with_avail(inst, {0: list(range(1, 6)), 1: list(range(1, 11))})
-    assert balance_decide(inst.arrivals[0], st) == 1
+    assert BalancePolicy().decide(0, inst.arrivals[0], st) == 1
     st_tie = state_with_avail(inst, {0: list(range(1, 11)), 1: list(range(1, 11))})
-    assert balance_decide(inst.arrivals[0], st_tie) == 0
+    assert BalancePolicy().decide(0, inst.arrivals[0], st_tie) == 0
     st_none = state_with_avail(inst, {0: [], 1: []})
-    assert balance_decide(inst.arrivals[0], st_none) is None
+    assert BalancePolicy().decide(0, inst.arrivals[0], st_none) is None
 
 
 def test_rba_reduced_price_closed_forms():
@@ -61,16 +60,16 @@ def test_rba_reduced_price_closed_forms():
     st = state_with_avail(inst, {0: [1, 2, 3, 4], 1: [1, 2]})
     assert policies.reduced_price(1.0, 4, 4) == pytest.approx(0.6321, abs=5e-5)
     assert policies.reduced_price(1.0, 2, 4) == pytest.approx(0.3935, abs=5e-5)
-    assert rba_decide(inst.arrivals[0], st) == (0, 4)
+    assert RbaPolicy().decide(0, inst.arrivals[0], st) == 0 and st.live[0].avail[-1] == 4
 
     # Direct arithmetic oracle: 1*(1-e^-1) = 0.6321 beats 2*(1-e^-0.25) = 0.4424.
     inst2 = matching_instance([1.0, 2.0], [4, 4])
     st2 = state_with_avail(inst2, {0: [1, 2, 3, 4], 1: [1]})
     assert 2.0 * (1.0 - math.exp(-0.25)) == pytest.approx(0.4424, abs=5e-5)
-    assert rba_decide(inst2.arrivals[0], st2) == (0, 4)
+    assert RbaPolicy().decide(0, inst2.arrivals[0], st2) == 0 and st2.live[0].avail[-1] == 4
 
     st3 = state_with_avail(inst2, {0: [], 1: []})
-    assert rba_decide(inst2.arrivals[0], st3) is None
+    assert RbaPolicy().decide(0, inst2.arrivals[0], st3) is None
 
 
 def test_rba_budgeted_top_ranks_and_caps():
@@ -80,7 +79,7 @@ def test_rba_budgeted_top_ranks_and_caps():
         arrivals=(model.Arrival(0.0, model.BudgetedBids({0: 2})),),
     )
     st = state_with_avail(inst, {0: [1, 2, 3, 4]})
-    assert rba_budgeted_decide(inst.arrivals[0], st) == (0, (4, 3))
+    assert RbaBudgetedPolicy().decide(0, inst.arrivals[0], st) == (0, (4, 3))
 
     inst2 = model.Instance(
         mode=model.BUDGETED,
@@ -89,8 +88,8 @@ def test_rba_budgeted_top_ranks_and_caps():
                   model.Arrival(1.0, model.BudgetedBids({0: 0}))),
     )
     st2 = state_with_avail(inst2, {0: [1, 2]})
-    assert rba_budgeted_decide(inst2.arrivals[0], st2) == (0, (2, 1))   # capped at availability
-    assert rba_budgeted_decide(inst2.arrivals[1], st2) is None          # zero bids: no edge
+    assert RbaBudgetedPolicy().decide(0, inst2.arrivals[0], st2) == (0, (2, 1))   # capped at availability
+    assert RbaBudgetedPolicy().decide(1, inst2.arrivals[1], st2) is None          # zero bids: no edge
 
 
 def test_rba_budgeted_argmax_matches_hand_scores():
@@ -104,7 +103,7 @@ def test_rba_budgeted_argmax_matches_hand_scores():
     s0 = sum(1.0 * (1 - math.exp(-k / 4)) for k in (4, 3))
     s1 = sum(0.9 * (1 - math.exp(-k / 8)) for k in (8, 7))
     want = 0 if s0 > s1 else 1
-    assert rba_budgeted_decide(inst.arrivals[0], st)[0] == want
+    assert RbaBudgetedPolicy().decide(0, inst.arrivals[0], st)[0] == want
 
 
 # --- fluid guide ---------------------------------------------------------------
