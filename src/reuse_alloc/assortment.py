@@ -77,9 +77,10 @@ def _finite_nonnegative(values) -> bool:
 
 
 def validate_choice_model(cm, tol: float = 1e-9) -> list:
-    """Finite nonnegative parameters, totals <= 1 and weak substitution;
-    the last is checked exhaustively for tables of at most 16 items, and not
-    at all for larger ones."""
+    """Finite nonnegative parameters, totals <= 1, a table entry for every
+    nonempty subset of the items, and weak substitution; the last is checked
+    exhaustively for tables of at most 16 items, and not at all for larger
+    ones."""
     if isinstance(cm, MNL):
         if _finite_nonnegative([cm.v0, *cm.weights.values()]):
             return []
@@ -90,17 +91,19 @@ def validate_choice_model(cm, tol: float = 1e-9) -> list:
             return [f"choice probabilities of {sorted(S)} must be finite and nonnegative"]
         if sum(row.values()) > 1.0 + tol:
             bad.append(f"choice probabilities of {sorted(S)} exceed 1")
-    if len(cm.items) > 16:
-        return bad
     universe = set(cm.items)
+    stray = [sorted(S) for S in cm.phi if not S or not S <= universe]
+    if stray:
+        return bad + [f"table entry {stray[0]} is not a nonempty subset of the items"]
+    if len(cm.phi) != 2 ** len(universe) - 1:
+        return bad + [f"table lists {len(cm.phi)} of the {2 ** len(universe) - 1} nonempty subsets of the items"]
+    if len(universe) > 16:
+        return bad
     for S, row in cm.phi.items():
         for i in S:
             p_here = row.get(i, 0.0)
             for j in universe - S:
-                bigger = cm.phi.get(S | {j})
-                if bigger is None:
-                    bad.append(f"missing table entry for {sorted(S | {j})}")
-                    continue
+                bigger = cm.phi[S | {j}]
                 if bigger.get(i, 0.0) > p_here + tol:
                     bad.append(f"weak substitution violated: phi({sorted(S | {j})},{i}) > phi({sorted(S)},{i})")
     return bad

@@ -5,7 +5,9 @@ The LP treats reusability fluidly: a unit matched at time a(t) counts toward
 the capacity row at a later time a(tau) with weight 1 - F(a(tau) - a(t)), the
 expected fraction still in use. Its optimum upper-bounds every online policy
 and the clairvoyant; asymptotically (large capacities) the two benchmarks
-coincide, so vs-LP ratios carry empirical slack at desk scale.
+coincide, so vs-LP ratios carry empirical slack at desk scale. `lp_value`
+takes the optimum from a smaller, exact reduction (`solve_lp_value`);
+`build_lp` and `solve_lp` give the full LP's vertex, which LP rounding reads.
 
 The certificate checker evaluates a two-condition linear system whose
 feasibility witnesses a competitive ratio: per-resource pseudo-rewards
@@ -16,6 +18,7 @@ beta * ALG. It reports Monte-Carlo slack; it never proves a theorem.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 from dataclasses import dataclass
@@ -63,34 +66,20 @@ class LpSolution:
     pivots: int = 0
 
 
-def build_lp(instance: model.Instance) -> LpModel:
-    """Exact fluid LP; capacity rows are emitted once per (resource, arrival
-    time bucket with a new edge) because later rows with no new edge have
-    pointwise smaller coefficients and the same right-hand side.
-
-    One pass groups the edges by resource and by arrival. A resource's edges
-    come in arrival order, so its row at bucket end tau holds a prefix of
-    them; an arrival's edges are contiguous, so its demand row is one run of
-    columns. Each coefficient is bid * (1 - F(age)) with the scalar CDF F,
-    evaluated once per distinct age in a run of the resource's rows. A comes
-    out as coordinates, one per (row, edge) pair; no m x n array is made."""
-    if instance.mode not in (model.MATCHING, model.BUDGETED):
-        raise UnsupportedMode("the LP bound covers matching and budgeted modes")
-    edges = list(instance.edges())
-    n = len(edges)
-    rewards = {r.id: r.reward for r in instance.resources}
-    obj = np.array([bid * rewards[rid] for (_, rid, bid) in edges])
+def _grouped(instance: model.Instance, edges: list):
+    """The grouped pass behind both LP builders: (times, edge_t, edge_bid,
+    blocks), with one block (res, es, ts, taus, lens) per resource with an
+    edge. es are its edges in arrival order and ts their arrival indices;
+    taus are the ends of the distinct-time groups that hold one of them, one
+    capacity row each, and row k holds the first lens[k] edges of es."""
     times = np.array([a.time for a in instance.arrivals])
-
-    # Last arrival index of each distinct-time group, per arrival.
     group_end = {}
     for t, a in enumerate(instance.arrivals):
         group_end[a.time] = t
     end = np.array([group_end[a.time] for a in instance.arrivals], dtype=np.int64)
-
     edge_t = np.array([t for t, _, _ in edges], dtype=np.int64)
     edge_bid = np.array([bid for _, _, bid in edges], dtype=np.int64)
-    mine = {rid: [] for rid in rewards}
+    mine = {r.id: [] for r in instance.resources}
     for e, (_, rid, _) in enumerate(edges):
         mine[rid].append(e)
     blocks = []
@@ -99,8 +88,42 @@ def build_lp(instance: model.Instance) -> LpModel:
         if es.size:
             ts = edge_t[es]
             taus = np.unique(end[ts])
-            # Row k holds the first lens[k] edges.
             blocks.append((res, es, ts, taus, np.searchsorted(ts, taus, side="right")))
+    return times, edge_t, edge_bid, blocks
+
+
+def _coefficients(res: model.Resource, times: np.ndarray, row_t: np.ndarray, edge_t: np.ndarray,
+                  bids: np.ndarray) -> np.ndarray:
+    """bid * (1 - F(times[row_t] - times[edge_t])) per (row, edge) pair, with
+    the scalar CDF F of `res` called once per distinct age."""
+    ages, which = np.unique(times[row_t] - times[edge_t], return_inverse=True)
+    cdf = np.array([res.usage.cdf(age) for age in ages], dtype=float)
+    return bids * (1.0 - cdf[which])
+
+
+def _objective(instance: model.Instance, edges: list) -> np.ndarray:
+    rewards = {r.id: r.reward for r in instance.resources}
+    return np.array([bid * rewards[rid] for (_, rid, bid) in edges])
+
+
+def build_lp(instance: model.Instance) -> LpModel:
+    """Exact fluid LP; capacity rows are emitted once per (resource, arrival
+    time bucket with a new edge) because later rows with no new edge have
+    pointwise smaller coefficients and the same right-hand side.
+
+    One pass groups the edges by resource and by arrival (`_grouped`). A
+    resource's edges come in arrival order, so its row at bucket end tau
+    holds a prefix of them; an arrival's edges are contiguous, so its demand
+    row is one run of columns. Each coefficient is bid * (1 - F(age)) with
+    the scalar CDF F, evaluated once per distinct age in a run of the
+    resource's rows. A comes out as coordinates, one per (row, edge) pair;
+    no m x n array is made."""
+    if instance.mode not in (model.MATCHING, model.BUDGETED):
+        raise UnsupportedMode("the LP bound covers matching and budgeted modes")
+    edges = list(instance.edges())
+    n = len(edges)
+    obj = _objective(instance, edges)
+    times, edge_t, edge_bid, blocks = _grouped(instance, edges)
     demand_t = np.unique(edge_t)
     m = sum(taus.size for _, _, _, taus, _ in blocks) + demand_t.size
     nnz = sum(int(lens.sum()) for *_, lens in blocks) + n
@@ -116,14 +139,12 @@ def build_lp(instance: model.Instance) -> LpModel:
         before = np.cumsum(lens) - lens
         for part in np.split(np.arange(taus.size), np.flatnonzero(np.diff(before // (2 * n))) + 1):
             # (row_of, at) lists every (row, edge) pair of the run.
-            row_of = np.repeat(part, lens[part])
-            at = np.arange(row_of.size) - np.repeat(before[part] - before[part[0]], lens[part])
-            ages, which = np.unique(times[taus[row_of]] - times[ts[at]], return_inverse=True)
-            cdf = np.array([res.usage.cdf(age) for age in ages], dtype=float)
+            pos, at = _pairs(lens[part])
+            row_of = part[pos]
             k1 = k0 + row_of.size
             row[k0:k1] = r0 + row_of
             col[k0:k1] = es[at]
-            val[k0:k1] = edge_bid[es[at]] * (1.0 - cdf[which])
+            val[k0:k1] = _coefficients(res, times, taus[row_of], ts[at], edge_bid[es[at]])
             k0 = k1
         rhs[r0 : r0 + taus.size] = float(res.capacity)
         row_kinds += [("cap", res.id, tau) for tau in taus.tolist()]
@@ -164,11 +185,143 @@ def check_lp_solution(lp: LpModel, res: simplex.SimplexResult) -> None:
             raise RuntimeError(f"LP solution check failed: {name} {float(breach):.3g} exceeds {tol:.3g}")
 
 
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The ranges starts[i], ..., starts[i] + counts[i] - 1, one after another."""
+    return np.repeat(starts - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
+
+
+def _pairs(lens: np.ndarray):
+    """(pos, at): every (row, edge) pair of rows whose edges are prefixes of
+    lengths lens: the row's position in lens and the edge's in its prefix."""
+    return np.repeat(np.arange(lens.size), lens), _ranges(np.zeros_like(lens), lens)
+
+
+def _column_pairs(rows: np.ndarray, lens: np.ndarray, edges: np.ndarray):
+    """(k, j): for each edge j in `edges`, every row k in `rows` (ascending)
+    whose prefix of lens[k] edges holds j."""
+    first = np.searchsorted(lens[rows], edges, side="right")
+    counts = rows.size - first
+    return rows[_ranges(first, counts)], np.repeat(edges, counts)
+
+
+def solve_lp_value(instance: model.Instance) -> simplex.SimplexResult:
+    """The optimum of `build_lp(instance)` from a smaller LP. At an optimum,
+    x and y are over `build_lp`'s columns and rows; pivots count every round.
+
+    Classes: arrivals with the same time and the same bids have the same
+    column in every row, so one demand row per class (right-hand side k, its
+    size) and one column per (class, resource) give the same optimum. Rows on
+    demand: the first round has the demand rows only, and each next round
+    adds every capacity row whose load exceeds its capacity at all, until
+    none does. Only the rows in the LP and the (row, edge) pairs with x != 0
+    are priced, each once. The solution is mapped back: a member's x is its
+    class's x / k and its demand row takes its class's dual, and a row never
+    added has dual 0. It must pass `check_lp_solution` on the full LP, less
+    only the entries with x = 0 and y = 0, which add exactly zero to A x and
+    to A^T y."""
+    if instance.mode not in (model.MATCHING, model.BUDGETED):
+        raise UnsupportedMode("the LP bound covers matching and budgeted modes")
+    # rep[t] is the first arrival of t's class; its edges are the class's columns.
+    rep = np.empty(len(instance.arrivals), dtype=np.int64)
+    first = {}
+    for t, a in enumerate(instance.arrivals):
+        rep[t] = first.setdefault((a.time, tuple(a.demand.bids().items())), t)
+    size = np.bincount(rep, minlength=rep.size)
+    edges = list(instance.edges())
+    own = [e for e, (t, _, _) in enumerate(edges) if rep[t] == t]
+    times, edge_t, edge_bid, blocks = _grouped(instance, [edges[e] for e in own])
+    obj = _objective(instance, edges)
+    demand_t = np.unique(edge_t)
+    starts = [np.cumsum(lens) - lens for *_, lens in blocks]
+    # Each block's coefficients in the full LP's (row, edge) layout, NaN until priced.
+    cache = [np.full(int(lens.sum()), np.nan) for *_, lens in blocks]
+    in_lp = [np.zeros(taus.size, dtype=bool) for _, _, _, taus, _ in blocks]
+
+    def price(b, k, j):
+        res, es, ts, taus, _ = blocks[b]
+        at = starts[b][k] + j
+        a = cache[b][at]
+        new = np.isnan(a)
+        a[new] = cache[b][at[new]] = _coefficients(res, times, taus[k[new]], ts[j[new]], edge_bid[es[j[new]]])
+        return a
+
+    pivots = 0
+    while True:
+        row, col, val, rhs = [], [], [], []
+        for b, (res, es, _, _, lens) in enumerate(blocks):
+            ks = np.flatnonzero(in_lp[b])
+            pos, j = _pairs(lens[ks])
+            row.append(len(rhs) + pos)
+            col.append(es[j])
+            val.append(price(b, ks[pos], j))
+            rhs += [float(res.capacity)] * ks.size
+        r0 = len(rhs)
+        A = simplex.Coo(np.concatenate(row + [r0 + np.searchsorted(demand_t, edge_t)]),
+                        np.concatenate(col + [np.arange(len(own))]), np.concatenate(val + [np.ones(len(own))]),
+                        (r0 + demand_t.size, len(own)))
+        sol = simplex.solve(obj[own], A, np.concatenate([rhs, size[demand_t]]))
+        pivots += sol.pivots
+        if sol.status != OPTIMAL:
+            return dataclasses.replace(sol, pivots=pivots)
+        grew = False
+        for b, (res, es, _, taus, lens) in enumerate(blocks):
+            k, j = _column_pairs(np.flatnonzero(~in_lp[b]), lens, np.flatnonzero(sol.x[es] != 0.0))
+            over = np.bincount(k, weights=price(b, k, j) * sol.x[es[j]], minlength=taus.size) > res.capacity
+            in_lp[b] |= over
+            grew |= bool(over.any())
+        if not grew:
+            break
+
+    # Map back and check on the full LP, with every coefficient from the cache.
+    X = sol.x
+    full_t = np.array([t for t, _, _ in edges], dtype=np.int64)
+    col_of = {edges[e][:2]: c for c, e in enumerate(own)}
+    cls = np.array([col_of[(rep[t], rid)] for t, rid, _ in edges], dtype=np.int64)
+    members = np.argsort(cls, kind="stable")      # members[at[c]:at[c] + k] are class column c's edges
+    at = np.searchsorted(cls[members], np.arange(len(own)))
+    row, col, val, y, rhs, row_kinds = [], [], [], [], [], []
+    read = 0                                      # capacity rows of the LP whose duals are read
+    for b, (res, es, ts, taus, lens) in enumerate(blocks):
+        ks = np.flatnonzero(in_lp[b])
+        dual = np.zeros(taus.size)
+        dual[ks] = sol.y[read : read + ks.size]
+        read += ks.size
+        # Every pair with X != 0, then those with X = 0 in a row with a dual != 0.
+        k, j = _column_pairs(np.arange(taus.size), lens, np.flatnonzero(X[es] != 0.0))
+        ks = np.flatnonzero(dual)
+        pos, jj = _pairs(lens[ks])
+        zero = X[es[jj]] == 0.0
+        k, j = np.concatenate([k, ks[pos[zero]]]), np.concatenate([j, jj[zero]])
+        reps = size[ts[j]]
+        row.append(len(rhs) + np.repeat(k, reps))
+        col.append(members[_ranges(at[es[j]], reps)])
+        val.append(np.repeat(price(b, k, j), reps))
+        y.append(dual)
+        rhs += [float(res.capacity)] * taus.size
+        row_kinds += [("cap", res.id, tau) for tau in taus.tolist()]
+    full_demand = np.unique(full_t)
+    y.append(sol.y[read + np.searchsorted(demand_t, rep[full_demand])])
+    row.append(len(rhs) + np.searchsorted(full_demand, full_t))
+    col.append(np.arange(len(edges)))
+    val.append(np.ones(len(edges)))
+    rhs += [1.0] * full_demand.size
+    row_kinds += [("demand", t) for t in full_demand.tolist()]
+    # Each list is joined and dropped in turn, so that its parts and its join never all coexist.
+    row = np.concatenate(row, dtype=np.int32)
+    col = np.concatenate(col, dtype=np.int32)
+    A = simplex.Coo(row, col, np.concatenate(val), (len(rhs), len(edges)))
+    full = LpModel(instance=instance, edges=edges, obj=obj, A=A, rhs=np.array(rhs), row_kinds=row_kinds)
+    out = simplex.SimplexResult(OPTIMAL, sol.objective, X[cls] / size[rep[full_t]], pivots, np.concatenate(y))
+    check_lp_solution(full, out)
+    return out
+
+
 def lp_value(instance: model.Instance) -> float:
-    sol = solve_lp(build_lp(instance))
-    if sol.status != OPTIMAL:
-        raise RuntimeError(f"LP solve ended with status {sol.status}")
-    return sol.objective
+    """The fluid LP's optimum by `solve_lp_value`."""
+    res = solve_lp_value(instance)
+    if res.status != OPTIMAL:
+        raise RuntimeError(f"LP solve ended with status {res.status}")
+    return res.objective
 
 
 class LpRoundingPolicy(RowSampler):

@@ -173,12 +173,13 @@ def cmd_lp(args) -> int:
     inst, name = _load_instance(args)
     if args.galg:
         _check_mode(inst, "galg", model.MATCHING)
-    sol = benchmarks.solve_lp(benchmarks.build_lp(inst))
     if args.y_csv:
+        sol = benchmarks.solve_lp(benchmarks.build_lp(inst))
         rows = [[t, rid, v] for (t, rid), v in sorted(sol.y.items()) if v > 1e-12]
         _emit(rows, ["arrival", "resource", "y"], args.out)
         return 0
-    rows = [[name, sol.status, sol.objective]]
+    res = benchmarks.solve_lp_value(inst)
+    rows = [[name, res.status, res.objective]]
     header = ["instance", "status", "lp_value"]
     if args.galg:
         rows[0].append(policies.run_galg(inst).fluid_reward)
@@ -303,7 +304,7 @@ def main(argv=None) -> int:
         if getattr(args, "trials", 1) < 1:
             raise CliError("--trials must be >= 1")
         return args.func(args)
-    except (CliError, benchmarks.UnsupportedMode, model.NoEdges, FileNotFoundError) as exc:
+    except (CliError, benchmarks.UnsupportedMode, model.NoEdges, model.TooLarge, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -55,13 +55,27 @@ def test_weak_substitution_validation():
     assert validate_choice_model(bad)
 
 
-def test_a_large_table_is_not_rejected_for_its_size():
+def test_a_large_table_is_checked_for_completeness():
+    """Weak substitution is checked only up to 16 items, but completeness and
+    the values at every size: a 17-item table of the singletons and the full
+    set lacks 131,053 subsets."""
     items = tuple(range(17))
     phi = {frozenset({i}): {i: 0.5} for i in items}
     phi[frozenset(items)] = {i: 1.0 / 17 for i in items}
-    assert validate_choice_model(ExplicitTable(items=items, phi=phi)) == []
+    missing = "table lists 18 of the 131071 nonempty subsets of the items"
+    assert validate_choice_model(ExplicitTable(items=items, phi=phi)) == [missing]
     phi[frozenset({3})] = {3: 1.5}
-    assert validate_choice_model(ExplicitTable(items=items, phi=phi)) == ["choice probabilities of [3] exceed 1"]
+    assert validate_choice_model(ExplicitTable(items=items, phi=phi)) == ["choice probabilities of [3] exceed 1",
+                                                                          missing]
+
+
+@pytest.mark.parametrize("key", [frozenset(), frozenset({0, 7})])
+def test_a_table_entry_outside_the_items_is_rejected(key):
+    cm = mnl_table([0, 1, 2], 0.5, {0: 1.0, 1: 2.0, 2: 0.5})
+    phi = {S: dict(row) for S, row in cm.phi.items() if S != frozenset({0, 1, 2})}
+    phi[key] = {}
+    assert validate_choice_model(ExplicitTable(items=(0, 1, 2), phi=phi)) == [
+        f"table entry {sorted(key)} is not a nonempty subset of the items"]
 
 
 # --- probability match -------------------------------------------------------------

@@ -1,13 +1,19 @@
 import dataclasses
+import importlib.util
 import math
+import os
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 from helpers import reference_build_lp, reference_certificate_check, reference_simplex
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linprog
 from scipy.sparse import coo_array
 
+import reuse_alloc
 from reuse_alloc import benchmarks, engine, model, policies, simplex
 from reuse_alloc.benchmarks import (OPTIMAL, LpRoundingPolicy, UnsupportedMode, brute_force_clairvoyant,
                                     build_lp, certificate_check, lp_value, solve_lp)
@@ -256,6 +262,135 @@ def test_solve_lp_checks_every_optimum(monkeypatch):
     monkeypatch.setattr(simplex, "solve", negated_duals)
     with pytest.raises(RuntimeError, match="dual feasibility"):
         solve_lp(lp)
+
+
+# --- the value path: identical-arrival classes and capacity rows on demand ----------
+
+@pytest.mark.parametrize("inst", builder_cases() + offline_bounds_lps())
+def test_lp_value_maps_back_to_a_full_optimum(inst):
+    """solve_lp_value's x and y, mapped back, pass the check on the full LP,
+    and its value is the full solve's."""
+    lp = build_lp(inst)
+    res = benchmarks.solve_lp_value(inst)
+    assert res.status == OPTIMAL
+    assert (res.x.size, res.y.size) == (lp.A.shape[1], lp.A.shape[0])
+    benchmarks.check_lp_solution(lp, res)
+    full = solve_lp(lp).objective
+    assert res.objective == pytest.approx(full, rel=1e-9, abs=1e-9)
+
+
+def _load_workloads(monkeypatch):
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)     # dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_lp_value_keeps_the_benchmark_lp_texts(monkeypatch):
+    """The LP values that perfbench's offline_bounds digests hash (the `lp`
+    and `compare` CSVs print 12 significant digits), on the instances the
+    workload makes, equal the full solve's text."""
+    instances = _load_workloads(monkeypatch).make_instances(reuse_alloc, "offline_bounds", 1)
+    for key, text in (("example_a1_n300", "899.75"), ("upper_triangular_10x100", "1000"),
+                      ("budgeted_lp", "1162.19745878")):
+        inst = instances[key]
+        assert format(lp_value(inst), ".12g") == text, key
+        assert format(solve_lp(build_lp(inst)).objective, ".12g") == text, key
+
+
+def test_lp_value_at_example_a1_1000_stays_small():
+    """3n - 1/4 at n = 1000 under 150 MB of traced allocations; the full LP's
+    dense tableau alone would take 528 MB."""
+    inst = example_a1(1000)
+    tracemalloc.start()
+    try:
+        value = lp_value(inst)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert value == pytest.approx(3 * 1000 - 0.25, abs=1e-6)
+    assert peak < 150e6
+
+
+def test_lp_value_prices_each_pair_once(monkeypatch):
+    """Across all rounds and the check, no (resource, row, edge) coefficient
+    is priced twice, and far fewer are priced than the full LP holds."""
+    inst = offline_bounds_lps()[2].values[0]
+    real = benchmarks._coefficients
+    priced = []
+
+    def spy(res, times, row_t, edge_t, bids):
+        priced.extend(zip([res.id] * row_t.size, row_t.tolist(), edge_t.tolist()))
+        return real(res, times, row_t, edge_t, bids)
+
+    monkeypatch.setattr(benchmarks, "_coefficients", spy)
+    lp_value(inst)
+    assert len(set(priced)) == len(priced) < build_lp(inst).A.val.size / 2
+
+
+def test_lp_value_checks_its_optimum(monkeypatch):
+    real = simplex.solve
+
+    def negated_duals(c, A, b):
+        res = real(c, A, b)
+        return dataclasses.replace(res, y=-res.y)
+
+    monkeypatch.setattr(simplex, "solve", negated_duals)
+    with pytest.raises(RuntimeError, match="dual feasibility"):
+        lp_value(example_a1(3))
+
+
+FAMILIES = (NonReusable(), Deterministic(0.7), Exponential(1.0), TwoPointInf(1.0, 0.5), Uniform(0.2, 1.3),
+            ZeroOrInf(0.5))
+
+
+@st.composite
+def repeated_instances(draw, mode, families=FAMILIES, max_groups=6, max_copies=4, max_capacity=3):
+    """Groups of identical arrivals (time and bids), on few distinct times,
+    so that classes form; small capacities, so that capacity rows bind."""
+    n_res = draw(st.integers(1, 3))
+    resources = tuple(model.Resource(i, draw(st.integers(1, max_capacity)), draw(st.sampled_from((0.5, 1.0, 2.0))),
+                                     draw(st.sampled_from(families))) for i in range(n_res))
+    bids = st.dictionaries(st.integers(0, n_res - 1), st.integers(0 if mode == model.BUDGETED else 1, 3),
+                           max_size=n_res)
+    groups = draw(st.lists(st.tuples(st.sampled_from((0.0, 0.5, 1.0, 2.5)), bids, st.integers(1, max_copies)),
+                           min_size=1, max_size=max_groups))
+    arrivals = []
+    for time, bid, copies in sorted(groups, key=lambda g: g[0]):
+        demand = (model.MatchingEdges(frozenset(bid)) if mode == model.MATCHING
+                  else model.BudgetedBids({i: bid.get(i, 0) for i in range(n_res)}))
+        arrivals += [model.Arrival(time, demand)] * copies
+    return model.Instance(mode=mode, resources=resources, arrivals=tuple(arrivals))
+
+
+@pytest.mark.parametrize("mode", [model.MATCHING, model.BUDGETED])
+@settings(max_examples=60)
+@given(data=st.data())
+def test_lp_value_equals_the_full_lp_property(mode, data):
+    """Classes plus rows on demand give the full LP's optimum: the dense
+    reference simplex's and HiGHS' within 1e-9 relative, with a mapped-back
+    x and y that pass the full LP's check."""
+    inst = data.draw(repeated_instances(mode))
+    lp = build_lp(inst)
+    res = benchmarks.solve_lp_value(inst)
+    benchmarks.check_lp_solution(lp, res)
+    if not lp.obj.size:     # no edge: the reference simplex needs a column
+        assert res.objective == 0.0
+        return
+    want = reference_simplex(lp.obj, lp.rows, lp.rhs).objective
+    assert res.objective == pytest.approx(want, rel=1e-9, abs=1e-9)
+    assert res.objective == pytest.approx(scipy_lp_value(inst), rel=1e-9, abs=1e-9)
+
+
+@pytest.mark.parametrize("mode", [model.MATCHING, model.BUDGETED])
+@settings(max_examples=25)
+@given(data=st.data())
+def test_brute_force_at_most_lp_value_property(mode, data):
+    finite = tuple(f for f in FAMILIES if isinstance(f, (Deterministic, TwoPointInf, ZeroOrInf, NonReusable)))
+    inst = data.draw(repeated_instances(mode, finite, max_groups=3, max_copies=2, max_capacity=2))
+    assert brute_force_clairvoyant(inst) <= lp_value(inst) + 1e-9
 
 
 # --- brute-force clairvoyant -----------------------------------------------------

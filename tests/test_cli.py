@@ -372,3 +372,56 @@ def test_compare_ratios_on_burst_spread_instance(capsys):
     ratio_rba = float(rows["rba"][7])
     assert ratio_balance == pytest.approx(2.5 / 3.0, abs=0.02)
     assert ratio_rba >= 0.86
+
+
+def _table_instance(n_items: int) -> dict:
+    """One arrival offered n_items unit resources under an explicit table that
+    lists only the singletons and the full set."""
+    items = list(range(n_items))
+    phi = {"{%d}" % i: {str(i): 0.5} for i in items}
+    phi["{" + ",".join(map(str, items)) + "}"] = {str(i): 1.0 / n_items for i in items}
+    return {"mode": "assortment",
+            "resources": [{"id": i, "capacity": 1, "reward": 1.0, "usage": {"type": "non_reusable"}} for i in items],
+            "arrivals": [{"time": 0.0, "demand": {"type": "assortment", "choice_model": 0,
+                                                  "bids": {str(i): 1 for i in items}, "feasible": {"type": "all"}}}],
+            "choice_models": [{"type": "table", "n": n_items, "items": items, "phi": phi}]}
+
+
+def test_an_incomplete_large_table_is_one_error_line(capsys, tmp_path):
+    path = tmp_path / "table17.json"
+    path.write_text(json.dumps(_table_instance(17)))
+    code, out, err = run_cli(capsys, ["run", "--instance", str(path), "--policies", "rba_assortment",
+                                      "--trials", "2", "--seed", "1"])
+    assert (code, out) == (2, "")
+    assert err == ("error: invalid instance: choice model 0: table lists 18 of the 131071 nonempty subsets "
+                   "of the items\n")
+
+
+def test_too_large_is_one_error_line(capsys, monkeypatch):
+    from reuse_alloc import benchmarks
+
+    def too_large(instance):
+        raise model.TooLarge("explicit-table oracle is limited to 20 items")
+
+    monkeypatch.setattr(benchmarks, "lp_value", too_large)
+    code, out, err = run_cli(capsys, ["compare", "--gen", "example_a1", "--param", "n", "2",
+                                      "--policies", "greedy", "--trials", "2", "--seed", "1"])
+    assert (code, out) == (2, "")
+    assert err == "error: explicit-table oracle is limited to 20 items\n"
+
+
+def test_lp_value_and_vertex_paths(capsys, monkeypatch):
+    """`lp` prints the value from the reduced LP and never builds the full
+    one; `lp --y-csv` prints the full LP's vertex."""
+    from reuse_alloc import benchmarks
+
+    gen = ["lp", "--gen", "upper_triangular", "--param", "n_resources", "3", "--param", "capacity", "2"]
+    code, out, _ = run_cli(capsys, gen + ["--y-csv"])
+    assert code == 0 and out.startswith("arrival,resource,y\n") and len(out.splitlines()) > 1
+
+    def no_build(instance):
+        raise AssertionError("the full LP was built")
+
+    monkeypatch.setattr(benchmarks, "build_lp", no_build)
+    code, out, _ = run_cli(capsys, gen)
+    assert (code, out) == (0, "instance,status,lp_value\nupper_triangular,Optimal,6\n")
