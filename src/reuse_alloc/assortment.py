@@ -19,10 +19,10 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 from dataclasses import dataclass
 
 from . import model, rng
+from .distributions import is_number
 from .policies import FluidGuide, Policy, top_price
 
 PM_TOL = 1e-12
@@ -72,22 +72,18 @@ class ExplicitTable:
         return self.phi[frozenset(S)].get(i, 0.0)
 
 
-def _finite_nonnegative(values) -> bool:
-    return all(isinstance(v, numbers.Real) and 0 <= v < math.inf for v in values)
-
-
 def validate_choice_model(cm, tol: float = 1e-9) -> list:
-    """Finite nonnegative parameters, totals <= 1, a table entry for every
-    nonempty subset of the items, and weak substitution; the last is checked
-    exhaustively for tables of at most 16 items, and not at all for larger
-    ones."""
+    """Finite nonnegative numbers as parameters (`is_number`: no bool),
+    totals <= 1, a table entry for every nonempty subset of the items, and
+    weak substitution; the last is checked exhaustively for tables of at
+    most 16 items, and not at all for larger ones."""
     if isinstance(cm, MNL):
-        if _finite_nonnegative([cm.v0, *cm.weights.values()]):
+        if all(is_number(v) and 0 <= v < math.inf for v in (cm.v0, *cm.weights.values())):
             return []
         return ["mnl v0 and weights must be finite and nonnegative"]
     bad = []
     for S, row in cm.phi.items():
-        if not _finite_nonnegative(row.values()):
+        if not all(is_number(v) and 0 <= v < math.inf for v in row.values()):
             return [f"choice probabilities of {sorted(S)} must be finite and nonnegative"]
         if sum(row.values()) > 1.0 + tol:
             bad.append(f"choice probabilities of {sorted(S)} exceed 1")

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import model, rng, simplex
 from .distributions import Deterministic, NonReusable, TwoPointInf, ZeroOrInf
-from .engine import lockstep, simulate  # noqa: F401  (perfbench/tracer.py wraps benchmarks.simulate)
+from .engine import lockstep, mean_se, simulate  # noqa: F401  (perfbench/tracer.py wraps benchmarks.simulate)
 from .policies import RbaPolicy, RowSampler, run_galg
 
 OPTIMAL = simplex.OPTIMAL
@@ -67,11 +67,14 @@ class LpSolution:
 
 
 def _grouped(instance: model.Instance, edges: list):
-    """The grouped pass behind both LP builders: (times, edge_t, edge_bid,
+    """The grouped pass behind both LP paths: (times, edge_t, edge_bid,
     blocks), with one block (res, es, ts, taus, lens) per resource with an
     edge. es are its edges in arrival order and ts their arrival indices;
     taus are the ends of the distinct-time groups that hold one of them, one
-    capacity row each, and row k holds the first lens[k] edges of es."""
+    capacity row each, and row k holds the first lens[k] edges of es. Only
+    matching and budgeted instances have an LP; others raise UnsupportedMode."""
+    if instance.mode not in (model.MATCHING, model.BUDGETED):
+        raise UnsupportedMode("the LP bound covers matching and budgeted modes")
     times = np.array([a.time for a in instance.arrivals])
     group_end = {}
     for t, a in enumerate(instance.arrivals):
@@ -106,6 +109,44 @@ def _objective(instance: model.Instance, edges: list) -> np.ndarray:
     return np.array([bid * rewards[rid] for (_, rid, bid) in edges])
 
 
+def _assemble(blocks, rows, price, edge_t, demand_rhs):
+    """(A, rhs) of the LP with the capacity rows `rows` of `blocks` (one
+    ascending array of row indices per block from `_grouped`, in block
+    order) and one demand row per distinct arrival of edge_t, whose
+    right-hand sides are demand_rhs. Column e is edge e, at arrival
+    edge_t[e]; price(b, k, j) gives the coefficients of the pairs (row k,
+    edge es[j]) of block b. Coordinates go into preallocated arrays one run
+    of rows at a time; no m x n array is made."""
+    n = edge_t.size
+    demand_t = np.unique(edge_t)
+    counts = [lens[ks] for (*_, lens), ks in zip(blocks, rows)]
+    m = sum(ks.size for ks in rows)
+    nnz = sum(int(c.sum()) for c in counts) + n
+    row = np.empty(nnz, dtype=np.int32)
+    col = np.empty(nnz, dtype=np.int32)
+    val = np.empty(nnz)
+    rhs = np.empty(m + demand_t.size)
+    r0 = k0 = 0
+    for b, ((res, es, *_), ks, c) in enumerate(zip(blocks, rows, counts)):
+        # A row holds at most n edges, so a run of the rows that start in the
+        # same window of 2n coordinates keeps every temporary under 3n entries.
+        before = np.cumsum(c) - c
+        for part in np.split(np.arange(ks.size), np.flatnonzero(np.diff(before // (2 * n))) + 1):
+            pos, j = _pairs(c[part])
+            k1 = k0 + pos.size
+            row[k0:k1] = r0 + part[pos]
+            col[k0:k1] = es[j]
+            val[k0:k1] = price(b, ks[part[pos]], j)
+            k0 = k1
+        rhs[r0 : r0 + ks.size] = float(res.capacity)
+        r0 += ks.size
+    row[k0:] = r0 + np.searchsorted(demand_t, edge_t)
+    col[k0:] = np.arange(n)
+    val[k0:] = 1.0
+    rhs[r0:] = demand_rhs
+    return simplex.Coo(row, col, val, (rhs.size, n)), rhs
+
+
 def build_lp(instance: model.Instance) -> LpModel:
     """Exact fluid LP; capacity rows are emitted once per (resource, arrival
     time bucket with a new edge) because later rows with no new edge have
@@ -116,44 +157,19 @@ def build_lp(instance: model.Instance) -> LpModel:
     holds a prefix of them; an arrival's edges are contiguous, so its demand
     row is one run of columns. Each coefficient is bid * (1 - F(age)) with
     the scalar CDF F, evaluated once per distinct age in a run of the
-    resource's rows. A comes out as coordinates, one per (row, edge) pair;
-    no m x n array is made."""
-    if instance.mode not in (model.MATCHING, model.BUDGETED):
-        raise UnsupportedMode("the LP bound covers matching and budgeted modes")
+    resource's rows. `_assemble` lays A out as coordinates, one per (row,
+    edge) pair."""
     edges = list(instance.edges())
-    n = len(edges)
-    obj = _objective(instance, edges)
     times, edge_t, edge_bid, blocks = _grouped(instance, edges)
-    demand_t = np.unique(edge_t)
-    m = sum(taus.size for _, _, _, taus, _ in blocks) + demand_t.size
-    nnz = sum(int(lens.sum()) for *_, lens in blocks) + n
-    row = np.empty(nnz, dtype=np.int32)
-    col = np.empty(nnz, dtype=np.int32)
-    val = np.empty(nnz)
-    rhs = np.ones(m)
-    row_kinds = []
-    r0 = k0 = 0
-    for res, es, ts, taus, lens in blocks:
-        # A row holds at most n edges, so a run of the rows that start in the
-        # same window of 2n coordinates keeps every temporary under 3n entries.
-        before = np.cumsum(lens) - lens
-        for part in np.split(np.arange(taus.size), np.flatnonzero(np.diff(before // (2 * n))) + 1):
-            # (row_of, at) lists every (row, edge) pair of the run.
-            pos, at = _pairs(lens[part])
-            row_of = part[pos]
-            k1 = k0 + row_of.size
-            row[k0:k1] = r0 + row_of
-            col[k0:k1] = es[at]
-            val[k0:k1] = _coefficients(res, times, taus[row_of], ts[at], edge_bid[es[at]])
-            k0 = k1
-        rhs[r0 : r0 + taus.size] = float(res.capacity)
-        row_kinds += [("cap", res.id, tau) for tau in taus.tolist()]
-        r0 += taus.size
-    row[k0:] = r0 + np.searchsorted(demand_t, edge_t)
-    col[k0:] = np.arange(n)
-    val[k0:] = 1.0
-    row_kinds += [("demand", t) for t in demand_t.tolist()]
-    return LpModel(instance=instance, edges=edges, obj=obj, A=simplex.Coo(row, col, val, (m, n)), rhs=rhs,
+
+    def price(b, k, j):
+        res, es, ts, taus, _ = blocks[b]
+        return _coefficients(res, times, taus[k], ts[j], edge_bid[es[j]])
+
+    A, rhs = _assemble(blocks, [np.arange(taus.size) for _, _, _, taus, _ in blocks], price, edge_t, 1.0)
+    row_kinds = [("cap", res.id, tau) for res, _, _, taus, _ in blocks for tau in taus.tolist()]
+    row_kinds += [("demand", t) for t in np.unique(edge_t).tolist()]
+    return LpModel(instance=instance, edges=edges, obj=_objective(instance, edges), A=A, rhs=rhs,
                    row_kinds=row_kinds)
 
 
@@ -213,14 +229,12 @@ def solve_lp_value(instance: model.Instance) -> simplex.SimplexResult:
     size) and one column per (class, resource) give the same optimum. Rows on
     demand: the first round has the demand rows only, and each next round
     adds every capacity row whose load exceeds its capacity at all, until
-    none does. Only the rows in the LP and the (row, edge) pairs with x != 0
-    are priced, each once. The solution is mapped back: a member's x is its
-    class's x / k and its demand row takes its class's dual, and a row never
-    added has dual 0. It must pass `check_lp_solution` on the full LP, less
-    only the entries with x = 0 and y = 0, which add exactly zero to A x and
-    to A^T y."""
-    if instance.mode not in (model.MATCHING, model.BUDGETED):
-        raise UnsupportedMode("the LP bound covers matching and budgeted modes")
+    none does; `_assemble` lays out each round's LP. Only the rows in the
+    LP and the (row, edge) pairs with x != 0 are priced, each once. The
+    solution is mapped back: a member's x is its class's x / k and its
+    demand row takes its class's dual, and a row never added has dual 0. It
+    must pass `check_lp_solution` on the full LP, less only the entries with
+    x = 0 and y = 0, which add exactly zero to A x and to A^T y."""
     # rep[t] is the first arrival of t's class; its edges are the class's columns.
     rep = np.empty(len(instance.arrivals), dtype=np.int64)
     first = {}
@@ -242,24 +256,14 @@ def solve_lp_value(instance: model.Instance) -> simplex.SimplexResult:
         at = starts[b][k] + j
         a = cache[b][at]
         new = np.isnan(a)
-        a[new] = cache[b][at[new]] = _coefficients(res, times, taus[k[new]], ts[j[new]], edge_bid[es[j[new]]])
+        if new.any():           # a round re-reads its rows, a run of rows at a time, mostly priced before
+            a[new] = cache[b][at[new]] = _coefficients(res, times, taus[k[new]], ts[j[new]], edge_bid[es[j[new]]])
         return a
 
     pivots = 0
     while True:
-        row, col, val, rhs = [], [], [], []
-        for b, (res, es, _, _, lens) in enumerate(blocks):
-            ks = np.flatnonzero(in_lp[b])
-            pos, j = _pairs(lens[ks])
-            row.append(len(rhs) + pos)
-            col.append(es[j])
-            val.append(price(b, ks[pos], j))
-            rhs += [float(res.capacity)] * ks.size
-        r0 = len(rhs)
-        A = simplex.Coo(np.concatenate(row + [r0 + np.searchsorted(demand_t, edge_t)]),
-                        np.concatenate(col + [np.arange(len(own))]), np.concatenate(val + [np.ones(len(own))]),
-                        (r0 + demand_t.size, len(own)))
-        sol = simplex.solve(obj[own], A, np.concatenate([rhs, size[demand_t]]))
+        A, rhs = _assemble(blocks, [np.flatnonzero(f) for f in in_lp], price, edge_t, size[demand_t])
+        sol = simplex.solve(obj[own], A, rhs)
         pivots += sol.pivots
         if sol.status != OPTIMAL:
             return dataclasses.replace(sol, pivots=pivots)
@@ -549,9 +553,7 @@ def _rba_candidate(instance, trials, master_seed):
     lam /= trials
     for rid in theta:
         theta[rid] /= trials
-    totals = paths.totals
-    se = float(totals.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
-    return lam, theta, float(totals.mean()), se
+    return (lam, theta, *mean_se(paths.totals))
 
 
 def certificate_check(instance: model.Instance, alg: str, opt_policy, trials: int,
@@ -588,19 +590,18 @@ def certificate_check(instance: model.Instance, alg: str, opt_policy, trials: in
     rows = []
     for rid in rids:
         diffs = lam_sums[rid] + theta[rid] - alpha * rewards[rid] * units[rid]
-        se = float(diffs.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
+        mean, se = mean_se(diffs)
         opt_i = float(rewards[rid] * units[rid].mean())
         lhs = theta[rid] + float(lam_sums[rid].mean())
         rows.append(CertificateRow(
             resource=rid, theta=theta[rid], opt_lambda_sum=float(lam_sums[rid].mean()),
             opt_i=opt_i, lhs=lhs, rhs=alpha * opt_i, se=se,
-            passed=bool(float(diffs.mean()) >= -3.0 * se - 1e-12)))
+            passed=bool(mean >= -3.0 * se - 1e-12)))
 
     cond1_lhs = float(lam.sum() + sum(theta.values()))
     cond1_rhs = beta * alg_value
     cond1_se = beta * alg_se
-    report = CertificateReport(
+    return CertificateReport(
         rows=rows, cond1_lhs=cond1_lhs, cond1_rhs=cond1_rhs, cond1_se=cond1_se,
         cond1_passed=bool(cond1_lhs <= cond1_rhs + 3.0 * cond1_se + 1e-9),
         alg_value=alg_value, alpha=alpha, beta=beta)
-    return report

@@ -7,6 +7,8 @@ availability of a single-unit process spec).
 
 Output is CSV with a header row, 12 significant digits, fully determined by
 the flags and the mandatory --seed; there is no wall-clock seeding anywhere.
+Malformed input, and a path that cannot be read or written, give one
+`error:` line on stderr and exit status 2.
 """
 
 from __future__ import annotations
@@ -38,15 +40,19 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _emit(rows, header, out_path=None):
-    lines = [",".join(header)]
-    lines += [",".join(_fmt(v) for v in row) for row in rows]
-    text = "\n".join(lines) + "\n"
-    if out_path:
-        with open(out_path, "w") as fh:
+def _write(text: str, path=None):
+    """`text` into the file `path`, or to stdout when there is none."""
+    if path:
+        with open(path, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _emit(rows, header, out_path=None):
+    lines = [",".join(header)]
+    lines += [",".join(_fmt(v) for v in row) for row in rows]
+    _write("\n".join(lines) + "\n", out_path)
 
 
 def _gen_kwargs(pairs):
@@ -209,12 +215,7 @@ def cmd_certify(args) -> int:
 
 def cmd_gen(args) -> int:
     inst = _generate(args.name, args.param)
-    text = json.dumps(model.to_json(inst), indent=None)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        sys.stdout.write(text + "\n")
+    _write(json.dumps(model.to_json(inst), indent=None) + "\n", args.out)
     return 0
 
 
@@ -304,7 +305,7 @@ def main(argv=None) -> int:
         if getattr(args, "trials", 1) < 1:
             raise CliError("--trials must be >= 1")
         return args.func(args)
-    except (CliError, benchmarks.UnsupportedMode, model.NoEdges, model.TooLarge, FileNotFoundError) as exc:
+    except (CliError, benchmarks.UnsupportedMode, model.NoEdges, model.TooLarge, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

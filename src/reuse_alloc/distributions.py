@@ -272,28 +272,25 @@ def to_json(dist) -> dict:
     raise UnsupportedDistribution(f"no JSON encoding for {dist!r}")
 
 
-def _number(obj: dict, kind: str, name: str):
-    value = obj[name]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{kind} {name} must be a number, got {value!r}")
-    return value
+def is_number(x, kind=numbers.Real) -> bool:
+    """Whether x is a number of `kind` (numbers.Real, or numbers.Integral for
+    a count). A bool is not one: JSON's true and false are not numbers."""
+    if type(x) in (int, float):           # the fast path, the types JSON gives, with no ABC check
+        return type(x) is int or kind is numbers.Real
+    return isinstance(x, kind) and not isinstance(x, bool)
 
 
 def from_json(obj: dict):
     """The distribution `obj` describes. A missing parameter raises KeyError
-    with its name, a non-numeric one ValueError, an unknown type
-    UnsupportedDistribution."""
+    with its name, an unknown type UnsupportedDistribution; `validate`
+    checks the parameters' values."""
     kind = obj["type"]
     if kind == "mixture_inf":
-        return MixtureWithInf(p_finite=_number(obj, kind, "p_finite"), base=from_json(obj["base"]))
+        return MixtureWithInf(p_finite=obj["p_finite"], base=from_json(obj["base"]))
     if kind not in _CODECS:
         raise UnsupportedDistribution(f"unknown distribution type {kind!r}")
     cls, fields = _CODECS[kind]
-    return cls(**{f: _number(obj, kind, f) for f in fields})
-
-
-def _finite(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+    return cls(**{f: obj[f] for f in fields})
 
 
 def validate(dist) -> list:
@@ -302,8 +299,8 @@ def validate(dist) -> list:
     the range checks of its distribution, which could not compare it."""
     params = ([f.name for f in dataclasses.fields(dist) if f.name != "base"]
               if dataclasses.is_dataclass(dist) else [])
-    bad = [f"{type(dist).__name__} {name} must be a finite number, got {getattr(dist, name)!r}"
-           for name in params if not _finite(getattr(dist, name))]
+    bad = [f"{type(dist).__name__} {name} must be a finite number, got {value!r}"
+           for name in params if not (is_number(value := getattr(dist, name)) and math.isfinite(value))]
     if not bad:
         bad = _range_violations(dist)
     if isinstance(dist, MixtureWithInf):

@@ -265,16 +265,20 @@ def summarize(traces) -> Summary:
     return _summary(np.array(totals), {rid: np.array(v) for rid, v in per_res.items()}, events)
 
 
+def mean_se(values: np.ndarray) -> tuple:
+    """(mean, standard error of the mean) of per-trial values, as floats: the
+    sample standard deviation over sqrt(trials), 0.0 for a single trial."""
+    trials = len(values)
+    return float(values.mean()), float(values.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
+
+
 def _summary(totals: np.ndarray, per_res: dict, events: dict) -> Summary:
-    trials = len(totals)
-    mean = float(totals.mean())
-    se = float(totals.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
-    root = math.sqrt(trials)
-    return Summary(trials=trials, mean=mean, se=se,
+    mean, se = mean_se(totals)
+    per_res = {rid: mean_se(v) for rid, v in per_res.items()}
+    return Summary(trials=len(totals), mean=mean, se=se,
                    ci95=(mean - 1.96 * se, mean + 1.96 * se),
-                   per_resource_mean={rid: float(v.mean()) for rid, v in per_res.items()},
-                   per_resource_se={rid: float(v.std(ddof=1) / root) if trials > 1 else 0.0
-                                    for rid, v in per_res.items()},
+                   per_resource_mean={rid: m for rid, (m, _) in per_res.items()},
+                   per_resource_se={rid: e for rid, (_, e) in per_res.items()},
                    event_totals=events)
 
 

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from . import distributions
+from .distributions import is_number
 
 MATCHING = "matching"
 BUDGETED = "budgeted"
@@ -151,12 +152,11 @@ class Instance:
                 yield t, rid, b
 
 
-def _real(x) -> bool:
-    return isinstance(x, (int, float)) or isinstance(x, numbers.Real)   # the first test is the fast one
-
-
 def validate(instance: Instance) -> list:
-    """Every invariant violation as a message; empty iff well formed."""
+    """Every invariant violation as a message; empty iff well formed. A
+    bool is not a number (`distributions.is_number`), so JSON's true is not
+    a resource id, capacity, reward, time, bid, choice model index or
+    max_cardinality k."""
     from . import assortment  # local import to avoid a cycle
 
     bad = []
@@ -165,12 +165,14 @@ def validate(instance: Instance) -> list:
         return bad
     seen = set()
     for r in instance.resources:
-        if r.id in seen:
+        if not is_number(r.id, numbers.Integral):
+            bad.append(f"resource {r.id!r}: id must be an integer")
+        elif r.id in seen:
             bad.append(f"duplicate resource id {r.id}")
         seen.add(r.id)
-        if not isinstance(r.capacity, numbers.Integral) or r.capacity < 1:
+        if not is_number(r.capacity, numbers.Integral) or r.capacity < 1:
             bad.append(f"resource {r.id}: capacity must be an integer >= 1")
-        if not (_real(r.reward) and 0 <= r.reward < math.inf):
+        if not (is_number(r.reward) and 0 <= r.reward < math.inf):
             bad.append(f"resource {r.id}: reward must be finite and >= 0")
         for msg in distributions.validate(r.usage):
             bad.append(f"resource {r.id}: {msg}")
@@ -179,7 +181,7 @@ def validate(instance: Instance) -> list:
     want = _DEMAND_FOR_MODE[instance.mode]
     prev = None
     for t, arr in enumerate(instance.arrivals):
-        numeric = _real(arr.time)
+        numeric = is_number(arr.time)
         if numeric and prev is not None and arr.time < prev:
             bad.append(f"times not nondecreasing at index {t}")
         if numeric:
@@ -189,16 +191,15 @@ def validate(instance: Instance) -> list:
         if not isinstance(arr.demand, want):
             bad.append(f"arrival {t}: demand kind does not match mode {instance.mode}")
             continue
-        raw = arr.demand.resources if isinstance(arr.demand, MatchingEdges) else arr.demand.amounts
-        items = {i: 1 for i in raw} if isinstance(arr.demand, MatchingEdges) else raw
+        items = dict.fromkeys(arr.demand.resources, 1) if isinstance(arr.demand, MatchingEdges) else arr.demand.amounts
         for rid, b in items.items():
-            if rid not in seen:
-                bad.append(f"unknown resource {rid} at arrival {t}")
-            if not isinstance(b, int) or b < 0:
+            if not is_number(rid, numbers.Integral) or rid not in seen:
+                bad.append(f"unknown resource {rid!r} at arrival {t}")
+            if not is_number(b, numbers.Integral) or b < 0:
                 bad.append(f"arrival {t}: bid for resource {rid} must be a nonnegative integer")
         if isinstance(arr.demand, AssortmentRequest):
             cm_index = arr.demand.choice_model
-            if not (isinstance(cm_index, numbers.Integral) and 0 <= cm_index < len(instance.choice_models)):
+            if not (is_number(cm_index, numbers.Integral) and 0 <= cm_index < len(instance.choice_models)):
                 bad.append(f"arrival {t}: choice model {arr.demand.choice_model} does not exist")
             else:
                 cm = instance.choice_models[arr.demand.choice_model]
@@ -207,6 +208,9 @@ def validate(instance: Instance) -> list:
                 for rid in arr.demand.bids():
                     if rid not in universe:
                         bad.append(f"arrival {t}: choice model has no entry for resource {rid}")
+            k = arr.demand.feasible.k if isinstance(arr.demand.feasible, MaxCardinality) else 0
+            if not is_number(k, numbers.Integral) or k < 0:
+                bad.append(f"arrival {t}: max_cardinality k must be a nonnegative integer")
             if isinstance(arr.demand.feasible, ExplicitList):
                 sets = set(arr.demand.feasible.sets)
                 for s in sets:

@@ -20,6 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
+from .distributions import is_number
+from .engine import mean_se
 
 
 @dataclass(frozen=True)
@@ -29,6 +31,8 @@ class ProcessSpec:
     p: tuple                # transition probabilities, in [0, 1]
 
     def __post_init__(self):
+        if not all(map(is_number, (*self.sigma, *self.p))):
+            raise ValueError("sigma and p must hold numbers")
         object.__setattr__(self, "sigma", tuple(float(s) for s in self.sigma))
         object.__setattr__(self, "p", tuple(float(q) for q in self.p))
         if len(self.sigma) != len(self.p):
@@ -115,8 +119,7 @@ def simulate_process(spec: ProcessSpec, seed: int, trials: int) -> ProcessSummar
         left = nxt < T
         k, t = (k, nxt) if left.all() else (k[left], nxt[left])
     avail_freq = (trials - np.cumsum(busy[:T])) / trials
-    mean = float(rewards.mean())
-    se = float(rewards.std(ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0
+    mean, se = mean_se(rewards)
     return ProcessSummary(trials=trials, mean=mean, se=se,
                           ci95=(mean - 1.96 * se, mean + 1.96 * se),
                           availability=avail_freq)

@@ -72,17 +72,10 @@ def _mix_vec_inplace(z: np.ndarray) -> np.ndarray:
 
 
 def uniform_array(seed: int, parts: tuple, counters: np.ndarray) -> np.ndarray:
-    """Vector of uniforms over a counter axis, matching the scalar stream.
-
-    uniform_array(s, p, arange(n))[i] == uniform(s, *p, i) exactly.
-    """
-    h0 = derive(seed, *parts)
-    with np.errstate(over="ignore"):
-        h = np.asarray(counters, dtype=np.uint64) * np.uint64(_FOLD)
-        h ^= np.uint64((h0 + _GOLDEN) & _MASK)
-        _mix_vec_inplace(h)
-        h >>= np.uint64(11)
-    return h * 2.0**-53
+    """Vector of uniforms over a counter axis, matching the scalar stream:
+    uniform_vec(seed, *parts, counters), so that
+    uniform_array(s, p, arange(n))[i] == uniform(s, *p, i) exactly."""
+    return uniform_vec(seed, *parts, counters)
 
 
 def _u64(x):

@@ -47,7 +47,6 @@ from reuse_alloc.simplex import (FEAS_TOL, INFEASIBLE, ITERATION_LIMIT, MAX_PIVO
                                  STALL_LIMIT, SimplexResult, as_coo)
 from reuse_alloc.policies import RbaPolicy, reduced_price
 from reuse_alloc.randproc import ProcessSummary
-from reuse_alloc.distributions import ZeroOrInf
 
 
 def stochastic_rewards_greedy(instance: model.Instance, p: float, trials: int, master_seed: int):
@@ -84,13 +83,6 @@ def stochastic_rewards_greedy(instance: model.Instance, p: float, trials: int, m
             attempts[idx] += 1
             successes[idx[died]] += 1
     return successes, attempts
-
-
-def convert_and_check(instance: model.Instance, p: float):
-    conv = instance
-    for r in conv.resources:
-        assert isinstance(r.usage, ZeroOrInf) and abs(r.usage.p - (1.0 - p)) < 1e-12
-    return conv
 
 
 def water_filling_ratio(n: int) -> float:

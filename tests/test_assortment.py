@@ -55,6 +55,16 @@ def test_weak_substitution_validation():
     assert validate_choice_model(bad)
 
 
+def test_a_bool_is_not_a_choice_parameter():
+    assert validate_choice_model(MNL(v0=True, weights={0: 1.0})) == [
+        "mnl v0 and weights must be finite and nonnegative"]
+    cm = mnl_table([0, 1], 0.5, {0: 1.0, 1: 2.0})
+    phi = {S: dict(row) for S, row in cm.phi.items()}
+    phi[frozenset({0})][0] = False
+    assert validate_choice_model(ExplicitTable(items=(0, 1), phi=phi)) == [
+        "choice probabilities of [0] must be finite and nonnegative"]
+
+
 def test_a_large_table_is_checked_for_completeness():
     """Weak substitution is checked only up to 16 items, but completeness and
     the values at every size: a 17-item table of the singletons and the full

@@ -330,6 +330,27 @@ def test_lp_value_prices_each_pair_once(monkeypatch):
     assert len(set(priced)) == len(priced) < build_lp(inst).A.val.size / 2
 
 
+@pytest.mark.parametrize("inst, shapes", [pytest.param(p.values[0], shapes, id=p.id) for p, shapes in zip(
+    offline_bounds_lps(), ([(302, 602), (603, 602), (604, 602)], [(10, 55)], [(400, 1957), (635, 1957), (636, 1957)]))])
+def test_lp_value_rounds_keep_their_shapes(monkeypatch, inst, shapes):
+    """Each value-path round's LP, as the shared assembler lays it out: the
+    rounds and their m x n are pinned, no (row, column) is listed twice, and
+    every row has an entry and a right-hand side. An assembler that drops or
+    repeats a row changes a shape."""
+    real = simplex.solve
+    seen = []
+
+    def spy(c, A, b):
+        seen.append(A.shape)
+        assert len(set(zip(A.row.tolist(), A.col.tolist()))) == A.row.size
+        assert np.array_equal(np.unique(A.row), np.arange(A.shape[0])) and len(b) == A.shape[0]
+        return real(c, A, b)
+
+    monkeypatch.setattr(simplex, "solve", spy)
+    lp_value(inst)
+    assert seen == shapes
+
+
 def test_lp_value_checks_its_optimum(monkeypatch):
     real = simplex.solve
 

@@ -115,6 +115,78 @@ def test_malformed_instance_json_gives_one_error_line(capsys, tmp_path, text, me
     assert err.startswith("error: ") and err.count("\n") == 1 and message in err
 
 
+def _set(path, value):
+    """An instance JSON with the field at `path` (keys and indices) set to value."""
+    def make(obj):
+        *parents, last = path
+        for key in parents:
+            obj = obj[key]
+        obj[last] = value
+    return make
+
+
+def _all_times(value):
+    def make(obj):
+        obj["arrivals"].append({"time": 1.0, "demand": {"type": "edges", "resources": [0]}})
+        for a in obj["arrivals"]:
+            a["time"] = value
+    return make
+
+
+def _edge_to_true(obj):
+    obj["resources"][0]["id"] = 1                   # True == 1, so only the type tells them apart
+    for a in obj["arrivals"]:
+        a["demand"]["resources"] = [True]
+
+
+def _budgeted_bid(obj):
+    obj["mode"] = "budgeted"
+    obj["arrivals"][0]["demand"] = {"type": "bids", "bids": {"0": True}}
+
+
+@pytest.mark.parametrize("command", [["run", "--policies", "rba", "--trials", "2", "--seed", "1"], ["lp"]])
+@pytest.mark.parametrize("edit,message", [
+    (_set(("resources", 0, "capacity"), True), "resource 0: capacity must be an integer >= 1"),
+    (_set(("resources", 0, "reward"), True), "resource 0: reward must be finite and >= 0"),
+    (_set(("resources", 0, "id"), True), "resource True: id must be an integer"),
+    (_set(("resources", 0, "usage", "rate"), True), "Exponential rate must be a finite number, got True"),
+    (_set(("arrivals", 0, "time"), False), "arrival 0: time must be finite and >= 0"),
+    (_all_times(True), "arrival 1: time must be finite and >= 0"),
+    (_edge_to_true, "unknown resource True at arrival 0"),
+    (_budgeted_bid, "arrival 0: bid for resource 0 must be a nonnegative integer"),
+], ids=["capacity", "reward", "id", "rate", "time", "all_times", "edge", "bid"])
+def test_a_bool_is_not_a_number(capsys, tmp_path, command, edit, message):
+    obj = _instance_json()
+    edit(obj)
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run_cli(capsys, [command[0], "--instance", str(path), *command[1:]])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: invalid instance: ") and err.count("\n") == 1 and message in err
+
+
+@pytest.mark.parametrize("sigma,p", [(["0", "1.5"], [0.5, 0.5]), ([0.0, 1.5], [True, 0.5]), ([False, 1.5], [0.5, 0.5])])
+def test_randproc_rejects_what_is_not_a_number(capsys, tmp_path, sigma, p):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"distribution": {"type": "exponential", "rate": 1.0}, "sigma": sigma, "p": p}))
+    code, out, err = run_cli(capsys, ["randproc", str(path)])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and "sigma and p must hold numbers" in err
+
+
+@pytest.mark.parametrize("argv", [
+    lambda d: ["run", "--instance", str(d), "--policies", "rba", "--trials", "2", "--seed", "1"],
+    lambda d: ["randproc", str(d)],
+    lambda d: ["lp", "--gen", "example_a1", "--param", "n", "2", "--out", str(d)],
+    lambda d: ["lp", "--gen", "example_a1", "--param", "n", "2", "--out", str(d / "missing" / "lp.csv")],
+    lambda d: ["gen", "example_a1", "--param", "n", "2", "--out", str(d)],
+], ids=["run_instance_dir", "randproc_dir", "out_dir", "out_missing_dir", "gen_out_dir"])
+def test_a_path_that_cannot_be_read_or_written_is_one_error_line(capsys, tmp_path, argv):
+    code, out, err = run_cli(capsys, argv(tmp_path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and str(tmp_path) in err
+
+
 def _assortment_json(choice_model):
     return json.dumps({
         "mode": "assortment",
@@ -141,6 +213,20 @@ def test_bad_choice_model_gives_one_error_line(capsys, tmp_path, policy, choice_
                                       "--trials", "2", "--seed", "1"])
     assert (code, out) == (2, "")
     assert err.startswith("error: invalid instance: ") and err.count("\n") == 1 and message in err
+
+
+@pytest.mark.parametrize("k", ["x", True, -1, 1.5])
+def test_a_bad_max_cardinality_is_one_error_line(capsys, tmp_path, k):
+    obj = json.loads(_assortment_json({"type": "mnl", "v0": 1.0, "weights": {"0": 1.0, "1": 1.0}}))
+    for a in obj["arrivals"]:
+        a["demand"]["feasible"] = {"type": "max_cardinality", "k": k}
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run_cli(capsys, ["run", "--instance", str(path), "--policies", "astalg",
+                                      "--trials", "2", "--seed", "1"])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: invalid instance: ") and err.count("\n") == 1
+    assert "arrival 0: max_cardinality k must be a nonnegative integer" in err
 
 
 def test_threads_env_is_not_read(capsys, monkeypatch):

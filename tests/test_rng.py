@@ -51,3 +51,6 @@ KEYS = st.integers(min_value=-2**70, max_value=2**70)
 def test_vector_matches_scalar_for_any_int_seed(seed, parts):
     assert rng.uniform_vec(seed, *parts) == rng.uniform(seed, *parts)
     assert rng.uniform_vec(np.array([seed % 2**64], dtype=np.uint64), *parts)[0] == rng.uniform(seed, *parts)
+    if parts:                   # the last part as uniform_array's counter axis
+        counters = np.array([parts[-1] % 2**64], dtype=np.uint64)
+        assert rng.uniform_array(seed, tuple(parts[:-1]), counters)[0] == rng.uniform(seed, *parts)
