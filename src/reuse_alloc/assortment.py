@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from . import model, rng
 from .distributions import is_number
-from .policies import FluidGuide, Policy, top_price
+from .policies import FluidGuide, Policy, top_score
 
 PM_TOL = 1e-12
 
@@ -323,6 +323,9 @@ class AstalgPolicy(Policy):
         self.guide = run_astgalg(instance)
         gam = model.gamma(instance)
         self.delta = math.sqrt(2.0 * max(math.log(gam), 0.0) / gam) if gam > 0 else 0.0
+        # (choice model, sampled set in iteration order, usable set) -> pieces:
+        # the targets sum in the sampled set's order under MNL.
+        self._pieces = {}
 
     def decide(self, t, arrival, state):
         coins = self.coins()[t]
@@ -333,9 +336,12 @@ class AstalgPolicy(Policy):
         usable = frozenset(s for s in sampled if state.available_count(s) >= bids[s])
         if not usable:
             return frozenset()
-        cm = self.instance.choice_models[arrival.demand.choice_model]
-        targets = {s: cm.prob(sampled, s) / (1.0 + self.delta) for s in usable}
-        pieces = probability_match(usable, cm, targets)
+        key = (arrival.demand.choice_model, tuple(sampled), usable)
+        pieces = self._pieces.get(key)
+        if pieces is None:
+            cm = self.instance.choice_models[key[0]]
+            targets = {s: cm.prob(sampled, s) / (1.0 + self.delta) for s in usable}
+            pieces = self._pieces[key] = probability_match(usable, cm, targets)
         return rng.pick(coins[1], pieces) or frozenset()
 
 
@@ -351,7 +357,7 @@ class RbaAssortmentPolicy(Policy):
         for rid, bid in arrival.demand.bids().items():
             lv = state.live[rid]
             if lv.avail:
-                w[rid] = top_price(lv, bid)[1]
+                w[rid] = top_score(lv, bid)
         if not w:
             return frozenset()
         return assortment_oracle(cm, arrival.demand.feasible, w)

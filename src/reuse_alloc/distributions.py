@@ -203,15 +203,10 @@ class NonReusable:
         return np.full(u.shape, INF) if isinstance(u, np.ndarray) else INF
 
 
-def sample(dist, key: DurationStreamKey, seed: int, stream: int = None):
-    """Deterministic duration draw for (dist, key, seed); may be +inf.
-
-    `stream`, when given, must be rng.derive(seed, TAG_DURATION, key.resource,
-    key.unit); callers drawing many uses of one unit pass it to fold it only once.
-    """
-    if stream is None:
-        stream = rng.derive(seed, rng.TAG_DURATION, key.resource, key.unit)
-    return dist.sample_u(rng.uniform_from(stream, key.use))
+def sample(dist, key: DurationStreamKey, seed: int):
+    """Deterministic duration draw for (dist, key, seed); may be +inf. The
+    simulator draws the same uniform from the unit's folded stream."""
+    return dist.sample_u(rng.uniform(seed, rng.TAG_DURATION, *key))
 
 
 def fixed_duration(dist):

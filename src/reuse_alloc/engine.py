@@ -17,7 +17,11 @@ Two engines share these semantics. `simulate` runs one trial, a policy
 `decide` call per arrival; it is the oracle and the only one that records
 traces. It turns the decision of every mode into one allocation (a
 resource and its unit ranks, plus the offered set in assortment mode) that
-it applies and records in one place. `lockstep` runs a chunk of trials at
+it applies and records in one place. It folds a resource's unit streams
+STREAM_BLOCK ranks at a time, on the block's first draw in the trial, so
+a draw is one inline fold of its use counter (`rng.uniform_from1`), and it
+computes the choice probabilities of an offered set once per instance
+(`Instance.offer_probs`). `lockstep` runs a chunk of trials at
 once as arrays over (trials x resources) and (trials x units), for the
 policies whose class defines a batched rule, `decide_batch`, and records
 per (trial, arrival) what was matched when asked; its allocation takes a
@@ -44,7 +48,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import model, rng
-from .distributions import DurationStreamKey, sample
+from .distributions import sample  # noqa: F401  (perfbench/tracer.py patches engine.sample by name)
 
 
 class PolicyProtocolViolation(RuntimeError):
@@ -83,10 +87,13 @@ class Summary:
     event_totals: dict = field(default_factory=dict)
 
 
+STREAM_BLOCK = 64            # simulate folds the unit duration streams of this many ranks at once
+
+
 class _ResourceLive:
     """Mutable per-trial unit bookkeeping for one resource."""
 
-    __slots__ = ("res", "prices", "avail", "in_use", "dead", "use_count", "stream", "unit_streams")
+    __slots__ = ("res", "prices", "avail", "in_use", "dead", "use_count", "streams")
 
     def __init__(self, res: model.Resource):
         self.res = res
@@ -95,10 +102,18 @@ class _ResourceLive:
         self.in_use = 0
         self.dead = 0
         self.use_count = [0] * (res.capacity + 1)
-        # Duration streams of the resource and of each unit slot, folded on
-        # first use in the trial; slot 0 is the shared draw's.
-        self.stream = None
-        self.unit_streams = [None] * (res.capacity + 1)
+        # Each unit slot's duration stream, None until `fold_block` folds its
+        # block in the trial (a stream of 0 is refolded); slot 0 is the shared draw's.
+        self.streams = [None] * (res.capacity + 1)
+
+    def fold_block(self, trial_seed: int, rank: int) -> int:
+        """Fold the streams of the STREAM_BLOCK slots around `rank`, each
+        rng.derive(trial_seed, TAG_DURATION, resource id, slot), in one
+        vector call, and return rank's."""
+        lo = rank - rank % STREAM_BLOCK
+        hi = min(lo + STREAM_BLOCK, len(self.streams))
+        self.streams[lo:hi] = rng.derive_vec(trial_seed, rng.TAG_DURATION, self.res.id, np.arange(lo, hi)).tolist()
+        return self.streams[rank]
 
 
 class EngineState:
@@ -137,22 +152,7 @@ def simulate(instance: model.Instance, policy, master_seed: int, trial_id: int,
     per_resource = {r.id: 0.0 for r in instance.resources}
     records = [] if collect_trace else None
     choice_coins = None      # rng.uniform(trial_seed, TAG_CHOICE, t) for every t, drawn on first use
-    duration_root = rng.derive(trial_seed, rng.TAG_DURATION)   # folded with (resource, rank, use) per draw
-
-    def draw_duration(rid: int, rank: int, t: int):
-        lv = state.live[rid]
-        if lv.res.fixed_duration is not None:  # no draw can change it
-            return lv.res.fixed_duration
-        if shared_durations:
-            rank, use = 0, t                    # unit slot 0 marks the shared draw
-        else:
-            use = lv.use_count[rank] = lv.use_count[rank] + 1
-        stream = lv.unit_streams[rank]
-        if stream is None:
-            if lv.stream is None:
-                lv.stream = rng.fold(duration_root, rid)
-            stream = lv.unit_streams[rank] = rng.fold(lv.stream, rank)
-        return sample(lv.res.usage, DurationStreamKey(rid, rank, use), trial_seed, stream)
+    choices = instance.offer_probs
 
     for t, arrival in enumerate(instance.arrivals):
         while returns and returns[0][0] <= arrival.time:
@@ -192,15 +192,22 @@ def simulate(instance: model.Instance, policy, master_seed: int, trial_id: int,
                 if choice_coins is None:
                     choice_coins = rng.uniform_vec(trial_seed, rng.TAG_CHOICE,
                                                    np.arange(len(instance.arrivals))).tolist()
-                cm = instance.choice_models[arrival.demand.choice_model]
-                rid = rng.pick(choice_coins[t], ((i, cm.prob(offer, i)) for i in sorted(offer)))
+                key = (arrival.demand.choice_model, tuple(offer))
+                probs = choices.get(key)
+                if probs is None:
+                    cm = instance.choice_models[key[0]]
+                    probs = choices[key] = [(i, cm.prob(offer, i)) for i in sorted(offer)]
+                rid = rng.pick(choice_coins[t], probs)
             if rid is not None:
                 ranks = state.top_ranks(rid, min(bids[rid], state.available_count(rid)))
         durations, gained = [], 0.0
         if rid is not None:
             lv = state.live[rid]
-            avail = lv.avail
-            shared = draw_duration(rid, ranks[0], t) if shared_durations and ranks else None
+            avail, fixed = lv.avail, lv.res.fixed_duration   # fixed: no draw can change the duration
+            if fixed is None:        # a draw is one fold of the use counter onto the unit's stream
+                sample_u, streams, uses = lv.res.usage.sample_u, lv.streams, lv.use_count
+                if shared_durations and ranks:       # one draw for all: unit slot 0, use t
+                    fixed = sample_u(rng.uniform_from1(streams[0] or lv.fold_block(trial_seed, 0), t))
             for rank in ranks:
                 if avail and avail[-1] == rank:     # top-rank allocation, the common case
                     avail.pop()
@@ -209,7 +216,10 @@ def simulate(instance: model.Instance, policy, master_seed: int, trial_id: int,
                         avail.remove(rank)
                     except ValueError:
                         raise PolicyProtocolViolation(f"unit {rank} of resource {rid} is not available") from None
-                d = shared if shared_durations else draw_duration(rid, rank, t)
+                d = fixed
+                if d is None:
+                    use = uses[rank] = uses[rank] + 1
+                    d = sample_u(rng.uniform_from1(streams[rank] or lv.fold_block(trial_seed, rank), use))
                 durations.append(d)
                 if math.isinf(d):
                     lv.dead += 1
@@ -284,7 +294,7 @@ def _summary(totals: np.ndarray, per_res: dict, events: dict) -> Summary:
 
 # --- the lockstep engine ------------------------------------------------------
 
-BATCH_MIN_TRIALS = 32        # run_trials runs batched from this many trials (README: crossover)
+BATCH_MIN_TRIALS = 48        # run_trials runs batched from this many trials (README: crossover)
 TRIAL_CELLS = 1 << 21        # (trial, arrival), (trial, drawn unit) and bit-word cells of a chunk
 
 

@@ -145,6 +145,13 @@ class Instance:
     def _index(self) -> dict:
         return {r.id: r for r in self.resources}
 
+    @cached_property
+    def offer_probs(self) -> dict:
+        """The simulator's choice probabilities, filled as sets are offered:
+        (choice model index, offered set in iteration order, as MNL sums)
+        -> [(item, probability)] in ascending item order."""
+        return {}
+
     def edges(self):
         """Yield (arrival index, resource id, bid) over all positive bids."""
         for t, arr in enumerate(self.arrivals):
@@ -198,6 +205,7 @@ def validate(instance: Instance) -> list:
             if not is_number(b, numbers.Integral) or b < 0:
                 bad.append(f"arrival {t}: bid for resource {rid} must be a nonnegative integer")
         if isinstance(arr.demand, AssortmentRequest):
+            bidders = [rid for rid, b in items.items() if is_number(b) and b >= 1]  # bids() raises on a non-number
             cm_index = arr.demand.choice_model
             if not (is_number(cm_index, numbers.Integral) and 0 <= cm_index < len(instance.choice_models)):
                 bad.append(f"arrival {t}: choice model {arr.demand.choice_model} does not exist")
@@ -205,7 +213,7 @@ def validate(instance: Instance) -> list:
                 cm = instance.choice_models[arr.demand.choice_model]
                 weights = getattr(cm, "weights", None)
                 universe = set(weights) if weights is not None else set(getattr(cm, "items", ()))
-                for rid in arr.demand.bids():
+                for rid in bidders:
                     if rid not in universe:
                         bad.append(f"arrival {t}: choice model has no entry for resource {rid}")
             k = arr.demand.feasible.k if isinstance(arr.demand.feasible, MaxCardinality) else 0
@@ -213,6 +221,10 @@ def validate(instance: Instance) -> list:
                 bad.append(f"arrival {t}: max_cardinality k must be a nonnegative integer")
             if isinstance(arr.demand.feasible, ExplicitList):
                 sets = set(arr.demand.feasible.sets)
+                stray = {repr(x) for s in sets for x in s if x not in bidders}
+                if stray:
+                    bad.append(f"arrival {t}: explicit feasible list names {', '.join(sorted(stray))}, "
+                               "not among the arrival's bid resources")
                 for s in sets:
                     for x in s:
                         if frozenset(s - {x}) not in sets and len(s) > 1:
@@ -247,6 +259,8 @@ def _feasible_from_json(obj):
         return AllSubsets()
     if obj["type"] == "max_cardinality":
         return MaxCardinality(k=obj["k"])
+    if obj["type"] != "explicit":
+        raise ValueError(f"unknown feasible type {obj['type']!r}")
     return ExplicitList(sets=tuple(frozenset(s) for s in obj["sets"]))
 
 

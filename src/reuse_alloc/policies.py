@@ -71,12 +71,12 @@ def pick_batch(u: np.ndarray, cum: np.ndarray, vals: np.ndarray) -> np.ndarray:
     return np.where(i < cum.size, vals[np.minimum(i, cum.size - 1)], -1)
 
 
-def top_price(lv, bid: int) -> tuple:
-    """The top min(bid, available) ranks of a resource's live state,
-    descending, and their summed reduced price (added in that order)."""
+def top_score(lv, bid: int) -> float:
+    """The summed reduced price of the top min(bid, available) ranks of a
+    resource's live state with a unit available, added in descending rank
+    order."""
     avail = lv.avail
-    ranks = avail[: -min(bid, len(avail)) - 1 : -1]
-    return ranks, sum(map(lv.prices.__getitem__, ranks))
+    return lv.prices[avail[-1]] if bid == 1 else sum(map(lv.prices.__getitem__, avail[: -bid - 1 : -1]))
 
 
 class Policy:
@@ -194,12 +194,11 @@ class RbaBudgetedPolicy(Policy):
         live = state.live
         for rid, bid in arrival.demand.bids().items():  # bids() is id-sorted
             lv = live[rid]
-            if not lv.avail:
-                continue
-            ranks, score = top_price(lv, bid)
-            if score > best_score:
-                best, best_score = (rid, tuple(ranks)), score
-        return best
+            if lv.avail:
+                score = top_score(lv, bid)
+                if score > best_score:
+                    best, best_bid, best_score = lv, bid, score
+        return None if best is None else (best.res.id, tuple(best.avail[: -best_bid - 1 : -1]))
 
     def decide_batch(self, t, arrival, batch):
         """Scores sum the prices of the top min(bid, available) ranks in

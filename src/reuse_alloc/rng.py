@@ -59,6 +59,15 @@ def uniform_from(h: int, *parts: int) -> float:
     return (fold(h, *parts) >> 11) * 2.0**-53
 
 
+def uniform_from1(h: int, part: int) -> float:
+    """uniform_from(h, part) for one part, folded and mixed inline: the
+    simulator's per-draw call."""
+    z = ((h + _GOLDEN) ^ ((part * _FOLD) & _MASK)) & _MASK
+    z = ((z ^ (z >> 30)) * _M1) & _MASK
+    z = ((z ^ (z >> 27)) * _M2) & _MASK
+    return ((z ^ (z >> 31)) >> 11) * 2.0**-53
+
+
 _U30, _U27, _U31, _UM1, _UM2 = (np.uint64(v) for v in (30, 27, 31, _M1, _M2))
 
 

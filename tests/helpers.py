@@ -25,6 +25,10 @@ each pivot, and the reference LP builder scans every edge for every row and
 stacks the rows one by one; the sparse pivot and the grouped builder must
 match them bit for bit.
 
+The reference budgeted rba rule builds every neighbour's top-rank list and
+sums its prices, as `RbaBudgetedPolicy.decide` did before it built the rank
+tuple for the winner only.
+
 The reference single-unit Monte Carlo steps every trial through every
 arrival, one numpy step per arrival; the event-driven `simulate_process`
 must match it bit for bit. The reference certificate check reads the
@@ -546,6 +550,21 @@ def reference_paths(instance: model.Instance, policy, trials: int, master_seed: 
                 paths.units[k, rec.arrival] = len(rec.units)
                 paths.rank[k, rec.arrival] = rec.units[0] if rec.units else 0
     return paths
+
+
+def reference_rba_budgeted_decide(arrival, state):
+    """RbaBudgetedPolicy.decide: per neighbour in id order, its top
+    min(bid, available) ranks, descending, and their summed reduced price."""
+    best, best_score = None, -1.0
+    for rid, bid in arrival.demand.bids().items():
+        lv = state.live[rid]
+        if not lv.avail:
+            continue
+        ranks = lv.avail[: -min(bid, len(lv.avail)) - 1 : -1]
+        score = sum(map(lv.prices.__getitem__, ranks))
+        if score > best_score:
+            best, best_score = (rid, tuple(ranks)), score
+    return best
 
 
 def _reference_rba_candidate(instance, trials, master_seed):

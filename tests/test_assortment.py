@@ -1,11 +1,13 @@
+import dataclasses
 import itertools
 import math
 import random
 
 import pytest
 
-from reuse_alloc import engine, model, policies
-from reuse_alloc.assortment import (MNL, AstalgPolicy, ElementNotInSet, ExplicitTable,
+from test_acceptance import assortment_battery
+from reuse_alloc import assortment, engine, model, policies, rng
+from reuse_alloc.assortment import (MNL, AstalgPolicy, ElementNotInSet, ExplicitTable, RbaAssortmentPolicy,
                                     TargetTooLarge, assortment_oracle, probability_match,
                                     run_astgalg, validate_choice_model, verify_probability_match)
 from reuse_alloc.distributions import Exponential, NonReusable, TwoPointInf
@@ -292,6 +294,84 @@ def test_rba_assortment_oracle_policy_runs():
     inst = assortment_instance(capacity=2, bid=1, v0=0.5, n_arrivals=3)
     tr = engine.simulate(inst, policies.make_policy("rba_assortment"), 5, 0, check_invariants=True)
     assert tr.total_reward >= 0.0
+
+
+def colliding_instance():
+    """Resources 0, 8 and 16 share a slot of a small frozenset table, so an
+    equal set built in another order iterates, and MNL sums, in another order."""
+    rnd = random.Random(816)
+    ids = (0, 3, 8, 16)
+    res = tuple(model.Resource(i, rnd.randint(2, 6), round(rnd.uniform(0.5, 2.0), 3),
+                               rnd.choice([Exponential(0.8), TwoPointInf(1.0, 0.5)])) for i in ids)
+    cm = MNL(v0=0.31, weights={0: 0.11, 3: 0.21, 8: 0.32, 16: 0.35})  # sums of 3 that hang on their order
+    arrivals, time = [], 0.0
+    for t in range(160):
+        time += rnd.uniform(0.05, 0.4)
+        bids = {i: rnd.randint(1, 2) for i in ids if rnd.random() < 0.8} or {16: 1}
+        feasible = model.MaxCardinality(2) if t % 3 == 0 else model.AllSubsets()
+        arrivals.append(model.Arrival(round(time, 6), model.AssortmentRequest(0, bids, feasible)))
+    return model.Instance(mode=model.ASSORTMENT, resources=res, arrivals=tuple(arrivals), choice_models=(cm,))
+
+
+class KeepsNothing(dict):
+    """A table that stores nothing: every lookup misses and is computed afresh."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
+def untabled_trial(inst, name, seed, k):
+    """Trial k with a fresh policy and instance whose tables keep nothing."""
+    inst = dataclasses.replace(inst)
+    inst.__dict__["offer_probs"] = KeepsNothing()
+    pol = policies.make_policy(name)
+    pol.prepare(inst)
+    if name == "astalg":
+        pol._pieces = KeepsNothing()
+    return engine.simulate(inst, pol, seed, k)
+
+
+@pytest.mark.parametrize("name", ["astalg", "rba_assortment"])
+def test_a_run_equals_a_fresh_policy_and_instance_per_trial(monkeypatch, name):
+    """The per-run tables (the engine's choice probabilities, astalg's
+    probability-match pieces) give every trial bit for bit what it gets
+    without them, also where equal sets iterate in different orders: every
+    rng.pick sees the same weights."""
+    picks = []
+    pick = rng.pick
+    monkeypatch.setattr(rng, "pick", lambda u, weighted: picks.append((u, tuple(weighted))) or pick(u, picks[-1][1]))
+    inst, pol = colliding_instance(), policies.make_policy(name)
+    traces = []
+    summary = engine.run_trials(inst, pol, 12, 5, traces=traces)
+    run_picks, picks[:] = picks[:], []
+    fresh = [untabled_trial(inst, name, 5, k) for k in range(12)]
+    assert picks == run_picks
+    assert [tr.records for tr in traces] == [tr.records for tr in fresh]
+    assert summary == engine.summarize(fresh)
+    # Some set was sampled (astalg) or offered (rba_assortment) in two iteration orders.
+    orders = [sampled for _, sampled, _ in pol._pieces] if name == "astalg" else [o for _, o in inst.offer_probs]
+    assert len(set(map(frozenset, orders))) < len(set(orders))
+
+
+def test_astalg_probability_matches_each_distinct_input_once(monkeypatch):
+    inst = assortment_battery()[0]
+    calls = []
+    match = assortment.probability_match
+    monkeypatch.setattr(assortment, "probability_match", lambda S, cm, targets:
+                        calls.append((frozenset(S), tuple(sorted(targets.items())))) or match(S, cm, targets))
+    engine.run_trials(inst, AstalgPolicy(), 30, 3)
+    assert calls and len(calls) == len(set(calls))
+
+
+def test_the_engine_computes_each_choice_probability_once(monkeypatch):
+    """Over a run, the engine asks MNL.prob once per offered set (in its
+    iteration order) and item; rba_assortment's MNL oracle asks none."""
+    inst = assortment_battery()[0]
+    calls = []
+    prob = MNL.prob
+    monkeypatch.setattr(MNL, "prob", lambda cm, S, i: calls.append((id(cm), tuple(S), i)) or prob(cm, S, i))
+    engine.run_trials(inst, RbaAssortmentPolicy(), 30, 3)
+    assert calls and len(calls) == len(set(calls))
 
 
 def test_choice_model_json_round_trip():

@@ -229,6 +229,26 @@ def test_a_bad_max_cardinality_is_one_error_line(capsys, tmp_path, k):
     assert "arrival 0: max_cardinality k must be a nonnegative integer" in err
 
 
+@pytest.mark.parametrize("field,value,message", [
+    ("feasible", {"type": "explicit", "sets": [["x"], [0]]},
+     "invalid instance: arrival 0: explicit feasible list names 'x', not among the arrival's bid resources"),
+    ("feasible", {"type": "explicit", "sets": [[0], [2], [0, 2]]},
+     "invalid instance: arrival 0: explicit feasible list names 2, not among the arrival's bid resources"),
+    ("feasible", {"type": "subsets", "sets": [[0]]}, "arrivals[0]: unknown feasible type 'subsets'"),
+    ("feasible", {"type": "subsets"}, "arrivals[0]: unknown feasible type 'subsets'"),
+    ("bids", {"0": "x", "1": 1}, "invalid instance: arrival 0: bid for resource 0 must be a nonnegative integer"),
+])
+def test_a_bad_assortment_request_is_one_error_line(capsys, tmp_path, field, value, message):
+    obj = json.loads(_assortment_json({"type": "mnl", "v0": 1.0, "weights": {"0": 1.0, "1": 1.0}}))
+    obj["arrivals"][0]["demand"][field] = value
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run_cli(capsys, ["run", "--instance", str(path), "--policies", "astalg",
+                                      "--trials", "2", "--seed", "1"])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+
+
 def test_threads_env_is_not_read(capsys, monkeypatch):
     monkeypatch.setenv("REUSE_ALLOC_THREADS", "two")
     code, out, _ = run_cli(capsys, ["gen", "example_a1", "--param", "n", "2"])

@@ -348,12 +348,16 @@ def test_draws_of_every_family_follow_the_scalar_chain(monkeypatch, shared):
         resources=tuple(model.Resource(i, 3, 1.0, d) for i, d in enumerate(EVERY_FAMILY)),
         arrivals=tuple(model.Arrival(0.5 * t, model.BudgetedBids({t % n: 2, (5 * t + 1) % n: 1}))
                        for t in range(240)))
-    drawn = []
-    monkeypatch.setattr(engine, "sample", lambda dist, *args: drawn.append(dist) or sample(dist, *args))
+    spied, drawn = [], []              # every family's sample_u call, and those simulate made
+    for cls in {type(dist) for dist in EVERY_FAMILY}:
+        monkeypatch.setattr(cls, "sample_u", lambda dist, u, sample_u=cls.sample_u:
+                            spied.append(dist) or sample_u(dist, u))
     used = set()
     for trial in range(3):
         trial_seed = rng.derive(8, rng.TAG_TRIAL, trial)
+        spied.clear()
         tr = engine.simulate(inst, policies.RbaBudgetedPolicy(), 8, trial, shared_durations=shared)
+        drawn += spied
         uses = {}
         for rec in tr.records:
             for rank, d in zip(rec.units, rec.durations):
@@ -366,6 +370,41 @@ def test_draws_of_every_family_follow_the_scalar_chain(monkeypatch, shared):
                 assert d == sample(EVERY_FAMILY[rec.resource], key, trial_seed)
     assert used == set(range(n))
     assert drawn and not any(fixed_duration(dist) is not None for dist in drawn)
+
+
+@settings(max_examples=60)
+@given(seed=st.integers(0, 2**64 - 1), rid=st.integers(0, 2**40), capacity=st.integers(1, 200),
+       data=st.data())
+def test_block_folded_unit_streams_equal_the_scalar_folds(seed, rid, capacity, data):
+    """fold_block folds the streams of the STREAM_BLOCK slots around a rank,
+    slot 0 (the shared draw's) included, each equal to the scalar folds of
+    (TAG_DURATION, resource, slot), and leaves every other block unfolded."""
+    inst = model.Instance(mode=model.MATCHING, resources=(model.Resource(rid, capacity, 1.0, Exponential(1.0)),),
+                          arrivals=())
+    lv = engine.EngineState(inst).live[rid]
+    ranks = data.draw(st.lists(st.integers(0, capacity), max_size=4)) + [0]
+    root = rng.derive(seed, rng.TAG_DURATION)
+    for rank in ranks:
+        assert lv.fold_block(seed, rank) == rng.fold(rng.fold(root, rid), rank)
+    folded = [slot for slot, stream in enumerate(lv.streams) if stream is not None]
+    assert all(lv.streams[slot] == rng.fold(rng.fold(root, rid), slot) for slot in folded)
+    assert {slot // engine.STREAM_BLOCK for slot in folded} == {rank // engine.STREAM_BLOCK for rank in ranks}
+
+
+@pytest.mark.parametrize("shared", [False, True])
+def test_simulate_folds_unit_streams_per_block_not_per_draw(monkeypatch, shared):
+    """rng.fold runs once for the trial seed and once per block of unit
+    streams the trial draws from; a draw folds its use counter inline."""
+    inst = random_battery(BatteryParams(n_instances=1, n_resources=4, n_arrivals=600, capacity_range=(70, 150),
+                                        dist_mix=("exponential", "uniform", "two_point_inf")), seed=64)[0]
+    folds = []
+    fold = rng.fold
+    monkeypatch.setattr(rng, "fold", lambda h, *parts: folds.append(parts) or fold(h, *parts))
+    tr = engine.simulate(inst, policies.RbaPolicy(), 3, 0, shared_durations=shared)
+    draws = [(rec.resource, 0 if shared else rank) for rec in tr.records for rank in rec.units]
+    blocks = {(rid, rank // engine.STREAM_BLOCK) for rid, rank in draws}
+    assert len(blocks) >= 4 and len(draws) > 10 * len(blocks)
+    assert len(folds) == 1 + len(blocks)
 
 
 # -- the lockstep engine against the scalar one ----------------------------------

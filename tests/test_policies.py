@@ -1,9 +1,11 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (ReferenceResourceFluid, keep_all_advance, reference_astgalg, reference_galg,
-                     use_reference_fluid)
+                     reference_rba_budgeted_decide, use_reference_fluid)
 from test_acceptance import assortment_battery
 from reuse_alloc import engine, model, policies
 from reuse_alloc.assortment import MNL, AstgalgGuide, run_astgalg
@@ -104,6 +106,24 @@ def test_rba_budgeted_argmax_matches_hand_scores():
     s1 = sum(0.9 * (1 - math.exp(-k / 8)) for k in (8, 7))
     want = 0 if s0 > s1 else 1
     assert RbaBudgetedPolicy().decide(0, inst.arrivals[0], st)[0] == want
+
+
+@settings(max_examples=150)
+@given(data=st.data())
+def test_rba_budgeted_decide_equals_the_reference_rule(data):
+    """decide builds the rank tuple of the winner only; its choice, ranks and
+    tie-breaks are those of the rule that builds every neighbour's."""
+    n = data.draw(st.integers(1, 5))
+    caps = data.draw(st.lists(st.integers(1, 12), min_size=n, max_size=n))
+    rewards = data.draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 1.3]) | st.floats(0.0, 3.0),
+                                 min_size=n, max_size=n))
+    bids = {i: data.draw(st.integers(0, 14)) for i in range(n)}
+    inst = model.Instance(mode=model.BUDGETED,
+                          resources=tuple(model.Resource(i, caps[i], rewards[i], NonReusable()) for i in range(n)),
+                          arrivals=(model.Arrival(0.0, model.BudgetedBids(bids)),))
+    state = state_with_avail(inst, {i: data.draw(st.sets(st.integers(1, caps[i]))) for i in range(n)})
+    arrival = inst.arrivals[0]
+    assert RbaBudgetedPolicy().decide(0, arrival, state) == reference_rba_budgeted_decide(arrival, state)
 
 
 # --- fluid guide ---------------------------------------------------------------

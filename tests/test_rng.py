@@ -1,5 +1,5 @@
 import numpy as np
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from reuse_alloc import rng
@@ -54,3 +54,10 @@ def test_vector_matches_scalar_for_any_int_seed(seed, parts):
     if parts:                   # the last part as uniform_array's counter axis
         counters = np.array([parts[-1] % 2**64], dtype=np.uint64)
         assert rng.uniform_array(seed, tuple(parts[:-1]), counters)[0] == rng.uniform(seed, *parts)
+
+
+@given(st.integers(0, 2**64 - 1), st.integers(0, 2**64 - 1))
+@example(0, 0)
+@example(2**64 - 1, 2**64 - 1)
+def test_uniform_from1_is_uniform_from_with_one_part(h, part):
+    assert rng.uniform_from1(h, part) == rng.uniform_from(h, part)

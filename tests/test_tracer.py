@@ -40,7 +40,8 @@ def test_tracer_installs_runs_and_restores(capsys):
         assert engine.batched(inst, lp_rounding)
         gen = ["--gen", "example_a1", "--param", "n", "12", "--seed", "3"]
         assert reuse_alloc.cli.main(["certify", *gen, "--trials", "8", "--alpha", "0.5", "--beta", "1.2"]) == 0
-        assert reuse_alloc.cli.main(["run", *gen, "--policies", "salg,rba", "--trials", "32"]) == 0
+        trials = str(engine.BATCH_MIN_TRIALS)
+        assert reuse_alloc.cli.main(["run", *gen, "--policies", "salg,rba", "--trials", trials]) == 0
     finally:
         tracer.uninstall()
     out = capsys.readouterr().out
@@ -49,5 +50,5 @@ def test_tracer_installs_runs_and_restores(capsys):
     frames, counts, _ = tracer.merged()
     assert {"engine.run_trials", "benchmarks.certificate_check"} <= {name for name, _ in frames}
     assert counts["lp_rows"] > 0
-    # 32 trials of salg and certify's lp_rounding run in lockstep: no scalar decide call.
+    # BATCH_MIN_TRIALS trials of salg and certify's lp_rounding run in lockstep: no scalar decide call.
     assert counts["decide_calls.salg"] == counts["decide_calls.lp_rounding"] == 0
