@@ -69,6 +69,14 @@ PRUNE_TOL = 1e-15     # parcels with less un-returned mass may be dropped
 TABLE_CELLS = 16384   # (row, column) cells of a block's CDF and increment tables
 
 
+def block_rows(live: int, per_row: int = 1) -> int:
+    """The rows k of a block whose tables, k rows by `live` columns plus
+    `per_row` columns for each row, hold at most TABLE_CELLS cells; at
+    least 1."""
+    k = int((math.sqrt(live * live + 4 * per_row * TABLE_CELLS) - live) / (2 * per_row))
+    return max(k, 1)
+
+
 def quantized_levels(capacity: int, eps: float) -> list:
     """Distinct values floor((1+eps)^j) <= capacity, always including 1."""
     if eps <= 0:
@@ -281,8 +289,7 @@ class FluidLedger:
         if not self._scheduled:
             rows = np.array([now])
         elif nb:
-            k = int((math.sqrt(L * L + 4 * nb * TABLE_CELLS) - L) / (2 * nb))
-            rows = times[self._next:self._next + max(k, 1)]
+            rows = times[self._next:self._next + block_rows(L, nb)]
         else:
             rows = times[self._next:]
         k = len(rows)

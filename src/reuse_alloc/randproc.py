@@ -6,10 +6,10 @@ p_t, earns a unit reward, and stays in use for a duration drawn from F. The
 fluid counterpart consumes fractions instead: p_t times the available
 fraction is consumed and flows back according to the CDF of F.
 
-The fluid availability obeys an exact recursion (one step per arrival, O(T^2)
-total), and the random process has the same per-arrival availability
-probabilities, which is what makes the fluid version usable as an exact
-evaluation device for the random one.
+The fluid availability obeys an exact recursion (one step per arrival, each
+over the arrivals whose returns are not yet over), and the random process
+has the same per-arrival availability probabilities, which is what makes
+the fluid version usable as an exact evaluation device for the random one.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ import numpy as np
 from . import rng
 from .distributions import is_number
 from .engine import mean_se
+from .fluid import block_rows
 
 
 @dataclass(frozen=True)
@@ -63,24 +64,57 @@ def fluid_process(spec: ProcessSpec):
               + sum_{tau < t} eta_tau p_tau [F(sigma_t - sigma_tau) - F(sigma_{t-1} - sigma_tau)],
     where the mass consumed at tau starts with zero credited return, so an
     atom of F at 0 is paid back at the next arrival rather than lost.
+
+    Row t takes the dot consumed[lo:t] @ (cdf(sigma_t - sigma[lo:t]) -
+    credited[lo:t]). The window's front `lo` moves up 64 arrivals at a time
+    once each of their credited levels equals the family's vector
+    cdf(+inf), which it then keeps (the CDF is monotone and bounded by it).
+    A term left out is a non-negative consumed times +0.0, which adds
+    nothing, and 64 is a multiple of the BLAS dot kernel's unroll width, so
+    every term kept keeps its accumulator: the result is bit-identical to
+    the dot over all of consumed[:t]. The levels are priced a block of
+    rows at a time, one vector CDF call over (rows) x (window + rows) with
+    as many rows as `fluid.block_rows` allows.
+
+    OpenBLAS splits a dot of more than 10,000 terms across its threads,
+    which moves its partial sums: a window that wide, and the reward's dot
+    above 10,000 arrivals, give bits that depend on the thread count.
     """
     T = len(spec.sigma)
     if T == 0:
         return np.zeros(0), 0.0
     sigma = np.asarray(spec.sigma)
     p = np.asarray(spec.p)
+    cdf = spec.dist.cdf
+    cdf_inf = float(np.asarray(cdf(np.array([math.inf])), dtype=float)[0])
     eta = np.zeros(T)
     consumed = np.zeros(T)      # eta_tau * p_tau
-    credited = np.zeros(T)      # CDF level already paid back per tau
+    credited = np.zeros(T)      # CDF level already paid back per tau, as of the last block
     eta[0] = 1.0
     consumed[0] = p[0]
-    for t in range(1, T):
-        new_cdf = np.asarray(spec.dist.cdf(sigma[t] - sigma[:t]))
-        returned = consumed[:t] @ (new_cdf - credited[:t])
-        credited[:t] = new_cdf
-        eta[t] = eta[t - 1] - consumed[t - 1] + returned
-        eta[t] = min(max(eta[t], 0.0), 1.0)  # guard fp residue only
-        consumed[t] = eta[t] * p[t]
+    e, c = 1.0, spec.p[0]       # eta and consumed at the last row
+    lo, t0 = 0, 1
+    while t0 < T:
+        while lo + 64 < t0 and (credited[lo:lo + 64] == cdf_inf).all():
+            lo += 64
+        t1 = min(T, t0 + block_rows(t0 - lo))
+        # C[r, j] is the CDF level of arrival lo + j at row t0 + r; a column
+        # at or after its row is priced at elapsed time 0 and never counted.
+        elapsed = np.subtract.outer(sigma[t0:t1], sigma[lo:t1 - 1])
+        C = np.asarray(cdf(np.maximum(elapsed, 0.0, out=elapsed)), dtype=float)
+        for t in range(t0, t1):
+            r, w = t - t0, t - lo
+            if r:
+                rise = C[r, :w] - C[r - 1, :w]
+                rise[-1] = C[r, w - 1]      # arrival t - 1 was credited 0.0 so far
+            else:
+                rise = C[0, :w] - credited[lo:t]
+            e = e - c + float(consumed[lo:t] @ rise)
+            e = min(max(e, 0.0), 1.0)  # guard fp residue only
+            c = e * spec.p[t]
+            eta[t], consumed[t] = e, c
+        credited[lo:t1 - 1] = C[-1]
+        t0 = t1
     return eta, float(p @ eta)
 
 

@@ -29,9 +29,12 @@ The reference budgeted rba rule builds every neighbour's top-rank list and
 sums its prices, as `RbaBudgetedPolicy.decide` did before it built the rank
 tuple for the winner only.
 
-The reference single-unit Monte Carlo steps every trial through every
-arrival, one numpy step per arrival; the event-driven `simulate_process`
-must match it bit for bit. The reference certificate check reads the
+The reference fluid recursion of the single-unit process prices every
+earlier arrival at every row, as `randproc.fluid_process` did before it
+kept to its live window; the windowed, block-priced recursion must match it
+bit for bit. The reference single-unit Monte Carlo steps every trial
+through every arrival, one numpy step per arrival; the event-driven
+`simulate_process` must match it bit for bit. The reference certificate check reads the
 records of one scalar `simulate` trace per trial; the one that reads the
 lockstep engine's per-(trial, arrival) arrays must match it bit for bit.
 """
@@ -497,6 +500,29 @@ def reference_build_lp(instance: model.Instance) -> LpModel:
     rows = np.vstack(data) if data else np.zeros((0, n))
     return LpModel(instance=instance, edges=edges, obj=obj, A=as_coo(rows),
                    rhs=np.array(rhs), row_kinds=row_kinds)
+
+
+def reference_fluid_process(spec):
+    """randproc.fluid_process as the plain recursion: every row prices
+    every earlier arrival with its own CDF call and dot product."""
+    T = len(spec.sigma)
+    if T == 0:
+        return np.zeros(0), 0.0
+    sigma = np.asarray(spec.sigma)
+    p = np.asarray(spec.p)
+    eta = np.zeros(T)
+    consumed = np.zeros(T)      # eta_tau * p_tau
+    credited = np.zeros(T)      # CDF level already paid back per tau
+    eta[0] = 1.0
+    consumed[0] = p[0]
+    for t in range(1, T):
+        new_cdf = np.asarray(spec.dist.cdf(sigma[t] - sigma[:t]))
+        returned = consumed[:t] @ (new_cdf - credited[:t])
+        credited[:t] = new_cdf
+        eta[t] = eta[t - 1] - consumed[t - 1] + returned
+        eta[t] = min(max(eta[t], 0.0), 1.0)  # guard fp residue only
+        consumed[t] = eta[t] * p[t]
+    return eta, float(p @ eta)
 
 
 def reference_simulate_process(spec, seed: int, trials: int) -> ProcessSummary:

@@ -1,11 +1,17 @@
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import reference_simulate_process
-from reuse_alloc import randproc
+from helpers import reference_fluid_process, reference_simulate_process
+from reuse_alloc import fluid, randproc
 from reuse_alloc.distributions import (Deterministic, Exponential, MixtureWithInf, NonReusable, TwoPointInf,
                                        Uniform, WeibullIFR, ZeroOrInf)
 from reuse_alloc.randproc import ProcessSpec, fluid_process, simulate_process
@@ -191,3 +197,82 @@ def test_simulate_process_equals_reference_on_random_specs():
         sigma = tuple(np.cumsum([rnd.choice([0.1, 0.3, rnd.uniform(0.01, 1.0)]) for _ in range(T)]).tolist())
         p = tuple(rnd.choice([0.0, 1.0, rnd.random()]) for _ in range(T))
         assert_same_summary(ProcessSpec(rnd.choice(families), sigma, p), k, rnd.choice([1, 2, 7, 100]))
+
+
+# -- the windowed, block-priced fluid recursion against the plain one -----------
+
+def assert_same_fluid(spec):
+    eta, reward = fluid_process(spec)
+    want_eta, want_reward = reference_fluid_process(spec)
+    assert eta.tobytes() == want_eta.tobytes()
+    assert reward.hex() == want_reward.hex()
+
+
+def saturating_family(kind: int, span: float, q: float):
+    """A family of each kind whose CDF reaches cdf(+inf) exactly at an age
+    of about `span` (-expm1(-x) rounds to 1.0 from x = 37.5 on)."""
+    return (Deterministic(span), TwoPointInf(span, q), ZeroOrInf(q), Exponential(37.5 / span),
+            Uniform(span / 3, span), WeibullIFR(span / 37.5 ** (1 / 1.5), 1.5),
+            MixtureWithInf(q, Exponential(37.5 / span)), NonReusable())[kind]
+
+
+def bench_shaped_spec(T: int, seed: int) -> ProcessSpec:
+    """Exponential(0.5), gaps uniform on [0.01, 0.2] and p on [0.2, 0.9],
+    rounded as in `perfbench`'s randproc spec."""
+    rnd = random.Random(seed)
+    sigma, p, now = [], [], 0.0
+    for _ in range(T):
+        now += rnd.uniform(0.01, 0.2)
+        sigma.append(round(now, 6))
+        p.append(round(rnd.uniform(0.2, 0.9), 3))
+    return ProcessSpec(Exponential(0.5), tuple(sigma), tuple(p))
+
+
+@pytest.mark.parametrize("T", [0, 1, 2, 63, 64, 65, 129, 600])
+@pytest.mark.parametrize("kind", range(8))
+@settings(max_examples=8)
+@given(saturate_after=st.integers(1, 300), gap=st.sampled_from([0.01, 0.1, 1.0]),
+       q=st.sampled_from([0.0, 1.0, 0.37]), seed=st.integers(0, 2**16))
+def test_fluid_process_equals_plain_recursion(kind, T, saturate_after, gap, q, seed):
+    # The CDF saturates about `saturate_after` arrivals after a booking, so
+    # saturation starts at rows all through a block, not at its ends only
+    # (the first block alone has fluid.block_rows(1) = 127 rows).
+    rnd = random.Random(seed)
+    sigma = tuple(np.cumsum([gap * rnd.uniform(0.5, 1.5) for _ in range(T)]).tolist())
+    p = tuple(rnd.choice([0.0, 1.0, rnd.random()]) for _ in range(T))
+    assert_same_fluid(ProcessSpec(saturating_family(kind, gap * saturate_after, q), sigma, p))
+
+
+def test_fluid_process_equals_plain_recursion_on_benchmark_spec():
+    # 10,000 arrivals of Exponential(0.5): the window holds 700-800 of them.
+    assert_same_fluid(bench_shaped_spec(10_000, 1))
+
+
+def test_block_rows_fill_the_table():
+    for live, per_row in ((0, 1), (1, 1), (700, 1), (16384, 1), (10**6, 1), (40, 3), (5000, 8)):
+        k = fluid.block_rows(live, per_row)
+        assert k >= 1
+        assert k == 1 or k * (live + per_row * k) <= fluid.TABLE_CELLS
+        assert (k + 1) * (live + per_row * (k + 1)) > fluid.TABLE_CELLS
+
+
+FLUID_BYTES = """
+import hashlib, sys
+sys.path.insert(0, sys.argv[1])
+from test_randproc import bench_shaped_spec
+from reuse_alloc.randproc import fluid_process
+print(hashlib.sha256(fluid_process(bench_shaped_spec(12_000, 1))[0].tobytes()).hexdigest())
+"""
+
+
+def test_fluid_process_bits_do_not_depend_on_blas_threads():
+    # OpenBLAS splits a dot of more than 10,000 terms across its threads,
+    # which moves its partial sums; the window keeps each row's dot to
+    # 700-800 terms here, where the plain recursion's reach 11,999. Only eta is
+    # compared: the reward p @ eta is one dot of 12,000 terms, split as well.
+    src = str(Path(fluid.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    digests = {subprocess.run([sys.executable, "-c", FLUID_BYTES, str(Path(__file__).parent)],
+                              env={**env, "OPENBLAS_NUM_THREADS": str(n)}, capture_output=True, text=True,
+                              check=True).stdout for n in (1, 2)}
+    assert len(digests) == 1
