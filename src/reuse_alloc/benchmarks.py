@@ -236,10 +236,13 @@ def solve_lp_value(instance: model.Instance) -> simplex.SimplexResult:
     must pass `check_lp_solution` on the full LP, less only the entries with
     x = 0 and y = 0, which add exactly zero to A x and to A^T y."""
     # rep[t] is the first arrival of t's class; its edges are the class's columns.
+    # A class key holds the index of its bids, looked up once per demand object.
     rep = np.empty(len(instance.arrivals), dtype=np.int64)
-    first = {}
+    first, index, of_demand = {}, {}, {}
     for t, a in enumerate(instance.arrivals):
-        rep[t] = first.setdefault((a.time, tuple(a.demand.bids().items())), t)
+        if id(a.demand) not in of_demand:
+            of_demand[id(a.demand)] = index.setdefault(tuple(a.demand.bids().items()), len(index))
+        rep[t] = first.setdefault((a.time, of_demand[id(a.demand)]), t)
     size = np.bincount(rep, minlength=rep.size)
     edges = list(instance.edges())
     own = [e for e, (t, _, _) in enumerate(edges) if rep[t] == t]

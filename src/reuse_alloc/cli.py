@@ -14,6 +14,7 @@ Malformed input, and a path that cannot be read or written, give one
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -146,13 +147,12 @@ def cmd_run(args) -> int:
     header = (["instance", "policy", "trials", "seed", "mean", "se", "ci_lo", "ci_hi"]
               + [f"mean_r{r}" for r in rids])
     _emit(rows, header, args.out)
-    if args.trace:
-        trace_rows = [(tr.trial, rec.arrival, rec.time, rec.decision,
-                       "" if rec.resource is None else rec.resource,
-                       ";".join(str(u) for u in rec.units), rec.reward)
-                      for tr in traces for rec in tr.records]
-        _emit(trace_rows, ["trial", "arrival", "time", "decision", "resource", "units", "reward"],
-              args.trace)
+    if args.trace:      # one format per row, a time per arrival: the bytes _emit would write
+        times = [_fmt(a.time) for a in inst.arrivals]       # a record's time is its arrival's
+        lines = [f"{tr.trial},{rec.arrival},{times[rec.arrival]},{rec.decision},"
+                 f"{'' if rec.resource is None else rec.resource},{';'.join(map(str, rec.units))},"
+                 f"{_fmt(rec.reward)}\n" for tr in traces for rec in tr.records]
+        _write("trial,arrival,time,decision,resource,units,reward\n" + "".join(lines), args.trace)
     return 0
 
 
@@ -298,9 +298,11 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+_parser = functools.cache(build_parser)    # one per process: parse_args keeps no state between calls
+
+
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if getattr(args, "trials", 1) < 1:
             raise CliError("--trials must be >= 1")

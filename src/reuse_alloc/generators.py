@@ -36,13 +36,10 @@ def example_a1(n: int, dummy_resources: bool = False, dummy_slack: float = 0.01)
         model.Resource(id=0, capacity=n, reward=1.0, usage=usage),
         model.Resource(id=1, capacity=n, reward=1.0, usage=usage),
     ]
-    arrivals = []
-    for _ in range(2 * n):
-        arrivals.append(model.Arrival(time=0.0, demand=model.MatchingEdges(frozenset({0}))))
-    for k in range(1, n + 1):
-        arrivals.append(model.Arrival(time=2.0 * k, demand=model.MatchingEdges(frozenset({0, 1}))))
-    for _ in range(n):
-        arrivals.append(model.Arrival(time=2.0 * n + 2.0, demand=model.MatchingEdges(frozenset({1}))))
+    only0, either, only1 = (model.MatchingEdges(frozenset(ids)) for ids in ({0}, {0, 1}, {1}))
+    arrivals = [model.Arrival(time=0.0, demand=only0)] * (2 * n)
+    arrivals += [model.Arrival(time=2.0 * k, demand=either) for k in range(1, n + 1)]
+    arrivals += [model.Arrival(time=2.0 * n + 2.0, demand=only1)] * n
     inst = model.Instance(mode=model.MATCHING, resources=tuple(resources), arrivals=tuple(arrivals))
     if not dummy_resources:
         return inst
@@ -79,8 +76,7 @@ def example_a2(n: int, mu: float) -> model.Instance:
         model.Resource(id=0, capacity=n, reward=1.0, usage=usage),
         model.Resource(id=1, capacity=n, reward=2.0, usage=usage),
     ]
-    arrivals = [model.Arrival(time=0.0, demand=model.MatchingEdges(frozenset({1})))
-                for _ in range(n - 1)]
+    arrivals = [model.Arrival(time=0.0, demand=model.MatchingEdges(frozenset({1})))] * (n - 1)
     arrivals.append(model.Arrival(time=1.0, demand=model.MatchingEdges(frozenset({0, 1}))))
     return model.Instance(mode=model.MATCHING, resources=tuple(resources), arrivals=tuple(arrivals))
 
@@ -105,9 +101,8 @@ def omniscient_gap(n: int) -> model.Instance:
         raise ValueError("n must be >= 1")
     resources = tuple(model.Resource(id=i, capacity=1, reward=1.0, usage=ZeroOrInf(p=0.5))
                       for i in range(n))
-    everyone = frozenset(range(n))
-    arrivals = tuple(model.Arrival(time=float(t), demand=model.MatchingEdges(everyone))
-                     for t in range(n * n))
+    everyone = model.MatchingEdges(frozenset(range(n)))
+    arrivals = tuple(model.Arrival(time=float(t), demand=everyone) for t in range(n * n))
     return model.Instance(mode=model.MATCHING, resources=resources, arrivals=arrivals)
 
 
@@ -119,9 +114,8 @@ def upper_triangular(n_resources: int, capacity: int, reward: float = 1.0) -> mo
                       for i in range(n_resources))
     arrivals = []
     for j in range(n_resources):
-        edges = frozenset(range(j, n_resources))
-        for _ in range(capacity):
-            arrivals.append(model.Arrival(time=float(j + 1), demand=model.MatchingEdges(edges)))
+        group = model.Arrival(time=float(j + 1), demand=model.MatchingEdges(frozenset(range(j, n_resources))))
+        arrivals += [group] * capacity
     return model.Instance(mode=model.MATCHING, resources=resources, arrivals=tuple(arrivals))
 
 
@@ -135,11 +129,11 @@ def mnl_counterexample() -> model.Instance:
     )
     first = MNL(v0=0.01, weights={0: 100.0, 1: 1.0})
     last = MNL(v0=0.01, weights={0: 1.0, 1: 100.0})
-    bids = {0: 1, 1: 1}
+    by_first = model.AssortmentRequest(0, {0: 1, 1: 1})
     arrivals = (
-        model.Arrival(time=0.0, demand=model.AssortmentRequest(0, bids)),
-        model.Arrival(time=1.0, demand=model.AssortmentRequest(0, bids)),
-        model.Arrival(time=2.0, demand=model.AssortmentRequest(1, bids)),
+        model.Arrival(time=0.0, demand=by_first),
+        model.Arrival(time=1.0, demand=by_first),
+        model.Arrival(time=2.0, demand=model.AssortmentRequest(1, by_first.amounts)),
     )
     return model.Instance(mode=model.ASSORTMENT, resources=resources, arrivals=arrivals,
                           choice_models=(first, last))
@@ -198,7 +192,7 @@ def random_battery(params: BatteryParams, seed: int) -> list:
                 reward=round(rnd.uniform(*params.reward_range), 3),
                 usage=_random_dist(kind, rnd),
             ))
-        arrivals = []
+        arrivals, made = [], {}
         time = 0.0
         for _ in range(params.n_arrivals):
             time += rnd.uniform(0.0, 2.0 * params.horizon / params.n_arrivals)
@@ -206,11 +200,15 @@ def random_battery(params: BatteryParams, seed: int) -> list:
             if not edges:
                 edges = [rnd.randrange(params.n_resources)]
             if params.mode == model.MATCHING:
-                demand = model.MatchingEdges(frozenset(edges))
+                key = tuple(edges)
             elif params.mode == model.BUDGETED:
-                demand = model.BudgetedBids({i: rnd.randint(1, params.max_bid) for i in edges})
+                key = tuple({i: rnd.randint(1, params.max_bid) for i in edges}.items())
             else:
                 raise ValueError("random_battery covers matching and budgeted modes")
+            demand = made.get(key)      # one object per distinct demand
+            if demand is None:
+                demand = made[key] = (model.MatchingEdges(frozenset(edges)) if params.mode == model.MATCHING
+                                      else model.BudgetedBids(dict(key)))
             arrivals.append(model.Arrival(time=round(time, 6), demand=demand))
         inst = model.Instance(mode=params.mode, resources=tuple(resources), arrivals=tuple(arrivals))
         bad = model.validate(inst)

@@ -186,8 +186,12 @@ def validate(instance: Instance) -> list:
     for k, cm in enumerate(instance.choice_models):
         bad += [f"choice model {k}: {msg}" for msg in assortment.validate_choice_model(cm)]
     want = _DEMAND_FOR_MODE[instance.mode]
-    prev = None
+    prev, last = None, None     # last: the previous arrival, when it gave no message
+    passed = set()      # ids of the demands that passed: checks see a demand and the instance only
     for t, arr in enumerate(instance.arrivals):
+        if arr is last:
+            continue
+        last, found = None, len(bad)
         numeric = is_number(arr.time)
         if numeric and prev is not None and arr.time < prev:
             bad.append(f"times not nondecreasing at index {t}")
@@ -195,6 +199,9 @@ def validate(instance: Instance) -> list:
             prev = arr.time
         if not (numeric and 0 <= arr.time < math.inf):
             bad.append(f"arrival {t}: time must be finite and >= 0")
+        if id(arr.demand) in passed:
+            last = arr if len(bad) == found else None
+            continue
         if not isinstance(arr.demand, want):
             bad.append(f"arrival {t}: demand kind does not match mode {instance.mode}")
             continue
@@ -230,6 +237,9 @@ def validate(instance: Instance) -> list:
                         if frozenset(s - {x}) not in sets and len(s) > 1:
                             bad.append(f"arrival {t}: explicit feasible list is not downward closed")
                             break
+        if len(bad) == found:
+            passed.add(id(arr.demand))
+            last = arr
     return bad
 
 
@@ -277,10 +287,22 @@ def _demand_to_json(d):
     }
 
 
-def _demand_from_json(obj):
+_PLAIN = frozenset({int, str})     # id types whose equal ids are alike; 1, 1.0 and true are equal, not alike
+
+
+def _demand_from_json(obj, made: dict):
+    """The demand `obj` describes. An edges demand of int or str ids is made
+    once per id list, held in `made`: lists in another order can make equal
+    sets that iterate apart, and validate's messages follow that order."""
     kind = obj["type"]
     if kind == "edges":
-        return MatchingEdges(resources=frozenset(obj["resources"]))
+        ids = tuple(obj["resources"])
+        if not _PLAIN.issuperset(map(type, ids)):
+            return MatchingEdges(resources=frozenset(ids))
+        demand = made.get(ids)
+        if demand is None:
+            demand = made[ids] = MatchingEdges(resources=frozenset(ids))
+        return demand
     if kind == "bids":
         return BudgetedBids(amounts={int(i): b for i, b in obj["bids"].items()})
     if kind != "assortment":
@@ -293,8 +315,11 @@ def _demand_from_json(obj):
 
 
 def to_json(instance: Instance) -> dict:
+    """JSON values; arrivals that share a demand object share its JSON object: edit none in place."""
     from . import assortment  # local import to avoid a cycle
 
+    demands = {id(a.demand): a.demand for a in instance.arrivals}
+    encoded = {key: _demand_to_json(d) for key, d in demands.items()}
     return {
         "mode": instance.mode,
         "resources": [
@@ -302,7 +327,7 @@ def to_json(instance: Instance) -> dict:
              "usage": distributions.to_json(r.usage)}
             for r in instance.resources
         ],
-        "arrivals": [{"time": a.time, "demand": _demand_to_json(a.demand)} for a in instance.arrivals],
+        "arrivals": [{"time": a.time, "demand": encoded[id(a.demand)]} for a in instance.arrivals],
         "choice_models": [assortment.choice_model_to_json(m) for m in instance.choice_models],
     }
 
@@ -321,9 +346,9 @@ def from_json(obj: dict) -> Instance:
         for i, r in enumerate(resource_objs):
             resources.append(Resource(id=r["id"], capacity=r["capacity"], reward=r["reward"],
                                       usage=distributions.from_json(r["usage"])))
-        part, i, arrivals = "arrivals", None, []
+        part, i, arrivals, made = "arrivals", None, [], {}
         for i, a in enumerate(arrival_objs):
-            arrivals.append(Arrival(time=a["time"], demand=_demand_from_json(a["demand"])))
+            arrivals.append(Arrival(a["time"], _demand_from_json(a["demand"], made)))
         part, i, choice_models = "choice_models", None, []
         for i, m in enumerate(choice_model_objs):
             choice_models.append(assortment.choice_model_from_json(m))

@@ -37,8 +37,14 @@ through every arrival, one numpy step per arrival; the event-driven
 `simulate_process` must match it bit for bit. The reference certificate check reads the
 records of one scalar `simulate` trace per trial; the one that reads the
 lockstep engine's per-(trial, arrival) arrays must match it bit for bit.
+
+`fresh_objects` rebuilds an instance with a new demand and a new arrival
+object at every arrival, as instances were built before they shared one
+object per distinct demand and per burst; `shared_objects` shares them
+wherever two arrivals are alike. The two must give the same bytes.
 """
 
+import dataclasses
 import math
 from fractions import Fraction
 from unittest import mock
@@ -669,3 +675,22 @@ def reference_certificate_check(instance: model.Instance, alg: str, opt_policy, 
         cond1_passed=bool(cond1_lhs <= cond1_rhs + 3.0 * cond1_se + 1e-9),
         alg_value=alg_value, alpha=alpha, beta=beta)
     return report
+
+
+def fresh_objects(inst: model.Instance) -> model.Instance:
+    """`inst` with a new demand object and a new arrival object at every arrival."""
+    return dataclasses.replace(inst, arrivals=[model.Arrival(a.time, dataclasses.replace(a.demand))
+                                               for a in inst.arrivals])
+
+
+def shared_objects(inst: model.Instance) -> model.Instance:
+    """`inst` with one demand object per demand alike in every field, field
+    order and number type (its repr), and one arrival object per run of
+    arrivals alike in time, time type and demand."""
+    demands, arrivals = {}, []
+    for a in inst.arrivals:
+        d = demands.setdefault(repr(a.demand), a.demand)
+        prev = arrivals[-1] if arrivals else None
+        same = prev is not None and prev.demand is d and repr(prev.time) == repr(a.time)
+        arrivals.append(prev if same else model.Arrival(a.time, d))
+    return dataclasses.replace(inst, arrivals=arrivals)

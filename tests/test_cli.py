@@ -1,8 +1,16 @@
 import json
+import random
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from reuse_alloc import cli, model
+from helpers import fresh_objects, shared_objects
+
+from reuse_alloc import cli, model, policies
+from reuse_alloc.assortment import MNL, AstgalgGuide
+from reuse_alloc.distributions import Deterministic, Exponential, NonReusable, TwoPointInf
 
 
 def run_cli(capsys, argv):
@@ -247,6 +255,209 @@ def test_a_bad_assortment_request_is_one_error_line(capsys, tmp_path, field, val
                                       "--trials", "2", "--seed", "1"])
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+
+
+@pytest.mark.parametrize("field,value,message", [
+    ("choice_model", [0], "arrival {t}: choice model [0] does not exist"),
+    ("choice_model", {"0": 0}, "arrival {t}: choice model {{'0': 0}} does not exist"),
+    ("bids", {"0": [1], "1": 1}, "arrival {t}: bid for resource 0 must be a nonnegative integer"),
+], ids=["list_choice_model", "dict_choice_model", "list_bid"])
+def test_an_unhashable_demand_field_at_every_arrival_is_one_error_line(capsys, tmp_path, field, value, message):
+    obj = json.loads(_assortment_json({"type": "mnl", "v0": 1.0, "weights": {"0": 1.0, "1": 1.0}}))
+    for a in obj["arrivals"]:
+        a["demand"][field] = value
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run_cli(capsys, ["run", "--instance", str(path), "--policies", "astalg",
+                                      "--trials", "2", "--seed", "1"])
+    assert (code, out) == (2, "")
+    assert err == "error: invalid instance: " + "; ".join(message.format(t=t) for t in range(4)) + "\n"
+
+
+@pytest.mark.parametrize("mode,demands,message", [
+    ("matching", [{"type": "edges", "resources": [0]}, {"type": "edges", "resources": [True]}],
+     "unknown resource True at arrival 1"),
+    ("budgeted", [{"type": "bids", "bids": {"0": 1}}, {"type": "bids", "bids": {"0": True}}],
+     "arrival 1: bid for resource 0 must be a nonnegative integer"),
+    ("budgeted", [{"type": "bids", "bids": {"0": 1}}, {"type": "bids", "bids": {"0": 1.0}}],
+     "arrival 1: bid for resource 0 must be a nonnegative integer"),
+    ("matching", [{"type": "edges", "resources": [7, 15]}, {"type": "edges", "resources": [15, 7]}],
+     "unknown resource 15 at arrival 0; unknown resource 7 at arrival 0; "
+     "unknown resource 7 at arrival 1; unknown resource 15 at arrival 1"),
+], ids=["true_edge", "true_bid", "float_bid", "edge_order"])
+def test_equal_demands_that_validate_tells_apart_keep_their_messages(capsys, tmp_path, mode, demands, message):
+    # 1, 1.0 and True are equal, and so are {7, 15} built in either order,
+    # which iterates the other way: each arrival keeps its own messages.
+    obj = _instance_json()
+    obj["mode"] = mode
+    obj["arrivals"] = [{"time": float(t), "demand": d} for t, d in enumerate(demands)]
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run_cli(capsys, ["lp", "--instance", str(path)])
+    assert (code, out) == (2, "")
+    assert err == f"error: invalid instance: {message}\n"
+
+
+_POOLS = {        # a few demands per mode, so that most repeat
+    model.MATCHING: [model.MatchingEdges(frozenset(s)) for s in ({0}, {0, 1}, {1, 2}, {2, 0, 1})],
+    model.BUDGETED: [model.BudgetedBids(b) for b in ({0: 1, 1: 2}, {1: 1, 2: 1}, {2: 2, 0: 1}, {2: 3})],
+    model.ASSORTMENT: [model.AssortmentRequest(0, b) for b in ({0: 1, 1: 2}, {1: 1, 2: 1}, {2: 2, 0: 1})],
+}
+
+
+def _bursty_instance(mode: str, seed: int) -> model.Instance:
+    """About 30 arrivals on 3 resources, in bursts of 1-4 alike arrivals
+    whose demands come from a small pool; at about half the seeds the times
+    and rewards are ints, as JSON can hold them."""
+    rnd = random.Random(seed)
+    whole = rnd.random() < 0.5
+    usage = [TwoPointInf(1.0, 0.5), Exponential(0.8), Deterministic(1.5), NonReusable()]
+    resources = tuple(model.Resource(i, rnd.randint(2, 4), rnd.randint(1, 3) if whole else round(rnd.uniform(0.5, 2), 3),
+                                     rnd.choice(usage)) for i in range(3))
+    arrivals, time = [], 0 if whole else 0.0
+    while len(arrivals) < 30:
+        time += rnd.randint(0, 1) if whole else round(rnd.uniform(0.0, 0.6), 3)
+        demand = rnd.choice(_POOLS[mode])
+        arrivals += [model.Arrival(time, type(demand)(**vars(demand)))] * rnd.randint(1, 4)
+    cms = (MNL(0.5, {0: 1.0, 1: 2.0, 2: 0.7}),) if mode == model.ASSORTMENT else ()
+    return model.Instance(mode, resources, arrivals, cms)
+
+
+_SIMULATE = {model.MATCHING: ["greedy", "balance", "rba", "salg", "galg_fast_quant:0.1"],
+             model.BUDGETED: ["rba_budgeted"], model.ASSORTMENT: ["astalg", "rba_assortment"]}
+
+
+@pytest.mark.parametrize("mode", model.MODES)
+@settings(max_examples=4)
+@given(seed=st.integers(0, 2**16))
+def test_shared_demand_and_arrival_objects_change_no_output(tmp_path_factory, mode, seed):
+    # The same instance with one object per distinct demand and per burst,
+    # and with a fresh demand and arrival object per arrival, gives the
+    # same bytes: every run --trace, compare, lp and certify CSV, and the
+    # guides' x and allocs.
+    inst = _bursty_instance(mode, seed)
+    tmp = tmp_path_factory.mktemp("shared")
+    (tmp / "instance.json").write_text(model.dumps(inst))
+    commands = [["run", "--policies", ",".join(_SIMULATE[mode])]]
+    commands += [["run", "--policies", name, "--trace", str(tmp / "trace.csv")] for name in _SIMULATE[mode]]
+    if mode != model.ASSORTMENT:        # the LP covers matching and budgeted modes
+        commands += [["compare", "--policies", _SIMULATE[mode][-1]], ["lp", "--y-csv"], ["lp"]]
+    if mode == model.MATCHING:
+        commands += [["lp", "--galg"], ["compare", "--policies", "galg"],
+                     ["certify", "--alg", "galg", "--alpha", "0.5", "--beta", "0.5"]]
+    from_json = model.from_json
+
+    def outputs(build):
+        texts = []
+        with mock.patch.object(model, "from_json", lambda obj: build(from_json(obj))):
+            for argv in commands:
+                seeded = ["--trials", "3", "--seed", "5"] if argv[0] != "lp" else []
+                code = cli.main([*argv, "--instance", str(tmp / "instance.json"), *seeded,
+                                 "--out", str(tmp / "out.csv")])
+                assert code == 0
+                texts.append((tmp / "out.csv").read_bytes())
+                if "--trace" in argv:
+                    texts.append((tmp / "trace.csv").read_bytes())
+        built = build(inst)
+        guide = (policies.run_galg(built) if mode == model.MATCHING
+                 else AstgalgGuide(built).run() if mode == model.ASSORTMENT else None)
+        if guide is not None:
+            texts.append(repr((getattr(guide, "x", None), guide.allocs)))
+        return texts
+
+    shared, fresh = shared_objects(inst), fresh_objects(inst)
+    assert len({id(a.demand) for a in shared.arrivals}) <= len(_POOLS[mode])
+    assert len({id(a) for a in shared.arrivals}) < len({id(a) for a in fresh.arrivals}) == len(inst.arrivals)
+    assert outputs(shared_objects) == outputs(fresh_objects)
+
+
+@pytest.mark.parametrize("name,params", [("example_a1", ["n", "6"]), ("example_a2", ["n", "5", "mu", "1.0"]),
+                                         ("upper_triangular", ["n_resources", "3", "capacity", "4"])])
+def test_generated_instances_give_the_bytes_of_fresh_objects(tmp_path, name, params):
+    argv = ["run", "--gen", name, *[x for k, v in zip(params[::2], params[1::2]) for x in ("--param", k, v)],
+            "--policies", "rba", "--trials", "3", "--seed", "4", "--trace", str(tmp_path / "trace.csv"),
+            "--out", str(tmp_path / "out.csv")]
+
+    def outputs():
+        assert cli.main(argv) == 0
+        return (tmp_path / "out.csv").read_bytes(), (tmp_path / "trace.csv").read_bytes()
+
+    shared = outputs()
+    make = cli._GENERATORS[name]
+    with mock.patch.dict(cli._GENERATORS, {name: lambda **kw: fresh_objects(make(**kw))}):
+        assert outputs() == shared
+
+
+def _trace_instance(mode: str) -> dict:
+    """Eight arrivals at int times on two resources with int rewards, as
+    JSON: some go unmatched, and budgeted ones take 2 or 3 units."""
+    demand = {model.MATCHING: {"type": "edges", "resources": [0, 1]},
+              model.BUDGETED: {"type": "bids", "bids": {"0": 3, "1": 2}},
+              model.ASSORTMENT: {"type": "assortment", "choice_model": 0, "bids": {"0": 2, "1": 1}}}[mode]
+    return {"mode": mode,
+            "resources": [{"id": 0, "capacity": 3, "reward": 2, "usage": {"type": "non_reusable"}},
+                          {"id": 1, "capacity": 2, "reward": 1, "usage": {"type": "two_point_inf", "d": 1.0, "p": 0.5}}],
+            "arrivals": [{"time": t, "demand": demand} for t in (0, 0, 1, 1, 2, 3, 3, 4)],
+            "choice_models": [{"type": "mnl", "v0": 0.5, "weights": {"0": 1.0, "1": 2.0}}]}
+
+
+@pytest.mark.parametrize("mode,policy", [(model.MATCHING, "greedy"), (model.BUDGETED, "rba_budgeted"),
+                                         (model.ASSORTMENT, "astalg")])
+def test_trace_rows_are_the_bytes_of_emit(tmp_path, mode, policy):
+    from reuse_alloc.engine import run_trials
+
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(_trace_instance(mode)))
+    trace = tmp_path / "trace.csv"
+    code = cli.main(["run", "--instance", str(path), "--policies", policy, "--trials", "4", "--seed", "3",
+                     "--trace", str(trace), "--out", str(tmp_path / "out.csv")])
+    assert code == 0
+    traces = []
+    run_trials(model.loads(path.read_text()), policies.make_policy(policy), 4, 3, traces=traces)
+    rows = [(tr.trial, rec.arrival, rec.time, rec.decision, "" if rec.resource is None else rec.resource,
+             ";".join(str(u) for u in rec.units), rec.reward) for tr in traces for rec in tr.records]
+    cli._emit(rows, ["trial", "arrival", "time", "decision", "resource", "units", "reward"], tmp_path / "emit.csv")
+    assert trace.read_bytes() == (tmp_path / "emit.csv").read_bytes()
+    fields = [line.split(",") for line in trace.read_text().splitlines()[1:]]
+    assert {f[2] for f in fields} == {"0", "1", "2", "3", "4"}            # int times stay ints
+    assert any(f[4] == "" for f in fields)                                  # an unmatched arrival
+    assert all(f[6].isdigit() for f in fields)                              # int rewards stay ints
+    if mode == model.BUDGETED:
+        assert any(f[5].count(";") == 2 for f in fields)                    # 3 unit ranks
+    if mode == model.ASSORTMENT:
+        assert any(f[3] == "offer" for f in fields)
+
+
+def test_the_parser_is_built_once_and_keeps_nothing_between_calls(capsys, tmp_path):
+    # --param lists do not pile up, a failed call (exit 2, or argparse's
+    # SystemExit) leaves the next one as it would be in a new process, and
+    # run, gen and lp interleave.
+    calls = [["gen", "upper_triangular", "--param", "n_resources", "2", "--param", "capacity", "2"],
+             ["run", "--gen", "example_a1", "--param", "n", "3", "--policies", "rba", "--trials", "2", "--seed", "1"],
+             ["lp", "--gen", "example_a1", "--param", "n", "3"],
+             ["gen", "example_a1", "--param", "n", "2"],
+             ["gen", "upper_triangular", "--param", "n_resources", "2"],       # exit 2: capacity is missing
+             ["run", "--gen", "example_a1", "--policies", "rba"],              # SystemExit: --seed is required
+             ["lp", "--gen", "upper_triangular", "--param", "n_resources", "2", "--param", "capacity", "3", "--galg"],
+             ["gen", "example_a1", "--param", "n", "2"],
+             ["lp", "--gen", "example_a1"],                                    # exit 2: n is missing
+             ["lp", "--gen", "example_a1"]]
+
+    def call(argv):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = ("exit", exc.code)
+        return code, capsys.readouterr()
+
+    alone = []
+    for argv in calls:
+        cli._parser.cache_clear()
+        alone.append(call(argv))
+    cli._parser.cache_clear()
+    assert [call(argv) for argv in calls] == alone
+    assert cli._parser.cache_info().misses == 1
+    assert [code for code, _ in alone] == [0, 0, 0, 0, 2, ("exit", 2), 0, 0, 2, 2]
 
 
 def test_threads_env_is_not_read(capsys, monkeypatch):

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from helpers import stochastic_rewards_greedy
 
-from reuse_alloc import engine, model, policies
+from reuse_alloc import cli, engine, model, policies
 from reuse_alloc.benchmarks import lp_value
 from reuse_alloc.distributions import MixtureWithInf, NonReusable, ZeroOrInf
 from reuse_alloc.generators import (BatteryParams, battery_hash, example_a1, example_a2,
@@ -197,3 +198,59 @@ def test_mnl_counterexample_path_dependent_choice():
         if not busy and tr.records[2].resource is not None:
             chosen_when_free.add(tr.records[2].resource)
     assert chosen_when_free == {0, 1}
+
+
+def demand_counts(inst) -> tuple:
+    """(demand objects, distinct demands) over the arrivals; demands are
+    told apart by their JSON, which lists ids and bids in sorted order."""
+    distinct = {json.dumps(a["demand"]) for a in model.to_json(inst)["arrivals"]}
+    return len({id(a.demand) for a in inst.arrivals}), len(distinct)
+
+
+def arrival_objects(inst) -> int:
+    return len({id(a) for a in inst.arrivals})
+
+
+GENERATOR_CASES = {      # CLI generator -> (its parameters, its distinct demands, its arrival objects)
+    "example_a1": ({"n": 1000}, 3, 1002),
+    "example_a2": ({"n": 6, "mu": 1.0}, 2, 2),
+    "omniscient_gap": ({"n": 3}, 1, 9),
+    "upper_triangular": ({"n_resources": 10, "capacity": 100}, 10, 10),
+    "mnl_counterexample": ({}, 2, 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(cli._GENERATORS))
+def test_generators_hold_one_object_per_distinct_demand_and_per_burst(name):
+    kwargs, demands, arrivals = GENERATOR_CASES[name]
+    inst = cli._GENERATORS[name](**kwargs)
+    assert demand_counts(inst) == (demands, demands)
+    assert arrival_objects(inst) == arrivals
+    back = model.from_json(model.to_json(inst))
+    assert model.dumps(back) == model.dumps(inst)
+    assert arrival_objects(back) == len(back.arrivals)          # one arrival object per JSON entry
+    if inst.mode == model.MATCHING:                             # from_json shares edges demands only
+        assert demand_counts(back) == (demands, demands)
+    else:
+        assert demand_counts(back) == (len(back.arrivals), demands)
+
+
+@pytest.mark.parametrize("mode,max_bid,digest", [(model.MATCHING, 1, "842ca6e38d254ca7"),
+                                                 (model.BUDGETED, 2, "716477ddfe2c2fc4")])
+def test_random_battery_holds_one_object_per_distinct_demand(mode, max_bid, digest):
+    # 3 resources: at most 7 edge sets, and 26 bid vectors of 1-2 units.
+    # The digests were recorded with a fresh demand object per arrival.
+    params = BatteryParams(n_instances=2, n_resources=3, n_arrivals=200, mode=mode, max_bid=max_bid)
+    battery = random_battery(params, seed=4)
+    assert battery_hash(battery) == digest
+    for inst in battery:
+        objects, distinct = demand_counts(inst)
+        assert objects == distinct < 30
+        if mode == model.MATCHING:
+            assert demand_counts(model.from_json(model.to_json(inst))) == (objects, distinct)
+
+
+def test_dummy_resources_give_each_arrival_its_own_demand():
+    inst = example_a1(3, dummy_resources=True)
+    assert demand_counts(inst) == (12, 12)
+    assert arrival_objects(inst) == 12

@@ -3,6 +3,8 @@ import math
 
 import pytest
 
+from helpers import fresh_objects
+
 from reuse_alloc import model
 from reuse_alloc.distributions import Exponential, NonReusable, TwoPointInf
 from reuse_alloc.generators import example_a1, mnl_counterexample
@@ -58,6 +60,62 @@ def test_validate_reports_a_non_numeric_distribution_parameter():
     assert model.validate(inst) == ["resource 0: Exponential rate must be a finite number, got 'x'"]
 
 
+def test_validate_checks_a_bad_shared_demand_at_each_of_its_arrivals():
+    # One bad demand object at three arrivals gives its messages three
+    # times, in arrival order, as a fresh object per arrival does.
+    res = (model.Resource(0, 2, 1.0, NonReusable()), model.Resource(1, 2, 1.0, NonReusable()))
+    bad, good = model.BudgetedBids({0: -1, 7: 2, 1: 1.5}), model.BudgetedBids({0: 1, 1: 2})
+    inst = model.Instance(model.BUDGETED, res, [model.Arrival(t, d) for t, d in
+                                                ((0.0, bad), (1.0, good), (0.5, bad), (2.0, good), (3.0, bad))])
+    assert model.validate(inst) == [
+        "arrival 0: bid for resource 0 must be a nonnegative integer", "unknown resource 7 at arrival 0",
+        "arrival 0: bid for resource 1 must be a nonnegative integer", "times not nondecreasing at index 2",
+        "arrival 2: bid for resource 0 must be a nonnegative integer", "unknown resource 7 at arrival 2",
+        "arrival 2: bid for resource 1 must be a nonnegative integer",
+        "arrival 4: bid for resource 0 must be a nonnegative integer", "unknown resource 7 at arrival 4",
+        "arrival 4: bid for resource 1 must be a nonnegative integer"]
+    edges = model.MatchingEdges(frozenset([15, 0, 7]))
+    inst = model.Instance(model.MATCHING, res, [model.Arrival(0.0, edges), model.Arrival(0.0, model.MatchingEdges(
+        frozenset({0}))), model.Arrival(1.0, edges), model.Arrival(2.0, edges)])
+    assert model.validate(inst) == [f"unknown resource {rid} at arrival {t}" for t in (0, 2, 3) for rid in (7, 15)]
+
+
+def test_validate_checks_a_shared_arrival_object_at_each_of_its_places():
+    # An arrival object used at several places is skipped only right after
+    # a place where it gave no message: the NaN time, the shared bad demand
+    # and the time that runs back each give their messages at every place.
+    res = (model.Resource(0, 2, 1.0, NonReusable()), model.Resource(1, 2, 1.0, NonReusable()))
+    edges = model.MatchingEdges(frozenset({0, 1}))
+    nan, bad, late = (model.Arrival(math.nan, edges), model.Arrival(1.0, model.MatchingEdges(frozenset({0, 7}))),
+                      model.Arrival(5.0, edges))
+    inst = model.Instance(model.MATCHING, res, [nan, nan, nan, bad, bad, late, late, bad, late, bad, bad])
+    assert model.validate(inst) == [
+        "arrival 0: time must be finite and >= 0", "arrival 1: time must be finite and >= 0",
+        "arrival 2: time must be finite and >= 0", "unknown resource 7 at arrival 3",
+        "unknown resource 7 at arrival 4", "times not nondecreasing at index 7", "unknown resource 7 at arrival 7",
+        "times not nondecreasing at index 9", "unknown resource 7 at arrival 9", "unknown resource 7 at arrival 10"]
+    assert model.validate(inst) == model.validate(fresh_objects(inst))
+
+
+def test_from_json_shares_only_edges_demands_alike_in_every_id_and_type():
+    def objects(*demands):
+        inst = model.from_json({"mode": "budgeted", "resources": [],
+                                "arrivals": [{"time": 0.0, "demand": d} for d in demands]})
+        assert len({id(a) for a in inst.arrivals}) == len(demands)
+        return len({id(a.demand) for a in inst.arrivals})
+
+    def edges(ids):
+        return {"type": "edges", "resources": ids}
+
+    def bids(b):
+        return {"type": "bids", "bids": b}
+
+    request = {"type": "assortment", "choice_model": 0, "bids": {"0": 1}}
+    assert objects(edges([0, 1]), edges([0, 1]), edges(["a"]), edges(["a"])) == 2
+    assert objects(edges([1]), edges([True]), edges([1.0]), edges([1.0])) == 4   # equal, but validate tells them apart
+    assert objects(edges([-0.0]), edges([0.0]), edges([0])) == 3                 # equal, but written apart
+    assert objects(edges([7, 15]), edges([15, 7])) == 2                          # equal sets that iterate apart
+    assert objects(bids({"0": 1}), bids({"0": 1}), request, request) == 4        # one per arrival: keys cost more
 def test_validate_is_pure():
     inst = two_resource_matching()
     assert model.validate(inst) == model.validate(inst)

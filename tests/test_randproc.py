@@ -256,23 +256,27 @@ def test_block_rows_fill_the_table():
         assert (k + 1) * (live + per_row * (k + 1)) > fluid.TABLE_CELLS
 
 
-FLUID_BYTES = """
+FLUID_BITS = """
 import hashlib, sys
 sys.path.insert(0, sys.argv[1])
 from test_randproc import bench_shaped_spec
 from reuse_alloc.randproc import fluid_process
-print(hashlib.sha256(fluid_process(bench_shaped_spec(12_000, 1))[0].tobytes()).hexdigest())
+for seed in (1, 3):
+    eta, reward = fluid_process(bench_shaped_spec(12_000, seed))
+    print(hashlib.sha256(eta.tobytes()).hexdigest(), reward.hex())
 """
 
 
 def test_fluid_process_bits_do_not_depend_on_blas_threads():
     # OpenBLAS splits a dot of more than 10,000 terms across its threads,
-    # which moves its partial sums; the window keeps each row's dot to
-    # 700-800 terms here, where the plain recursion's reach 11,999. Only eta is
-    # compared: the reward p @ eta is one dot of 12,000 terms, split as well.
+    # which moves its partial sums. The window keeps each row's dot to
+    # 700-800 terms here, where the plain recursion's reach 11,999; the
+    # reward p @ eta, 12,000 terms, is summed in chunks of 10,000: as one
+    # dot, its bits at seed 1 differed by 1 ulp between the thread counts
+    # (2-core x86-64, OpenBLAS).
     src = str(Path(fluid.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    digests = {subprocess.run([sys.executable, "-c", FLUID_BYTES, str(Path(__file__).parent)],
-                              env={**env, "OPENBLAS_NUM_THREADS": str(n)}, capture_output=True, text=True,
-                              check=True).stdout for n in (1, 2)}
-    assert len(digests) == 1
+    bits = {subprocess.run([sys.executable, "-c", FLUID_BITS, str(Path(__file__).parent)],
+                           env={**env, "OPENBLAS_NUM_THREADS": str(n)}, capture_output=True, text=True,
+                           check=True).stdout for n in (1, 2)}
+    assert len(bits) == 1
