@@ -26,8 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import model, rng, simplex
-from .distributions import Deterministic, NonReusable, TwoPointInf, ZeroOrInf
-from .engine import lockstep, mean_se, simulate  # noqa: F401  (perfbench/tracer.py wraps benchmarks.simulate)
+from .distributions import Deterministic, NonReusable, TwoPointInf, ZeroOrInf, exact_vector_cdf
+from .engine import dot, lockstep, mean_se, simulate  # noqa: F401  (perfbench/tracer.py wraps benchmarks.simulate)
 from .policies import RbaPolicy, RowSampler, run_galg
 
 OPTIMAL = simplex.OPTIMAL
@@ -98,9 +98,11 @@ def _grouped(instance: model.Instance, edges: list):
 def _coefficients(res: model.Resource, times: np.ndarray, row_t: np.ndarray, edge_t: np.ndarray,
                   bids: np.ndarray) -> np.ndarray:
     """bid * (1 - F(times[row_t] - times[edge_t])) per (row, edge) pair, with
-    the scalar CDF F of `res` called once per distinct age."""
+    the CDF F of `res` at each distinct age: one vector call where that is
+    bit-exact (`exact_vector_cdf`), else one scalar call per age."""
     ages, which = np.unique(times[row_t] - times[edge_t], return_inverse=True)
-    cdf = np.array([res.usage.cdf(age) for age in ages], dtype=float)
+    F = res.usage.cdf
+    cdf = np.asarray(F(ages) if exact_vector_cdf(res.usage) else [F(age) for age in ages], dtype=float)
     return bids * (1.0 - cdf[which])
 
 
@@ -155,9 +157,9 @@ def build_lp(instance: model.Instance) -> LpModel:
     One pass groups the edges by resource and by arrival (`_grouped`). A
     resource's edges come in arrival order, so its row at bucket end tau
     holds a prefix of them; an arrival's edges are contiguous, so its demand
-    row is one run of columns. Each coefficient is bid * (1 - F(age)) with
-    the scalar CDF F, evaluated once per distinct age in a run of the
-    resource's rows. `_assemble` lays A out as coordinates, one per (row,
+    row is one run of columns. Each coefficient is bid * (1 - F(age)), with
+    F evaluated once per distinct age in a run of the resource's rows
+    (`_coefficients`). `_assemble` lays A out as coordinates, one per (row,
     edge) pair."""
     edges = list(instance.edges())
     times, edge_t, edge_bid, blocks = _grouped(instance, edges)
@@ -183,10 +185,11 @@ def solve_lp(lp: LpModel) -> LpSolution:
     return LpSolution(status=res.status, objective=res.objective, y=y, pivots=res.pivots)
 
 
-def check_lp_solution(lp: LpModel, res: simplex.SimplexResult) -> None:
+def check_lp_solution(lp: LpModel, res: simplex.SimplexResult) -> tuple:
     """Check the primal x and the duals y of an optimum: A x <= b and x >= 0,
     y >= 0 and A^T y >= c, and |b.y - c.x| (weak duality makes b.y an upper
-    bound on every feasible c.x), each within CHECK_TOL * max(1, |objective|)."""
+    bound on every feasible c.x, its bits summed by `dot`), each within
+    CHECK_TOL * max(1, |objective|). Returns the (name, breach) pairs."""
     tol = CHECK_TOL * max(1.0, abs(res.objective))
     x, y, A = res.x, res.y, lp.A
     Ax = np.bincount(A.row, weights=A.val * x[A.col], minlength=A.shape[0])
@@ -194,11 +197,12 @@ def check_lp_solution(lp: LpModel, res: simplex.SimplexResult) -> None:
     breaches = (
         ("primal residual", max((Ax - lp.rhs).max(initial=0.0), -x.min(initial=0.0))),
         ("dual feasibility", max(-y.min(initial=0.0), (lp.obj - ATy).max(initial=0.0))),
-        ("duality gap", abs(lp.rhs @ y - lp.obj @ x)),
+        ("duality gap", abs(dot(lp.rhs, y) - dot(lp.obj, x))),
     )
     for name, breach in breaches:
         if not breach <= tol:
             raise RuntimeError(f"LP solution check failed: {name} {float(breach):.3g} exceeds {tol:.3g}")
+    return breaches
 
 
 def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:

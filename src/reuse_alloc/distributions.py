@@ -224,6 +224,13 @@ def fixed_duration(dist):
     return None
 
 
+def exact_vector_cdf(dist) -> bool:
+    """Whether `dist.cdf` on an array equals the scalar cdf bit for bit: where
+    it calls no elementary function (numpy's `expm1` is not `math`'s)."""
+    base = dist.base if isinstance(dist, MixtureWithInf) else dist
+    return isinstance(base, (Deterministic, TwoPointInf, ZeroOrInf, Uniform, NonReusable))
+
+
 def compute_L(dist, eps: float, grid: float = 1e-3) -> float:
     """Boundedness diagnostic max_x [F(x + F^{-1}(eps)) - F(x)] / eps.
 

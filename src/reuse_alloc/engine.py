@@ -282,6 +282,17 @@ def mean_se(values: np.ndarray) -> tuple:
     return float(values.mean()), float(values.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
 
 
+DOT_TERMS = 10_000     # OpenBLAS runs a dot of up to this many terms on one thread
+
+
+def dot(x: np.ndarray, y: np.ndarray) -> float:
+    """x @ y, in chunks of DOT_TERMS added in sequence, whatever the BLAS threads."""
+    total = float(x[:DOT_TERMS] @ y[:DOT_TERMS])
+    for i in range(DOT_TERMS, x.size, DOT_TERMS):
+        total += float(x[i:i + DOT_TERMS] @ y[i:i + DOT_TERMS])
+    return total
+
+
 def _summary(totals: np.ndarray, per_res: dict, events: dict) -> Summary:
     mean, se = mean_se(totals)
     per_res = {rid: mean_se(v) for rid, v in per_res.items()}

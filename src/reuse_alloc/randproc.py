@@ -21,7 +21,7 @@ import numpy as np
 
 from . import rng
 from .distributions import is_number
-from .engine import mean_se
+from .engine import DOT_TERMS, dot, mean_se
 from .fluid import block_rows
 
 
@@ -77,8 +77,8 @@ def fluid_process(spec: ProcessSpec):
     as many rows as `fluid.block_rows` allows.
 
     OpenBLAS splits a dot of more than 10,000 terms across its threads,
-    which moves its partial sums, so `_dot` sums a longer one (a row's over
-    a window that wide, the reward's) in chunks added in sequence.
+    which moves its partial sums, so `engine.dot` sums a longer one (a row's
+    over a window that wide, the reward's) in chunks added in sequence.
     """
     T = len(spec.sigma)
     if T == 0:
@@ -109,24 +109,13 @@ def fluid_process(spec: ProcessSpec):
                 rise[-1] = C[r, w - 1]      # arrival t - 1 was credited 0.0 so far
             else:
                 rise = C[0, :w] - credited[lo:t]
-            e = e - c + (float(consumed[lo:t] @ rise) if w <= _DOT_TERMS else _dot(consumed[lo:t], rise))
+            e = e - c + (float(consumed[lo:t] @ rise) if w <= DOT_TERMS else dot(consumed[lo:t], rise))
             e = min(max(e, 0.0), 1.0)  # guard fp residue only
             c = e * spec.p[t]
             eta[t], consumed[t] = e, c
         credited[lo:t1 - 1] = C[-1]
         t0 = t1
-    return eta, _dot(p, eta)
-
-
-_DOT_TERMS = 10_000     # OpenBLAS runs a dot of up to this many terms on one thread
-
-
-def _dot(x: np.ndarray, y: np.ndarray) -> float:
-    """x @ y, in chunks of _DOT_TERMS added in sequence: one dot up to that size."""
-    total = float(x[:_DOT_TERMS] @ y[:_DOT_TERMS])
-    for i in range(_DOT_TERMS, x.size, _DOT_TERMS):
-        total += float(x[i:i + _DOT_TERMS] @ y[i:i + _DOT_TERMS])
-    return total
+    return eta, dot(p, eta)
 
 
 def simulate_process(spec: ProcessSpec, seed: int, trials: int) -> ProcessSummary:

@@ -8,24 +8,30 @@ switch to Bland's smallest-index rule once the objective stalls, which is the
 anti-cycling guarantee. Both rules are deterministic. An LP with no column
 is optimal at once: objective 0.0, an empty x and zero duals.
 
-A comes in as coordinates (`Coo`), scattered once into the zero tableau. A
-dense A (as the tests pass it) goes once through `np.nonzero` into the same
-`Coo`, so a -0.0 in it enters as +0.0, a zero that no update reads.
+A comes in as coordinates (`Coo`), scattered once without its exact zeros
+into the zero tableau. A dense A (as the tests pass it) goes once through
+`np.nonzero` into the same `Coo`, so a -0.0 in it enters as +0.0.
 
-The tableau itself stays dense, but a pivot only touches the block it can
-change: the rows with a nonzero entry in the pivot column, and within them
-the columns where the (scaled) pivot row is nonzero. Every skipped entry
-would have had an exact zero, colv[r] * 0.0, subtracted from it, which
-leaves any nonzero value as it is. So every nonzero entry, ratio test,
-basis choice, x, objective, dual and pivot count is bit-identical to the
-full-row update. The one thing that can differ is a zero's sign: a -0.0
-stays -0.0 where the full update could turn it into +0.0. The fluid LPs put
--0.0 only into the cost row's structural block (-c where a reward is 0;
-`build_lp` writes no -0.0 into A or b), where no comparison tells -0.0 from
-+0.0 and no output reads it. On the
-fluid LPs most pivot rows and columns are sparse (assignment-like demand
-rows, one capacity row per resource and time), so a pivot costs far less
-than the (m + 1) x (n + m + 1) of a full update.
+The tableau is a private anonymous mapping, and every write but b's zeros
+lands on an entry that is nonzero before or after it: an untouched 4 KiB
+page reads as the kernel's zero page, so only the pages that ever hold a
+nonzero become resident (a quarter on upper_triangular 10x100), at one
+fault each (a few microseconds). `np.zeros` would ask for huge pages at
+4 MiB and up, which a few scattered writes make resident, and a MAP_SHARED
+mapping (`mmap`'s default) makes its read faults resident too.
+
+A pivot scales the pivot row at its nonzeros (a zero divided by p > 0 keeps
+its sign), then updates only the rows with a nonzero in the pivot column,
+at the columns where the scaled row is nonzero. Every skipped entry would
+have had an exact zero, colv[r] * 0.0, subtracted from it, which leaves any
+nonzero value as it is. So every nonzero entry, ratio test, basis choice,
+x, objective, dual and pivot count is bit-identical to the full-row update.
+The one thing that can differ is a zero's sign: a -0.0 stays -0.0 where the
+full update could turn it into +0.0. The fluid LPs put -0.0 only into the
+cost row's structural block (-c where a reward is 0; `build_lp` writes no
+-0.0 into A or b), where no comparison tells -0.0 from +0.0 and no output
+reads it. The fluid LPs' pivot rows and columns are mostly sparse, so a
+pivot costs far less than the (m + 1) x (n + m + 1) of a full update.
 
 At an optimum the cost row's slack block holds the duals y of the rows
 Ax <= b: y >= 0, A^T y >= c and b.y = c.x up to rounding.
@@ -33,6 +39,7 @@ Ax <= b: y >= 0, A^T y >= c and b.y = c.x up to rounding.
 
 from __future__ import annotations
 
+import mmap
 from collections import namedtuple
 from dataclasses import dataclass
 
@@ -82,10 +89,11 @@ def solve(c, A, b) -> SimplexResult:
         return SimplexResult(OPTIMAL, 0.0, np.zeros(0), 0, np.zeros(m))
 
     # Tableau: [A | I | b], last row holds reduced costs (-c) and the value.
-    T = np.zeros((m + 1, n + m + 1))
-    T[A.row, A.col] = A.val
-    slack = np.arange(m)
-    T[slack, n + slack] = 1.0
+    T = np.frombuffer(mmap.mmap(-1, 8 * (m + 1) * (n + m + 1), flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS),
+                      dtype=float).reshape(m + 1, n + m + 1)
+    stored = A.val != 0.0
+    T[A.row[stored], A.col[stored]] = A.val[stored]
+    T[np.arange(m), np.arange(n, n + m)] = 1.0
     T[:m, -1] = b
     T[m, :n] = -c
     basis = np.arange(n, n + m)
@@ -117,13 +125,14 @@ def solve(c, A, b) -> SimplexResult:
         tied = pos[ratios <= best + FEAS_TOL]
         i = int(tied[np.argmin(basis[tied])])  # smallest basis index on ties
 
-        T[i, :] /= T[i, j]
+        cols = (T[i] != 0.0).nonzero()[0]   # a bool mask finds nonzeros faster than flatnonzero
+        T[i, cols] = row = T[i, cols] / T[i, j]
         colv = T[:, j].copy()
         colv[i] = 0.0
-        nz = (colv != 0.0).nonzero()[0]   # a bool mask finds nonzeros faster than flatnonzero
+        nz = (colv != 0.0).nonzero()[0]
         if nz.size:
-            cols = (T[i] != 0.0).nonzero()[0]
-            T[np.ix_(nz, cols)] -= np.outer(colv[nz], T[i, cols])
+            live = row != 0.0
+            T[nz[:, None], cols[live]] -= np.outer(colv[nz], row[live])
         basis[i] = j
         pivots += 1
 

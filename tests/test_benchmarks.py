@@ -2,8 +2,10 @@ import dataclasses
 import importlib.util
 import math
 import os
+import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -249,6 +251,34 @@ def test_lp_solution_check_names_the_failed_check(tamper, check):
     benchmarks.check_lp_solution(lp, res)
     with pytest.raises(RuntimeError, match=check):
         benchmarks.check_lp_solution(lp, tamper(res))
+
+
+GAP_BITS = """
+import numpy as np
+from reuse_alloc import benchmarks, generators, simplex
+lp = benchmarks.build_lp(generators.upper_triangular(10, 200))
+res = simplex.solve(lp.obj, lp.A, lp.rhs)
+print(dict(benchmarks.check_lp_solution(lp, res))["duality gap"].hex())
+# max obj.x s.t. a_e x_e <= r_e: x = r / a, and y = obj / a, a little raised.
+rng = np.random.default_rng(2)
+a, r, obj = rng.uniform(0.5, 2.0, (3, 12_000))
+lp = benchmarks.LpModel(None, [], obj, simplex.Coo(np.arange(12_000), np.arange(12_000), a, (12_000, 12_000)), r, [])
+res = simplex.SimplexResult(simplex.OPTIMAL, float(obj @ (r / a)), r / a, 0, obj / a + rng.uniform(0, 1e-10, 12_000))
+print(dict(benchmarks.check_lp_solution(lp, res))["duality gap"].hex())
+"""
+
+
+def test_lp_check_bits_do_not_depend_on_blas_threads():
+    # OpenBLAS splits a dot of more than 10,000 terms across its threads.
+    # upper_triangular 10x200's full LP has 11,000 columns (its sums are
+    # exact, so one BLAS dot gave the same gap too); on the 12,000-column
+    # diagonal LP, one BLAS dot per side gave a gap of 0x1.93a1p-21 under
+    # one thread and 0x1.93a18p-21 under two (2-core x86-64, OpenBLAS).
+    src = str(Path(benchmarks.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    gaps = {subprocess.run([sys.executable, "-c", GAP_BITS], env={**env, "OPENBLAS_NUM_THREADS": str(n)},
+                           capture_output=True, text=True, check=True).stdout for n in (1, 2)}
+    assert len(gaps) == 1
 
 
 def test_solve_lp_checks_every_optimum(monkeypatch):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from reuse_alloc import distributions as dist
 from reuse_alloc import rng
@@ -142,3 +144,31 @@ def test_validate_reports_non_finite_parameters(d, want):
 
 def test_validate_accepts_numpy_scalars():
     assert dist.validate(Uniform(np.float64(0.5), np.int64(2))) == []
+
+
+_PROB = st.floats(0.0, 1.0)
+_TIME = st.floats(0.0, 50.0)
+_EXACT_BASES = st.one_of(
+    st.builds(Deterministic, _TIME),
+    st.builds(TwoPointInf, _TIME, _PROB),
+    st.builds(ZeroOrInf, _PROB),
+    st.builds(lambda lo, width: Uniform(lo, lo + width), st.floats(0.0, 10.0), st.floats(0.01, 20.0)),
+    st.just(NonReusable()),
+)
+
+
+@given(st.one_of(_EXACT_BASES, st.builds(MixtureWithInf, _PROB, _EXACT_BASES)), st.data())
+def test_vector_cdf_equals_the_scalar_one_where_flagged_exact(d, data):
+    # The LP builder prices every distinct age with one vector call for these families.
+    assert dist.exact_vector_cdf(d)
+    base = getattr(d, "base", d)
+    edges = [0.0] + [getattr(base, f) for f in ("d", "lo", "hi") if hasattr(base, f)]
+    near = [float(np.nextafter(e, to)) for e in edges for to in (0.0, INF)]
+    ages = np.array(data.draw(st.lists(st.sampled_from(edges + near) | _TIME, min_size=1, max_size=40)))
+    want = np.array([d.cdf(age) for age in ages], dtype=float)
+    assert np.asarray(d.cdf(ages), dtype=float).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("d", [Exponential(1.0), WeibullIFR(1.0, 2.0), MixtureWithInf(0.5, Exponential(1.0))])
+def test_vector_cdf_is_not_flagged_exact_with_an_elementary_function(d):
+    assert not dist.exact_vector_cdf(d)

@@ -1,4 +1,9 @@
 import itertools
+import mmap
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import helpers
 import numpy as np
@@ -150,8 +155,9 @@ def random_lp(rng, m, n, density):
     return rng.uniform(-0.5, 2.0, n), A, rng.uniform(0.5, 3.0, m)
 
 
+# The last two are several 4 KiB pages wide with sparse rows, so pivots reach untouched pages.
 @pytest.mark.parametrize("m, n, density", [(8, 5, 1.0), (12, 30, 0.5), (40, 60, 0.2), (50, 200, 0.05),
-                                           (120, 80, 0.03)])
+                                           (120, 80, 0.03), (20, 1500, 0.01), (300, 700, 0.004)])
 def test_matches_reference_on_random_lps(m, n, density):
     rng = np.random.default_rng(m * 1000 + n)
     for _ in range(4):
@@ -191,12 +197,14 @@ def degenerate_chain_lp(n, copies):
 
 
 def test_matches_reference_through_the_bland_switch(monkeypatch):
-    c, A, b = degenerate_chain_lp(80, copies=2)
-    res = assert_same_as_reference(c, A, b)
-    assert res.status == simplex.OPTIMAL
-    assert res.objective == pytest.approx(1.52)
-    monkeypatch.setattr(helpers, "STALL_LIMIT", simplex.MAX_PIVOTS)
-    assert reference_simplex(c, A, b).pivots == res.pivots - 1   # so Bland's rule did take over
+    for n, copies in ((80, 2), (600, 1)):     # the second's tableau rows span 2.4 pages
+        c, A, b = degenerate_chain_lp(n, copies)
+        res = assert_same_as_reference(c, A, b)
+        assert res.status == simplex.OPTIMAL
+        assert res.objective == pytest.approx(1.52)
+        with monkeypatch.context() as patch:
+            patch.setattr(helpers, "STALL_LIMIT", simplex.MAX_PIVOTS)
+            assert reference_simplex(c, A, b).pivots == res.pivots - 1   # so Bland's rule did take over
 
 
 _ENTRIES = st.sampled_from([0.0, 0.0, 0.0, 0.25, 0.5, 1.0, 1.0, 2.0, 1.0 / 3.0, -0.5])
@@ -231,3 +239,37 @@ def test_matches_reference_at_the_iteration_limit(monkeypatch):
     monkeypatch.setattr(helpers, "MAX_PIVOTS", 4)
     res = assert_same_as_reference(c, A, b)
     assert (res.status, res.pivots) == (simplex.ITERATION_LIMIT, 4)
+
+
+TABLEAU_RSS = """
+from reuse_alloc import benchmarks, generators, simplex
+def peak_kib():
+    with open("/proc/self/status") as status:
+        return next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+lp = benchmarks.build_lp(generators.upper_triangular(10, 100))
+before = peak_kib()
+simplex.solve(lp.obj, lp.A, lp.rhs)
+print(peak_kib() - before)
+"""
+
+
+def _huge_pages_always():
+    try:
+        return "[always]" in Path("/sys/kernel/mm/transparent_hugepage/enabled").read_text()
+    except OSError:
+        return False
+
+
+@pytest.mark.skipif(not hasattr(mmap, "MAP_PRIVATE"), reason="needs a private anonymous mapping")
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads the peak resident size, VmHWM")
+@pytest.mark.skipif(_huge_pages_always(), reason="transparent huge pages 'always' back the mapping in 2 MiB pages")
+def test_only_the_tableau_pages_that_hold_a_nonzero_become_resident():
+    # The 1056 x 6556 tableau takes 55 MB, but only about a quarter of its
+    # pages ever hold a nonzero; a dense np.zeros tableau raised the peak by
+    # 52.9 MB here (2-core x86-64), the mapped one by 13.5 MB. VmHWM, not
+    # ru_maxrss: a child's ru_maxrss starts at its forking parent's peak.
+    src = str(Path(simplex.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", TABLEAU_RSS], env=env, capture_output=True, text=True,
+                         check=True).stdout
+    assert int(out) < 25 * 1024
