@@ -38,6 +38,10 @@ class UnsupportedMode(ValueError):
     pass
 
 
+class LpError(RuntimeError):
+    """An LP solve that did not end at a checked optimum."""
+
+
 @dataclass
 class LpModel:
     """max obj.y s.t. A y <= rhs, 0 <= y <= 1 (upper bounds are implied
@@ -114,16 +118,16 @@ def _objective(instance: model.Instance, edges: list) -> np.ndarray:
 def _assemble(blocks, rows, price, edge_t, demand_rhs):
     """(A, rhs) of the LP with the capacity rows `rows` of `blocks` (one
     ascending array of row indices per block from `_grouped`, in block
-    order) and one demand row per distinct arrival of edge_t, whose
-    right-hand sides are demand_rhs. Column e is edge e, at arrival
-    edge_t[e]; price(b, k, j) gives the coefficients of the pairs (row k,
-    edge es[j]) of block b. Coordinates go into preallocated arrays one run
-    of rows at a time; no m x n array is made."""
+    order) and, unless demand_rhs is None, one demand row per distinct
+    arrival of edge_t, whose right-hand sides are demand_rhs. Column e is
+    edge e, at arrival edge_t[e]; price(b, k, j) gives the coefficients of
+    the pairs (row k, edge es[j]) of block b. Coordinates go into
+    preallocated arrays one run of rows at a time; no m x n array is made."""
     n = edge_t.size
-    demand_t = np.unique(edge_t)
+    demand_t = np.unique(edge_t) if demand_rhs is not None else edge_t[:0]
     counts = [lens[ks] for (*_, lens), ks in zip(blocks, rows)]
     m = sum(ks.size for ks in rows)
-    nnz = sum(int(c.sum()) for c in counts) + n
+    nnz = sum(int(c.sum()) for c in counts) + (n if demand_rhs is not None else 0)
     row = np.empty(nnz, dtype=np.int32)
     col = np.empty(nnz, dtype=np.int32)
     val = np.empty(nnz)
@@ -142,10 +146,11 @@ def _assemble(blocks, rows, price, edge_t, demand_rhs):
             k0 = k1
         rhs[r0 : r0 + ks.size] = float(res.capacity)
         r0 += ks.size
-    row[k0:] = r0 + np.searchsorted(demand_t, edge_t)
-    col[k0:] = np.arange(n)
-    val[k0:] = 1.0
-    rhs[r0:] = demand_rhs
+    if demand_rhs is not None:
+        row[k0:] = r0 + np.searchsorted(demand_t, edge_t)
+        col[k0:] = np.arange(n)
+        val[k0:] = 1.0
+        rhs[r0:] = demand_rhs
     return simplex.Coo(row, col, val, (rhs.size, n)), rhs
 
 
@@ -177,7 +182,7 @@ def build_lp(instance: model.Instance) -> LpModel:
 
 def solve_lp(lp: LpModel) -> LpSolution:
     """Solve `lp`; an optimum must pass `check_lp_solution`, else
-    RuntimeError names the check that failed."""
+    LpError names the check that failed."""
     res = simplex.solve(lp.obj, lp.A, lp.rhs)
     if res.status == OPTIMAL:
         check_lp_solution(lp, res)
@@ -201,19 +206,14 @@ def check_lp_solution(lp: LpModel, res: simplex.SimplexResult) -> tuple:
     )
     for name, breach in breaches:
         if not breach <= tol:
-            raise RuntimeError(f"LP solution check failed: {name} {float(breach):.3g} exceeds {tol:.3g}")
+            raise LpError(f"LP solution check failed: {name} {float(breach):.3g} exceeds {tol:.3g}")
     return breaches
-
-
-def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """The ranges starts[i], ..., starts[i] + counts[i] - 1, one after another."""
-    return np.repeat(starts - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
 
 
 def _pairs(lens: np.ndarray):
     """(pos, at): every (row, edge) pair of rows whose edges are prefixes of
     lengths lens: the row's position in lens and the edge's in its prefix."""
-    return np.repeat(np.arange(lens.size), lens), _ranges(np.zeros_like(lens), lens)
+    return np.repeat(np.arange(lens.size), lens), simplex.ranges(np.zeros_like(lens), lens)
 
 
 def _column_pairs(rows: np.ndarray, lens: np.ndarray, edges: np.ndarray):
@@ -221,7 +221,7 @@ def _column_pairs(rows: np.ndarray, lens: np.ndarray, edges: np.ndarray):
     whose prefix of lens[k] edges holds j."""
     first = np.searchsorted(lens[rows], edges, side="right")
     counts = rows.size - first
-    return rows[_ranges(first, counts)], np.repeat(edges, counts)
+    return rows[simplex.ranges(first, counts)], np.repeat(edges, counts)
 
 
 def solve_lp_value(instance: model.Instance) -> simplex.SimplexResult:
@@ -233,12 +233,15 @@ def solve_lp_value(instance: model.Instance) -> simplex.SimplexResult:
     size) and one column per (class, resource) give the same optimum. Rows on
     demand: the first round has the demand rows only, and each next round
     adds every capacity row whose load exceeds its capacity at all, until
-    none does; `_assemble` lays out each round's LP. Only the rows in the
-    LP and the (row, edge) pairs with x != 0 are priced, each once. The
-    solution is mapped back: a member's x is its class's x / k and its
-    demand row takes its class's dual, and a row never added has dual 0. It
-    must pass `check_lp_solution` on the full LP, less only the entries with
-    x = 0 and y = 0, which add exactly zero to A x and to A^T y."""
+    none does; `_assemble` lays out the rows each round adds. Every round
+    solves on one `simplex.Tableau`: the first from the all-slack basis, the
+    next ones from the last round's basis, by dual simplex steps over the
+    added rows. Only the rows in the LP and the (row, edge) pairs with
+    x != 0 are priced, each once. The solution is mapped back: a member's x
+    is its class's x / k and its demand row takes its class's dual, and a
+    row never added has dual 0. It must pass `check_lp_solution` on the full
+    LP, less only the entries with x = 0 and y = 0, which add exactly zero
+    to A x and to A^T y."""
     # rep[t] is the first arrival of t's class; its edges are the class's columns.
     # A class key holds the index of its bids, looked up once per demand object.
     rep = np.empty(len(instance.arrivals), dtype=np.int64)
@@ -256,32 +259,40 @@ def solve_lp_value(instance: model.Instance) -> simplex.SimplexResult:
     starts = [np.cumsum(lens) - lens for *_, lens in blocks]
     # Each block's coefficients in the full LP's (row, edge) layout, NaN until priced.
     cache = [np.full(int(lens.sum()), np.nan) for *_, lens in blocks]
-    in_lp = [np.zeros(taus.size, dtype=bool) for _, _, _, taus, _ in blocks]
+    # Each capacity row's row in the LP, -1 until it is added; the demand rows come first.
+    at_row = [np.full(taus.size, -1) for _, _, _, taus, _ in blocks]
 
     def price(b, k, j):
         res, es, ts, taus, _ = blocks[b]
         at = starts[b][k] + j
         a = cache[b][at]
         new = np.isnan(a)
-        if new.any():           # a round re-reads its rows, a run of rows at a time, mostly priced before
+        if new.any():           # a round's rows are mostly priced before, by the violation test
             a[new] = cache[b][at[new]] = _coefficients(res, times, taus[k[new]], ts[j[new]], edge_bid[es[j[new]]])
         return a
 
-    pivots = 0
-    while True:
-        A, rhs = _assemble(blocks, [np.flatnonzero(f) for f in in_lp], price, edge_t, size[demand_t])
-        sol = simplex.solve(obj[own], A, rhs)
-        pivots += sol.pivots
-        if sol.status != OPTIMAL:
-            return dataclasses.replace(sol, pivots=pivots)
-        grew = False
+    tableau = simplex.Tableau()
+    A, rhs = _assemble(blocks, [k[:0] for k in at_row], price, edge_t, size[demand_t])
+    sol = simplex.solve(obj[own], A, rhs, tableau)
+    pivots = sol.pivots
+    while sol.status == OPTIMAL:
+        rows = []
         for b, (res, es, _, taus, lens) in enumerate(blocks):
-            k, j = _column_pairs(np.flatnonzero(~in_lp[b]), lens, np.flatnonzero(sol.x[es] != 0.0))
-            over = np.bincount(k, weights=price(b, k, j) * sol.x[es[j]], minlength=taus.size) > res.capacity
-            in_lp[b] |= over
-            grew |= bool(over.any())
-        if not grew:
+            k, j = _column_pairs(np.flatnonzero(at_row[b] < 0), lens, np.flatnonzero(sol.x[es] != 0.0))
+            rows.append(np.flatnonzero(np.bincount(k, weights=price(b, k, j) * sol.x[es[j]], minlength=taus.size)
+                                       > res.capacity))
+        if not any(ks.size for ks in rows):
             break
+        m = sol.y.size          # the LP's rows so far
+        for b, ks in enumerate(rows):
+            at_row[b][ks] = m + np.arange(ks.size)
+            m += ks.size
+        A, rhs = _assemble(blocks, rows, price, edge_t, None)
+        sol = simplex.solve(obj[own], A, rhs, tableau)
+        pivots += sol.pivots
+    del tableau             # its pages go before the map-back
+    if sol.status != OPTIMAL:
+        return dataclasses.replace(sol, pivots=pivots)
 
     # Map back and check on the full LP, with every coefficient from the cache.
     X = sol.x
@@ -291,12 +302,10 @@ def solve_lp_value(instance: model.Instance) -> simplex.SimplexResult:
     members = np.argsort(cls, kind="stable")      # members[at[c]:at[c] + k] are class column c's edges
     at = np.searchsorted(cls[members], np.arange(len(own)))
     row, col, val, y, rhs, row_kinds = [], [], [], [], [], []
-    read = 0                                      # capacity rows of the LP whose duals are read
     for b, (res, es, ts, taus, lens) in enumerate(blocks):
-        ks = np.flatnonzero(in_lp[b])
+        added = at_row[b] >= 0
         dual = np.zeros(taus.size)
-        dual[ks] = sol.y[read : read + ks.size]
-        read += ks.size
+        dual[added] = sol.y[at_row[b][added]]
         # Every pair with X != 0, then those with X = 0 in a row with a dual != 0.
         k, j = _column_pairs(np.arange(taus.size), lens, np.flatnonzero(X[es] != 0.0))
         ks = np.flatnonzero(dual)
@@ -305,13 +314,13 @@ def solve_lp_value(instance: model.Instance) -> simplex.SimplexResult:
         k, j = np.concatenate([k, ks[pos[zero]]]), np.concatenate([j, jj[zero]])
         reps = size[ts[j]]
         row.append(len(rhs) + np.repeat(k, reps))
-        col.append(members[_ranges(at[es[j]], reps)])
+        col.append(members[simplex.ranges(at[es[j]], reps)])
         val.append(np.repeat(price(b, k, j), reps))
         y.append(dual)
         rhs += [float(res.capacity)] * taus.size
         row_kinds += [("cap", res.id, tau) for tau in taus.tolist()]
     full_demand = np.unique(full_t)
-    y.append(sol.y[read + np.searchsorted(demand_t, rep[full_demand])])
+    y.append(sol.y[np.searchsorted(demand_t, rep[full_demand])])
     row.append(len(rhs) + np.searchsorted(full_demand, full_t))
     col.append(np.arange(len(edges)))
     val.append(np.ones(len(edges)))
@@ -331,7 +340,7 @@ def lp_value(instance: model.Instance) -> float:
     """The fluid LP's optimum by `solve_lp_value`."""
     res = solve_lp_value(instance)
     if res.status != OPTIMAL:
-        raise RuntimeError(f"LP solve ended with status {res.status}")
+        raise LpError(f"LP solve ended with status {res.status}")
     return res.objective
 
 

@@ -310,6 +310,9 @@ def main(argv=None) -> int:
     except (CliError, benchmarks.UnsupportedMode, model.NoEdges, model.TooLarge, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except benchmarks.LpError as exc:     # a valid input whose LP solve failed its check
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -1,15 +1,41 @@
-"""Dense primal simplex for max c.x s.t. Ax <= b, x >= 0, with b >= 0.
+"""Dense tableau simplex for max c.x s.t. Ax <= b, x >= 0, with b >= 0,
+solved from the all-slack basis or, for rows added to an LP already solved,
+on from its last basis.
 
 Self-contained on purpose: the LP benchmark must be bit-reproducible, so no
 external solver. The all-slack basis is feasible because every right-hand
-side is nonnegative (capacities and per-arrival demand bounds). Pivoting is
-Dantzig (most negative reduced cost) for speed, with an automatic permanent
-switch to Bland's smallest-index rule once the objective stalls, which is the
-anti-cycling guarantee. Both rules are deterministic. An LP with no column
-is optimal at once: objective 0.0, an empty x and zero duals.
+side is nonnegative (capacities and per-arrival demand bounds). Primal
+pivoting is Dantzig (most negative reduced cost) for speed, with an
+automatic permanent switch to Bland's smallest-index rule once the objective
+stalls, which is the anti-cycling guarantee. Every rule is deterministic. An
+LP with no column is optimal at once: objective 0.0, an empty x and zero
+duals.
 
-A comes in as coordinates (`Coo`), scattered once without its exact zeros
-into the zero tableau. A dense A (as the tests pass it) goes once through
+Rows added to a solved LP (a `Tableau` that `solve` keeps between calls)
+keep its basis dual feasible, and each enters with its slack basic at
+b - A x, which is negative where the last optimum x breaks it. Dual simplex
+steps (dual steepest edge among the tableau's rows below -FEAS_TOL, and
+Harris' ratio test) then restore primal feasibility, and the
+primal loop cleans up; both loops share the one pivot routine. A new row
+is written into the tableau only when it is needed: while some of them are
+broken, the most broken ones enter (one, then twice as many each time) and
+the dual steps run, and once none is broken the rest enter together. So
+the dual pivots, which fill the tableau far more than the primal ones,
+update only the rows written so far: on `offline_bounds`' budgeted LP, 27
+of the 235 rows of its second round enter while broken, and its dual
+pivots make 0.33 M entry updates, against 5.0 M with all 235 written at
+once. A row is written in the basis by subtracting from it a_j times the
+row of each basic column j it holds (a basic column is a unit vector, so
+no other row changes). A first call writes every row at once from the
+all-slack basis, where nothing is broken or eliminated, so its tableau,
+pivots and outputs are those of a plain primal simplex. Where the dual
+steps stall (STALL_LIMIT pivots without progress, where the primal loop
+takes Bland's rule) or end at a point that fails the LP's primal and dual
+checks (rounding that many pivots on one tableau can let grow), the LP so
+far is solved again from the all-slack basis.
+
+A comes in as coordinates (`Coo`), scattered without its exact zeros into
+the zero tableau. A dense A (as the tests pass it) goes once through
 `np.nonzero` into the same `Coo`, so a -0.0 in it enters as +0.0.
 
 The tableau is a private anonymous mapping, and every write but b's zeros
@@ -18,20 +44,23 @@ page reads as the kernel's zero page, so only the pages that ever hold a
 nonzero become resident (a quarter on upper_triangular 10x100), at one
 fault each (a few microseconds). `np.zeros` would ask for huge pages at
 4 MiB and up, which a few scattered writes make resident, and a MAP_SHARED
-mapping (`mmap`'s default) makes its read faults resident too.
+mapping (`mmap`'s default) makes its read faults resident too. A first
+call makes room for its rows only; a later one that needs more moves the
+nonzeros into a tableau with room for twice the rows it adds.
 
-A pivot scales the pivot row at its nonzeros (a zero divided by p > 0 keeps
-its sign), then updates only the rows with a nonzero in the pivot column,
-at the columns where the scaled row is nonzero. Every skipped entry would
-have had an exact zero, colv[r] * 0.0, subtracted from it, which leaves any
-nonzero value as it is. So every nonzero entry, ratio test, basis choice,
-x, objective, dual and pivot count is bit-identical to the full-row update.
-The one thing that can differ is a zero's sign: a -0.0 stays -0.0 where the
-full update could turn it into +0.0. The fluid LPs put -0.0 only into the
-cost row's structural block (-c where a reward is 0; `build_lp` writes no
--0.0 into A or b), where no comparison tells -0.0 from +0.0 and no output
-reads it. The fluid LPs' pivot rows and columns are mostly sparse, so a
-pivot costs far less than the (m + 1) x (n + m + 1) of a full update.
+A pivot scales the pivot row at its nonzeros (a zero divided by p keeps or
+flips its sign), then updates only the rows with a nonzero in the pivot
+column, at the columns where the scaled row is nonzero. Every skipped entry
+would have had an exact zero, colv[r] * 0.0, subtracted from it, which
+leaves any nonzero value as it is. So every nonzero entry, ratio test, basis
+choice, x, objective, dual and pivot count is bit-identical to the full-row
+update. The one thing that can differ is a zero's sign: a -0.0 stays -0.0
+where the full update could turn it into +0.0. The fluid LPs put -0.0 only
+into the cost row's structural block (-c where a reward is 0; `build_lp`
+writes no -0.0 into A or b), where no comparison tells -0.0 from +0.0 and no
+output reads it. The fluid LPs' pivot rows and columns are mostly sparse,
+so a pivot costs far less than the (m + 1) x (n + m + 1) of a full update.
+No BLAS call takes part in any of it.
 
 At an optimum the cost row's slack block holds the duals y of the rows
 Ax <= b: y >= 0, A^T y >= c and b.y = c.x up to rounding.
@@ -39,20 +68,24 @@ Ax <= b: y >= 0, A^T y >= c and b.y = c.x up to rounding.
 
 from __future__ import annotations
 
+import dataclasses
 import mmap
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 OPT_TOL = 1e-9       # reduced-cost optimality tolerance
 FEAS_TOL = 1e-9      # pivot / feasibility tolerance
+PIVOT_TOL = 1e-7     # a ratio test's preferred least pivot magnitude
 STALL_LIMIT = 64     # degenerate iterations before switching to Bland
 MAX_PIVOTS = 10**6
+ELIM_CELLS = 1 << 16  # most entries that writing rows in the basis gathers or multiplies at once
 
 OPTIMAL = "Optimal"
 INFEASIBLE = "Infeasible"
 ITERATION_LIMIT = "IterationLimit"
+_STALLED = "Stalled"     # the dual steps made no progress for STALL_LIMIT pivots
 
 
 @dataclass
@@ -77,77 +110,282 @@ def as_coo(A) -> Coo:
     return Coo(row, col, A[row, col], A.shape)
 
 
-def solve(c, A, b) -> SimplexResult:
-    """Solve max c.x s.t. Ax <= b, x >= 0; A is a `Coo` or a dense matrix."""
+def ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The ranges starts[i], ..., starts[i] + counts[i] - 1, one after another."""
+    return np.repeat(starts - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
+
+
+@dataclass
+class Tableau:
+    """An LP's tableau, kept by `solve` from one call to the next; empty
+    until the first. T is (R + 1) x (n + R + 1), with room for R rows: its
+    first m rows are the rows so far, [A | I | 0 | b] in the order they were
+    written, its last row is the cost row [-c | y | 0 | c.x], and the rest
+    is zero. basis[i] is row i's basic column and rows[i] its row of the LP;
+    lp holds the (A, b) of every call."""
+    T: np.ndarray | None = None
+    basis: np.ndarray | None = None
+    rows: np.ndarray | None = None
+    lp: list = field(default_factory=list)
+
+
+def solve(c, A, b, tableau=None) -> SimplexResult:
+    """Solve max c.x s.t. Ax <= b, x >= 0; A is a `Coo` or a dense matrix.
+    With a `Tableau` that earlier calls solved, the LP is their rows and then
+    A's, solved on from the last basis (c must be the same); y is over all
+    of them. Where the dual steps stall or their optimum fails `_certified`
+    (rounding that many pivots on one tableau let grow), the LP so far is
+    solved again from the all-slack basis; pivots then count both."""
     c = np.asarray(c, dtype=float)
     A = as_coo(A)
     b = np.asarray(b, dtype=float)
-    m, n = A.shape
+    k, n = A.shape
     if (b < 0).any():
-        return SimplexResult(INFEASIBLE, 0.0, np.zeros(n), 0, np.zeros(m))
+        return SimplexResult(INFEASIBLE, 0.0, np.zeros(n), 0, np.zeros(k))
     if n == 0:
-        return SimplexResult(OPTIMAL, 0.0, np.zeros(0), 0, np.zeros(m))
+        return SimplexResult(OPTIMAL, 0.0, np.zeros(0), 0, np.zeros(k))
 
-    # Tableau: [A | I | b], last row holds reduced costs (-c) and the value.
-    T = np.frombuffer(mmap.mmap(-1, 8 * (m + 1) * (n + m + 1), flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS),
-                      dtype=float).reshape(m + 1, n + m + 1)
-    stored = A.val != 0.0
-    T[A.row[stored], A.col[stored]] = A.val[stored]
-    T[np.arange(m), np.arange(n, n + m)] = 1.0
-    T[:m, -1] = b
-    T[m, :n] = -c
-    basis = np.arange(n, n + m)
+    tab = Tableau() if tableau is None else tableau
+    warm = tab.T is not None
+    tab.lp.append((A, b))
+    res = _solve_on(tab, c, A, b)
+    if warm and (res.status in (INFEASIBLE, _STALLED) or (res.status == OPTIMAL and not _certified(tab.lp, c, res))):
+        tab.T = None
+        again = _solve_on(tab, c, _stack(tab.lp, n), np.concatenate([b for _, b in tab.lp]))
+        return dataclasses.replace(again, pivots=res.pivots + again.pivots)
+    return res
 
-    status = OPTIMAL
+
+def _solve_on(tab, c, A, b):
+    """`solve` on tab, whose rows so far are solved: the rows of A enter,
+    the broken ones first, and the dual and then the primal steps run."""
+    k, n = A.shape
+    _make_room(tab, c, k, n)
+    first = tab.rows.size
+    by_row = np.argsort(A.row, kind="stable")
+    row_at = np.searchsorted(A.row[by_row], np.arange(k + 1))
+    by_col = np.argsort(A.col, kind="stable")
+    col_at = np.searchsorted(A.col[by_col], np.arange(n + 1))
+    waiting = np.ones(k, dtype=bool)
+    x, load = np.zeros(n), np.zeros(k)            # A x at x, the last optimum seen
+    status, pivots, batch = OPTIMAL, 0, 1
+    while status == OPTIMAL and waiting.any():
+        now = _extract(tab.T, tab.basis, n, tab.rows.size)
+        moved = np.flatnonzero(now != x)
+        e = by_col[ranges(col_at[moved], col_at[moved + 1] - col_at[moved])]
+        load += np.bincount(A.row[e], weights=A.val[e] * (now - x)[A.col[e]], minlength=k)
+        x = now
+        left = np.flatnonzero(waiting)
+        slack = b[left] - load[left]
+        broken = np.flatnonzero(slack < -FEAS_TOL)
+        if broken.size:         # the `batch` most broken rows, twice as many as the last time
+            enter = np.sort(left[broken[np.argsort(slack[broken], kind="stable")[:batch]]])
+            batch *= 2
+        else:
+            enter = left
+        _write_rows(tab, A, b, first, enter, by_row, row_at)
+        waiting[enter] = False
+        status, pivots = _iterate(tab.T, tab.basis, _dual_step, -1.0, pivots)
+    if waiting.any():
+        _write_rows(tab, A, b, first, np.flatnonzero(waiting), by_row, row_at)
+    elif status == OPTIMAL:
+        status, pivots = _iterate(tab.T, tab.basis, _primal_step, 1.0, pivots)
+    T, m = tab.T, tab.rows.size
+    y = np.zeros(m)
+    y[tab.rows] = T[-1, n : n + m]
+    return SimplexResult(status, float(T[-1, -1]), _extract(T, tab.basis, n, m), pivots, y)
+
+
+def _certified(lp, c, res) -> bool:
+    """res's x and y solve the LP of the (A, b) in lp: x >= 0, A x <= b,
+    y >= 0, A^T y >= c and b.y = c.x, each within FEAS_TOL * max(1, |objective|)."""
+    tol = FEAS_TOL * max(1.0, abs(res.objective))
+    ok = bool((res.x >= -tol).all() and (res.y >= -tol).all())
+    aty, by, first = np.zeros(c.size), 0.0, 0
+    for A, b in lp:
+        y = res.y[first : first + b.size]
+        ok = ok and bool((np.bincount(A.row, weights=A.val * res.x[A.col], minlength=b.size) <= b + tol).all())
+        aty += np.bincount(A.col, weights=A.val * y[A.row], minlength=c.size)
+        by += (b * y).sum()
+        first += b.size
+    return ok and bool((aty >= c - tol).all()) and abs(by - (c * res.x).sum()) <= tol
+
+
+def _stack(lp, n) -> Coo:
+    """The rows A of every (A, b) in lp, one under the other."""
+    first = np.cumsum([0] + [b.size for _, b in lp])
+    return Coo(np.concatenate([A.row + f for (A, _), f in zip(lp, first)]), np.concatenate([A.col for A, _ in lp]),
+               np.concatenate([A.val for A, _ in lp]), (int(first[-1]), n))
+
+
+def _zeros(rows, cols):
+    """A zero matrix in a private anonymous mapping (see the module docstring)."""
+    buf = mmap.mmap(-1, 8 * rows * cols, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+    return np.frombuffer(buf, dtype=float).reshape(rows, cols)
+
+
+def _make_room(tab, c, k, n):
+    """Room for k more rows in tab: a first tableau, of the cost row -c with
+    room for k rows, or, where the room left is too small, the nonzeros moved
+    into a tableau with room for 2k more rows than it holds."""
+    if tab.T is None:
+        tab.T = _zeros(k + 1, n + k + 1)
+        tab.T[k, :n] = -c
+        tab.basis = tab.rows = np.zeros(0, dtype=np.int64)
+        return
+    m = tab.rows.size
+    if m + k >= tab.T.shape[0]:
+        old, room = tab.T, m + 2 * k
+        tab.T = _zeros(room + 1, n + room + 1)
+        r, j = old.nonzero()
+        tab.T[np.where(r < m, r, room), np.where(j < n + m, j, n + room)] = old[r, j]
+
+
+def _write_rows(tab, A, b, first, which, by_row, row_at):
+    """Write the rows `which` (ascending) of A x <= b under the tableau's
+    rows, each with its slack basic, and then in the basis: from each new
+    row, a_j times the row of each basic column j it holds (a row whose
+    column j is 1 and whose other basic columns are 0) is subtracted, in
+    ascending order of those rows."""
+    T, basis = tab.T, tab.basis
+    m, n = basis.size, A.shape[1]
+    new = m + np.arange(which.size)
+    e = by_row[ranges(row_at[which], row_at[which + 1] - row_at[which])]
+    e = e[A.val[e] != 0.0]
+    T[m + np.searchsorted(which, A.row[e]), A.col[e]] = A.val[e]
+    T[new, n + new] = 1.0
+    T[new, -1] = b[which]
+    tab.basis = np.concatenate([basis, n + new])
+    tab.rows = np.concatenate([tab.rows, first + which])
+    row_of = np.full(n, -1)
+    row_of[basis[basis < n]] = np.flatnonzero(basis < n)
+    e = e[row_of[A.col[e]] >= 0]
+    if e.size == 0:
+        return
+    e = e[np.argsort(row_of[A.col[e]], kind="stable")]
+    rows, k = np.unique(row_of[A.col[e]], return_inverse=True)
+    r, c = _nonzeros(T, rows)
+    nnz = np.bincount(r, minlength=rows.size)
+    start = np.cumsum(nnz) - nnz
+    at = (m + np.searchsorted(which, A.row[e])) * T.shape[1]    # T is C-contiguous: flat offsets
+    done = np.cumsum(nnz[k])
+    cuts = np.searchsorted(done, np.arange(ELIM_CELLS, done[-1], ELIM_CELLS), side="right").tolist()
+    for lo, hi in zip([0, *cuts], [*cuts, e.size]):     # under ELIM_CELLS products at a time
+        count = nnz[k[lo:hi]]
+        pick = ranges(start[k[lo:hi]], count)
+        np.subtract.at(T.reshape(-1), np.repeat(at[lo:hi], count) + c[pick],
+                       np.repeat(A.val[e[lo:hi]], count) * T[rows[r[pick]], c[pick]])
+
+
+def _nonzeros(T, rows):
+    """(i, j) of the nonzeros of T[rows], row by row (i indexes `rows`),
+    gathering a run of rows of under ELIM_CELLS entries at a time."""
+    step = max(1, ELIM_CELLS // T.shape[1])
+    return np.concatenate([np.array(T[rows[lo : lo + step]].nonzero()) + [[lo], [0]]
+                           for lo in range(0, rows.size, step)], axis=1)
+
+
+def _iterate(T, basis, step, sense, pivots):
+    """Pivot where `step` says until it returns a status, counting on from
+    `pivots`. Each pivot should move the objective up (sense 1.0) or down
+    (-1.0); after STALL_LIMIT pivots in a row that do not, `step` is asked
+    for Bland's choice from then on."""
     bland = False
     stall = 0
-    last_obj = 0.0
-    pivots = 0
+    last = sense * T[-1, -1]
     while pivots < MAX_PIVOTS:
-        costs = T[m, :-1]
-        if bland:
-            neg = np.nonzero(costs < -OPT_TOL)[0]
-            if neg.size == 0:
-                break
-            j = int(neg[0])
-        else:
-            j = int(np.argmin(costs))
-            if costs[j] >= -OPT_TOL:
-                break
-        col = T[:m, j]
-        pos = np.nonzero(col > FEAS_TOL)[0]
-        if pos.size == 0:
-            # Our models bound every variable through a demand row, so an
-            # unbounded ray means a malformed input; surface it loudly.
-            raise ValueError("LP is unbounded")
-        ratios = T[pos, -1] / col[pos]
-        best = ratios.min()
-        tied = pos[ratios <= best + FEAS_TOL]
-        i = int(tied[np.argmin(basis[tied])])  # smallest basis index on ties
-
-        cols = (T[i] != 0.0).nonzero()[0]   # a bool mask finds nonzeros faster than flatnonzero
-        T[i, cols] = row = T[i, cols] / T[i, j]
-        colv = T[:, j].copy()
-        colv[i] = 0.0
-        nz = (colv != 0.0).nonzero()[0]
-        if nz.size:
-            live = row != 0.0
-            T[nz[:, None], cols[live]] -= np.outer(colv[nz], row[live])
-        basis[i] = j
+        at = step(T, basis, bland)
+        if isinstance(at, str):
+            return at, pivots
+        _pivot(T, basis, *at)
         pivots += 1
-
-        obj = T[m, -1]
-        if obj <= last_obj + 1e-12:
+        obj = sense * T[-1, -1]
+        if obj <= last + 1e-12:
             stall += 1
             if stall >= STALL_LIMIT:
                 bland = True
         else:
             stall = 0
-        last_obj = obj
-    else:
-        status = ITERATION_LIMIT
+        last = obj
+    return ITERATION_LIMIT, pivots
 
-    return SimplexResult(status, float(T[m, -1]), _extract(T, basis, n, m), pivots, T[m, n : n + m].copy())
+
+def _candidates(entries):
+    """A ratio test's positions: entries above PIVOT_TOL where there are
+    any, else those above FEAS_TOL, so that a tiny pivot is a last resort."""
+    pos = (entries > PIVOT_TOL).nonzero()[0]
+    return pos if pos.size else (entries > FEAS_TOL).nonzero()[0]
+
+
+def _primal_step(T, basis, bland):
+    """The entering column (the most negative reduced cost, or under Bland
+    the first one below -OPT_TOL) and the row of the least ratio, ties to
+    the smallest basic index; OPTIMAL where no cost is below -OPT_TOL."""
+    m = basis.size
+    costs = T[-1, :-1]
+    if bland:
+        neg = np.nonzero(costs < -OPT_TOL)[0]
+        if neg.size == 0:
+            return OPTIMAL
+        j = int(neg[0])
+    else:
+        j = int(np.argmin(costs))
+        if costs[j] >= -OPT_TOL:
+            return OPTIMAL
+    col = T[:m, j]
+    pos = _candidates(col)
+    if pos.size == 0:
+        # Our models bound every variable through a demand row, so an
+        # unbounded ray means a malformed input; surface it loudly.
+        raise ValueError("LP is unbounded")
+    ratios = T[pos, -1] / col[pos]
+    best = ratios.min()
+    tied = pos[ratios <= best + FEAS_TOL]
+    return int(tied[np.argmin(basis[tied])]), j     # smallest basis index on ties
+
+
+def _dual_step(T, basis, bland):
+    """The leaving row: of those whose basic value is below -FEAS_TOL, the
+    one of the greatest value^2 / |its row of B^-1|^2 (dual steepest edge;
+    B^-1 is the slack block). The entering column (Harris): of the negative
+    entries of that row, those whose reduced cost / -entry is at most the
+    least ratio of (reduced cost, at least 0, plus OPT_TOL) / -entry, and of
+    them the largest -entry, so that a tiny entry with a slightly smaller
+    ratio does not become the pivot. OPTIMAL where no basic value is below
+    -FEAS_TOL, INFEASIBLE where the leaving row has no negative entry, and
+    _STALLED where Bland's rule is asked for: `solve` then starts again
+    from the all-slack basis."""
+    m = basis.size
+    rhs = T[:m, -1]
+    neg = (rhs < -FEAS_TOL).nonzero()[0]
+    if neg.size == 0:
+        return OPTIMAL
+    if bland:
+        return _STALLED
+    n = T.shape[1] - T.shape[0]
+    inv = T[neg, n : n + m]
+    i = int(neg[np.argmax(rhs[neg] ** 2 / np.einsum("ij,ij->i", inv, inv))])
+    row = -T[i, :-1]
+    pos = _candidates(row)
+    if pos.size == 0:
+        return INFEASIBLE
+    ratios = T[-1, pos] / row[pos]
+    near = pos[ratios <= ((np.maximum(T[-1, pos], 0.0) + OPT_TOL) / row[pos]).min()]
+    return i, int(near[np.argmax(row[near])])
+
+
+def _pivot(T, basis, i, j):
+    """Make column j basic in row i: scale row i at its nonzeros, then
+    update the rows with a nonzero in column j where row i is nonzero."""
+    cols = (T[i] != 0.0).nonzero()[0]   # a bool mask finds nonzeros faster than flatnonzero
+    T[i, cols] = row = T[i, cols] / T[i, j]
+    colv = T[:, j].copy()
+    colv[i] = 0.0
+    nz = (colv != 0.0).nonzero()[0]
+    if nz.size:
+        live = row != 0.0
+        T[nz[:, None], cols[live]] -= np.outer(colv[nz], row[live])
+    basis[i] = j
 
 
 def _extract(T, basis, n, m):

@@ -56,7 +56,7 @@ from reuse_alloc.assortment import assortment_oracle
 from reuse_alloc.benchmarks import (CertificateReport, CertificateRow, LpModel, UnsupportedMode,
                                     _galg_candidate)
 from reuse_alloc.engine import Paths, simulate
-from reuse_alloc.simplex import (FEAS_TOL, INFEASIBLE, ITERATION_LIMIT, MAX_PIVOTS, OPT_TOL, OPTIMAL,
+from reuse_alloc.simplex import (FEAS_TOL, INFEASIBLE, ITERATION_LIMIT, MAX_PIVOTS, OPT_TOL, OPTIMAL, PIVOT_TOL,
                                  STALL_LIMIT, SimplexResult, as_coo)
 from reuse_alloc.policies import RbaPolicy, reduced_price
 from reuse_alloc.randproc import ProcessSummary
@@ -416,7 +416,9 @@ def reference_simplex(c, A, b):
             if costs[j] >= -OPT_TOL:
                 break
         col = T[:m, j]
-        pos = np.nonzero(col > FEAS_TOL)[0]
+        pos = np.nonzero(col > PIVOT_TOL)[0]      # a tiny pivot only where no other is left
+        if pos.size == 0:
+            pos = np.nonzero(col > FEAS_TOL)[0]
         if pos.size == 0:
             # Our models bound every variable through a demand row, so an
             # unbounded ray means a malformed input; surface it loudly.

@@ -360,32 +360,39 @@ def test_lp_value_prices_each_pair_once(monkeypatch):
     assert len(set(priced)) == len(priced) < build_lp(inst).A.val.size / 2
 
 
-@pytest.mark.parametrize("inst, shapes", [pytest.param(p.values[0], shapes, id=p.id) for p, shapes in zip(
-    offline_bounds_lps(), ([(302, 602), (603, 602), (604, 602)], [(10, 55)], [(400, 1957), (635, 1957), (636, 1957)]))])
-def test_lp_value_rounds_keep_their_shapes(monkeypatch, inst, shapes):
-    """Each value-path round's LP, as the shared assembler lays it out: the
-    rounds and their m x n are pinned, no (row, column) is listed twice, and
-    every row has an entry and a right-hand side. An assembler that drops or
-    repeats a row changes a shape."""
+ROUNDS = (([(302, 602), (603, 602), (604, 602)], [302, 2, 1]), ([(10, 55)], [10]),
+          ([(400, 1957), (635, 1957), (636, 1957)], [400, 156, 1]))
+
+
+@pytest.mark.parametrize("inst, shapes, pivots", [pytest.param(p.values[0], shapes, pivots, id=p.id)
+                                                  for p, (shapes, pivots) in zip(offline_bounds_lps(), ROUNDS)])
+def test_lp_value_rounds_keep_their_shapes(monkeypatch, inst, shapes, pivots):
+    """Each value-path round's LP, as the shared assembler lays out the rows
+    it adds: the rounds, the m x n of the LP so far and the pivots of each
+    round are pinned, no (row, column) is listed twice, and every added row
+    has an entry and a right-hand side. An assembler that drops or repeats a
+    row changes a shape; a round that starts again from the all-slack basis
+    changes a pivot count."""
     real = simplex.solve
     seen = []
 
-    def spy(c, A, b):
-        seen.append(A.shape)
+    def spy(c, A, b, tableau):
         assert len(set(zip(A.row.tolist(), A.col.tolist()))) == A.row.size
         assert np.array_equal(np.unique(A.row), np.arange(A.shape[0])) and len(b) == A.shape[0]
-        return real(c, A, b)
+        res = real(c, A, b, tableau)
+        seen.append(((res.y.size, A.shape[1]), res.pivots))
+        return res
 
     monkeypatch.setattr(simplex, "solve", spy)
-    lp_value(inst)
-    assert seen == shapes
+    assert benchmarks.solve_lp_value(inst).pivots == sum(pivots)
+    assert seen == list(zip(shapes, pivots))
 
 
 def test_lp_value_checks_its_optimum(monkeypatch):
     real = simplex.solve
 
-    def negated_duals(c, A, b):
-        res = real(c, A, b)
+    def negated_duals(c, A, b, tableau):
+        res = real(c, A, b, tableau)
         return dataclasses.replace(res, y=-res.y)
 
     monkeypatch.setattr(simplex, "solve", negated_duals)
@@ -393,8 +400,47 @@ def test_lp_value_checks_its_optimum(monkeypatch):
         lp_value(example_a1(3))
 
 
-FAMILIES = (NonReusable(), Deterministic(0.7), Exponential(1.0), TwoPointInf(1.0, 0.5), Uniform(0.2, 1.3),
-            ZeroOrInf(0.5))
+@pytest.mark.parametrize("mode, seed, k, full", [(model.BUDGETED, 7, 0, 71.8954408096),
+                                                 (model.BUDGETED, 3, 1, 68.8281345915),
+                                                 (model.MATCHING, 1, 1, 132.60249369)])
+def test_lp_value_of_mixture_inf_battery_instances(mode, seed, k, full):
+    """MixtureWithInf batteries whose value path failed its check. The first
+    (capacities 6, 18, 3 and 20): its second round, solved from the all-slack
+    basis with every entry above FEAS_TOL a candidate pivot, pivoted on
+    entries near 1e-9 and came out 3.61 off its own demand row. The others:
+    warm dual steps that stalled into a blow-up or lost 2e-7 to rounding."""
+    params = BatteryParams(n_instances=2, n_resources=4, n_arrivals=150, capacity_range=(2, 20),
+                           dist_mix=("mixture_inf",), mode=mode, max_bid=3)
+    inst = random_battery(params, seed)[k]
+    assert solve_lp(build_lp(inst)).objective == pytest.approx(full, abs=1e-9)
+    assert lp_value(inst) == pytest.approx(full, rel=1e-9)
+
+
+VALUE_BITS = """
+import hashlib
+from reuse_alloc import benchmarks, model
+from reuse_alloc.generators import BatteryParams, random_battery
+params = BatteryParams(n_instances=1, n_resources=8, n_arrivals=400, capacity_range=(20, 80),
+                       dist_mix=("exponential", "uniform", "weibull", "deterministic", "two_point_inf"),
+                       edge_prob=0.6, mode=model.BUDGETED, max_bid=3)
+res = benchmarks.solve_lp_value(random_battery(params, seed=32)[0])
+print(res.objective.hex(), res.pivots, hashlib.sha256(res.x.tobytes() + res.y.tobytes()).hexdigest())
+"""
+
+
+def test_lp_value_bits_do_not_depend_on_blas_threads():
+    # The warm rounds' elimination and dual pricing use no BLAS call, so
+    # offline_bounds' budgeted LP gives the same bits under 1 and 2 threads.
+    src = str(Path(benchmarks.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = {subprocess.run([sys.executable, "-c", VALUE_BITS], env={**env, "OPENBLAS_NUM_THREADS": str(n)},
+                          capture_output=True, text=True, check=True).stdout for n in (1, 2)}
+    assert len(out) == 1
+
+
+FAMILIES = (NonReusable(), Deterministic(0.7), Exponential(1.0), Exponential(0.3), TwoPointInf(1.0, 0.5),
+            Uniform(0.2, 1.3), ZeroOrInf(0.5), MixtureWithInf(0.6, Exponential(2.0)),
+            MixtureWithInf(0.5, Deterministic(0.7)))
 
 
 @st.composite

@@ -727,6 +727,39 @@ def test_too_large_is_one_error_line(capsys, monkeypatch):
     assert err == "error: explicit-table oracle is limited to 20 items\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["lp"], ["lp", "--y-csv"], ["compare", "--policies", "greedy", "--trials", "2", "--seed", "1"],
+    ["certify", "--trials", "2", "--seed", "1", "--alpha", "0.5", "--beta", "1"]])
+def test_a_failed_lp_check_is_one_error_line(capsys, monkeypatch, argv):
+    from reuse_alloc import simplex
+
+    real = simplex.solve
+
+    def negated_duals(*args):
+        res = real(*args)
+        return res.__class__(res.status, res.objective, res.x, res.pivots, -res.y)
+
+    monkeypatch.setattr(simplex, "solve", negated_duals)
+    code, out, err = run_cli(capsys, argv + ["--gen", "example_a1", "--param", "n", "3"])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: LP solution check failed: dual feasibility ") and err.count("\n") == 1
+
+
+def test_a_non_optimal_lp_value_is_one_error_line(capsys, monkeypatch):
+    from reuse_alloc import simplex
+
+    real = simplex.solve
+
+    def stopped(*args):
+        res = real(*args)
+        return res.__class__(simplex.ITERATION_LIMIT, res.objective, res.x, res.pivots, res.y)
+
+    monkeypatch.setattr(simplex, "solve", stopped)
+    code, out, err = run_cli(capsys, ["compare", "--gen", "example_a1", "--param", "n", "3",
+                                      "--policies", "greedy", "--trials", "2", "--seed", "1"])
+    assert (code, out, err) == (1, "", "error: LP solve ended with status IterationLimit\n")
+
+
 def test_lp_value_and_vertex_paths(capsys, monkeypatch):
     """`lp` prints the value from the reduced LP and never builds the full
     one; `lp --y-csv` prints the full LP's vertex."""

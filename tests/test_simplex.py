@@ -241,6 +241,103 @@ def test_matches_reference_at_the_iteration_limit(monkeypatch):
     assert (res.status, res.pivots) == (simplex.ITERATION_LIMIT, 4)
 
 
+# --- rows added to a solved LP ------------------------------------------------
+
+def solve_in_batches(c, A, b, cuts):
+    """Solve on one Tableau with the rows of A given in batches ending at
+    `cuts`; each result with the LP so far."""
+    tab, out, start = simplex.Tableau(), [], 0
+    for end in cuts:
+        out.append((simplex.solve(c, A[start:end], b[start:end], tab), A[:end], b[:end]))
+        start = end
+    return out
+
+
+def assert_optimum(res, c, A, b):
+    """res is optimal for max c.x s.t. A x <= b, x >= 0, by its duals."""
+    tol = 1e-9 * max(1.0, abs(res.objective))
+    assert res.status == simplex.OPTIMAL
+    assert res.x.shape == (A.shape[1],) and res.y.shape == (A.shape[0],)
+    assert (A @ res.x <= b + tol).all() and (res.x >= -tol).all()
+    assert (res.y >= -tol).all() and (A.T @ res.y >= c - tol).all()
+    assert b @ res.y == pytest.approx(res.objective, abs=tol)
+    assert c @ res.x == pytest.approx(res.objective, abs=tol)
+
+
+@pytest.mark.parametrize("m, n, density", [(12, 30, 0.5), (40, 60, 0.2), (120, 80, 0.05), (200, 150, 0.03)])
+def test_rows_added_to_a_solved_lp_give_the_cold_optimum(m, n, density):
+    """x <= 1 first, then tight rows in batches: each later batch breaks the
+    last optimum, and the warm solve lands on the cold solve's value."""
+    rng = np.random.default_rng(m + n)
+    for _ in range(3):
+        c, A, b = random_lp(rng, m, n, density)
+        A = np.vstack([np.eye(n), A])
+        b = np.concatenate([np.ones(n), b * density * n / 8])
+        cuts = [n, n + m // 3, n + m // 3 + 1, n + m]
+        for res, A_so_far, b_so_far in solve_in_batches(c, A, b, cuts):
+            assert_optimum(res, c, A_so_far, b_so_far)
+            cold = simplex.solve(c, A_so_far, b_so_far)
+            assert res.objective == pytest.approx(cold.objective, rel=1e-9, abs=1e-9)
+
+
+@given(st.integers(1, 7), st.integers(1, 9), st.integers(1, 4), st.data())
+def test_rows_added_to_a_solved_lp_on_generated_lps(m, n, parts, data):
+    A = np.array(data.draw(st.lists(st.lists(_ENTRIES, min_size=n, max_size=n), min_size=m, max_size=m)))
+    b = np.array(data.draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 3.0]), min_size=m, max_size=m)))
+    c = np.array(data.draw(st.lists(st.sampled_from([0.0, 1.0, 0.5, -1.0, 2.0, 0.1]), min_size=n, max_size=n)))
+    A = np.vstack([np.eye(n), A])
+    b = np.concatenate([np.ones(n), b])
+    cuts = sorted({n, n + m, *data.draw(st.lists(st.integers(n, n + m), max_size=parts))})
+    for res, A_so_far, b_so_far in solve_in_batches(c, A, b, cuts):
+        assert_optimum(res, c, A_so_far, b_so_far)
+        assert res.objective == pytest.approx(reference_simplex(c, A_so_far, b_so_far).objective, abs=1e-9)
+
+
+def test_a_first_solve_on_a_tableau_is_the_plain_solve():
+    rng = np.random.default_rng(23)
+    c, A, b = random_lp(rng, 40, 60, 0.2)
+    A = np.vstack([A, np.eye(60)])
+    b = np.concatenate([b, np.ones(60)])
+    tab = simplex.Tableau()
+    got, want = simplex.solve(c, A, b, tab), assert_same_as_reference(c, A, b)
+    assert (got.status, got.pivots, got.objective.hex()) == (want.status, want.pivots, want.objective.hex())
+    assert got.x.tobytes() == want.x.tobytes() and got.y.tobytes() == want.y.tobytes()
+    assert tab.T.shape == (101, 161) and tab.rows.tolist() == list(range(100))
+
+
+@pytest.mark.parametrize("fail", ["check", "stall"])
+def test_a_warm_solve_that_fails_ends_as_the_cold_solve(monkeypatch, fail):
+    """A warm call whose optimum fails the LP's checks, or whose dual steps
+    stall, ends with the cold solve of the LP so far, bit for bit."""
+    rng = np.random.default_rng(31)
+    c, A, b = random_lp(rng, 60, 40, 0.3)
+    A = np.vstack([np.eye(40), A])
+    b = np.concatenate([np.ones(40), b * 0.1])
+    tab = simplex.Tableau()
+    first = simplex.solve(c, A[:40], b[:40], tab)
+    if fail == "check":
+        monkeypatch.setattr(simplex, "_certified", lambda lp, c, res: False)
+    else:                   # as if STALL_LIMIT pivots had gone by without progress
+        dual_step = simplex._dual_step
+        monkeypatch.setattr(simplex, "_dual_step", lambda T, basis, bland: dual_step(T, basis, True))
+    got, want = simplex.solve(c, A[40:], b[40:], tab), simplex.solve(c, A, b)
+    assert (got.status, got.objective.hex()) == (want.status, want.objective.hex())
+    assert got.x.tobytes() == want.x.tobytes() and got.y.tobytes() == want.y.tobytes()
+    assert got.pivots >= want.pivots and first.pivots > 0
+    assert tab.rows.tolist() == list(range(100)) and len(tab.lp) == 2
+
+
+def test_rows_added_to_a_solved_lp_stop_at_the_iteration_limit(monkeypatch):
+    rng = np.random.default_rng(29)
+    c, A, b = random_lp(rng, 60, 40, 0.3)
+    tab = simplex.Tableau()
+    simplex.solve(c, np.eye(40), np.ones(40), tab)
+    monkeypatch.setattr(simplex, "MAX_PIVOTS", 3)
+    res = simplex.solve(c, A, b * 0.1, tab)
+    assert (res.status, res.pivots, res.y.shape) == (simplex.ITERATION_LIMIT, 3, (100,))
+    assert tab.rows.size == 100
+
+
 TABLEAU_RSS = """
 from reuse_alloc import benchmarks, generators, simplex
 def peak_kib():
