@@ -132,26 +132,22 @@ def choice_model_from_json(obj: dict):
 
 # --- probability match --------------------------------------------------------
 
-def probability_match(S, cm, targets: dict, method: str = "auto", verify: bool = False):
+def probability_match(S, cm, targets: dict):
     """Weighted nested assortments reproducing the target choice probabilities.
 
     Returns a list of (assortment, weight) with assortments nested inside S,
     weights summing to <= 1, and sum_{A_j containing s} u_j phi(A_j, s) == p_s
-    for every s in S. Raises TargetTooLarge if some p_s > phi(S, s). With
-    `verify`, the collection is checked exactly before it is returned.
+    for every s in S. Raises TargetTooLarge if some p_s > phi(S, s). An MNL
+    model takes the one-sort path, any other the generic one.
     """
     S = sorted(S)
     for s in S:
         cap = cm.prob(frozenset(S), s)
         if targets.get(s, 0.0) > cap * (1.0 + PM_TOL) + 1e-15:
             raise TargetTooLarge(f"target for {s} exceeds phi(S, {s}) = {cap}")
-    if method == "mnl" or (method == "auto" and isinstance(cm, MNL)):
-        out = _probability_match_mnl(S, cm, targets)
-    else:
-        out = _probability_match_generic(S, cm, targets)
-    if verify:
-        verify_probability_match(out, cm, S, targets)
-    return out
+    if isinstance(cm, MNL):
+        return _probability_match_mnl(S, cm, targets)
+    return _probability_match_generic(S, cm, targets)
 
 
 def _probability_match_generic(S, cm, targets):
@@ -191,27 +187,6 @@ def _probability_match_mnl(S, cm, targets):
             carried += u / V
         V -= v[s]
     return out
-
-
-def verify_probability_match(collection, cm, S, targets, tol: float = 1e-9):
-    """Nestedness, total weight, and exact per-item match, or raise."""
-    prev = None
-    total = 0.0
-    got = {s: 0.0 for s in S}
-    for A, u in collection:
-        if not A <= frozenset(S):
-            raise AssertionError("assortment escapes S")
-        if prev is not None and not A <= prev:
-            raise AssertionError("assortments not nested")
-        prev = A
-        total += u
-        for s in A:
-            got[s] += u * cm.prob(A, s)
-    if total > 1.0 + 1e-9:
-        raise AssertionError(f"weights sum to {total} > 1")
-    for s in S:
-        if abs(got[s] - targets.get(s, 0.0)) > tol:
-            raise AssertionError(f"item {s}: matched {got[s]}, target {targets.get(s, 0.0)}")
 
 
 # --- assortment optimization oracle -------------------------------------------

@@ -27,11 +27,10 @@ import numpy as np
 
 from . import model, rng, simplex
 from .distributions import Deterministic, NonReusable, TwoPointInf, ZeroOrInf, exact_vector_cdf
-from .engine import dot, lockstep, mean_se, simulate  # noqa: F401  (perfbench/tracer.py wraps benchmarks.simulate)
+from .engine import lockstep, mean_se, simulate  # noqa: F401  (perfbench/tracer.py wraps benchmarks.simulate)
 from .policies import RbaPolicy, RowSampler, run_galg
 
 OPTIMAL = simplex.OPTIMAL
-CHECK_TOL = 1e-9             # check_lp_solution's tolerance, relative to max(1, |objective|)
 
 
 class UnsupportedMode(ValueError):
@@ -191,19 +190,13 @@ def solve_lp(lp: LpModel) -> LpSolution:
 
 
 def check_lp_solution(lp: LpModel, res: simplex.SimplexResult) -> tuple:
-    """Check the primal x and the duals y of an optimum: A x <= b and x >= 0,
-    y >= 0 and A^T y >= c, and |b.y - c.x| (weak duality makes b.y an upper
-    bound on every feasible c.x, its bits summed by `dot`), each within
-    CHECK_TOL * max(1, |objective|). Returns the (name, breach) pairs."""
-    tol = CHECK_TOL * max(1.0, abs(res.objective))
-    x, y, A = res.x, res.y, lp.A
-    Ax = np.bincount(A.row, weights=A.val * x[A.col], minlength=A.shape[0])
-    ATy = np.bincount(A.col, weights=A.val * y[A.row], minlength=A.shape[1])
-    breaches = (
-        ("primal residual", max((Ax - lp.rhs).max(initial=0.0), -x.min(initial=0.0))),
-        ("dual feasibility", max(-y.min(initial=0.0), (lp.obj - ATy).max(initial=0.0))),
-        ("duality gap", abs(dot(lp.rhs, y) - dot(lp.obj, x))),
-    )
+    """`simplex.check` of res on lp: its (name, breach) pairs, or LpError
+    naming the first breach above `simplex.tolerance(res)`."""
+    return _checked(lp.obj, lp.A, lp.rhs, res)
+
+
+def _checked(c, A, b, res: simplex.SimplexResult) -> tuple:
+    breaches, tol = simplex.check(c, A, b, res), simplex.tolerance(res)
     for name, breach in breaches:
         if not breach <= tol:
             raise LpError(f"LP solution check failed: {name} {float(breach):.3g} exceeds {tol:.3g}")
@@ -239,9 +232,10 @@ def solve_lp_value(instance: model.Instance) -> simplex.SimplexResult:
     added rows. Only the rows in the LP and the (row, edge) pairs with
     x != 0 are priced, each once. The solution is mapped back: a member's x
     is its class's x / k and its demand row takes its class's dual, and a
-    row never added has dual 0. It must pass `check_lp_solution` on the full
-    LP, less only the entries with x = 0 and y = 0, which add exactly zero
-    to A x and to A^T y."""
+    row never added has dual 0. It must pass `simplex.check` on the full
+    LP's (objective, A, right-hand side), less only the entries of A with
+    x = 0 and y = 0, which add exactly zero to A x and to A^T y; else
+    LpError names the breach."""
     # rep[t] is the first arrival of t's class; its edges are the class's columns.
     # A class key holds the index of its bids, looked up once per demand object.
     rep = np.empty(len(instance.arrivals), dtype=np.int64)
@@ -301,7 +295,7 @@ def solve_lp_value(instance: model.Instance) -> simplex.SimplexResult:
     cls = np.array([col_of[(rep[t], rid)] for t, rid, _ in edges], dtype=np.int64)
     members = np.argsort(cls, kind="stable")      # members[at[c]:at[c] + k] are class column c's edges
     at = np.searchsorted(cls[members], np.arange(len(own)))
-    row, col, val, y, rhs, row_kinds = [], [], [], [], [], []
+    row, col, val, y, rhs = [], [], [], [], []
     for b, (res, es, ts, taus, lens) in enumerate(blocks):
         added = at_row[b] >= 0
         dual = np.zeros(taus.size)
@@ -318,21 +312,18 @@ def solve_lp_value(instance: model.Instance) -> simplex.SimplexResult:
         val.append(np.repeat(price(b, k, j), reps))
         y.append(dual)
         rhs += [float(res.capacity)] * taus.size
-        row_kinds += [("cap", res.id, tau) for tau in taus.tolist()]
     full_demand = np.unique(full_t)
     y.append(sol.y[np.searchsorted(demand_t, rep[full_demand])])
     row.append(len(rhs) + np.searchsorted(full_demand, full_t))
     col.append(np.arange(len(edges)))
     val.append(np.ones(len(edges)))
     rhs += [1.0] * full_demand.size
-    row_kinds += [("demand", t) for t in full_demand.tolist()]
     # Each list is joined and dropped in turn, so that its parts and its join never all coexist.
     row = np.concatenate(row, dtype=np.int32)
     col = np.concatenate(col, dtype=np.int32)
     A = simplex.Coo(row, col, np.concatenate(val), (len(rhs), len(edges)))
-    full = LpModel(instance=instance, edges=edges, obj=obj, A=A, rhs=np.array(rhs), row_kinds=row_kinds)
     out = simplex.SimplexResult(OPTIMAL, sol.objective, X[cls] / size[rep[full_t]], pivots, np.concatenate(y))
-    check_lp_solution(full, out)
+    _checked(obj, A, np.array(rhs), out)
     return out
 
 

@@ -305,7 +305,7 @@ def _summary(totals: np.ndarray, per_res: dict, events: dict) -> Summary:
 
 # --- the lockstep engine ------------------------------------------------------
 
-BATCH_MIN_TRIALS = 48        # run_trials runs batched from this many trials (README: crossover)
+BATCH_MIN_TRIALS = 64        # run_trials runs batched from this many trials (README: crossover)
 TRIAL_CELLS = 1 << 21        # (trial, arrival), (trial, drawn unit) and bit-word cells of a chunk
 
 

@@ -174,6 +174,8 @@ def validate(instance: Instance) -> list:
     for r in instance.resources:
         if not is_number(r.id, numbers.Integral):
             bad.append(f"resource {r.id!r}: id must be an integer")
+        elif not -2**63 <= r.id < 2**63:       # ids and bids go into the engine's and the LP's int64 arrays
+            bad.append(f"resource {r.id}: id must lie in [-2^63, 2^63)")
         elif r.id in seen:
             bad.append(f"duplicate resource id {r.id}")
         seen.add(r.id)
@@ -211,6 +213,8 @@ def validate(instance: Instance) -> list:
                 bad.append(f"unknown resource {rid!r} at arrival {t}")
             if not is_number(b, numbers.Integral) or b < 0:
                 bad.append(f"arrival {t}: bid for resource {rid} must be a nonnegative integer")
+            elif b >= 2**63:
+                bad.append(f"arrival {t}: bid for resource {rid} must be below 2^63")
         if isinstance(arr.demand, AssortmentRequest):
             bidders = [rid for rid, b in items.items() if is_number(b) and b >= 1]  # bids() raises on a non-number
             cm_index = arr.demand.choice_model

@@ -175,19 +175,3 @@ def _first_free(sigma: np.ndarray, t: np.ndarray, d: np.ndarray) -> np.ndarray:
             return j
         j[ahead] += 1
 
-
-def check_monotonicity(dist, sigma, p_low, p_high, tol: float = 1e-12) -> bool:
-    """Raising transition probabilities never lowers the fluid reward."""
-    if any(a > b for a, b in zip(p_low, p_high)):
-        raise ValueError("p_low must be <= p_high pointwise")
-    _, r_low = fluid_process(ProcessSpec(dist, sigma, p_low))
-    _, r_high = fluid_process(ProcessSpec(dist, sigma, p_high))
-    return r_low <= r_high + tol
-
-
-def check_zero_point_augmentation(spec: ProcessSpec, tol: float = 1e-10) -> bool:
-    """Forcing p_t = 1 at zero-availability arrivals must not change eta."""
-    eta, _ = fluid_process(spec)
-    p2 = tuple(1.0 if eta[t] <= 1e-12 else spec.p[t] for t in range(len(spec.p)))
-    eta2, _ = fluid_process(ProcessSpec(spec.dist, spec.sigma, p2))
-    return bool(np.all(np.abs(eta2 - eta) <= tol))

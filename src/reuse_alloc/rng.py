@@ -53,15 +53,9 @@ def uniform(seed: int, *parts: int) -> float:
     return (derive(seed, *parts) >> 11) * 2.0**-53
 
 
-def uniform_from(h: int, *parts: int) -> float:
-    """uniform_from(derive(s, *a), *b) == uniform(s, *a, *b), for callers
-    that draw many keys under one prefix and fold it once."""
-    return (fold(h, *parts) >> 11) * 2.0**-53
-
-
 def uniform_from1(h: int, part: int) -> float:
-    """uniform_from(h, part) for one part, folded and mixed inline: the
-    simulator's per-draw call."""
+    """uniform_from1(derive(s, *a), b) == uniform(s, *a, b), folded and mixed
+    inline: the simulator's per-draw call under a prefix folded once."""
     z = ((h + _GOLDEN) ^ ((part * _FOLD) & _MASK)) & _MASK
     z = ((z ^ (z >> 30)) * _M1) & _MASK
     z = ((z ^ (z >> 27)) * _M2) & _MASK
@@ -124,7 +118,8 @@ def uniform_vec(seed, *parts) -> np.ndarray:
 
 
 def uniform_from_vec(h, *parts) -> np.ndarray:
-    """Array counterpart of uniform_from(): elementwise uniform_from(h_i, *parts_i)."""
+    """Uniforms folded on from uint64 states h: uniform_from_vec(derive(s, *a), *b)
+    equals uniform(s, *a, *b_i) elementwise."""
     return (fold_vec(h, *parts) >> np.uint64(11)) * 2.0**-53
 
 

@@ -30,9 +30,9 @@ no other row changes). A first call writes every row at once from the
 all-slack basis, where nothing is broken or eliminated, so its tableau,
 pivots and outputs are those of a plain primal simplex. Where the dual
 steps stall (STALL_LIMIT pivots without progress, where the primal loop
-takes Bland's rule) or end at a point that fails the LP's primal and dual
-checks (rounding that many pivots on one tableau can let grow), the LP so
-far is solved again from the all-slack basis.
+takes Bland's rule) or end at a point that fails `check` on the LP so far
+(rounding that many pivots on one tableau can let grow), that LP is solved
+again from the all-slack basis.
 
 A comes in as coordinates (`Coo`), scattered without its exact zeros into
 the zero tableau. A dense A (as the tests pass it) goes once through
@@ -63,7 +63,7 @@ so a pivot costs far less than the (m + 1) x (n + m + 1) of a full update.
 No BLAS call takes part in any of it.
 
 At an optimum the cost row's slack block holds the duals y of the rows
-Ax <= b: y >= 0, A^T y >= c and b.y = c.x up to rounding.
+Ax <= b: y >= 0, A^T y >= c and b.y = c.x up to rounding, as `check` measures.
 """
 
 from __future__ import annotations
@@ -75,8 +75,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .engine import dot
+
 OPT_TOL = 1e-9       # reduced-cost optimality tolerance
-FEAS_TOL = 1e-9      # pivot / feasibility tolerance
+FEAS_TOL = 1e-9      # pivot / feasibility tolerance; `check`'s, relative to max(1, |objective|)
 PIVOT_TOL = 1e-7     # a ratio test's preferred least pivot magnitude
 STALL_LIMIT = 64     # degenerate iterations before switching to Bland
 MAX_PIVOTS = 10**6
@@ -133,9 +135,9 @@ def solve(c, A, b, tableau=None) -> SimplexResult:
     """Solve max c.x s.t. Ax <= b, x >= 0; A is a `Coo` or a dense matrix.
     With a `Tableau` that earlier calls solved, the LP is their rows and then
     A's, solved on from the last basis (c must be the same); y is over all
-    of them. Where the dual steps stall or their optimum fails `_certified`
-    (rounding that many pivots on one tableau let grow), the LP so far is
-    solved again from the all-slack basis; pivots then count both."""
+    of them. Where the dual steps stall or their optimum fails `check` on
+    the LP so far (rounding that many pivots on one tableau let grow), that
+    LP is solved again from the all-slack basis; pivots then count both."""
     c = np.asarray(c, dtype=float)
     A = as_coo(A)
     b = np.asarray(b, dtype=float)
@@ -149,11 +151,35 @@ def solve(c, A, b, tableau=None) -> SimplexResult:
     warm = tab.T is not None
     tab.lp.append((A, b))
     res = _solve_on(tab, c, A, b)
-    if warm and (res.status in (INFEASIBLE, _STALLED) or (res.status == OPTIMAL and not _certified(tab.lp, c, res))):
-        tab.T = None
-        again = _solve_on(tab, c, _stack(tab.lp, n), np.concatenate([b for _, b in tab.lp]))
-        return dataclasses.replace(again, pivots=res.pivots + again.pivots)
-    return res
+    if not warm or res.status not in (OPTIMAL, INFEASIBLE, _STALLED):
+        return res
+    A, b = _stack(tab.lp, n), np.concatenate([b for _, b in tab.lp])
+    if res.status == OPTIMAL and all(breach <= tolerance(res) for _, breach in check(c, A, b, res)):
+        return res
+    tab.T = None
+    again = _solve_on(tab, c, A, b)
+    return dataclasses.replace(again, pivots=res.pivots + again.pivots)
+
+
+def check(c, A, b, res) -> tuple:
+    """How far res is from solving max c.x s.t. A x <= b, x >= 0 (A a `Coo`),
+    as (name, breach) pairs: primal residual (A x - b, -x), dual feasibility
+    (-y, c - A^T y) and the duality gap |b.y - c.x| (b.y bounds every
+    feasible c.x), summed by `dot` whatever the BLAS threads. res is a
+    certified optimum where no breach exceeds `tolerance(res)`."""
+    x, y = res.x, res.y
+    Ax = np.bincount(A.row, weights=A.val * x[A.col], minlength=A.shape[0])
+    ATy = np.bincount(A.col, weights=A.val * y[A.row], minlength=A.shape[1])
+    return (
+        ("primal residual", max((Ax - b).max(initial=0.0), -x.min(initial=0.0))),
+        ("dual feasibility", max(-y.min(initial=0.0), (c - ATy).max(initial=0.0))),
+        ("duality gap", abs(dot(b, y) - dot(c, x))),
+    )
+
+
+def tolerance(res) -> float:
+    """`check`'s tolerance for res: FEAS_TOL * max(1, |objective|)."""
+    return FEAS_TOL * max(1.0, abs(res.objective))
 
 
 def _solve_on(tab, c, A, b):
@@ -194,21 +220,6 @@ def _solve_on(tab, c, A, b):
     y = np.zeros(m)
     y[tab.rows] = T[-1, n : n + m]
     return SimplexResult(status, float(T[-1, -1]), _extract(T, tab.basis, n, m), pivots, y)
-
-
-def _certified(lp, c, res) -> bool:
-    """res's x and y solve the LP of the (A, b) in lp: x >= 0, A x <= b,
-    y >= 0, A^T y >= c and b.y = c.x, each within FEAS_TOL * max(1, |objective|)."""
-    tol = FEAS_TOL * max(1.0, abs(res.objective))
-    ok = bool((res.x >= -tol).all() and (res.y >= -tol).all())
-    aty, by, first = np.zeros(c.size), 0.0, 0
-    for A, b in lp:
-        y = res.y[first : first + b.size]
-        ok = ok and bool((np.bincount(A.row, weights=A.val * res.x[A.col], minlength=b.size) <= b + tol).all())
-        aty += np.bincount(A.col, weights=A.val * y[A.row], minlength=c.size)
-        by += (b * y).sum()
-        first += b.size
-    return ok and bool((aty >= c - tol).all()) and abs(by - (c * res.x).sum()) <= tol
 
 
 def _stack(lp, n) -> Coo:

@@ -38,6 +38,12 @@ through every arrival, one numpy step per arrival; the event-driven
 records of one scalar `simulate` trace per trial; the one that reads the
 lockstep engine's per-(trial, arrival) arrays must match it bit for bit.
 
+The single-unit process's two properties (raising the transition
+probabilities never lowers the fluid reward, and forcing p_t = 1 where
+eta_t = 0 changes nothing), the exact check of a probability-match
+collection, and `uniform_from` (a keyed uniform folded on from a prefix
+state) are oracles that only the tests call.
+
 `fresh_objects` rebuilds an instance with a new demand and a new arrival
 object at every arrival, as instances were built before they shared one
 object per distinct demand and per burst; `shared_objects` shares them
@@ -59,7 +65,7 @@ from reuse_alloc.engine import Paths, simulate
 from reuse_alloc.simplex import (FEAS_TOL, INFEASIBLE, ITERATION_LIMIT, MAX_PIVOTS, OPT_TOL, OPTIMAL, PIVOT_TOL,
                                  STALL_LIMIT, SimplexResult, as_coo)
 from reuse_alloc.policies import RbaPolicy, reduced_price
-from reuse_alloc.randproc import ProcessSummary
+from reuse_alloc.randproc import ProcessSpec, ProcessSummary, fluid_process
 
 
 def stochastic_rewards_greedy(instance: model.Instance, p: float, trials: int, master_seed: int):
@@ -533,6 +539,23 @@ def reference_fluid_process(spec):
     return eta, float(p @ eta)
 
 
+def check_monotonicity(dist, sigma, p_low, p_high, tol: float = 1e-12) -> bool:
+    """Raising transition probabilities never lowers the fluid reward."""
+    if any(a > b for a, b in zip(p_low, p_high)):
+        raise ValueError("p_low must be <= p_high pointwise")
+    _, r_low = fluid_process(ProcessSpec(dist, sigma, p_low))
+    _, r_high = fluid_process(ProcessSpec(dist, sigma, p_high))
+    return r_low <= r_high + tol
+
+
+def check_zero_point_augmentation(spec: ProcessSpec, tol: float = 1e-10) -> bool:
+    """Forcing p_t = 1 at zero-availability arrivals must not change eta."""
+    eta, _ = fluid_process(spec)
+    p2 = tuple(1.0 if eta[t] <= 1e-12 else spec.p[t] for t in range(len(spec.p)))
+    eta2, _ = fluid_process(ProcessSpec(spec.dist, spec.sigma, p2))
+    return bool(np.all(np.abs(eta2 - eta) <= tol))
+
+
 def reference_simulate_process(spec, seed: int, trials: int) -> ProcessSummary:
     """simulate_process as one numpy step per arrival over all trials."""
     if trials < 1:
@@ -677,6 +700,33 @@ def reference_certificate_check(instance: model.Instance, alg: str, opt_policy, 
         cond1_passed=bool(cond1_lhs <= cond1_rhs + 3.0 * cond1_se + 1e-9),
         alg_value=alg_value, alpha=alpha, beta=beta)
     return report
+
+
+def verify_probability_match(collection, cm, S, targets, tol: float = 1e-9):
+    """Nestedness, total weight, and exact per-item match, or raise."""
+    prev = None
+    total = 0.0
+    got = {s: 0.0 for s in S}
+    for A, u in collection:
+        if not A <= frozenset(S):
+            raise AssertionError("assortment escapes S")
+        if prev is not None and not A <= prev:
+            raise AssertionError("assortments not nested")
+        prev = A
+        total += u
+        for s in A:
+            got[s] += u * cm.prob(A, s)
+    if total > 1.0 + 1e-9:
+        raise AssertionError(f"weights sum to {total} > 1")
+    for s in S:
+        if abs(got[s] - targets.get(s, 0.0)) > tol:
+            raise AssertionError(f"item {s}: matched {got[s]}, target {targets.get(s, 0.0)}")
+
+
+def uniform_from(h: int, *parts: int) -> float:
+    """uniform_from(derive(s, *a), *b) == uniform(s, *a, *b): the oracle of
+    `rng.uniform_from1`."""
+    return (rng.fold(h, *parts) >> 11) * 2.0**-53
 
 
 def fresh_objects(inst: model.Instance) -> model.Instance:

@@ -23,11 +23,11 @@ import random
 
 import numpy as np
 
-from helpers import stochastic_rewards_greedy, water_filling_ratio
+from helpers import (check_monotonicity, check_zero_point_augmentation, stochastic_rewards_greedy,
+                     verify_probability_match, water_filling_ratio)
 
 from reuse_alloc import model
-from reuse_alloc.assortment import (MNL, AstalgPolicy, probability_match,
-                                    run_astgalg, verify_probability_match)
+from reuse_alloc.assortment import MNL, AstalgPolicy, _probability_match_generic, probability_match, run_astgalg
 from reuse_alloc.benchmarks import (LpRoundingPolicy, build_lp, certificate_check, lp_value,
                                     brute_force_clairvoyant, solve_lp)
 from reuse_alloc.distributions import (Deterministic, Exponential, TwoPointInf, Uniform)
@@ -55,8 +55,8 @@ def test_acceptance_01_probability_match_exactness():
         weights = {i: math.exp(rnd.uniform(math.log(0.01), math.log(100.0))) for i in items}
         cm = MNL(v0=math.exp(rnd.uniform(-2.0, 2.0)), weights=weights)
         targets = {i: cm.prob(frozenset(items), i) * rnd.random() for i in items}
-        gen = probability_match(items, cm, targets, method="generic")
-        fast = probability_match(items, cm, targets, method="mnl")
+        gen = _probability_match_generic(items, cm, targets)
+        fast = probability_match(items, cm, targets)
         verify_probability_match(gen, cm, items, targets, tol=1e-9)   # (i)-(iii)
         verify_probability_match(fast, cm, items, targets, tol=1e-9)
         assert len(gen) == len(fast)
@@ -103,8 +103,6 @@ def test_acceptance_03_monotonicity_and_zero_points():
             lambda: TwoPointInf(rnd.uniform(0.1, 2.0), rnd.uniform(0.1, 1.0)),
             lambda: Uniform(0.0, rnd.uniform(0.5, 2.0)),
             lambda: Deterministic(rnd.uniform(0.1, 2.0))]
-    from reuse_alloc.randproc import check_monotonicity, check_zero_point_augmentation
-
     for i in range(100):
         T = rnd.randint(2, 25)
         sigma = tuple(np.cumsum([rnd.uniform(0.05, 0.8) for _ in range(T)]))

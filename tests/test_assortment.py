@@ -5,11 +5,12 @@ import random
 
 import pytest
 
+from helpers import verify_probability_match
 from test_acceptance import assortment_battery
 from reuse_alloc import assortment, engine, model, policies, rng
 from reuse_alloc.assortment import (MNL, AstalgPolicy, ElementNotInSet, ExplicitTable, RbaAssortmentPolicy,
-                                    TargetTooLarge, assortment_oracle, probability_match,
-                                    run_astgalg, validate_choice_model, verify_probability_match)
+                                    TargetTooLarge, _probability_match_generic, assortment_oracle,
+                                    probability_match, run_astgalg, validate_choice_model)
 from reuse_alloc.distributions import Exponential, NonReusable, TwoPointInf
 
 
@@ -106,7 +107,7 @@ def test_probability_match_hand_example():
     # {1} at 1/6; direct verification of the per-item identity is the oracle.
     cm = MNL(v0=1.0, weights={1: 1.0, 2: 1.0})
     targets = {1: 1.0 / 3.0, 2: 1.0 / 4.0}
-    out = probability_match({1, 2}, cm, targets, method="generic")
+    out = _probability_match_generic([1, 2], cm, targets)
     assert [(sorted(A), u) for A, u in out] == [
         ([1, 2], pytest.approx(0.75)), ([1], pytest.approx(1.0 / 6.0))]
     assert sum(u for _, u in out) == pytest.approx(11.0 / 12.0)
@@ -127,7 +128,7 @@ def test_probability_match_rejects_oversized_target():
 def test_probability_match_handles_zero_weight_items():
     cm = MNL(v0=1.0, weights={1: 0.0, 2: 1.0})
     targets = {1: 0.0, 2: 0.25}
-    out = probability_match({1, 2}, cm, targets, method="generic")
+    out = _probability_match_generic([1, 2], cm, targets)
     verify_probability_match(out, cm, [1, 2], targets)
     assert all(1 not in A for A, _ in out)
 
@@ -140,8 +141,8 @@ def test_probability_match_properties_random_mnl():
         weights = {i: math.exp(rnd.uniform(math.log(0.01), math.log(100.0))) for i in items}
         cm = MNL(v0=math.exp(rnd.uniform(-2, 2)), weights=weights)
         targets = {i: cm.prob(frozenset(items), i) * rnd.random() for i in items}
-        gen = probability_match(items, cm, targets, method="generic")
-        fast = probability_match(items, cm, targets, method="mnl")
+        gen = _probability_match_generic(items, cm, targets)
+        fast = probability_match(items, cm, targets)
         verify_probability_match(gen, cm, items, targets, tol=1e-9)
         verify_probability_match(fast, cm, items, targets, tol=1e-9)
         assert len(gen) == len(fast)
@@ -387,6 +388,13 @@ def test_choice_model_json_round_trip():
 
 
 def test_probability_match_debug_mode_verifies_each_call():
+    # The exact check of a collection passes a match and names a tampered one.
     cm = MNL(v0=1.0, weights={1: 1.0, 2: 1.0})
-    out = probability_match({1, 2}, cm, {1: 1.0 / 3.0, 2: 1.0 / 4.0}, verify=True)
+    targets = {1: 1.0 / 3.0, 2: 1.0 / 4.0}
+    out = probability_match({1, 2}, cm, targets)
     assert sum(u for _, u in out) == pytest.approx(11.0 / 12.0)
+    verify_probability_match(out, cm, [1, 2], targets)
+    with pytest.raises(AssertionError, match="not nested"):
+        verify_probability_match(out[::-1], cm, [1, 2], targets)
+    with pytest.raises(AssertionError, match="item 1"):
+        verify_probability_match([(A, u * 1.01) for A, u in out], cm, [1, 2], targets)

@@ -251,6 +251,7 @@ def test_lp_solution_check_names_the_failed_check(tamper, check):
     benchmarks.check_lp_solution(lp, res)
     with pytest.raises(RuntimeError, match=check):
         benchmarks.check_lp_solution(lp, tamper(res))
+    assert dict(simplex.check(lp.obj, lp.A, lp.rhs, tamper(res)))[check] > simplex.tolerance(res)
 
 
 GAP_BITS = """

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from helpers import fresh_objects, shared_objects
 
-from reuse_alloc import cli, model, policies
+from reuse_alloc import cli, engine, model, policies
 from reuse_alloc.assortment import MNL, AstgalgGuide
 from reuse_alloc.distributions import Deterministic, Exponential, NonReusable, TwoPointInf
 
@@ -121,6 +121,36 @@ def test_malformed_instance_json_gives_one_error_line(capsys, tmp_path, text, me
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+
+
+def _big_id(obj):
+    obj["resources"][0]["id"] = 2**63 + 5
+    obj["arrivals"][0]["demand"]["resources"] = [2**63 + 5]
+    return json.dumps(obj)
+
+
+def _big_bid(obj):
+    obj["mode"] = "budgeted"
+    obj["arrivals"][0]["demand"] = {"type": "bids", "bids": {"0": 2**63}}
+    return json.dumps(obj)
+
+
+@pytest.mark.parametrize("text,argv,message", [
+    (_big_id, ["run", "--policies", "greedy", "--trials", str(engine.BATCH_MIN_TRIALS), "--seed", "1"],
+     "resource 9223372036854775813: id must lie in [-2^63, 2^63)"),
+    (_big_id, ["certify", "--trials", "4", "--seed", "1", "--alpha", "0.5", "--beta", "1"], "id must lie in"),
+    (_big_bid, ["lp"], "arrival 0: bid for resource 0 must be below 2^63"),
+    (_big_bid, ["compare", "--policies", "rba_budgeted", "--trials", "2", "--seed", "1"], "below 2^63"),
+    (_big_bid, ["run", "--policies", "rba_budgeted", "--trials", str(engine.BATCH_MIN_TRIALS), "--seed", "1"],
+     "below 2^63"),
+], ids=["id_run", "id_certify", "bid_lp", "bid_compare", "bid_run"])
+def test_an_id_or_bid_beyond_int64_is_one_error_line(capsys, tmp_path, text, argv, message):
+    # The engine's batched path, certify and the LP hold ids and bids in int64 arrays.
+    path = tmp_path / "instance.json"
+    path.write_text(text(_instance_json()))
+    code, out, err = run_cli(capsys, argv + ["--instance", str(path)])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: invalid instance: ") and err.count("\n") == 1 and message in err
 
 
 def _set(path, value):

@@ -10,8 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import reference_fluid_process, reference_simulate_process
-from reuse_alloc import fluid, randproc
+from helpers import (check_monotonicity, check_zero_point_augmentation, reference_fluid_process,
+                     reference_simulate_process)
+from reuse_alloc import fluid
 from reuse_alloc.distributions import (Deterministic, Exponential, MixtureWithInf, NonReusable, TwoPointInf,
                                        Uniform, WeibullIFR, ZeroOrInf)
 from reuse_alloc.randproc import ProcessSpec, fluid_process, simulate_process
@@ -88,8 +89,8 @@ def test_simulate_empty_spec():
 
 def test_monotonicity_trivial_and_random():
     rnd = random.Random(5)
-    assert randproc.check_monotonicity(Exponential(1.0), (0.0, 1.0), (0.0, 0.0), (0.7, 0.2))
-    assert randproc.check_monotonicity(Exponential(1.0), (0.0, 1.0), (0.5, 0.5), (0.5, 0.5))
+    assert check_monotonicity(Exponential(1.0), (0.0, 1.0), (0.0, 0.0), (0.7, 0.2))
+    assert check_monotonicity(Exponential(1.0), (0.0, 1.0), (0.5, 0.5), (0.5, 0.5))
     for _ in range(100):
         T = rnd.randint(1, 20)
         sigma = tuple(np.cumsum([rnd.uniform(0.05, 1.0) for _ in range(T)]))
@@ -97,16 +98,16 @@ def test_monotonicity_trivial_and_random():
         p_lo = [0.5 * q for q in p_hi]
         F = rnd.choice([Exponential(rnd.uniform(0.2, 3.0)), TwoPointInf(rnd.uniform(0.1, 2.0), rnd.random()),
                         Uniform(0.0, rnd.uniform(0.5, 2.0)), Deterministic(rnd.uniform(0.1, 2.0))])
-        assert randproc.check_monotonicity(F, sigma, p_lo, p_hi)
+        assert check_monotonicity(F, sigma, p_lo, p_hi)
 
 
 def test_monotonicity_rejects_crossing_inputs():
     with pytest.raises(ValueError):
-        randproc.check_monotonicity(Exponential(1.0), (0.0, 1.0), (0.9, 0.0), (0.5, 0.5))
+        check_monotonicity(Exponential(1.0), (0.0, 1.0), (0.9, 0.0), (0.5, 0.5))
 
 
 def test_zero_point_augmentation_no_zero_arrivals():
-    assert randproc.check_zero_point_augmentation(
+    assert check_zero_point_augmentation(
         ProcessSpec(Exponential(1.0), (0.0, 1.0, 2.0), (0.5, 0.5, 0.5)))
 
 
@@ -117,7 +118,7 @@ def test_zero_point_augmentation_deterministic_blockade():
     spec = ProcessSpec(Deterministic(10.0), sigma, (1.0,) * 8)
     eta, _ = fluid_process(spec)
     assert np.allclose(eta, [1.0] + [0.0] * 7)
-    assert randproc.check_zero_point_augmentation(spec)
+    assert check_zero_point_augmentation(spec)
 
 
 def test_zero_point_augmentation_engineered_cases():
@@ -130,7 +131,7 @@ def test_zero_point_augmentation_engineered_cases():
         sigma += [sigma[-1] + 5.0 + i for i in range(rnd.randint(1, 6))]
         p = [1.0] * lead + [rnd.random() for _ in range(len(sigma) - lead)]
         spec = ProcessSpec(Deterministic(4.0), tuple(sigma), tuple(p))
-        assert randproc.check_zero_point_augmentation(spec)
+        assert check_zero_point_augmentation(spec)
 
 
 def test_fluid_reward_invariant_under_p0_insertion():

@@ -2,6 +2,7 @@ import numpy as np
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from helpers import uniform_from
 from reuse_alloc import rng
 
 
@@ -40,7 +41,7 @@ def test_fold_continues_derive_for_random_keys():
         cut = int(gen.integers(0, len(key) + 1))
         h = rng.derive(seed, *key[:cut])
         assert rng.fold(h, *key[cut:]) == rng.derive(seed, *key)
-        assert rng.uniform_from(h, *key[cut:]) == rng.uniform(seed, *key)
+        assert uniform_from(h, *key[cut:]) == rng.uniform(seed, *key)
 
 
 KEYS = st.integers(min_value=-2**70, max_value=2**70)
@@ -60,4 +61,4 @@ def test_vector_matches_scalar_for_any_int_seed(seed, parts):
 @example(0, 0)
 @example(2**64 - 1, 2**64 - 1)
 def test_uniform_from1_is_uniform_from_with_one_part(h, part):
-    assert rng.uniform_from1(h, part) == rng.uniform_from(h, part)
+    assert rng.uniform_from1(h, part) == uniform_from(h, part)

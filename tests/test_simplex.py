@@ -315,8 +315,9 @@ def test_a_warm_solve_that_fails_ends_as_the_cold_solve(monkeypatch, fail):
     b = np.concatenate([np.ones(40), b * 0.1])
     tab = simplex.Tableau()
     first = simplex.solve(c, A[:40], b[:40], tab)
+    checked = []            # the shapes of the LPs that `check` was asked about
     if fail == "check":
-        monkeypatch.setattr(simplex, "_certified", lambda lp, c, res: False)
+        monkeypatch.setattr(simplex, "check", lambda c, A, b, res: checked.append(A.shape) or (("duality gap", 1.0),))
     else:                   # as if STALL_LIMIT pivots had gone by without progress
         dual_step = simplex._dual_step
         monkeypatch.setattr(simplex, "_dual_step", lambda T, basis, bland: dual_step(T, basis, True))
@@ -325,6 +326,7 @@ def test_a_warm_solve_that_fails_ends_as_the_cold_solve(monkeypatch, fail):
     assert got.x.tobytes() == want.x.tobytes() and got.y.tobytes() == want.y.tobytes()
     assert got.pivots >= want.pivots and first.pivots > 0
     assert tab.rows.tolist() == list(range(100)) and len(tab.lp) == 2
+    assert checked == ([(100, 40)] if fail == "check" else [])
 
 
 def test_rows_added_to_a_solved_lp_stop_at_the_iteration_limit(monkeypatch):
