@@ -31,6 +31,7 @@ from .engine import lockstep, mean_se, simulate  # noqa: F401  (perfbench/tracer
 from .policies import RbaPolicy, RowSampler, run_galg
 
 OPTIMAL = simplex.OPTIMAL
+CDF_RUN = 1 << 14       # ages per list of Python floats in `_coefficients`
 
 
 class UnsupportedMode(ValueError):
@@ -102,10 +103,16 @@ def _coefficients(res: model.Resource, times: np.ndarray, row_t: np.ndarray, edg
                   bids: np.ndarray) -> np.ndarray:
     """bid * (1 - F(times[row_t] - times[edge_t])) per (row, edge) pair, with
     the CDF F of `res` at each distinct age: one vector call where that is
-    bit-exact (`exact_vector_cdf`), else one scalar call per age."""
+    bit-exact (`exact_vector_cdf`), else one scalar call per age. The
+    scalar calls take Python floats (the same bits as numpy scalars, without
+    their arithmetic), CDF_RUN ages to a list, into one float array."""
     ages, which = np.unique(times[row_t] - times[edge_t], return_inverse=True)
     F = res.usage.cdf
-    cdf = np.asarray(F(ages) if exact_vector_cdf(res.usage) else [F(age) for age in ages], dtype=float)
+    if exact_vector_cdf(res.usage):
+        cdf = F(ages)
+    else:
+        runs = (ages[lo : lo + CDF_RUN].tolist() for lo in range(0, ages.size, CDF_RUN))
+        cdf = np.fromiter(map(F, itertools.chain.from_iterable(runs)), float, ages.size)
     return bids * (1.0 - cdf[which])
 
 

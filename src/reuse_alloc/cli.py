@@ -162,10 +162,16 @@ def cmd_compare(args) -> int:
     inst, name = _load_instance(args)
     named = _policies(args, inst, galg=True)
     lp = benchmarks.lp_value(inst)
+    # galg's value is the exact guide's, which an exact salg builds for its trials too: build it once.
+    salg = next((pol for _, pol in named if isinstance(pol, policies.SalgPolicy) and pol.variant == "exact"), None)
     rows = []
     for pname, pol in named:
         if pol is None:
-            guide = policies.run_galg(inst)
+            if salg is None:
+                guide = policies.run_galg(inst)
+            else:
+                salg.prepare(inst)
+                guide = salg.guide
             mean, se = guide.fluid_reward, 0.0
         else:
             s = run_trials(inst, pol, args.trials, args.seed)

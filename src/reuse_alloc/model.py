@@ -174,13 +174,15 @@ def validate(instance: Instance) -> list:
     for r in instance.resources:
         if not is_number(r.id, numbers.Integral):
             bad.append(f"resource {r.id!r}: id must be an integer")
-        elif not -2**63 <= r.id < 2**63:       # ids and bids go into the engine's and the LP's int64 arrays
+        elif not -2**63 <= r.id < 2**63:       # ids, capacities and bids go into int64 arrays
             bad.append(f"resource {r.id}: id must lie in [-2^63, 2^63)")
         elif r.id in seen:
             bad.append(f"duplicate resource id {r.id}")
         seen.add(r.id)
         if not is_number(r.capacity, numbers.Integral) or r.capacity < 1:
             bad.append(f"resource {r.id}: capacity must be an integer >= 1")
+        elif r.capacity >= 2**63:
+            bad.append(f"resource {r.id}: capacity must be below 2^63")
         if not (is_number(r.reward) and 0 <= r.reward < math.inf):
             bad.append(f"resource {r.id}: reward must be finite and >= 0")
         for msg in distributions.validate(r.usage):

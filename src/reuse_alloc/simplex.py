@@ -28,7 +28,11 @@ once. A row is written in the basis by subtracting from it a_j times the
 row of each basic column j it holds (a basic column is a unit vector, so
 no other row changes). A first call writes every row at once from the
 all-slack basis, where nothing is broken or eliminated, so its tableau,
-pivots and outputs are those of a plain primal simplex. Where the dual
+pivots and outputs are those of a plain primal simplex. Where its A has
+one entry per column, equal to 1.0 (the LP value's first round, its
+demand rows), the tableau that simplex reaches is written without
+pivoting (`_unit_optimum`), bit for bit, unless Bland's rule would take
+over or MAX_PIVOTS stop it. Where the dual
 steps stall (STALL_LIMIT pivots without progress, where the primal loop
 takes Bland's rule) or end at a point that fails `check` on the LP so far
 (rounding that many pivots on one tableau can let grow), that LP is solved
@@ -45,8 +49,11 @@ nonzero become resident (a quarter on upper_triangular 10x100), at one
 fault each (a few microseconds). `np.zeros` would ask for huge pages at
 4 MiB and up, which a few scattered writes make resident, and a MAP_SHARED
 mapping (`mmap`'s default) makes its read faults resident too. A first
-call makes room for its rows only; a later one that needs more moves the
-nonzeros into a tableau with room for twice the rows it adds.
+call makes room for its rows only, or, given a `Tableau` that later calls
+will add rows to, for twice its rows; a later call that needs more moves
+the nonzeros into a tableau with room for twice the rows it adds. So the
+LP value's second round writes into the first round's mapping, and no
+pivot reads the room's rows: they are zero.
 
 A pivot scales the pivot row at its nonzeros (a zero divided by p keeps or
 flips its sign), then updates only the rows with a nonzero in the pivot
@@ -150,14 +157,14 @@ def solve(c, A, b, tableau=None) -> SimplexResult:
     tab = Tableau() if tableau is None else tableau
     warm = tab.T is not None
     tab.lp.append((A, b))
-    res = _solve_on(tab, c, A, b)
+    res = _solve_on(tab, c, A, b, tableau is not None)
     if not warm or res.status not in (OPTIMAL, INFEASIBLE, _STALLED):
         return res
     A, b = _stack(tab.lp, n), np.concatenate([b for _, b in tab.lp])
     if res.status == OPTIMAL and all(breach <= tolerance(res) for _, breach in check(c, A, b, res)):
         return res
     tab.T = None
-    again = _solve_on(tab, c, A, b)
+    again = _solve_on(tab, c, A, b, True)
     return dataclasses.replace(again, pivots=res.pivots + again.pivots)
 
 
@@ -182,11 +189,14 @@ def tolerance(res) -> float:
     return FEAS_TOL * max(1.0, abs(res.objective))
 
 
-def _solve_on(tab, c, A, b):
+def _solve_on(tab, c, A, b, spare):
     """`solve` on tab, whose rows so far are solved: the rows of A enter,
-    the broken ones first, and the dual and then the primal steps run."""
+    the broken ones first, and the dual and then the primal steps run (or,
+    on a first call, `_unit_optimum` writes where they would end). A first
+    call with `spare` makes room for twice its rows."""
     k, n = A.shape
-    _make_room(tab, c, k, n)
+    fresh = tab.T is None
+    _make_room(tab, c, k, n, spare)
     first = tab.rows.size
     by_row = np.argsort(A.row, kind="stable")
     row_at = np.searchsorted(A.row[by_row], np.arange(k + 1))
@@ -215,7 +225,11 @@ def _solve_on(tab, c, A, b):
     if waiting.any():
         _write_rows(tab, A, b, first, np.flatnonzero(waiting), by_row, row_at)
     elif status == OPTIMAL:
-        status, pivots = _iterate(tab.T, tab.basis, _primal_step, 1.0, pivots)
+        written = _unit_optimum(tab.T, tab.basis, c, A, b) if fresh else None
+        if written is None:
+            status, pivots = _iterate(tab.T, tab.basis, _primal_step, 1.0, pivots)
+        else:
+            pivots = written
     T, m = tab.T, tab.rows.size
     y = np.zeros(m)
     y[tab.rows] = T[-1, n : n + m]
@@ -235,13 +249,15 @@ def _zeros(rows, cols):
     return np.frombuffer(buf, dtype=float).reshape(rows, cols)
 
 
-def _make_room(tab, c, k, n):
+def _make_room(tab, c, k, n, spare):
     """Room for k more rows in tab: a first tableau, of the cost row -c with
-    room for k rows, or, where the room left is too small, the nonzeros moved
-    into a tableau with room for 2k more rows than it holds."""
+    room for k rows (2k with `spare`), or, where the room left is too small,
+    the nonzeros moved into a tableau with room for 2k more rows than it
+    holds."""
     if tab.T is None:
-        tab.T = _zeros(k + 1, n + k + 1)
-        tab.T[k, :n] = -c
+        room = 2 * k if spare else k
+        tab.T = _zeros(room + 1, n + room + 1)
+        tab.T[room, :n] = -c
         tab.basis = tab.rows = np.zeros(0, dtype=np.int64)
         return
     m = tab.rows.size
@@ -286,6 +302,43 @@ def _write_rows(tab, A, b, first, which, by_row, row_at):
         pick = ranges(start[k[lo:hi]], count)
         np.subtract.at(T.reshape(-1), np.repeat(at[lo:hi], count) + c[pick],
                        np.repeat(A.val[e[lo:hi]], count) * T[rows[r[pick]], c[pick]])
+
+
+def _unit_optimum(T, basis, c, A, b):
+    """Where A has one entry per column, equal to 1.0, write the optimum the
+    primal loop would reach from the all-slack basis into T and basis, and
+    return its pivots; else, or where a cost is not finite or that loop
+    would switch to Bland's rule or stop at MAX_PIVOTS, None. Each pivot leaves every row but the
+    cost row as it is (its row scales by 1.0, and its column has no other
+    entry) and pivoted rows' costs are >= 0, so Dantzig enters, in turn, the
+    column of greatest c > OPT_TOL (ties to the lower index) among the rows
+    not yet pivoted. Pivoting on column j of row r subtracts -c_j (times the
+    row's 1.0) from the cost row at the row's columns and its slack, and
+    -c_j * b_r from T[-1, -1]: the objective is the running sum of c_j * b_r."""
+    n, k = c.size, b.size
+    if A.val.size != n or (A.val != 1.0).any() or (np.bincount(A.col, minlength=n) != 1).any():
+        return None
+    if not np.isfinite(c).all():        # the loop's cost row would take inf - inf = NaN, and follow it
+        return None
+    row = np.empty(n, dtype=np.int64)
+    row[A.col] = A.row
+    order = np.argsort(-c, kind="stable")
+    order = order[c[order] > OPT_TOL]
+    enter = order[np.sort(np.unique(row[order], return_index=True)[1])]    # one column per row, in pivot order
+    r = row[enter]
+    obj = np.cumsum(np.concatenate([[0.0], c[enter] * b[r]]))             # left to right, as the pivots add
+    moved = np.concatenate([[0], np.cumsum(obj[1:] > obj[:-1] + 1e-12)])  # pivots that moved it, so far
+    if enter.size >= MAX_PIVOTS or (moved[STALL_LIMIT:] == moved[:-STALL_LIMIT]).any():
+        return None
+    cost = T[-1, enter]                     # -c_j, each pivot's multiple of its row
+    at = np.full(k, -1)
+    at[r] = np.arange(enter.size)
+    e = np.flatnonzero(at[row] >= 0)
+    T[-1, e] -= cost[at[row[e]]]
+    T[-1, n + r] -= cost
+    T[-1, -1] = obj[-1]
+    basis[r] = enter
+    return enter.size
 
 
 def _nonzeros(T, rows):
@@ -390,12 +443,13 @@ def _pivot(T, basis, i, j):
     update the rows with a nonzero in column j where row i is nonzero."""
     cols = (T[i] != 0.0).nonzero()[0]   # a bool mask finds nonzeros faster than flatnonzero
     T[i, cols] = row = T[i, cols] / T[i, j]
-    colv = T[:, j].copy()
+    m = basis.size
+    colv = np.append(T[:m, j], T[-1, j])    # the rows written and the cost row; the room is zero
     colv[i] = 0.0
     nz = (colv != 0.0).nonzero()[0]
     if nz.size:
         live = row != 0.0
-        T[nz[:, None], cols[live]] -= np.outer(colv[nz], row[live])
+        T[np.where(nz < m, nz, -1)[:, None], cols[live]] -= np.outer(colv[nz], row[live])
     basis[i] = j
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import importlib.util
+import json
 import math
 import os
 import subprocess
@@ -620,3 +621,51 @@ def test_certificate_batched_equals_scalar(idx):
     for alg in ("galg", "galg_swapped", "rba"):
         want = repr(reference_certificate_check(inst, alg, opt, trials, alpha, beta, master_seed=1100 + idx))
         assert repr(certificate_check(inst, alg, opt, trials, alpha, beta, master_seed=1100 + idx)) == want, alg
+
+
+@pytest.mark.parametrize("mode, names", [(model.MATCHING, ("greedy", "balance", "rba", "salg")),
+                                         (model.BUDGETED, ("rba_budgeted",))])
+def test_the_lp_bounds_every_simulated_policy(mode, names):
+    """The fluid LP bounds every online policy's expected reward: on a small
+    drawn battery, lp_value >= each policy's mean - 3 SE over 64 trials."""
+    params = BatteryParams(n_instances=4, n_resources=3, n_arrivals=40, capacity_range=(1, 6),
+                           mode=mode, max_bid=3, horizon=10.0)
+    for inst in random_battery(params, seed=17):
+        lp = lp_value(inst)
+        for name in names:
+            s = engine.run_trials(inst, policies.make_policy(name), 64, 3)
+            assert lp >= s.mean - 3.0 * s.se, name
+
+
+LP_COMMAND_DIGESTS = """
+import json, sys, tempfile
+sys.path.insert(0, sys.argv[1])
+import reuse_alloc
+from reuse_alloc import cli
+from perfbench import checks, workloads
+with tempfile.TemporaryDirectory() as work:
+    instances = workloads.make_instances(reuse_alloc, "offline_bounds", checks.DEFAULT_SEED)
+    files = workloads.write_and_validate(reuse_alloc, instances, work)
+    wl = workloads.build(reuse_alloc, "offline_bounds", checks.DEFAULT_SEED, work, instances, files)
+    out = {}
+    for cmd in wl.commands:
+        if cmd.kind in ("lp", "compare", "certify", "randproc"):
+            assert cli.main(cmd.argv) == 0, cmd.id
+            out.update({f"{cmd.id}:{role}": checks.digest(text) for role, text in checks.output_texts(cmd, None).items()})
+print(json.dumps(out, sort_keys=True))
+"""
+
+
+def test_lp_command_bytes_do_not_depend_on_blas_threads():
+    """offline_bounds' lp, compare, certify and randproc CSVs, made in one
+    process under 1 OpenBLAS thread and in one under 2, hash to the digests
+    that perfbench/digests.json records for them. The instances come from
+    perfbench's own workload code."""
+    root = Path(benchmarks.__file__).resolve().parents[2]
+    src = str(Path(benchmarks.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    runs = [json.loads(subprocess.run([sys.executable, "-c", LP_COMMAND_DIGESTS, str(root)],
+                                      env={**env, "OPENBLAS_NUM_THREADS": str(n)}, capture_output=True,
+                                      text=True, check=True).stdout) for n in (1, 2)]
+    recorded = json.loads((root / "perfbench" / "digests.json").read_text())["offline_bounds"]
+    assert runs[0] == runs[1] == {key: d for key, d in recorded.items() if not key.startswith("mc.")}

@@ -129,6 +129,11 @@ def _big_id(obj):
     return json.dumps(obj)
 
 
+def _big_capacity(obj):
+    obj["resources"][0]["capacity"] = 2**63
+    return json.dumps(obj)
+
+
 def _big_bid(obj):
     obj["mode"] = "budgeted"
     obj["arrivals"][0]["demand"] = {"type": "bids", "bids": {"0": 2**63}}
@@ -151,6 +156,18 @@ def test_an_id_or_bid_beyond_int64_is_one_error_line(capsys, tmp_path, text, arg
     code, out, err = run_cli(capsys, argv + ["--instance", str(path)])
     assert (code, out) == (2, "")
     assert err.startswith("error: invalid instance: ") and err.count("\n") == 1 and message in err
+
+
+@pytest.mark.parametrize("argv", [["run", "--policies", "greedy", "--trials", "64", "--seed", "1"], ["lp"]],
+                         ids=["run", "lp"])
+def test_a_capacity_beyond_int64_is_one_error_line(capsys, tmp_path, argv):
+    # The batched engine holds capacities in an int64 array (it overflowed there),
+    # and the scalar engine would count units up to the capacity.
+    path = tmp_path / "instance.json"
+    path.write_text(_big_capacity(_instance_json()))
+    code, out, err = run_cli(capsys, argv + ["--instance", str(path)])
+    assert (code, out) == (2, "")
+    assert err == "error: invalid instance: resource 0: capacity must be below 2^63\n"
 
 
 def _set(path, value):
@@ -551,6 +568,20 @@ def test_compare_ratio_column(capsys):
         assert ratio == pytest.approx(mean / lp, rel=1e-9)
         assert ratio <= 1.0 + 3.0 * se / lp + 1e-9
     assert rows[1][1] == "galg" and float(rows[1][5]) == 0.0
+
+
+@pytest.mark.parametrize("names", ["galg,salg", "salg,galg", "galg,salg,galg_fast_quant:0.1"])
+def test_compare_builds_the_exact_guide_once_for_galg_and_salg(capsys, monkeypatch, names):
+    base = ["compare", "--gen", "upper_triangular", "--param", "n_resources", "3", "--param", "capacity", "5",
+            "--trials", "4", "--seed", "2", "--policies"]
+    alone = {name: run_cli(capsys, base + [name])[1].splitlines() for name in names.split(",")}
+    builds = []
+    real = policies.run_galg
+    monkeypatch.setattr(policies, "run_galg", lambda inst, **kw: builds.append(kw) or real(inst, **kw))
+    code, out, _ = run_cli(capsys, base + [names])
+    assert code == 0 and [kw.get("variant", "exact") for kw in builds].count("exact") == 1
+    lines = out.splitlines()
+    assert lines == [lines[0]] + [alone[name][1] for name in names.split(",")]
 
 
 def test_randproc_command(capsys, tmp_path):

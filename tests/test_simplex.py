@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import helpers
 import numpy as np
@@ -302,7 +303,79 @@ def test_a_first_solve_on_a_tableau_is_the_plain_solve():
     got, want = simplex.solve(c, A, b, tab), assert_same_as_reference(c, A, b)
     assert (got.status, got.pivots, got.objective.hex()) == (want.status, want.pivots, want.objective.hex())
     assert got.x.tobytes() == want.x.tobytes() and got.y.tobytes() == want.y.tobytes()
-    assert tab.T.shape == (101, 161) and tab.rows.tolist() == list(range(100))
+    assert tab.T.shape == (201, 261) and tab.rows.tolist() == list(range(100))     # room for 200 rows
+
+
+# --- a first call on unit columns: the written optimum -------------------------
+
+def primal_loops(c, A, b, written=True):
+    """A first call on a Tableau, as it is or with `_unit_optimum` off: its
+    result, its tableau and how many times it ran the primal pivot loop."""
+    tab = simplex.Tableau()
+    with mock.patch.object(simplex, "_iterate", wraps=simplex._iterate) as loop, \
+            mock.patch.object(simplex, "_unit_optimum", simplex._unit_optimum if written else lambda *args: None):
+        res = simplex.solve(c, A, b, tab)
+    return res, tab, [call.args[2] for call in loop.call_args_list].count(simplex._primal_step)
+
+
+def assert_written_as_the_loop(c, A, b):
+    (got, tab, loops), (want, loop_tab, _) = primal_loops(c, A, b), primal_loops(c, A, b, written=False)
+    assert loops == 0
+    assert (got.status, got.pivots, got.objective.hex()) == (want.status, want.pivots, want.objective.hex())
+    assert got.x.tobytes() == want.x.tobytes() and got.y.tobytes() == want.y.tobytes()
+    assert tab.T.tobytes() == loop_tab.T.tobytes() and tab.basis.tolist() == loop_tab.basis.tolist()
+    return got
+
+
+def unit_lp(row_of, c, b):
+    """The LP whose column j has one entry, 1.0, in row row_of[j]."""
+    A = np.zeros((len(b), len(c)))
+    A[row_of, np.arange(len(c))] = 1.0
+    return np.asarray(c, dtype=float), A, np.asarray(b, dtype=float)
+
+
+# Ties, zero and sub-OPT_TOL costs, negative ones; sums that round differently in another order.
+_UNIT_COSTS = st.sampled_from([0.0, 5e-10, 1e-9, -0.5, 0.1, 0.1, 1.0 / 3.0, 0.7, 0.7, 2.0, 1e-3, 3.3])
+
+
+@given(st.integers(1, 12), st.data())
+def test_a_written_first_round_is_the_pivot_loops(k, data):
+    n = data.draw(st.integers(1, 3 * k))
+    row_of = data.draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))
+    c = data.draw(st.lists(_UNIT_COSTS, min_size=n, max_size=n))
+    b = data.draw(st.lists(st.sampled_from([0.0, 1.0, 2.0, 3.0, 7.0]), min_size=k, max_size=k))
+    assert assert_written_as_the_loop(*unit_lp(row_of, c, b)).status == simplex.OPTIMAL
+
+
+def test_a_written_first_round_on_a_large_lp_is_the_pivot_loops():
+    # Many tied costs and inexact sums: another tie rule, pivot order or
+    # summation (numpy's pairwise np.sum) moves the tableau or the objective.
+    rng = np.random.default_rng(22)
+    k, n = 300, 1000
+    c, A, b = unit_lp(rng.integers(0, k, n), rng.integers(-5, 60, n) / 7.0, rng.integers(0, 5, k))
+    res = assert_written_as_the_loop(c, A, b)
+    assert res.pivots > 250 and res.objective.hex() == reference_simplex(c, A, b).objective.hex()
+
+
+def test_a_first_round_that_stalls_takes_the_pivot_loop():
+    # 64 rows of right-hand side 0 come first in Dantzig's order and stall, so
+    # Bland's rule enters column 64 (cost 1) before 65 (cost 2): one pivot more.
+    c, A, b = unit_lp([*range(64), 64, 64], [5.0] * 64 + [1.0, 2.0], [0.0] * 64 + [1.0])
+    res, _, loops = primal_loops(c, A, b)
+    want = reference_simplex(c, A, b)
+    assert loops == 1
+    assert (res.pivots, want.pivots, res.objective.hex()) == (66, 66, want.objective.hex())
+    assert res.x.tobytes() == want.x.tobytes() and res.y.tobytes() == want.y.tobytes()
+
+
+def test_an_infinite_cost_takes_the_pivot_loop(monkeypatch):
+    # The loop's cost row takes inf - inf = NaN, which its argmin then
+    # follows; no written order matches that, so the loop runs.
+    monkeypatch.setattr(simplex, "MAX_PIVOTS", 6)
+    c, A, b = unit_lp([0, 1], [np.inf, 1.0], [1.0, 1.0])
+    with np.errstate(invalid="ignore"):
+        res, _, loops = primal_loops(c, A, b)
+    assert loops == 1 and (res.status, res.pivots) == (simplex.ITERATION_LIMIT, 6)
 
 
 @pytest.mark.parametrize("fail", ["check", "stall"])
