@@ -232,11 +232,14 @@ def solve_lp_value(instance: model.Instance) -> simplex.SimplexResult:
     column in every row, so one demand row per class (right-hand side k, its
     size) and one column per (class, resource) give the same optimum. Rows on
     demand: the first round has the demand rows only, and each next round
-    adds every capacity row whose load exceeds its capacity at all, until
-    none does; `_assemble` lays out the rows each round adds. Every round
-    solves on one `simplex.Tableau`: the first from the all-slack basis, the
-    next ones from the last round's basis, by dual simplex steps over the
-    added rows. Only the rows in the LP and the (row, edge) pairs with
+    adds, of the capacity rows whose load at the last optimum exceeds their
+    capacity at all, the `batch` that exceed it most (ties to the lower
+    block, then the lower row), with batch = 1, 2, 4, ... over the rounds,
+    until none does. So a row never violated at a round's optimum is never
+    added. `_assemble` lays out the rows each round adds. Every round solves
+    on one `simplex.Tableau`: the first from the all-slack basis, the next
+    ones from the last round's basis, by dual simplex steps over the added
+    rows. Only the rows in the LP and the (row, edge) pairs with
     x != 0 are priced, each once. The solution is mapped back: a member's x
     is its class's x / k and its demand row takes its class's dual, and a
     row never added has dual 0. It must pass `simplex.check` on the full
@@ -275,19 +278,24 @@ def solve_lp_value(instance: model.Instance) -> simplex.SimplexResult:
     tableau = simplex.Tableau()
     A, rhs = _assemble(blocks, [k[:0] for k in at_row], price, edge_t, size[demand_t])
     sol = simplex.solve(obj[own], A, rhs, tableau)
-    pivots = sol.pivots
-    while sol.status == OPTIMAL:
-        rows = []
+    pivots, batch = sol.pivots, 1
+    while sol.status == OPTIMAL and blocks:
+        over = []           # (block, row, load - capacity) of the rows not yet added whose load exceeds it
         for b, (res, es, _, taus, lens) in enumerate(blocks):
             k, j = _column_pairs(np.flatnonzero(at_row[b] < 0), lens, np.flatnonzero(sol.x[es] != 0.0))
-            rows.append(np.flatnonzero(np.bincount(k, weights=price(b, k, j) * sol.x[es[j]], minlength=taus.size)
-                                       > res.capacity))
-        if not any(ks.size for ks in rows):
+            load = np.bincount(k, weights=price(b, k, j) * sol.x[es[j]], minlength=taus.size)
+            ks = np.flatnonzero(load > res.capacity)
+            over.append((np.full(ks.size, b), ks, load[ks] - res.capacity))
+        bs, ks, excess = map(np.concatenate, zip(*over))
+        if not ks.size:
             break
+        top = np.sort(np.argsort(-excess, kind="stable")[:batch])     # ties to the lower block, then row
+        batch *= 2
+        rows = [ks[top][bs[top] == b] for b in range(len(blocks))]
         m = sol.y.size          # the LP's rows so far
-        for b, ks in enumerate(rows):
-            at_row[b][ks] = m + np.arange(ks.size)
-            m += ks.size
+        for b, added in enumerate(rows):
+            at_row[b][added] = m + np.arange(added.size)
+            m += added.size
         A, rhs = _assemble(blocks, rows, price, edge_t, None)
         sol = simplex.solve(obj[own], A, rhs, tableau)
         pivots += sol.pivots

@@ -182,6 +182,8 @@ def cmd_compare(args) -> int:
 
 
 def cmd_lp(args) -> int:
+    if args.y_csv and args.galg:
+        raise CliError("--galg adds a column to the lp_value row, which --y-csv does not print")
     inst, name = _load_instance(args)
     if args.galg:
         _check_mode(inst, "galg", model.MATCHING)

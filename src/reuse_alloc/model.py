@@ -187,6 +187,7 @@ def validate(instance: Instance) -> list:
             bad.append(f"resource {r.id}: reward must be finite and >= 0")
         for msg in distributions.validate(r.usage):
             bad.append(f"resource {r.id}: {msg}")
+    reward = {r.id: r.reward for r in instance.resources if is_number(r.reward) and 0 <= r.reward < math.inf}
     for k, cm in enumerate(instance.choice_models):
         bad += [f"choice model {k}: {msg}" for msg in assortment.validate_choice_model(cm)]
     want = _DEMAND_FOR_MODE[instance.mode]
@@ -217,6 +218,8 @@ def validate(instance: Instance) -> list:
                 bad.append(f"arrival {t}: bid for resource {rid} must be a nonnegative integer")
             elif b >= 2**63:
                 bad.append(f"arrival {t}: bid for resource {rid} must be below 2^63")
+            elif instance.mode == BUDGETED and not math.isfinite(reward.get(rid, 0.0) * b):
+                bad.append(f"arrival {t}: reward * bid for resource {rid} must be finite")
         if isinstance(arr.demand, AssortmentRequest):
             bidders = [rid for rid, b in items.items() if is_number(b) and b >= 1]  # bids() raises on a non-number
             cm_index = arr.demand.choice_model

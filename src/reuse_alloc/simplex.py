@@ -12,31 +12,27 @@ LP with no column is optimal at once: objective 0.0, an empty x and zero
 duals.
 
 Rows added to a solved LP (a `Tableau` that `solve` keeps between calls)
-keep its basis dual feasible, and each enters with its slack basic at
-b - A x, which is negative where the last optimum x breaks it. Dual simplex
-steps (dual steepest edge among the tableau's rows below -FEAS_TOL, and
-Harris' ratio test) then restore primal feasibility, and the
-primal loop cleans up; both loops share the one pivot routine. A new row
-is written into the tableau only when it is needed: while some of them are
-broken, the most broken ones enter (one, then twice as many each time) and
-the dual steps run, and once none is broken the rest enter together. So
-the dual pivots, which fill the tableau far more than the primal ones,
-update only the rows written so far: on `offline_bounds`' budgeted LP, 27
-of the 235 rows of its second round enter while broken, and its dual
-pivots make 0.33 M entry updates, against 5.0 M with all 235 written at
-once. A row is written in the basis by subtracting from it a_j times the
-row of each basic column j it holds (a basic column is a unit vector, so
-no other row changes). A first call writes every row at once from the
-all-slack basis, where nothing is broken or eliminated, so its tableau,
-pivots and outputs are those of a plain primal simplex. Where its A has
-one entry per column, equal to 1.0 (the LP value's first round, its
-demand rows), the tableau that simplex reaches is written without
-pivoting (`_unit_optimum`), bit for bit, unless Bland's rule would take
-over or MAX_PIVOTS stop it. Where the dual
-steps stall (STALL_LIMIT pivots without progress, where the primal loop
-takes Bland's rule) or end at a point that fails `check` on the LP so far
-(rounding that many pivots on one tableau can let grow), that LP is solved
-again from the all-slack basis.
+keep its basis dual feasible: a later call writes every row of its A at
+once, in LP order, each with its slack basic at b - A x, which is negative
+where the last optimum x breaks it. Dual simplex steps (dual steepest edge
+among the tableau's rows below -FEAS_TOL, and Harris' ratio test) then
+restore primal feasibility, and the primal loop cleans up; both loops share
+the one pivot routine. Which rows enter, and when, is the caller's choice:
+the LP value (`benchmarks.solve_lp_value`) adds only rows that its last
+optimum breaks, a few at a time, so that the dual pivots, which fill the
+tableau far more than the primal ones, update only rows that are needed.
+A row is written in the basis by subtracting from it a_j times the row of
+each basic column j it holds (a basic column is a unit vector, so no other
+row changes). A first call writes every row at once from the all-slack
+basis, where nothing is broken or eliminated, so its tableau, pivots and
+outputs are those of a plain primal simplex. Where its A has one entry per
+column, equal to 1.0 (the LP value's first round, its demand rows), the
+tableau that simplex reaches is written without pivoting (`_unit_optimum`),
+bit for bit, unless Bland's rule would take over or MAX_PIVOTS stop it.
+Where the dual steps stall (STALL_LIMIT pivots without progress, where the
+primal loop takes Bland's rule) or end at a point that fails `check` on the
+LP so far (rounding that many pivots on one tableau can let grow), that LP
+is solved again from the all-slack basis.
 
 A comes in as coordinates (`Coo`), scattered without its exact zeros into
 the zero tableau. A dense A (as the tests pass it) goes once through
@@ -128,13 +124,11 @@ def ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
 class Tableau:
     """An LP's tableau, kept by `solve` from one call to the next; empty
     until the first. T is (R + 1) x (n + R + 1), with room for R rows: its
-    first m rows are the rows so far, [A | I | 0 | b] in the order they were
-    written, its last row is the cost row [-c | y | 0 | c.x], and the rest
-    is zero. basis[i] is row i's basic column and rows[i] its row of the LP;
-    lp holds the (A, b) of every call."""
+    first m rows are the LP's rows so far, [A | I | 0 | b] in LP order, its
+    last row is the cost row [-c | y | 0 | c.x], and the rest is zero.
+    basis[i] is row i's basic column; lp holds the (A, b) of every call."""
     T: np.ndarray | None = None
     basis: np.ndarray | None = None
-    rows: np.ndarray | None = None
     lp: list = field(default_factory=list)
 
 
@@ -191,49 +185,21 @@ def tolerance(res) -> float:
 
 def _solve_on(tab, c, A, b, spare):
     """`solve` on tab, whose rows so far are solved: the rows of A enter,
-    the broken ones first, and the dual and then the primal steps run (or,
-    on a first call, `_unit_optimum` writes where they would end). A first
-    call with `spare` makes room for twice its rows."""
-    k, n = A.shape
+    and the dual and then the primal steps run (or, on a first call,
+    `_unit_optimum` writes where they would end). A first call with
+    `spare` makes room for twice its rows."""
     fresh = tab.T is None
-    _make_room(tab, c, k, n, spare)
-    first = tab.rows.size
-    by_row = np.argsort(A.row, kind="stable")
-    row_at = np.searchsorted(A.row[by_row], np.arange(k + 1))
-    by_col = np.argsort(A.col, kind="stable")
-    col_at = np.searchsorted(A.col[by_col], np.arange(n + 1))
-    waiting = np.ones(k, dtype=bool)
-    x, load = np.zeros(n), np.zeros(k)            # A x at x, the last optimum seen
-    status, pivots, batch = OPTIMAL, 0, 1
-    while status == OPTIMAL and waiting.any():
-        now = _extract(tab.T, tab.basis, n, tab.rows.size)
-        moved = np.flatnonzero(now != x)
-        e = by_col[ranges(col_at[moved], col_at[moved + 1] - col_at[moved])]
-        load += np.bincount(A.row[e], weights=A.val[e] * (now - x)[A.col[e]], minlength=k)
-        x = now
-        left = np.flatnonzero(waiting)
-        slack = b[left] - load[left]
-        broken = np.flatnonzero(slack < -FEAS_TOL)
-        if broken.size:         # the `batch` most broken rows, twice as many as the last time
-            enter = np.sort(left[broken[np.argsort(slack[broken], kind="stable")[:batch]]])
-            batch *= 2
-        else:
-            enter = left
-        _write_rows(tab, A, b, first, enter, by_row, row_at)
-        waiting[enter] = False
-        status, pivots = _iterate(tab.T, tab.basis, _dual_step, -1.0, pivots)
-    if waiting.any():
-        _write_rows(tab, A, b, first, np.flatnonzero(waiting), by_row, row_at)
-    elif status == OPTIMAL:
+    _make_room(tab, c, *A.shape, spare)
+    _write_rows(tab, A, b)
+    status, pivots = _iterate(tab.T, tab.basis, _dual_step, -1.0, 0)
+    if status == OPTIMAL:
         written = _unit_optimum(tab.T, tab.basis, c, A, b) if fresh else None
         if written is None:
             status, pivots = _iterate(tab.T, tab.basis, _primal_step, 1.0, pivots)
         else:
             pivots = written
-    T, m = tab.T, tab.rows.size
-    y = np.zeros(m)
-    y[tab.rows] = T[-1, n : n + m]
-    return SimplexResult(status, float(T[-1, -1]), _extract(T, tab.basis, n, m), pivots, y)
+    T, n, m = tab.T, A.shape[1], tab.basis.size
+    return SimplexResult(status, float(T[-1, -1]), _extract(T, tab.basis, n, m), pivots, T[-1, n : n + m].copy())
 
 
 def _stack(lp, n) -> Coo:
@@ -258,9 +224,9 @@ def _make_room(tab, c, k, n, spare):
         room = 2 * k if spare else k
         tab.T = _zeros(room + 1, n + room + 1)
         tab.T[room, :n] = -c
-        tab.basis = tab.rows = np.zeros(0, dtype=np.int64)
+        tab.basis = np.zeros(0, dtype=np.int64)
         return
-    m = tab.rows.size
+    m = tab.basis.size
     if m + k >= tab.T.shape[0]:
         old, room = tab.T, m + 2 * k
         tab.T = _zeros(room + 1, n + room + 1)
@@ -268,22 +234,20 @@ def _make_room(tab, c, k, n, spare):
         tab.T[np.where(r < m, r, room), np.where(j < n + m, j, n + room)] = old[r, j]
 
 
-def _write_rows(tab, A, b, first, which, by_row, row_at):
-    """Write the rows `which` (ascending) of A x <= b under the tableau's
-    rows, each with its slack basic, and then in the basis: from each new
-    row, a_j times the row of each basic column j it holds (a row whose
-    column j is 1 and whose other basic columns are 0) is subtracted, in
-    ascending order of those rows."""
+def _write_rows(tab, A, b):
+    """Write the rows of A x <= b under the tableau's rows, each with its
+    slack basic, and then in the basis: from each new row, a_j times the row
+    of each basic column j it holds (a row whose column j is 1 and whose
+    other basic columns are 0) is subtracted, in ascending order of those
+    rows."""
     T, basis = tab.T, tab.basis
     m, n = basis.size, A.shape[1]
-    new = m + np.arange(which.size)
-    e = by_row[ranges(row_at[which], row_at[which + 1] - row_at[which])]
-    e = e[A.val[e] != 0.0]
-    T[m + np.searchsorted(which, A.row[e]), A.col[e]] = A.val[e]
+    new = m + np.arange(b.size)
+    e = np.flatnonzero(A.val != 0.0)
+    T[m + A.row[e], A.col[e]] = A.val[e]
     T[new, n + new] = 1.0
-    T[new, -1] = b[which]
+    T[new, -1] = b
     tab.basis = np.concatenate([basis, n + new])
-    tab.rows = np.concatenate([tab.rows, first + which])
     row_of = np.full(n, -1)
     row_of[basis[basis < n]] = np.flatnonzero(basis < n)
     e = e[row_of[A.col[e]] >= 0]
@@ -294,7 +258,7 @@ def _write_rows(tab, A, b, first, which, by_row, row_at):
     r, c = _nonzeros(T, rows)
     nnz = np.bincount(r, minlength=rows.size)
     start = np.cumsum(nnz) - nnz
-    at = (m + np.searchsorted(which, A.row[e])) * T.shape[1]    # T is C-contiguous: flat offsets
+    at = (m + A.row[e]) * T.shape[1]        # T is C-contiguous: flat offsets
     done = np.cumsum(nnz[k])
     cuts = np.searchsorted(done, np.arange(ELIM_CELLS, done[-1], ELIM_CELLS), side="right").tolist()
     for lo, hi in zip([0, *cuts], [*cuts, e.size]):     # under ELIM_CELLS products at a time

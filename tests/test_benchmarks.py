@@ -362,8 +362,9 @@ def test_lp_value_prices_each_pair_once(monkeypatch):
     assert len(set(priced)) == len(priced) < build_lp(inst).A.val.size / 2
 
 
-ROUNDS = (([(302, 602), (603, 602), (604, 602)], [302, 2, 1]), ([(10, 55)], [10]),
-          ([(400, 1957), (635, 1957), (636, 1957)], [400, 156, 1]))
+ROUNDS = (([(302, 602), (303, 602), (304, 602), (305, 602)], [302, 1, 1, 1]), ([(10, 55)], [10]),
+          ([(400, 1957), (401, 1957), (403, 1957), (407, 1957), (415, 1957), (431, 1957), (438, 1957),
+            (443, 1957)], [400, 139, 4, 4, 4, 3, 2, 1]))
 
 
 @pytest.mark.parametrize("inst, shapes, pivots", [pytest.param(p.values[0], shapes, pivots, id=p.id)
@@ -388,6 +389,33 @@ def test_lp_value_rounds_keep_their_shapes(monkeypatch, inst, shapes, pivots):
     monkeypatch.setattr(simplex, "solve", spy)
     assert benchmarks.solve_lp_value(inst).pivots == sum(pivots)
     assert seen == list(zip(shapes, pivots))
+
+
+def _battery_lp(kind, mode):
+    params = BatteryParams(n_instances=1, n_resources=4, n_arrivals=150, capacity_range=(2, 20), dist_mix=(kind,),
+                           mode=mode)
+    return pytest.param(random_battery(params, 1)[0], id=f"{kind}-{mode}")
+
+
+@pytest.mark.parametrize("inst", [p.values[0] for p in offline_bounds_lps()]
+                         + [_battery_lp(kind, mode) for kind in ("two_point_inf", "mixture_inf")
+                            for mode in (model.MATCHING, model.BUDGETED)])
+def test_lp_value_adds_only_rows_violated_at_the_last_optimum(monkeypatch, inst):
+    """Each round after the first adds at most 1, 2, 4, ... capacity rows,
+    each one with a load at the last round's optimum above its right-hand
+    side: a row that no round's optimum violates is never written."""
+    real = simplex.solve
+    calls = []
+
+    def spy(c, A, b, tableau):
+        calls.append((A, b, real(c, A, b, tableau)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(simplex, "solve", spy)
+    assert benchmarks.solve_lp_value(inst).status == OPTIMAL
+    for r, ((A, b, _), (_, _, last)) in enumerate(zip(calls[1:], calls), 1):
+        load = np.bincount(A.row, weights=A.val * last.x[A.col], minlength=b.size)
+        assert 1 <= b.size <= 2 ** (r - 1) and (load > b).all(), r
 
 
 def test_lp_value_checks_its_optimum(monkeypatch):
@@ -637,35 +665,46 @@ def test_the_lp_bounds_every_simulated_policy(mode, names):
             assert lp >= s.mean - 3.0 * s.se, name
 
 
-LP_COMMAND_DIGESTS = """
+COMMAND_DIGESTS = """
 import json, sys, tempfile
 sys.path.insert(0, sys.argv[1])
 import reuse_alloc
 from reuse_alloc import cli
 from perfbench import checks, workloads
 with tempfile.TemporaryDirectory() as work:
-    instances = workloads.make_instances(reuse_alloc, "offline_bounds", checks.DEFAULT_SEED)
+    instances = workloads.make_instances(reuse_alloc, sys.argv[2], checks.DEFAULT_SEED)
     files = workloads.write_and_validate(reuse_alloc, instances, work)
-    wl = workloads.build(reuse_alloc, "offline_bounds", checks.DEFAULT_SEED, work, instances, files)
+    wl = workloads.build(reuse_alloc, sys.argv[2], checks.DEFAULT_SEED, work, instances, files)
     out = {}
     for cmd in wl.commands:
-        if cmd.kind in ("lp", "compare", "certify", "randproc"):
+        if cmd.kind != "mc":
             assert cli.main(cmd.argv) == 0, cmd.id
             out.update({f"{cmd.id}:{role}": checks.digest(text) for role, text in checks.output_texts(cmd, None).items()})
 print(json.dumps(out, sort_keys=True))
 """
 
 
-def test_lp_command_bytes_do_not_depend_on_blas_threads():
-    """offline_bounds' lp, compare, certify and randproc CSVs, made in one
-    process under 1 OpenBLAS thread and in one under 2, hash to the digests
-    that perfbench/digests.json records for them. The instances come from
-    perfbench's own workload code."""
+def assert_command_digests_under_1_and_2_blas_threads(workload):
+    """The workload's CLI outputs, made in one process under 1 OpenBLAS
+    thread and in one under 2, hash to the digests that
+    perfbench/digests.json records for them. The instances and commands
+    come from perfbench's own workload code."""
     root = Path(benchmarks.__file__).resolve().parents[2]
     src = str(Path(benchmarks.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    runs = [json.loads(subprocess.run([sys.executable, "-c", LP_COMMAND_DIGESTS, str(root)],
+    runs = [json.loads(subprocess.run([sys.executable, "-c", COMMAND_DIGESTS, str(root), workload],
                                       env={**env, "OPENBLAS_NUM_THREADS": str(n)}, capture_output=True,
                                       text=True, check=True).stdout) for n in (1, 2)]
-    recorded = json.loads((root / "perfbench" / "digests.json").read_text())["offline_bounds"]
+    recorded = json.loads((root / "perfbench" / "digests.json").read_text())[workload]
     assert runs[0] == runs[1] == {key: d for key, d in recorded.items() if not key.startswith("mc.")}
+
+
+def test_lp_command_bytes_do_not_depend_on_blas_threads():
+    """offline_bounds' lp, compare, certify and randproc CSVs."""
+    assert_command_digests_under_1_and_2_blas_threads("offline_bounds")
+
+
+@pytest.mark.parametrize("workload", ["burst_spread", "mixed_modes"])
+def test_run_command_bytes_do_not_depend_on_blas_threads(workload):
+    """burst_spread's and mixed_modes' run CSVs, the trace CSV included."""
+    assert_command_digests_under_1_and_2_blas_threads(workload)

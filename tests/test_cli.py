@@ -158,6 +158,27 @@ def test_an_id_or_bid_beyond_int64_is_one_error_line(capsys, tmp_path, text, arg
     assert err.startswith("error: invalid instance: ") and err.count("\n") == 1 and message in err
 
 
+def _overflowing_score(obj):
+    obj["mode"] = "budgeted"
+    obj["resources"][0]["reward"] = 1e300
+    obj["arrivals"][0]["demand"] = {"type": "bids", "bids": {"0": 2**62}}
+    return json.dumps(obj)
+
+
+@pytest.mark.parametrize("argv", [["lp"], ["compare", "--policies", "rba_budgeted", "--trials", "2", "--seed", "1"],
+                                  ["run", "--policies", "rba_budgeted", "--trials", "2", "--seed", "1"]],
+                         ids=["lp", "compare", "run"])
+def test_a_reward_times_bid_beyond_a_float_is_one_error_line(capsys, tmp_path, monkeypatch, argv):
+    # The LP's objective is reward * bid; an inf there sends the simplex's
+    # pivot loop on to MAX_PIVOTS.
+    monkeypatch.setattr(cli.benchmarks, "solve_lp_value", mock.Mock(side_effect=AssertionError("LP solved")))
+    path = tmp_path / "instance.json"
+    path.write_text(_overflowing_score(_instance_json()))
+    code, out, err = run_cli(capsys, argv + ["--instance", str(path)])
+    assert (code, out) == (2, "")
+    assert err == "error: invalid instance: arrival 0: reward * bid for resource 0 must be finite\n"
+
+
 @pytest.mark.parametrize("argv", [["run", "--policies", "greedy", "--trials", "64", "--seed", "1"], ["lp"]],
                          ids=["run", "lp"])
 def test_a_capacity_beyond_int64_is_one_error_line(capsys, tmp_path, argv):
@@ -556,6 +577,15 @@ def test_lp_galg_benchmark_column(capsys):
                                     "--galg"])
     assert code == 0
     assert out.splitlines()[0].endswith("galg_fluid")
+
+
+def test_lp_y_csv_with_galg_is_one_error_line(capsys, monkeypatch):
+    # --y-csv prints the LP's y rows, with no row for galg_fluid to go in.
+    monkeypatch.setattr(cli.benchmarks, "build_lp", mock.Mock(side_effect=AssertionError("LP built")))
+    code, out, err = run_cli(capsys, ["lp", "--gen", "upper_triangular", "--param", "n_resources", "3",
+                                      "--param", "capacity", "4", "--y-csv", "--galg"])
+    assert (code, out) == (2, "")
+    assert err == "error: --galg adds a column to the lp_value row, which --y-csv does not print\n"
 
 
 def test_compare_ratio_column(capsys):

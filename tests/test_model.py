@@ -6,7 +6,9 @@ import pytest
 from helpers import fresh_objects
 
 from reuse_alloc import model
-from reuse_alloc.distributions import Exponential, NonReusable, TwoPointInf
+from reuse_alloc.assortment import MNL, ExplicitTable
+from reuse_alloc.distributions import (Deterministic, Exponential, MixtureWithInf, NonReusable, TwoPointInf, Uniform,
+                                       WeibullIFR, ZeroOrInf)
 from reuse_alloc.generators import example_a1, mnl_counterexample
 
 
@@ -167,8 +169,43 @@ def test_zero_bid_means_no_edge():
     assert list(inst.edges()) == [(0, 1, 3)]
 
 
+# One resource per duration family, with parameters that print with 17 digits.
+_FAMILIES = (NonReusable(), Deterministic(0.1 + 0.2), TwoPointInf(1.0 / 3.0, 0.7), ZeroOrInf(0.1 + 0.7),
+             Exponential(math.pi), Uniform(0.1, 0.1 + 0.2), WeibullIFR(2.0 / 3.0, 1.5),
+             MixtureWithInf(0.3, Deterministic(2.0 / 3.0)), MixtureWithInf(1.0 / 7.0, Exponential(0.1)))
+
+
+def _every_family():
+    resources = tuple(model.Resource(i, i + 1, i / 3.0, dist) for i, dist in enumerate(_FAMILIES))
+    edges = model.MatchingEdges(frozenset(range(len(_FAMILIES))))
+    return model.Instance(mode=model.MATCHING, resources=resources,
+                          arrivals=(model.Arrival(0.0, edges), model.Arrival(0.1 + 0.2, edges)))
+
+
+def _bids():
+    resources = (model.Resource(0, 4, 0.1, Exponential(1.0)), model.Resource(1, 9, 2.5, TwoPointInf(1.0, 0.5)))
+    return model.Instance(mode=model.BUDGETED, resources=resources,
+                          arrivals=(model.Arrival(0.0, model.BudgetedBids({0: 3, 1: 0})),
+                                    model.Arrival(1.0 / 3.0, model.BudgetedBids({1: 2, 0: 1}))))
+
+
+def _assortments():
+    """Every feasibility under an MNL model and a table model."""
+    resources = (model.Resource(0, 2, 1.0, NonReusable()), model.Resource(1, 3, 0.1 + 0.2, Deterministic(1.5)))
+    mnl = MNL(v0=0.1, weights={0: 1.0 / 3.0, 1: 2.0})
+    table = ExplicitTable(items=(0, 1), phi={frozenset({0}): {0: 0.5}, frozenset({1}): {1: 0.35},
+                                             frozenset({0, 1}): {0: 0.3, 1: 0.1 + 0.2}})
+    feasible = (model.AllSubsets(), model.MaxCardinality(1),
+                model.ExplicitList((frozenset({0}), frozenset({1}), frozenset({0, 1}))))
+    requests = [model.AssortmentRequest(cm, {0: 1, 1: 2}, f) for cm in (0, 1) for f in feasible]
+    arrivals = tuple(model.Arrival(0.5 * t, d) for t, d in enumerate(requests))
+    return model.Instance(mode=model.ASSORTMENT, resources=resources, arrivals=arrivals, choice_models=(mnl, table))
+
+
 def test_json_round_trip_exact():
-    for inst in (two_resource_matching(times=(0.0, 0.1 + 0.2)), example_a1(3), mnl_counterexample()):
+    for inst in (two_resource_matching(times=(0.0, 0.1 + 0.2)), example_a1(3), mnl_counterexample(),
+                 _every_family(), _bids(), _assortments()):
+        assert model.validate(inst) == []
         text = model.dumps(inst)
         back = model.loads(text)
         assert model.validate(back) == model.validate(inst)

@@ -303,7 +303,7 @@ def test_a_first_solve_on_a_tableau_is_the_plain_solve():
     got, want = simplex.solve(c, A, b, tab), assert_same_as_reference(c, A, b)
     assert (got.status, got.pivots, got.objective.hex()) == (want.status, want.pivots, want.objective.hex())
     assert got.x.tobytes() == want.x.tobytes() and got.y.tobytes() == want.y.tobytes()
-    assert tab.T.shape == (201, 261) and tab.rows.tolist() == list(range(100))     # room for 200 rows
+    assert tab.T.shape == (201, 261) and tab.basis.size == 100     # room for 200 rows
 
 
 # --- a first call on unit columns: the written optimum -------------------------
@@ -398,7 +398,7 @@ def test_a_warm_solve_that_fails_ends_as_the_cold_solve(monkeypatch, fail):
     assert (got.status, got.objective.hex()) == (want.status, want.objective.hex())
     assert got.x.tobytes() == want.x.tobytes() and got.y.tobytes() == want.y.tobytes()
     assert got.pivots >= want.pivots and first.pivots > 0
-    assert tab.rows.tolist() == list(range(100)) and len(tab.lp) == 2
+    assert tab.basis.size == 100 and len(tab.lp) == 2
     assert checked == ([(100, 40)] if fail == "check" else [])
 
 
@@ -410,7 +410,7 @@ def test_rows_added_to_a_solved_lp_stop_at_the_iteration_limit(monkeypatch):
     monkeypatch.setattr(simplex, "MAX_PIVOTS", 3)
     res = simplex.solve(c, A, b * 0.1, tab)
     assert (res.status, res.pivots, res.y.shape) == (simplex.ITERATION_LIMIT, 3, (100,))
-    assert tab.rows.size == 100
+    assert tab.basis.size == 100
 
 
 TABLEAU_RSS = """

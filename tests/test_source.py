@@ -1,5 +1,6 @@
 """The package holds no code that only the tests call: every public function,
-class and method defined in `src/reuse_alloc` is named somewhere in the
+class and method defined in `src/reuse_alloc`, and every private function,
+class and constant at a module's top level, is named somewhere in the
 package or in `perfbench/` outside its own definition. A name counts as an
 identifier, an attribute, an imported name or a string constant (the
 benchmark's tracer patches functions by name). Names are matched alone, not
@@ -46,13 +47,34 @@ def _public_definitions(tree, module):
                         yield f"{module}.{node.name}.{m.name}", m.name, m
 
 
-def unreferenced() -> set:
+def _private_definitions(tree, module):
+    """(qualified name, name, node) of the module's private functions,
+    classes and constants (module-level names bound by an assignment)."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t)
+                     if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield f"{module}.{name}", name, node
+
+
+def unreferenced(definitions=_public_definitions) -> set:
     package = sorted((ROOT / "src" / "reuse_alloc").glob("*.py"))
     trees = {path: ast.parse(path.read_text()) for path in package + sorted((ROOT / "perfbench").glob("*.py"))}
     used = sum((_names(tree) for tree in trees.values()), Counter())
-    return {qual for path in package for qual, name, node in _public_definitions(trees[path], path.stem)
+    return {qual for path in package for qual, name, node in definitions(trees[path], path.stem)
             if used[name] <= _names(node)[name]}
 
 
 def test_every_public_name_in_the_package_has_a_caller():
     assert unreferenced() - PAPER_FUNCTIONS == set()
+
+
+def test_every_private_module_name_in_the_package_has_a_caller():
+    assert unreferenced(_private_definitions) == set()
