@@ -8,6 +8,8 @@ and the clairvoyant; asymptotically (large capacities) the two benchmarks
 coincide, so vs-LP ratios carry empirical slack at desk scale. `lp_value`
 takes the optimum from a smaller, exact reduction (`solve_lp_value`);
 `build_lp` and `solve_lp` give the full LP's vertex, which LP rounding reads.
+Both paths return a `simplex.SimplexResult` over `build_lp`'s columns
+(x in `LpModel.edges` order) that `check_lp` passed, or raise LpError.
 
 The certificate checker evaluates a two-condition linear system whose
 feasibility witnesses a competitive ratio: per-resource pseudo-rewards
@@ -30,7 +32,6 @@ from .distributions import Deterministic, NonReusable, TwoPointInf, ZeroOrInf, e
 from .engine import lockstep, mean_se, simulate  # noqa: F401  (perfbench/tracer.py wraps benchmarks.simulate)
 from .policies import RbaPolicy, RowSampler, run_galg
 
-OPTIMAL = simplex.OPTIMAL
 CDF_RUN = 1 << 14       # ages per list of Python floats in `_coefficients`
 
 
@@ -49,25 +50,16 @@ class LpModel:
     allocates A densely on each access; no CLI command reads it."""
 
     instance: model.Instance
-    edges: list              # (arrival index, resource id, bid), defines y order
+    edges: list              # (arrival index, resource id, bid) in (arrival, resource) order, defines y order
     obj: np.ndarray
     A: simplex.Coo
     rhs: np.ndarray
-    row_kinds: list          # ("cap", rid, tau) | ("demand", t)
 
     @property
     def rows(self) -> np.ndarray:
         dense = np.zeros(self.A.shape)
         dense[self.A.row, self.A.col] = self.A.val
         return dense
-
-
-@dataclass
-class LpSolution:
-    status: str
-    objective: float
-    y: dict                  # (arrival index, resource id) -> value
-    pivots: int = 0
 
 
 def _grouped(instance: model.Instance, edges: list):
@@ -180,29 +172,23 @@ def build_lp(instance: model.Instance) -> LpModel:
         return _coefficients(res, times, taus[k], ts[j], edge_bid[es[j]])
 
     A, rhs = _assemble(blocks, [np.arange(taus.size) for _, _, _, taus, _ in blocks], price, edge_t, 1.0)
-    row_kinds = [("cap", res.id, tau) for res, _, _, taus, _ in blocks for tau in taus.tolist()]
-    row_kinds += [("demand", t) for t in np.unique(edge_t).tolist()]
-    return LpModel(instance=instance, edges=edges, obj=_objective(instance, edges), A=A, rhs=rhs,
-                   row_kinds=row_kinds)
+    return LpModel(instance=instance, edges=edges, obj=_objective(instance, edges), A=A, rhs=rhs)
 
 
-def solve_lp(lp: LpModel) -> LpSolution:
-    """Solve `lp`; an optimum must pass `check_lp_solution`, else
-    LpError names the check that failed."""
+def solve_lp(lp: LpModel) -> simplex.SimplexResult:
+    """The optimum of `lp`, x over `lp.edges`; LpError unless the solve
+    ends at an optimum that passes `check_lp`."""
     res = simplex.solve(lp.obj, lp.A, lp.rhs)
-    if res.status == OPTIMAL:
-        check_lp_solution(lp, res)
-    y = {(t, rid): float(res.x[e]) for e, (t, rid, _) in enumerate(lp.edges)}
-    return LpSolution(status=res.status, objective=res.objective, y=y, pivots=res.pivots)
+    if res.status != simplex.OPTIMAL:
+        raise LpError(f"LP solve ended with status {res.status}")
+    check_lp(lp.obj, lp.A, lp.rhs, res)
+    return res
 
 
-def check_lp_solution(lp: LpModel, res: simplex.SimplexResult) -> tuple:
-    """`simplex.check` of res on lp: its (name, breach) pairs, or LpError
-    naming the first breach above `simplex.tolerance(res)`."""
-    return _checked(lp.obj, lp.A, lp.rhs, res)
-
-
-def _checked(c, A, b, res: simplex.SimplexResult) -> tuple:
+def check_lp(c, A, b, res: simplex.SimplexResult) -> tuple:
+    """`simplex.check` of res on max c.x s.t. A x <= b, x >= 0: its (name,
+    breach) pairs, or LpError naming the first breach above
+    `simplex.tolerance(res)`."""
     breaches, tol = simplex.check(c, A, b, res), simplex.tolerance(res)
     for name, breach in breaches:
         if not breach <= tol:
@@ -279,7 +265,7 @@ def solve_lp_value(instance: model.Instance) -> simplex.SimplexResult:
     A, rhs = _assemble(blocks, [k[:0] for k in at_row], price, edge_t, size[demand_t])
     sol = simplex.solve(obj[own], A, rhs, tableau)
     pivots, batch = sol.pivots, 1
-    while sol.status == OPTIMAL and blocks:
+    while sol.status == simplex.OPTIMAL and blocks:
         over = []           # (block, row, load - capacity) of the rows not yet added whose load exceeds it
         for b, (res, es, _, taus, lens) in enumerate(blocks):
             k, j = _column_pairs(np.flatnonzero(at_row[b] < 0), lens, np.flatnonzero(sol.x[es] != 0.0))
@@ -300,7 +286,7 @@ def solve_lp_value(instance: model.Instance) -> simplex.SimplexResult:
         sol = simplex.solve(obj[own], A, rhs, tableau)
         pivots += sol.pivots
     del tableau             # its pages go before the map-back
-    if sol.status != OPTIMAL:
+    if sol.status != simplex.OPTIMAL:
         return dataclasses.replace(sol, pivots=pivots)
 
     # Map back and check on the full LP, with every coefficient from the cache.
@@ -337,35 +323,38 @@ def solve_lp_value(instance: model.Instance) -> simplex.SimplexResult:
     row = np.concatenate(row, dtype=np.int32)
     col = np.concatenate(col, dtype=np.int32)
     A = simplex.Coo(row, col, np.concatenate(val), (len(rhs), len(edges)))
-    out = simplex.SimplexResult(OPTIMAL, sol.objective, X[cls] / size[rep[full_t]], pivots, np.concatenate(y))
-    _checked(obj, A, np.array(rhs), out)
+    out = simplex.SimplexResult(simplex.OPTIMAL, sol.objective, X[cls] / size[rep[full_t]], pivots, np.concatenate(y))
+    check_lp(obj, A, np.array(rhs), out)
     return out
 
 
 def lp_value(instance: model.Instance) -> float:
     """The fluid LP's optimum by `solve_lp_value`."""
     res = solve_lp_value(instance)
-    if res.status != OPTIMAL:
+    if res.status != simplex.OPTIMAL:
         raise LpError(f"LP solve ended with status {res.status}")
     return res.objective
 
 
 class LpRoundingPolicy(RowSampler):
-    """Offline rounding of an LP solution: sample i w.p. y_{it}/(1+2 delta)."""
+    """Offline rounding of an LP solution res of lp (x over lp.edges):
+    sample i w.p. y_{it}/(1+2 delta)."""
 
     name = "lp_rounding"
     events = ("lp_rounding_sampled", "lp_rounding_sampled_unavailable")
     decide_batch = RowSampler.decide_batch
 
-    def __init__(self, instance: model.Instance, sol: LpSolution):
+    def __init__(self, lp: LpModel, res: simplex.SimplexResult):
         super().__init__()
+        instance = lp.instance
         self.mode = instance.mode
-        c_min = min(r.capacity for r in instance.resources)
+        c_min = min((r.capacity for r in instance.resources), default=1)
         self.delta = math.sqrt(math.log(c_min) / c_min) if c_min > 1 else 0.0
         scale = 1.0 / (1.0 + 2.0 * self.delta)
-        self._rows = [[(rid, w) for rid in sorted(arr.demand.bids())
-                       if (w := sol.y.get((t, rid), 0.0) * scale) > 0.0]
-                      for t, arr in enumerate(instance.arrivals)]
+        self._rows = [[] for _ in instance.arrivals]
+        for (t, rid, _), y in zip(lp.edges, res.x.tolist()):
+            if (w := y * scale) > 0.0:
+                self._rows[t].append((rid, w))
 
 
 # --- brute-force clairvoyant ----------------------------------------------------

@@ -188,8 +188,8 @@ def cmd_lp(args) -> int:
     if args.galg:
         _check_mode(inst, "galg", model.MATCHING)
     if args.y_csv:
-        sol = benchmarks.solve_lp(benchmarks.build_lp(inst))
-        rows = [[t, rid, v] for (t, rid), v in sorted(sol.y.items()) if v > 1e-12]
+        lp = benchmarks.build_lp(inst)
+        rows = [[t, rid, y] for (t, rid, _), y in zip(lp.edges, benchmarks.solve_lp(lp).x.tolist()) if y > 1e-12]
         _emit(rows, ["arrival", "resource", "y"], args.out)
         return 0
     res = benchmarks.solve_lp_value(inst)
@@ -208,8 +208,8 @@ def cmd_certify(args) -> int:
             raise CliError(f"{flag} must be a finite number, got {value}")
     inst, name = _load_instance(args)
     _check_mode(inst, "certify", model.MATCHING)
-    sol = benchmarks.solve_lp(benchmarks.build_lp(inst))
-    opt = benchmarks.LpRoundingPolicy(inst, sol)
+    lp = benchmarks.build_lp(inst)
+    opt = benchmarks.LpRoundingPolicy(lp, benchmarks.solve_lp(lp))
     report = benchmarks.certificate_check(inst, args.alg, opt, args.trials,
                                           args.alpha, args.beta, master_seed=args.seed)
     rows = [[name, r.resource, r.theta, r.opt_lambda_sum, r.opt_i, r.lhs, r.rhs, r.se,

@@ -23,8 +23,9 @@ outstanding + lost still equals each bucket's size. The highest bucket at or
 above the waterfall's floor is searched from a cached bound that only
 returns can raise, so the scans of a guide run are amortized over its units.
 
-Blocks. The inventory knows every arrival time in advance, so it prices the
-returns of a block of scheduled arrivals at once. A booking is the set of
+Blocks. The ledger is built from the instance and advances only along its
+arrival times, each in turn, so it knows every time in advance and prices
+the returns of a block of arrivals at once. A booking is the set of
 parcels one arrival matched on one resource; at the start of a block each
 resource makes one CDF call over (block times) x (its bookings): the live
 ones, where bookings equal in time and credited level share a column, plus
@@ -35,9 +36,8 @@ takes the increment of every booking at every row, and it files each parcel
 under the row, if any, at which it leaves the ledger. The parcels of all
 resources sit in one ledger in booking order, over one flat Y and one flat
 `lost` of which each resource's arrays are views, so an arrival credits its
-returns with one gather, one multiply and one `np.add.at`. An advance to a
-time off the schedule (a ledger over a standalone resource) is a block of one
-row.
+returns with one gather, one multiply and one `np.add.at`. An advance to any
+other time than the next arrival's raises.
 
 The output is bit-identical to advancing every resource's ledger at every
 arrival with its own CDF call:
@@ -61,6 +61,7 @@ arrival with its own CDF call:
 from __future__ import annotations
 
 import math
+import weakref
 
 import numpy as np
 
@@ -94,7 +95,7 @@ def quantized_levels(capacity: int, eps: float) -> list:
 class ResourceFluid:
     """One resource's buckets: available masses Y and the mass `lost` by
     dropped parcels, both views into the flat arrays of the `FluidLedger`
-    made over it."""
+    that holds it."""
 
     def __init__(self, res, levels=None):
         self.res = res
@@ -111,8 +112,8 @@ class ResourceFluid:
 
     def advance(self, now: float):
         """Advance this resource's ledger, and so every resource in it, to
-        `now`. Nothing in the package calls it: the guides advance through
-        `FluidInventory`. It is kept as the entry point that
+        `now`. Nothing in the package calls it: the guides advance the
+        `FluidLedger`. It is kept as the entry point that
         perfbench/tracer.py wraps."""
         self._ledger.advance(now)
 
@@ -136,40 +137,27 @@ class ResourceFluid:
         self._ledger.book(self._p, g, amount, now)
 
 
-class FluidInventory:
-    """All resources' fluid state, advanced arrival by arrival along the
-    instance's arrival times."""
+class FluidLedger:
+    """All resources' fluid state, `state` by resource id, over one flat Y
+    and lost and the one ledger of their parcels, advanced arrival by
+    arrival along the instance's arrival times and priced a block of them
+    at a time. The fluids point to it weakly, so a finished guide is freed
+    at once rather than left to the cycle collector."""
 
     def __init__(self, instance, quantize_eps: float = 0.0):
-        self.instance = instance
         fluids = [ResourceFluid(r, quantized_levels(r.capacity, quantize_eps) if quantize_eps > 0 else None)
                   for r in instance.resources]
         self.state = {rf.res.id: rf for rf in fluids}
-        self.ledger = FluidLedger(fluids, [a.time for a in instance.arrivals])
-
-    def advance(self, now: float):
-        self.ledger.advance(now)
-
-    def conservation_error(self) -> float:
-        return self.ledger.conservation_error()
-
-
-class FluidLedger:
-    """The flat Y and lost of a set of resource fluids and the one ledger
-    of their parcels, priced a block of scheduled arrivals at a time. The
-    fluids point to it and it holds none of them, so a finished guide is
-    freed at once rather than left to the cycle collector."""
-
-    def __init__(self, fluids, times=()):
-        self._times = np.array(times, dtype=float)
-        self.size = np.concatenate([rf.size for rf in fluids])
+        self._times = np.array([a.time for a in instance.arrivals], dtype=float)
+        self.size = np.concatenate([np.zeros(0), *(rf.size for rf in fluids)])
         self.Y = self.size.copy()
         self.lost = np.zeros(len(self.size))
         self.hints = [rf.n_groups - 1 for rf in fluids]     # each fluid's top_group bound
         offs = np.cumsum([0] + [rf.n_groups for rf in fluids])
         booking = [k for k, rf in enumerate(fluids) if rf._mass_inf != 1.0]   # fluids that book parcels
+        ledger = weakref.proxy(self)
         for k, rf in enumerate(fluids):
-            rf._ledger, rf._hints, rf._k = self, self.hints, k
+            rf._ledger, rf._hints, rf._k = ledger, self.hints, k
             rf.Y = self.Y[offs[k]:offs[k + 1]]
             rf.lost = self.lost[offs[k]:offs[k + 1]]
         for p, k in enumerate(booking):
@@ -188,21 +176,23 @@ class FluidLedger:
         self._lo = 0                  # parcels before it are all dropped
         self._topped = 0              # parcels taken into the column bounds
         self._clock = None
-        self._next = 0                # the first scheduled time not yet advanced to
-        self._scheduled = False       # whether the current block's rows are schedule times
+        self._next = 0                # the first arrival not yet advanced to
         self._rows = []               # the current block's times; _row is the last advanced to
         self._row = -1
 
     def advance(self, now: float):
-        """Credit returns accumulated up to time `now` back into Y."""
+        """Credit returns accumulated up to time `now`, the next arrival's,
+        back into Y."""
+        i = self._next
+        if not (i < len(self._times) and now == self._times[i]):
+            raise ValueError(f"the ledger advances along the arrival times; {now} is not arrival {i}'s")
         row = self._row + 1
-        if row < len(self._rows) and now == self._rows[row]:
+        if row < len(self._rows):
             self._row = row
         else:
-            self._start_block(now)
+            self._start_block()
             row = 0
-        if self._scheduled:
-            self._next += 1
+        self._next = i + 1
         self._clock = now
         if self._row_moves[row]:
             lo, n = self._lo, self._n
@@ -256,8 +246,8 @@ class FluidLedger:
             new[: self._n] = old[: self._n]
             setattr(self, name, new)
 
-    def _start_block(self, now: float):
-        """Price the returns of the block of arrivals that starts at `now`."""
+    def _start_block(self):
+        """Price the returns of the block of arrivals that starts at the next arrival."""
         nb = len(self._booking)
         n = self._n
         keep = self._mass[:n] != 0.0
@@ -282,16 +272,10 @@ class FluidLedger:
         else:
             owner = np.zeros(0, dtype=np.int64)
             ltime = lcred = np.zeros(0)
-        # As many scheduled arrivals as keep the tables, k rows by the live
-        # columns plus k per booking fluid, within TABLE_CELLS.
+        # As many arrivals as keep the tables, k rows by the live columns
+        # plus k per booking fluid, within TABLE_CELLS.
         times, L = self._times, len(owner)
-        self._scheduled = self._next < len(times) and times[self._next] == now
-        if not self._scheduled:
-            rows = np.array([now])
-        elif nb:
-            rows = times[self._next:self._next + block_rows(L, nb)]
-        else:
-            rows = times[self._next:]
+        rows = times[self._next:self._next + block_rows(L, nb)] if nb else times[self._next:]
         k = len(rows)
         if L:
             remap = np.empty(len(used), dtype=np.int64)
@@ -370,4 +354,4 @@ class FluidLedger:
             row = self._row
             credited = np.where(self._first <= row, self._C[:, row], 0.0)
             np.add.at(out, self._bucket[:n], self._mass[:n] * (1.0 - credited[self._col[:n]]))
-        return float(np.abs(self.Y + out - self.size).max())
+        return float(np.abs(self.Y + out - self.size).max(initial=0.0))

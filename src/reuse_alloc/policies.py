@@ -39,7 +39,7 @@ import math
 import numpy as np
 
 from . import model, rng
-from .fluid import ZERO_TOL, FluidInventory
+from .fluid import ZERO_TOL, FluidLedger
 
 
 def reduced_price(reward: float, rank: int, capacity: int) -> float:
@@ -241,7 +241,7 @@ class FluidGuide:
 
     def __init__(self, instance, quantize_eps: float = 0.0):
         self.instance = instance
-        self.inv = FluidInventory(instance, quantize_eps=quantize_eps)
+        self.inv = FluidLedger(instance, quantize_eps=quantize_eps)
         self.allocs = []       # per arrival: [(rid, rank value, mass)]
         self._next = 0
         self._iter_cap = sum(r.capacity for r in instance.resources) + len(instance.resources) + 1

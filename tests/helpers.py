@@ -44,6 +44,11 @@ eta_t = 0 changes nothing), the exact check of a probability-match
 collection, and `uniform_from` (a keyed uniform folded on from a prefix
 state) are oracles that only the tests call.
 
+`as_coo` gives a dense matrix as the coordinates `simplex.solve` takes,
+`row_kinds` names the rows of `build_lp`'s LP, `lp_rounding` builds LP
+rounding on the full LP's optimum, and `one_resource_ledger` builds a fluid
+ledger over one resource.
+
 `fresh_objects` rebuilds an instance with a new demand and a new arrival
 object at every arrival, as instances were built before they shared one
 object per distinct demand and per burst; `shared_objects` shares them
@@ -59,11 +64,11 @@ import numpy as np
 
 from reuse_alloc import fluid, model, policies, rng
 from reuse_alloc.assortment import assortment_oracle
-from reuse_alloc.benchmarks import (CertificateReport, CertificateRow, LpModel, UnsupportedMode,
-                                    _galg_candidate)
+from reuse_alloc.benchmarks import (CertificateReport, CertificateRow, LpModel, LpRoundingPolicy, UnsupportedMode,
+                                    _galg_candidate, _grouped, build_lp, solve_lp)
 from reuse_alloc.engine import Paths, simulate
 from reuse_alloc.simplex import (FEAS_TOL, INFEASIBLE, ITERATION_LIMIT, MAX_PIVOTS, OPT_TOL, OPTIMAL, PIVOT_TOL,
-                                 STALL_LIMIT, SimplexResult, as_coo)
+                                 STALL_LIMIT, Coo, SimplexResult)
 from reuse_alloc.policies import RbaPolicy, reduced_price
 from reuse_alloc.randproc import ProcessSpec, ProcessSummary, fluid_process
 
@@ -236,7 +241,7 @@ class ReferenceResourceFluid:
 
 
 class ReferenceInventory:
-    """`fluid.FluidInventory` before block pricing: every resource advanced
+    """`fluid.FluidLedger` before block pricing: every resource advanced
     on its own at every arrival."""
 
     def __init__(self, instance, quantize_eps: float = 0.0):
@@ -254,9 +259,18 @@ class ReferenceInventory:
         return max(rf.conservation_error() for rf in self.state.values())
 
 
+def one_resource_ledger(res, times):
+    """A `fluid.FluidLedger` over `res` alone, for arrivals at `times`, and
+    the resource's fluid in it."""
+    inst = model.Instance(mode=model.MATCHING, resources=(res,),
+                          arrivals=tuple(model.Arrival(t, model.MatchingEdges(frozenset({res.id}))) for t in times))
+    ledger = fluid.FluidLedger(inst)
+    return ledger, ledger.state[res.id]
+
+
 def reference_guide(make, instance):
     """The guide `make(instance)` builds, on `ReferenceInventory`."""
-    with mock.patch.object(policies, "FluidInventory", ReferenceInventory):
+    with mock.patch.object(policies, "FluidLedger", ReferenceInventory):
         return make(instance)
 
 
@@ -290,7 +304,7 @@ def keep_all_advance(rf, now):
 def use_reference_fluid(monkeypatch, advance=True):
     """Build the guides on `ReferenceInventory` with the full scan (and, with
     `advance`, the keep-all ledger) for the rest of the test."""
-    monkeypatch.setattr(policies, "FluidInventory", ReferenceInventory)
+    monkeypatch.setattr(policies, "FluidLedger", ReferenceInventory)
     monkeypatch.setattr(ReferenceResourceFluid, "top_group", linear_top_group)
     if advance:
         monkeypatch.setattr(ReferenceResourceFluid, "advance", keep_all_advance)
@@ -300,7 +314,7 @@ def reference_galg(instance, variant="exact", eps=0.0):
     """The matching guide's waterfall on its own: per arrival, serve the
     argmax reduced price (ties to the lower id) until the arrival is full.
     Returns (x, allocs) as `GalgGuide` records them."""
-    inv = fluid.FluidInventory(instance, quantize_eps=eps if variant == "quant" else 0.0)
+    inv = fluid.FluidLedger(instance, quantize_eps=eps if variant == "quant" else 0.0)
     floor = max(eps if variant == "thresh" else fluid.ZERO_TOL, fluid.ZERO_TOL)
     cap = sum(r.capacity for r in instance.resources) + len(instance.resources) + 1
     xs, all_allocs = [], []
@@ -343,7 +357,7 @@ def reference_astgalg(instance):
     oracle's assortment under bid-weighted reduced prices at the largest
     weight the buckets allow. Returns (collections, allocs) as
     `AstgalgGuide` records them."""
-    inv = fluid.FluidInventory(instance)
+    inv = fluid.FluidLedger(instance)
     cap = sum(r.capacity for r in instance.resources) + len(instance.resources) + 1
     collections, all_allocs = [], []
     for arrival in instance.arrivals:
@@ -467,9 +481,10 @@ def _reference_extract(T, basis, n, m):
     return x[:n]
 
 
-def reference_build_lp(instance: model.Instance) -> LpModel:
+def reference_build_lp(instance: model.Instance) -> tuple:
     """`benchmarks.build_lp` row by row: every capacity row scans every edge,
-    every demand row scans every edge, and the rows are stacked at the end."""
+    every demand row scans every edge, and the rows are stacked at the end.
+    Returns the LpModel and its rows' kinds, as `row_kinds` gives them."""
     if instance.mode not in (model.MATCHING, model.BUDGETED):
         raise UnsupportedMode("the LP bound covers matching and budgeted modes")
     edges = list(instance.edges())
@@ -512,8 +527,29 @@ def reference_build_lp(instance: model.Instance) -> LpModel:
 
     obj = np.array([bid * rewards[rid] for (_, rid, bid) in edges])
     rows = np.vstack(data) if data else np.zeros((0, n))
-    return LpModel(instance=instance, edges=edges, obj=obj, A=as_coo(rows),
-                   rhs=np.array(rhs), row_kinds=row_kinds)
+    return LpModel(instance=instance, edges=edges, obj=obj, A=as_coo(rows), rhs=np.array(rhs)), row_kinds
+
+
+def row_kinds(lp: LpModel) -> list:
+    """Each row of `build_lp`'s lp, in order: ("cap", resource id, tau) for
+    the capacity row at the end tau of a distinct-time group, then
+    ("demand", t) for arrival t's demand row."""
+    _, edge_t, _, blocks = _grouped(lp.instance, lp.edges)
+    kinds = [("cap", res.id, tau) for res, _, _, taus, _ in blocks for tau in taus.tolist()]
+    return kinds + [("demand", t) for t in np.unique(edge_t).tolist()]
+
+
+def as_coo(A) -> Coo:
+    """A dense matrix by its nonzero entries, so a -0.0 in it is left out."""
+    A = np.asarray(A, dtype=float)
+    row, col = np.nonzero(A)
+    return Coo(row, col, A[row, col], A.shape)
+
+
+def lp_rounding(instance: model.Instance) -> LpRoundingPolicy:
+    """`LpRoundingPolicy` on the full LP's optimum, as `certify` builds it."""
+    lp = build_lp(instance)
+    return LpRoundingPolicy(lp, solve_lp(lp))
 
 
 def reference_fluid_process(spec):

@@ -23,13 +23,12 @@ import random
 
 import numpy as np
 
-from helpers import (check_monotonicity, check_zero_point_augmentation, stochastic_rewards_greedy,
+from helpers import (check_monotonicity, check_zero_point_augmentation, lp_rounding, stochastic_rewards_greedy,
                      verify_probability_match, water_filling_ratio)
 
 from reuse_alloc import model
 from reuse_alloc.assortment import MNL, AstalgPolicy, _probability_match_generic, probability_match, run_astgalg
-from reuse_alloc.benchmarks import (LpRoundingPolicy, build_lp, certificate_check, lp_value,
-                                    brute_force_clairvoyant, solve_lp)
+from reuse_alloc.benchmarks import certificate_check, lp_value, brute_force_clairvoyant
 from reuse_alloc.distributions import (Deterministic, Exponential, TwoPointInf, Uniform)
 from reuse_alloc.engine import run_trials
 from reuse_alloc.generators import (BatteryParams, example_a1, random_battery,
@@ -156,6 +155,7 @@ def salg_battery():
 def test_acceptance_05_salg_tracks_galg_per_resource():
     trials = 1000
     worst_margin = math.inf
+    worst_over = -math.inf
     worst_freq = 0.0
     for idx, inst in enumerate(salg_battery()):
         guide = run_galg(inst)
@@ -167,6 +167,11 @@ def test_acceptance_05_salg_tracks_galg_per_resource():
             slack = s.per_resource_mean[r.id] - (bound - 3.0 * s.per_resource_se[r.id])
             worst_margin = min(worst_margin, slack)
             assert slack >= 0.0
+            # salg samples i w.p. x_ti / (1 + delta_i) and matches only when a
+            # unit is free, so E[salg_i] <= galg_i / (1 + delta_i).
+            over = s.per_resource_mean[r.id] - per_res[r.id] / (1.0 + salg_delta(r.capacity))
+            worst_over = max(worst_over, over / s.per_resource_se[r.id] if over > 0.0 else 0.0)
+            assert over <= 3.0 * s.per_resource_se[r.id]
         sampled = s.event_totals.get("salg_sampled", 0)
         lost = s.event_totals.get("salg_sampled_unavailable", 0)
         if sampled:
@@ -176,7 +181,8 @@ def test_acceptance_05_salg_tracks_galg_per_resource():
             assert freq <= 1.0 / c_min + 3.0 * se
             worst_freq = max(worst_freq, freq)
     assert report(5, True, f"5 instances x {trials} trials; min per-resource slack "
-                           f"{worst_margin:.3f}, max unavailable-sample freq {worst_freq:.4f}")
+                           f"{worst_margin:.3f}, at most {worst_over:.2f} SE above galg_i/(1+delta_i), "
+                           f"max unavailable-sample freq {worst_freq:.4f}")
 
 
 # -- 6. non-reusable tightness family ------------------------------------------------------
@@ -366,14 +372,14 @@ def test_acceptance_11_certificate_and_negative_control():
         c_min = min(r.capacity for r in inst.resources)
         alpha = 0.99 * (1.0 - 1.0 / math.e) * math.exp(-1.0 / c_min)
         beta = 1.01 * math.exp(1.0 / c_min)
-        opt = LpRoundingPolicy(inst, solve_lp(build_lp(inst)))
+        opt = lp_rounding(inst)
         rep = certificate_check(inst, "galg", opt, trials, alpha, beta, master_seed=1100 + idx)
         assert rep.cond1_passed and rep.cond3_passed
     tri = upper_triangular(10, 100)
     c_min = 100
     alpha = 0.99 * (1.0 - 1.0 / math.e) * math.exp(-1.0 / c_min)
     beta = 1.01 * math.exp(1.0 / c_min)
-    opt = LpRoundingPolicy(tri, solve_lp(build_lp(tri)))
+    opt = lp_rounding(tri)
     neg = certificate_check(tri, "galg_swapped", opt, trials, alpha, beta, master_seed=1199)
     assert not neg.cond3_passed
     n_fail = sum(1 for r in neg.rows if not r.passed)

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from helpers import reference_build_lp, reference_certificate_check, reference_simplex
+from helpers import lp_rounding, reference_build_lp, reference_certificate_check, reference_simplex, row_kinds
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
@@ -18,12 +18,13 @@ from scipy.sparse import coo_array
 
 import reuse_alloc
 from reuse_alloc import benchmarks, engine, model, policies, simplex
-from reuse_alloc.benchmarks import (OPTIMAL, LpRoundingPolicy, UnsupportedMode, brute_force_clairvoyant,
-                                    build_lp, certificate_check, lp_value, solve_lp)
+from reuse_alloc.benchmarks import (LpRoundingPolicy, UnsupportedMode, brute_force_clairvoyant, build_lp,
+                                    certificate_check, check_lp, lp_value, solve_lp)
 from reuse_alloc.distributions import (Deterministic, Exponential, MixtureWithInf, NonReusable, TwoPointInf,
                                        Uniform, WeibullIFR, ZeroOrInf)
 from reuse_alloc.generators import (BatteryParams, example_a1, mnl_counterexample, random_battery,
                                     upper_triangular)
+from reuse_alloc.simplex import OPTIMAL
 
 
 def single(usage, capacity=1, reward=1.0, times=(0.0, 1.0)):
@@ -46,7 +47,7 @@ def scipy_lp_value(inst):
 def test_lp_nonreusable_unit_capacity():
     inst = single(NonReusable(), reward=1.5)
     lp = build_lp(inst)
-    cap_rows = [k for k in lp.row_kinds if k[0] == "cap"]
+    cap_rows = [k for k in row_kinds(lp) if k[0] == "cap"]
     assert cap_rows  # at least the binding row over both arrivals
     assert lp_value(inst) == pytest.approx(1.5, abs=1e-9)
 
@@ -97,8 +98,9 @@ def test_lp_dominates_simulation():
 
 def test_lp_rounding_matches_at_lp_rate():
     inst = single(NonReusable(), capacity=100, times=tuple(float(t) for t in range(100)))
-    sol = solve_lp(build_lp(inst))
-    pol = LpRoundingPolicy(inst, sol)
+    lp = build_lp(inst)
+    sol = solve_lp(lp)
+    pol = LpRoundingPolicy(lp, sol)
     s = engine.run_trials(inst, pol, 2000, 5)
     delta = math.sqrt(math.log(100) / 100)
     assert s.mean / sol.objective == pytest.approx(1.0 / (1.0 + 2.0 * delta), abs=0.01)
@@ -106,10 +108,10 @@ def test_lp_rounding_matches_at_lp_rate():
 
 def test_lp_rounding_zero_solution_never_matches():
     inst = single(NonReusable())
-    sol = solve_lp(build_lp(inst))
-    zero = benchmarks.LpSolution(status=sol.status, objective=0.0,
-                                 y={k: 0.0 for k in sol.y})
-    s = engine.run_trials(inst, LpRoundingPolicy(inst, zero), 50, 2)
+    lp = build_lp(inst)
+    sol = solve_lp(lp)
+    zero = dataclasses.replace(sol, objective=0.0, x=np.zeros_like(sol.x))
+    s = engine.run_trials(inst, LpRoundingPolicy(lp, zero), 50, 2)
     assert s.mean == 0.0
 
 
@@ -166,13 +168,13 @@ def offline_bounds_lps():
 
 @pytest.mark.parametrize("inst", builder_cases())
 def test_build_lp_matches_reference(inst):
-    got, want = build_lp(inst), reference_build_lp(inst)
+    got, (want, want_kinds) = build_lp(inst), reference_build_lp(inst)
     assert got.edges == want.edges
     assert got.rows.shape == want.rows.shape
     assert got.rows.tobytes() == want.rows.tobytes()
     assert got.rhs.tobytes() == want.rhs.tobytes()
     assert got.obj.tobytes() == want.obj.tobytes()
-    assert repr(got.row_kinds) == repr(want.row_kinds)
+    assert repr(row_kinds(got)) == repr(want_kinds)
 
 
 @pytest.mark.parametrize("inst", builder_cases() + offline_bounds_lps())
@@ -186,7 +188,7 @@ def test_coordinate_solve_matches_reference_simplex(inst):
     assert got.y.tobytes() == want.y.tobytes()
     sol = solve_lp(lp)
     assert (sol.status, sol.pivots, sol.objective.hex()) == (want.status, want.pivots, want.objective.hex())
-    assert np.array(list(sol.y.values())).tobytes() == want.x.tobytes()
+    assert sol.x.tobytes() == want.x.tobytes()
 
 
 @pytest.mark.parametrize("inst", [pytest.param(example_a1(300), id="example_a1_n300"),
@@ -215,7 +217,7 @@ def test_rows_is_a_fresh_dense_matrix_on_each_access():
     lp = build_lp(example_a1(3))
     first = lp.rows
     first[:] = 7.0
-    assert lp.rows is not first and lp.rows.tobytes() == reference_build_lp(example_a1(3)).rows.tobytes()
+    assert lp.rows is not first and lp.rows.tobytes() == reference_build_lp(example_a1(3))[0].rows.tobytes()
     with pytest.raises(AttributeError):
         lp.rows = first
 
@@ -226,7 +228,7 @@ def test_lp_without_an_edge_is_zero():
     lp = build_lp(inst)
     assert lp.A.shape == (0, 0) and lp.rows.shape == (0, 0)
     sol = solve_lp(lp)
-    assert (sol.status, sol.objective, sol.y, sol.pivots) == (OPTIMAL, 0.0, {}, 0)
+    assert (sol.status, sol.objective, sol.x.size, sol.pivots) == (OPTIMAL, 0.0, 0, 0)
     assert lp_value(inst) == 0.0
 
 
@@ -234,8 +236,8 @@ def test_bursty_instance_has_what_it_claims():
     inst = bursty_instance(model.BUDGETED)
     assert model.validate(inst) == []
     lp = build_lp(inst)
-    assert ("demand", 6) not in lp.row_kinds
-    assert {kind[2] for kind in lp.row_kinds if kind[0] == "cap"} >= {2, 4, 7}   # ends of the bursts
+    assert ("demand", 6) not in row_kinds(lp)
+    assert {kind[2] for kind in row_kinds(lp) if kind[0] == "cap"} >= {2, 4, 7}   # ends of the bursts
     assert lp_value(inst) == pytest.approx(scipy_lp_value(inst), abs=1e-9)
 
 
@@ -249,9 +251,9 @@ def test_bursty_instance_has_what_it_claims():
 def test_lp_solution_check_names_the_failed_check(tamper, check):
     lp = build_lp(example_a1(4))
     res = simplex.solve(lp.obj, lp.A, lp.rhs)
-    benchmarks.check_lp_solution(lp, res)
+    check_lp(lp.obj, lp.A, lp.rhs, res)
     with pytest.raises(RuntimeError, match=check):
-        benchmarks.check_lp_solution(lp, tamper(res))
+        check_lp(lp.obj, lp.A, lp.rhs, tamper(res))
     assert dict(simplex.check(lp.obj, lp.A, lp.rhs, tamper(res)))[check] > simplex.tolerance(res)
 
 
@@ -260,13 +262,13 @@ import numpy as np
 from reuse_alloc import benchmarks, generators, simplex
 lp = benchmarks.build_lp(generators.upper_triangular(10, 200))
 res = simplex.solve(lp.obj, lp.A, lp.rhs)
-print(dict(benchmarks.check_lp_solution(lp, res))["duality gap"].hex())
+print(dict(benchmarks.check_lp(lp.obj, lp.A, lp.rhs, res))["duality gap"].hex())
 # max obj.x s.t. a_e x_e <= r_e: x = r / a, and y = obj / a, a little raised.
 rng = np.random.default_rng(2)
 a, r, obj = rng.uniform(0.5, 2.0, (3, 12_000))
-lp = benchmarks.LpModel(None, [], obj, simplex.Coo(np.arange(12_000), np.arange(12_000), a, (12_000, 12_000)), r, [])
+A = simplex.Coo(np.arange(12_000), np.arange(12_000), a, (12_000, 12_000))
 res = simplex.SimplexResult(simplex.OPTIMAL, float(obj @ (r / a)), r / a, 0, obj / a + rng.uniform(0, 1e-10, 12_000))
-print(dict(benchmarks.check_lp_solution(lp, res))["duality gap"].hex())
+print(dict(benchmarks.check_lp(obj, A, r, res))["duality gap"].hex())
 """
 
 
@@ -306,7 +308,7 @@ def test_lp_value_maps_back_to_a_full_optimum(inst):
     res = benchmarks.solve_lp_value(inst)
     assert res.status == OPTIMAL
     assert (res.x.size, res.y.size) == (lp.A.shape[1], lp.A.shape[0])
-    benchmarks.check_lp_solution(lp, res)
+    check_lp(lp.obj, lp.A, lp.rhs, res)
     full = solve_lp(lp).objective
     assert res.objective == pytest.approx(full, rel=1e-9, abs=1e-9)
 
@@ -502,7 +504,7 @@ def test_lp_value_equals_the_full_lp_property(mode, data):
     inst = data.draw(repeated_instances(mode))
     lp = build_lp(inst)
     res = benchmarks.solve_lp_value(inst)
-    benchmarks.check_lp_solution(lp, res)
+    check_lp(lp.obj, lp.A, lp.rhs, res)
     if not lp.obj.size:     # no edge: the reference simplex needs a column
         assert res.objective == 0.0
         return
@@ -591,8 +593,7 @@ def cert_instance():
 
 def test_certificate_alpha_zero_always_passes():
     inst = cert_instance()
-    sol = solve_lp(build_lp(inst))
-    rep = certificate_check(inst, "galg", LpRoundingPolicy(inst, sol), 80, 0.0, 50.0, master_seed=4)
+    rep = certificate_check(inst, "galg", lp_rounding(inst), 80, 0.0, 50.0, master_seed=4)
     assert rep.passed
 
 
@@ -601,8 +602,7 @@ def test_certificate_galg_candidate_passes_with_theory_constants():
     c_min = 12
     alpha = 0.99 * (1 - 1 / math.e) * math.exp(-1.0 / c_min)
     beta = 1.01 * math.exp(1.0 / c_min)
-    sol = solve_lp(build_lp(inst))
-    rep = certificate_check(inst, "galg", LpRoundingPolicy(inst, sol), 400, alpha, beta, master_seed=4)
+    rep = certificate_check(inst, "galg", lp_rounding(inst), 400, alpha, beta, master_seed=4)
     assert rep.cond1_passed
     assert rep.cond3_passed
 
@@ -614,16 +614,13 @@ def test_certificate_swapped_candidate_fails():
     c_min = 60
     alpha = 0.99 * (1 - 1 / math.e) * math.exp(-1.0 / c_min)
     beta = 1.01 * math.exp(1.0 / c_min)
-    sol = solve_lp(build_lp(inst))
-    rep = certificate_check(inst, "galg_swapped", LpRoundingPolicy(inst, sol), 300, alpha, beta,
-                            master_seed=4)
+    rep = certificate_check(inst, "galg_swapped", lp_rounding(inst), 300, alpha, beta, master_seed=4)
     assert not rep.cond3_passed
 
 
 def test_certificate_rba_candidate_runs():
     inst = cert_instance()
-    sol = solve_lp(build_lp(inst))
-    rep = certificate_check(inst, "rba", LpRoundingPolicy(inst, sol), 150, 0.3, 1.05, master_seed=6)
+    rep = certificate_check(inst, "rba", lp_rounding(inst), 150, 0.3, 1.05, master_seed=6)
     assert rep.cond1_passed  # beta = 1 holds by construction for this candidate
     assert isinstance(rep.rows[0].lhs, float)
 
@@ -644,7 +641,7 @@ def test_certificate_batched_equals_scalar(idx):
     c_min = min(r.capacity for r in inst.resources)
     alpha = 0.99 * (1.0 - 1.0 / math.e) * math.exp(-1.0 / c_min)
     beta = 1.01 * math.exp(1.0 / c_min)
-    opt = LpRoundingPolicy(inst, solve_lp(build_lp(inst)))
+    opt = lp_rounding(inst)
     trials = 35
     for alg in ("galg", "galg_swapped", "rba"):
         want = repr(reference_certificate_check(inst, alg, opt, trials, alpha, beta, master_seed=1100 + idx))

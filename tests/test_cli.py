@@ -717,6 +717,37 @@ def test_lp_commands_on_an_instance_without_an_edge(capsys, tmp_path, monkeypatc
     assert out.splitlines() == want
 
 
+NO_RESOURCE = {"mode": "matching", "resources": [], "arrivals": []}
+NO_ARRIVAL = {"mode": "matching", "resources": [{"id": 0, "capacity": 2, "reward": 1.0,
+                                                 "usage": {"type": "exponential", "rate": 1.0}}], "arrivals": []}
+
+
+@pytest.mark.parametrize("instance", [NO_RESOURCE, NO_ARRIVAL], ids=["no_resource", "no_arrival"])
+@pytest.mark.parametrize("argv", [
+    ["run", "--policies", "greedy,balance,rba,salg,galg_fast_quant:0.1", "--trials", "3", "--seed", "1"],
+    ["compare", "--policies", "greedy,rba,salg,galg", "--trials", "3", "--seed", "1"],
+    ["lp"], ["lp", "--galg"], ["lp", "--y-csv"],
+    ["certify", "--trials", "3", "--seed", "1", "--alpha", "0.5", "--beta", "1"]])
+def test_every_command_on_an_empty_instance(capsys, tmp_path, instance, argv):
+    """An instance without resources or without arrivals is valid: each
+    command exits 0, or prints one error line and exits 2."""
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps(instance))
+    code, out, err = run_cli(capsys, argv + ["--instance", str(path)])
+    assert (code, err) == (0, "") or (code == 2 and out == "" and err.startswith("error: ") and err.count("\n") == 1)
+
+
+@pytest.mark.parametrize("argv", [["lp", "--y-csv"],
+                                  ["certify", "--trials", "3", "--seed", "1", "--alpha", "0.5", "--beta", "1"]])
+def test_a_full_lp_that_stops_short_is_one_error_line(capsys, monkeypatch, argv):
+    from reuse_alloc import simplex
+
+    monkeypatch.setattr(simplex, "MAX_PIVOTS", 3)
+    code, out, err = run_cli(capsys, argv + ["--gen", "upper_triangular", "--param", "n_resources", "3",
+                                             "--param", "capacity", "2"])
+    assert (code, out, err) == (1, "", "error: LP solve ended with status IterationLimit\n")
+
+
 def test_compare_rejects_assortment_mode(capsys):
     code, _, err = run_cli(capsys, ["compare", "--gen", "mnl_counterexample",
                                     "--policies", "rba_assortment", "--trials", "5", "--seed", "1"])

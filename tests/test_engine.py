@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import reference_paths
+from helpers import lp_rounding, reference_paths
 from test_acceptance import assortment_battery
-from reuse_alloc import benchmarks, engine, model, policies, rng
+from reuse_alloc import engine, model, policies, rng
 from reuse_alloc.assortment import MNL
 from reuse_alloc.distributions import (Deterministic, DurationStreamKey, Exponential, MixtureWithInf,
                                        NonReusable, TwoPointInf, Uniform, WeibullIFR, ZeroOrInf,
@@ -264,7 +264,7 @@ def contract_instance(key):
 
 def contract_policy(name, inst):
     if name == "lp_rounding":
-        return benchmarks.LpRoundingPolicy(inst, benchmarks.solve_lp(benchmarks.build_lp(inst)))
+        return lp_rounding(inst)
     return policies.make_policy(name)
 
 

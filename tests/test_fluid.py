@@ -1,4 +1,4 @@
-"""The block-priced fluid inventory against the per-resource reference
+"""The block-priced fluid ledger against the per-resource reference
 ledger (`helpers.ReferenceInventory`): every guide output, Y and lost equal
 bit for bit after every step."""
 
@@ -10,12 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import ReferenceInventory, reference_guide
+from helpers import ReferenceInventory, one_resource_ledger, reference_guide
 from test_acceptance import assortment_battery
 from test_policies import inf_assortment_instance, repeated_clock_instance
 from reuse_alloc import fluid, model, policies
 from reuse_alloc.assortment import MNL, AstgalgGuide
-from reuse_alloc.fluid import ResourceFluid
 from reuse_alloc.distributions import (Deterministic, Exponential, MixtureWithInf, NonReusable, TwoPointInf,
                                        Uniform, WeibullIFR, ZeroOrInf)
 from reuse_alloc.generators import BatteryParams, example_a1, random_battery
@@ -108,7 +107,7 @@ def test_parcels_below_prune_tol_match_reference(usage):
     times = [t + 100.0 * (i // 16) for i, t in enumerate(times)]
     inst = model.Instance(mode=model.MATCHING, resources=res,
                           arrivals=tuple(model.Arrival(t, model.MatchingEdges(frozenset({0, 1}))) for t in times))
-    fast, ref = fluid.FluidInventory(inst), ReferenceInventory(inst)
+    fast, ref = fluid.FluidLedger(inst), ReferenceInventory(inst)
     masses = (2e-16, 0.4, 9e-16, 1.2e-15, 0.05, 0.0, 3e-15, 0.25)
     for t, now in enumerate(times):
         fast.advance(now)
@@ -125,33 +124,38 @@ def test_parcels_below_prune_tol_match_reference(usage):
         assert fast.conservation_error() <= 1e-9
 
 
-def test_off_schedule_advances_are_blocks_of_one():
-    # The same bookings advanced along the schedule and off it (a ledger
-    # over a standalone resource knows no schedule) give the same bytes.
-    usage = Exponential(0.5)
-    times = [0.0, 0.5, 0.5, 1.25, 3.0, 3.5, 8.0]
-    inst = model.Instance(mode=model.MATCHING, resources=(model.Resource(0, 4, 1.0, usage),),
-                          arrivals=tuple(model.Arrival(t, model.MatchingEdges(frozenset({0}))) for t in times))
-    inv = fluid.FluidInventory(inst)
-    alone = ResourceFluid(inst.resources[0])
-    ledger = fluid.FluidLedger([alone])
-    for t, now in enumerate(times):
-        for owner, rf in ((inv, inv.state[0]), (ledger, alone)):
-            owner.advance(now)
-            rf.consume(t % 4, 0.1 + 0.05 * t, now)
-        assert inv.state[0].Y.tobytes() == alone.Y.tobytes()
-    assert inv.ledger._scheduled and not ledger._scheduled
+def test_an_advance_off_the_arrival_times_is_refused():
+    # Each arrival's time in turn, repeated times included; any other time,
+    # or any time after the last arrival's, raises and changes nothing.
+    ledger, rf = one_resource_ledger(model.Resource(0, 4, 1.0, Exponential(0.5)), [0.0, 0.5, 0.5, 1.25])
+    ledger.advance(0.0)
+    rf.consume(3, 0.5, 0.0)
+    with pytest.raises(ValueError, match="along the arrival times"):
+        ledger.advance(0.25)
+    ledger.advance(0.5)
+    ledger.advance(0.5)
+    with pytest.raises(ValueError, match="along the arrival times"):
+        ledger.advance(0.5)
+    ledger.advance(1.25)
+    with pytest.raises(ValueError, match="along the arrival times"):
+        ledger.advance(2.0)
+    want, _ = one_resource_ledger(model.Resource(0, 4, 1.0, Exponential(0.5)), [0.0, 0.5, 0.5, 1.25])
+    want.advance(0.0)
+    want.state[0].consume(3, 0.5, 0.0)
+    for now in (0.5, 0.5, 1.25):
+        want.advance(now)
+    assert rf.Y.tobytes() == want.state[0].Y.tobytes()
 
 
-def test_dropped_parcels_leave_the_ledger_at_the_next_block():
-    rf = ResourceFluid(model.Resource(0, 3, 1.0, TwoPointInf(1.0, 0.5)))
-    ledger = fluid.FluidLedger([rf])
+def test_dropped_parcels_leave_the_ledger_at_the_next_block(monkeypatch):
+    monkeypatch.setattr(fluid, "TABLE_CELLS", 1)        # every block is one row
+    ledger, rf = one_resource_ledger(model.Resource(0, 3, 1.0, TwoPointInf(1.0, 0.5)), [0.0, 2.0, 3.0])
     ledger.advance(0.0)
     rf.consume(2, 0.5, 0.0)
     rf.consume(1, 0.25, 0.0)
     ledger.advance(2.0)         # both reach cdf(+inf) here and are dropped
     assert rf.lost.tolist() == [0.0, 0.125, 0.25]
-    ledger.advance(3.0)         # a block of one: it carries nothing over
+    ledger.advance(3.0)         # the next block: it carries nothing over
     assert ledger._n == 0
 
 
@@ -159,7 +163,7 @@ def test_a_finished_guide_is_freed_without_the_cycle_collector():
     gc.disable()
     try:
         guide = policies.run_galg(example_a1(20))
-        ledger = weakref.ref(guide.inv.ledger)
+        ledger = weakref.ref(guide.inv)
         del guide
         assert ledger() is None
     finally:

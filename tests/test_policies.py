@@ -4,14 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (ReferenceResourceFluid, keep_all_advance, reference_astgalg, reference_galg,
-                     reference_rba_budgeted_decide, use_reference_fluid)
+from helpers import (ReferenceResourceFluid, keep_all_advance, one_resource_ledger, reference_astgalg,
+                     reference_galg, reference_rba_budgeted_decide, use_reference_fluid)
 from test_acceptance import assortment_battery
-from reuse_alloc import engine, model, policies
+from reuse_alloc import engine, fluid, model, policies
 from reuse_alloc.assortment import MNL, AstgalgGuide, run_astgalg
 from reuse_alloc.distributions import (Deterministic, Exponential, MixtureWithInf, NonReusable,
                                        TwoPointInf, Uniform, ZeroOrInf)
-from reuse_alloc.fluid import FluidLedger, ResourceFluid, quantized_levels
+from reuse_alloc.fluid import quantized_levels
 from reuse_alloc.generators import BatteryParams, example_a1, random_battery
 from reuse_alloc.policies import (BalancePolicy, GreedyPolicy, RbaBudgetedPolicy, RbaPolicy, SalgPolicy,
                                   make_policy, run_galg, salg_delta)
@@ -315,36 +315,39 @@ def test_guide_at_repeated_clocks_equals_reference_fluid(monkeypatch, variant, e
 
 @pytest.mark.parametrize("usage", [ZeroOrInf(0.4), Deterministic(0.0), Exponential(0.8), Uniform(0.0, 1.0),
                                    MixtureWithInf(0.7, Deterministic(0.0))])
-def test_advance_at_an_unchanged_clock_equals_reference_fluid(usage):
+def test_advance_at_an_unchanged_clock_equals_reference_fluid(monkeypatch, usage):
     # Parcels booked between two advances at one clock, tiny ones (below
-    # PRUNE_TOL) included, on a standalone resource (every advance a block of
-    # one): Y and lost equal the reference's after every advance, and so do
-    # the live parcels. Y also equals the keep-all ledger's.
+    # PRUNE_TOL) included, on one resource, with every advance a block of one
+    # row (TABLE_CELLS = 1) and with all of them one block: Y and lost equal
+    # the reference's after every advance, and so do the live parcels. Y also
+    # equals the keep-all ledger's.
     res = model.Resource(0, 3, 1.0, usage)
-    fast, ref, plain = ResourceFluid(res), ReferenceResourceFluid(res), ReferenceResourceFluid(res)
-    ledger = FluidLedger([fast])
+    for cells in (1, fluid.TABLE_CELLS):
+        monkeypatch.setattr(fluid, "TABLE_CELLS", cells)
+        ledger, fast = one_resource_ledger(res, [0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 1.5, 1.5, 1.5, 1.5, 4.0])
+        ref, plain = ReferenceResourceFluid(res), ReferenceResourceFluid(res)
 
-    def advance_all(now):
-        ledger.advance(now)
-        ref.advance(now)
-        keep_all_advance(plain, now)
-        assert fast.Y.tobytes() == ref.Y.tobytes() == plain.Y.tobytes()
-        assert fast.lost.tobytes() == ref.lost.tobytes()
-        live = ledger._mass[: ledger._n]
-        assert live[live != 0.0].tolist() == ref._mass[: ref._n].tolist()
+        def advance_all(now):
+            ledger.advance(now)
+            ref.advance(now)
+            keep_all_advance(plain, now)
+            assert fast.Y.tobytes() == ref.Y.tobytes() == plain.Y.tobytes()
+            assert fast.lost.tobytes() == ref.lost.tobytes()
+            live = ledger._mass[: ledger._n]
+            assert live[live != 0.0].tolist() == ref._mass[: ref._n].tolist()
 
-    for now, g, mass in [(0.0, 2, 0.5), (0.0, 1, 1e-16), (0.0, 2, 0.25), (1.0, 0, 0.3), (1.0, 1, 2e-16),
-                         (1.0, 2, 0.1), (1.5, 0, 0.2), (1.5, 0, 0.1)]:
-        advance_all(now)
-        for rf in (fast, ref, plain):
-            rf.consume(g, mass, now)
-    for now in (1.5, 1.5, 4.0):
-        advance_all(now)
+        for now, g, mass in [(0.0, 2, 0.5), (0.0, 1, 1e-16), (0.0, 2, 0.25), (1.0, 0, 0.3), (1.0, 1, 2e-16),
+                             (1.0, 2, 0.1), (1.5, 0, 0.2), (1.5, 0, 0.1)]:
+            advance_all(now)
+            for rf in (fast, ref, plain):
+                rf.consume(g, mass, now)
+        for now in (1.5, 1.5, 4.0):
+            advance_all(now)
 
 
 def test_booking_off_the_clock_is_refused():
-    rf = ResourceFluid(model.Resource(0, 2, 1.0, Exponential(1.0)))
-    FluidLedger([rf]).advance(1.0)
+    ledger, rf = one_resource_ledger(model.Resource(0, 2, 1.0, Exponential(1.0)), [1.0, 2.0])
+    ledger.advance(1.0)
     with pytest.raises(ValueError, match="clock of the last advance"):
         rf.consume(1, 0.5, 2.0)
 
@@ -373,7 +376,7 @@ def test_ledger_drops_parcels_whose_returns_are_over():
     guide = policies.GalgGuide(inst)
     for arrival in inst.arrivals[: 3 * n]:      # the burst and the spread phase
         guide.step(arrival)
-    ledger = guide.inv.ledger
+    ledger = guide.inv
     live = ledger._bucket[: ledger._n][ledger._mass[: ledger._n] != 0.0]
     lo = 0
     for rf in guide.inv.state.values():

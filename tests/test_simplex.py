@@ -9,12 +9,17 @@ from unittest import mock
 import helpers
 import numpy as np
 import pytest
-from helpers import reference_simplex
+from helpers import as_coo, reference_simplex
 from hypothesis import given
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from reuse_alloc import simplex
+
+
+def solve(c, A, b, tableau=None):
+    """`simplex.solve` on the dense matrix A, by its nonzero entries."""
+    return simplex.solve(c, as_coo(A), b, tableau)
 
 
 def vertex_enumeration_max(c, A, b):
@@ -40,7 +45,7 @@ def vertex_enumeration_max(c, A, b):
 
 
 def test_trivial_single_variable():
-    res = simplex.solve([1.0], [[1.0]], [1.0])
+    res = solve([1.0], [[1.0]], [1.0])
     assert res.status == simplex.OPTIMAL
     assert res.objective == pytest.approx(1.0)
     assert res.x[0] == pytest.approx(1.0)
@@ -49,7 +54,7 @@ def test_trivial_single_variable():
 
 def test_all_slack_optimum_reports_zero_pivots():
     # With c <= 0 the all-slack basis (x = 0) is already optimal.
-    res = simplex.solve([-1.0, 0.0], [[1.0, 1.0], [2.0, 1.0]], [1.0, 3.0])
+    res = solve([-1.0, 0.0], [[1.0, 1.0], [2.0, 1.0]], [1.0, 3.0])
     assert res.status == simplex.OPTIMAL
     assert res.objective == 0.0
     assert res.pivots == 0
@@ -59,20 +64,20 @@ def test_all_slack_optimum_reports_zero_pivots():
 def test_degenerate_duplicate_rows_no_cycling():
     A = [[1.0, 1.0], [1.0, 1.0], [1.0, 1.0], [1.0, 0.0]]
     b = [1.0, 1.0, 1.0, 0.5]
-    res = simplex.solve([2.0, 1.0], A, b)
+    res = solve([2.0, 1.0], A, b)
     assert res.status == simplex.OPTIMAL
     assert res.objective == pytest.approx(1.5)
 
 
 def test_zero_objective_and_negative_cost_columns():
-    res = simplex.solve([-1.0, -2.0], [[1.0, 1.0]], [1.0])
+    res = solve([-1.0, -2.0], [[1.0, 1.0]], [1.0])
     assert res.status == simplex.OPTIMAL
     assert res.objective == 0.0
 
 
 @pytest.mark.parametrize("m", [0, 3])
 def test_lp_without_a_column_is_optimal_at_zero(m):
-    res = simplex.solve(np.zeros(0), np.zeros((m, 0)), np.ones(m))
+    res = solve(np.zeros(0), np.zeros((m, 0)), np.ones(m))
     assert (res.status, res.objective, res.pivots) == (simplex.OPTIMAL, 0.0, 0)
     assert res.x.shape == (0,) and res.y.tobytes() == np.zeros(m).tobytes()
 
@@ -82,18 +87,18 @@ def test_coordinates_and_dense_input_solve_alike():
     c, A, b = random_lp(rng, 30, 40, 0.15)
     A = np.vstack([A, np.eye(40)])
     b = np.concatenate([b, np.ones(40)])
-    coo = simplex.as_coo(A)
+    coo = as_coo(A)
     assert coo.shape == A.shape and coo.val.size == np.count_nonzero(A)
     order = rng.permutation(coo.val.size)           # the coordinates may come in any order
     shuffled = simplex.Coo(coo.row[order], coo.col[order], coo.val[order], coo.shape)
-    want = simplex.solve(c, A, b)
+    want = solve(c, A, b)
     for got in (simplex.solve(c, coo, b), simplex.solve(c, shuffled, b)):
         assert (got.status, got.pivots, got.objective.hex()) == (want.status, want.pivots, want.objective.hex())
         assert got.x.tobytes() == want.x.tobytes() and got.y.tobytes() == want.y.tobytes()
 
 
 def test_infeasible_negative_rhs_reported():
-    res = simplex.solve([1.0], [[1.0]], [-1.0])
+    res = solve([1.0], [[1.0]], [-1.0])
     assert res.status == simplex.INFEASIBLE
 
 
@@ -106,7 +111,7 @@ def test_random_small_vs_vertex_enumeration():
         b = rng.uniform(0.5, 2.5, m)
         Afull = np.vstack([A, np.eye(n)])      # materialize x <= 1
         bfull = np.concatenate([b, np.ones(n)])
-        res = simplex.solve(c, Afull, bfull)
+        res = solve(c, Afull, bfull)
         assert res.status == simplex.OPTIMAL
         want = vertex_enumeration_max(c, A, b)
         assert res.objective == pytest.approx(want, abs=1e-7)
@@ -121,7 +126,7 @@ def test_random_medium_vs_scipy():
         b = rng.uniform(1.0, 4.0, m)
         Afull = np.vstack([A, np.eye(n)])
         bfull = np.concatenate([b, np.ones(n)])
-        res = simplex.solve(c, Afull, bfull)
+        res = solve(c, Afull, bfull)
         ref = linprog(-c, A_ub=A, b_ub=b, bounds=[(0, 1)] * n, method="highs")
         assert res.status == simplex.OPTIMAL
         assert res.objective == pytest.approx(-ref.fun, rel=1e-8, abs=1e-7)
@@ -133,7 +138,7 @@ def test_solution_respects_constraints():
     c = rng.uniform(0.0, 1.0, n)
     A = rng.uniform(0.0, 0.5, (m, n))
     b = rng.uniform(0.5, 2.0, m)
-    res = simplex.solve(c, A, b)
+    res = solve(c, A, b)
     assert (A @ res.x <= b + 1e-7).all()
     assert (res.x >= -1e-9).all()
 
@@ -142,7 +147,7 @@ def test_solution_respects_constraints():
 
 def assert_same_as_reference(c, A, b):
     want = reference_simplex(c, A, b)
-    got = simplex.solve(c, A, b)
+    got = solve(c, A, b)
     assert got.status == want.status
     assert got.pivots == want.pivots
     assert got.objective.hex() == want.objective.hex()
@@ -227,7 +232,7 @@ def test_duals_certify_the_optimum():
         c, A, b = random_lp(rng, 20, 30, 0.3)
         A = np.vstack([A, np.eye(30)])
         b = np.concatenate([b, np.ones(30)])
-        res = simplex.solve(c, A, b)
+        res = solve(c, A, b)
         assert (res.y >= -1e-9).all()
         assert (A.T @ res.y >= c - 1e-9).all()
         assert b @ res.y == pytest.approx(res.objective, abs=1e-9)
@@ -249,7 +254,7 @@ def solve_in_batches(c, A, b, cuts):
     `cuts`; each result with the LP so far."""
     tab, out, start = simplex.Tableau(), [], 0
     for end in cuts:
-        out.append((simplex.solve(c, A[start:end], b[start:end], tab), A[:end], b[:end]))
+        out.append((solve(c, A[start:end], b[start:end], tab), A[:end], b[:end]))
         start = end
     return out
 
@@ -277,7 +282,7 @@ def test_rows_added_to_a_solved_lp_give_the_cold_optimum(m, n, density):
         cuts = [n, n + m // 3, n + m // 3 + 1, n + m]
         for res, A_so_far, b_so_far in solve_in_batches(c, A, b, cuts):
             assert_optimum(res, c, A_so_far, b_so_far)
-            cold = simplex.solve(c, A_so_far, b_so_far)
+            cold = solve(c, A_so_far, b_so_far)
             assert res.objective == pytest.approx(cold.objective, rel=1e-9, abs=1e-9)
 
 
@@ -300,7 +305,7 @@ def test_a_first_solve_on_a_tableau_is_the_plain_solve():
     A = np.vstack([A, np.eye(60)])
     b = np.concatenate([b, np.ones(60)])
     tab = simplex.Tableau()
-    got, want = simplex.solve(c, A, b, tab), assert_same_as_reference(c, A, b)
+    got, want = solve(c, A, b, tab), assert_same_as_reference(c, A, b)
     assert (got.status, got.pivots, got.objective.hex()) == (want.status, want.pivots, want.objective.hex())
     assert got.x.tobytes() == want.x.tobytes() and got.y.tobytes() == want.y.tobytes()
     assert tab.T.shape == (201, 261) and tab.basis.size == 100     # room for 200 rows
@@ -314,7 +319,7 @@ def primal_loops(c, A, b, written=True):
     tab = simplex.Tableau()
     with mock.patch.object(simplex, "_iterate", wraps=simplex._iterate) as loop, \
             mock.patch.object(simplex, "_unit_optimum", simplex._unit_optimum if written else lambda *args: None):
-        res = simplex.solve(c, A, b, tab)
+        res = solve(c, A, b, tab)
     return res, tab, [call.args[2] for call in loop.call_args_list].count(simplex._primal_step)
 
 
@@ -378,37 +383,48 @@ def test_an_infinite_cost_takes_the_pivot_loop(monkeypatch):
     assert loops == 1 and (res.status, res.pivots) == (simplex.ITERATION_LIMIT, 6)
 
 
-@pytest.mark.parametrize("fail", ["check", "stall"])
+@pytest.mark.parametrize("fail", ["check", "stall", "bound"])
 def test_a_warm_solve_that_fails_ends_as_the_cold_solve(monkeypatch, fail):
-    """A warm call whose optimum fails the LP's checks, or whose dual steps
-    stall, ends with the cold solve of the LP so far, bit for bit."""
+    """A warm call whose optimum fails the LP's checks, whose dual steps
+    stall, or whose pivots reach its bound, ends with the cold solve of the
+    LP so far, bit for bit."""
     rng = np.random.default_rng(31)
     c, A, b = random_lp(rng, 60, 40, 0.3)
     A = np.vstack([np.eye(40), A])
     b = np.concatenate([np.ones(40), b * 0.1])
     tab = simplex.Tableau()
-    first = simplex.solve(c, A[:40], b[:40], tab)
+    first = solve(c, A[:40], b[:40], tab)
     checked = []            # the shapes of the LPs that `check` was asked about
     if fail == "check":
         monkeypatch.setattr(simplex, "check", lambda c, A, b, res: checked.append(A.shape) or (("duality gap", 1.0),))
-    else:                   # as if STALL_LIMIT pivots had gone by without progress
+    elif fail == "stall":   # as if STALL_LIMIT pivots had gone by without progress
         dual_step = simplex._dual_step
         monkeypatch.setattr(simplex, "_dual_step", lambda T, basis, bland: dual_step(T, basis, True))
-    got, want = simplex.solve(c, A[40:], b[40:], tab), simplex.solve(c, A, b)
+    else:                   # a warm call's bound, the 100 rows it holds, cut to 2 pivots
+        iterate, limits = simplex._iterate, []
+
+        def bounded(T, basis, step, sense, pivots, limit):
+            limits.append(limit)
+            return iterate(T, basis, step, sense, pivots, 2 if limit < simplex.MAX_PIVOTS else limit)
+
+        monkeypatch.setattr(simplex, "_iterate", bounded)
+    got, want = solve(c, A[40:], b[40:], tab), solve(c, A, b)
     assert (got.status, got.objective.hex()) == (want.status, want.objective.hex())
     assert got.x.tobytes() == want.x.tobytes() and got.y.tobytes() == want.y.tobytes()
     assert got.pivots >= want.pivots and first.pivots > 0
     assert tab.basis.size == 100 and len(tab.lp) == 2
     assert checked == ([(100, 40)] if fail == "check" else [])
+    if fail == "bound":
+        assert limits[0] == 100 and got.pivots == 2 + want.pivots
 
 
 def test_rows_added_to_a_solved_lp_stop_at_the_iteration_limit(monkeypatch):
     rng = np.random.default_rng(29)
     c, A, b = random_lp(rng, 60, 40, 0.3)
     tab = simplex.Tableau()
-    simplex.solve(c, np.eye(40), np.ones(40), tab)
+    solve(c, np.eye(40), np.ones(40), tab)
     monkeypatch.setattr(simplex, "MAX_PIVOTS", 3)
-    res = simplex.solve(c, A, b * 0.1, tab)
+    res = solve(c, A, b * 0.1, tab)
     assert (res.status, res.pivots, res.y.shape) == (simplex.ITERATION_LIMIT, 3, (100,))
     assert tab.basis.size == 100
 

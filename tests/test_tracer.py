@@ -31,7 +31,8 @@ def current(owner, attr):
 def test_tracer_installs_runs_and_restores(capsys):
     tracer = load_tracer().Tracer()
     inst = example_a1(12)
-    lp_rounding = benchmarks.LpRoundingPolicy(inst, benchmarks.solve_lp(benchmarks.build_lp(inst)))
+    lp = benchmarks.build_lp(inst)
+    lp_rounding = benchmarks.LpRoundingPolicy(lp, benchmarks.solve_lp(lp))
     tracer.install(reuse_alloc)
     patches = list(tracer._patches)
     try:
