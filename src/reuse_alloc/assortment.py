@@ -308,7 +308,7 @@ class AstalgPolicy(Policy):
         if not sampled:
             return frozenset()
         bids = arrival.demand.bids()
-        usable = frozenset(s for s in sampled if state.available_count(s) >= bids[s])
+        usable = frozenset(s for s in sampled if len(state[s].avail) >= bids[s])
         if not usable:
             return frozenset()
         key = (arrival.demand.choice_model, tuple(sampled), usable)
@@ -330,7 +330,7 @@ class RbaAssortmentPolicy(Policy):
         cm = self.instance.choice_models[arrival.demand.choice_model]
         w = {}
         for rid, bid in arrival.demand.bids().items():
-            lv = state.live[rid]
+            lv = state[rid]
             if lv.avail:
                 w[rid] = top_score(lv, bid)
         if not w:

@@ -20,7 +20,6 @@ beta * ALG. It reports Monte-Carlo slack; it never proves a theorem.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import math
 from dataclasses import dataclass
@@ -211,8 +210,9 @@ def _column_pairs(rows: np.ndarray, lens: np.ndarray, edges: np.ndarray):
 
 
 def solve_lp_value(instance: model.Instance) -> simplex.SimplexResult:
-    """The optimum of `build_lp(instance)` from a smaller LP. At an optimum,
-    x and y are over `build_lp`'s columns and rows; pivots count every round.
+    """The optimum of `build_lp(instance)` from a smaller LP, or LpError
+    when a round ends short of an optimum: x and y are over `build_lp`'s
+    columns and rows, and pivots count every round.
 
     Classes: arrivals with the same time and the same bids have the same
     column in every row, so one demand row per class (right-hand side k, its
@@ -287,7 +287,7 @@ def solve_lp_value(instance: model.Instance) -> simplex.SimplexResult:
         pivots += sol.pivots
     del tableau             # its pages go before the map-back
     if sol.status != simplex.OPTIMAL:
-        return dataclasses.replace(sol, pivots=pivots)
+        raise LpError(f"LP solve ended with status {sol.status}")
 
     # Map back and check on the full LP, with every coefficient from the cache.
     X = sol.x
@@ -330,10 +330,7 @@ def solve_lp_value(instance: model.Instance) -> simplex.SimplexResult:
 
 def lp_value(instance: model.Instance) -> float:
     """The fluid LP's optimum by `solve_lp_value`."""
-    res = solve_lp_value(instance)
-    if res.status != simplex.OPTIMAL:
-        raise LpError(f"LP solve ended with status {res.status}")
-    return res.objective
+    return solve_lp_value(instance).objective
 
 
 class LpRoundingPolicy(RowSampler):

@@ -7,8 +7,8 @@ availability of a single-unit process spec).
 
 Output is CSV with a header row, 12 significant digits, fully determined by
 the flags and the mandatory --seed; there is no wall-clock seeding anywhere.
-Malformed input, and a path that cannot be read or written, give one
-`error:` line on stderr and exit status 2.
+Malformed input, and a path that cannot be read or written, give one line
+on stderr that starts with "error:", and exit status 2.
 """
 
 from __future__ import annotations
@@ -88,19 +88,20 @@ def _read_json(path: str, parse):
             raise CliError(f"{path}: {exc}") from None
 
 
-def _load_instance(args) -> tuple:
-    if getattr(args, "instance", None):
-        inst = _read_json(args.instance, model.from_json)
-        name = os.path.basename(args.instance)
-    elif getattr(args, "gen", None):
-        inst = _generate(args.gen, args.param)
-        name = args.gen
-    else:
-        raise CliError("provide --instance FILE or --gen NAME")
+def _checked(inst):
+    """inst, or one CliError naming every `model.validate` message."""
     bad = model.validate(inst)
     if bad:
         raise CliError("invalid instance: " + "; ".join(bad))
-    return inst, name
+    return inst
+
+
+def _load_instance(args) -> tuple:
+    if getattr(args, "instance", None):
+        return _checked(_read_json(args.instance, model.from_json)), os.path.basename(args.instance)
+    if getattr(args, "gen", None):
+        return _checked(_generate(args.gen, args.param)), args.gen
+    raise CliError("provide --instance FILE or --gen NAME")
 
 
 def _policy(name: str):
@@ -222,7 +223,7 @@ def cmd_certify(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    inst = _generate(args.name, args.param)
+    inst = _checked(_generate(args.name, args.param))
     _write(json.dumps(model.to_json(inst), indent=None) + "\n", args.out)
     return 0
 

@@ -4,7 +4,8 @@ Replays an arrival sequence against an online policy under true stochastic
 reusability. At each arrival, in order: (i) units whose realized return time
 is due are made available again, (ii) the policy is queried and its
 allocation applied, durations drawn from the keyed stream and returns
-scheduled. Reward accrues at match time, `reward * units allocated`.
+scheduled. Reward accrues at match time: the resource's reward per unit
+allocated.
 
 All randomness flows from (master seed, trial id): durations are keyed by
 (resource, unit rank, use counter), policy coins and customer choice by
@@ -15,18 +16,20 @@ touching the stream.
 
 Two engines share these semantics. `simulate` runs one trial, a policy
 `decide` call per arrival; it is the oracle and the only one that records
-traces. It turns the decision of every mode into one allocation (a
-resource and its unit ranks, plus the offered set in assortment mode) that
-it applies and records in one place. It folds a resource's unit streams
-STREAM_BLOCK ranks at a time, on the block's first draw in the trial, so
-a draw is one inline fold of its use counter (`rng.uniform_from1`), and it
+traces. Rules read the trial's state as {resource id: `_ResourceLive`}.
+It turns the decision of every mode into one allocation, a resource and a
+unit count (1 in matching mode, plus the offered set in assortment mode),
+takes that many of the resource's highest available ranks, and applies
+and records it in one place. It folds each unit stream of a resource with
+drawn durations in one `rng.derive_vec` call when the trial starts, so a
+draw is one inline fold of its use counter (`rng.uniform_from1`), and it
 computes the choice probabilities of an offered set once per instance
-(`Instance.offer_probs`). `lockstep` runs a chunk of trials at
-once as arrays over (trials x resources) and (trials x units), for the
-policies whose class defines a batched rule, `decide_batch`, and records
-per (trial, arrival) what was matched when asked; its allocation takes a
-unit count per trial in every mode (1 in matching mode). Every key stays
-the same: trial seeds come from `rng.derive_vec`, a unit's duration stream
+(`Instance.offer_probs`). `lockstep` runs a chunk of trials at once as
+arrays over (trials x resources) and (trials x units), for the policies
+whose class defines a batched rule, `decide_batch`, and records per
+(trial, arrival) what was matched when asked; its allocation takes a unit
+count per trial. Every key stays the same: trial seeds come from
+`rng.derive_vec`, a unit's duration stream
 is folded to (resource, rank) once per chunk and each draw is one fold of
 its use counter, and the uniform becomes a duration through the family's
 scalar `sample_u`, the one `simulate` calls (numpy's vector log1p, expm1
@@ -87,54 +90,23 @@ class Summary:
     event_totals: dict = field(default_factory=dict)
 
 
-STREAM_BLOCK = 64            # simulate folds the unit duration streams of this many ranks at once
-
-
 class _ResourceLive:
-    """Mutable per-trial unit bookkeeping for one resource."""
+    """Mutable per-trial unit bookkeeping for one resource, the `state`
+    that scalar rules read as {resource id: _ResourceLive}."""
 
     __slots__ = ("res", "prices", "avail", "in_use", "dead", "use_count", "streams")
 
-    def __init__(self, res: model.Resource):
+    def __init__(self, res: model.Resource, trial_seed: int):
         self.res = res
         self.prices = res.prices
         self.avail = list(range(1, res.capacity + 1))  # ascending ranks
         self.in_use = 0
         self.dead = 0
         self.use_count = [0] * (res.capacity + 1)
-        # Each unit slot's duration stream, None until `fold_block` folds its
-        # block in the trial (a stream of 0 is refolded); slot 0 is the shared draw's.
-        self.streams = [None] * (res.capacity + 1)
-
-    def fold_block(self, trial_seed: int, rank: int) -> int:
-        """Fold the streams of the STREAM_BLOCK slots around `rank`, each
-        rng.derive(trial_seed, TAG_DURATION, resource id, slot), in one
-        vector call, and return rank's."""
-        lo = rank - rank % STREAM_BLOCK
-        hi = min(lo + STREAM_BLOCK, len(self.streams))
-        self.streams[lo:hi] = rng.derive_vec(trial_seed, rng.TAG_DURATION, self.res.id, np.arange(lo, hi)).tolist()
-        return self.streams[rank]
-
-
-class EngineState:
-    """Read view handed to policies: the current inventory."""
-
-    def __init__(self, instance: model.Instance):
-        self.live = {r.id: _ResourceLive(r) for r in instance.resources}
-
-    def available_count(self, rid: int) -> int:
-        return len(self.live[rid].avail)
-
-    def top_ranks(self, rid: int, k: int) -> list:
-        """The k highest available ranks, descending."""
-        a = self.live[rid].avail
-        return a[: -k - 1 : -1] if k else []
-
-    def check_conservation(self):
-        for rid, lv in self.live.items():
-            total = len(lv.avail) + lv.in_use + lv.dead
-            if total != lv.res.capacity:
-                raise AssertionError(f"resource {rid}: {total} units tracked, capacity {lv.res.capacity}")
+        # Each unit slot's duration stream, rng.derive(trial_seed, TAG_DURATION,
+        # resource id, slot), slot 0 the shared draw's; none for a fixed duration.
+        self.streams = None if res.fixed_duration is not None else rng.derive_vec(
+            trial_seed, rng.TAG_DURATION, res.id, np.arange(res.capacity + 1)).tolist()
 
 
 def simulate(instance: model.Instance, policy, master_seed: int, trial_id: int,
@@ -144,7 +116,7 @@ def simulate(instance: model.Instance, policy, master_seed: int, trial_id: int,
     if policy.mode != instance.mode:
         raise PolicyProtocolViolation(f"policy mode {policy.mode!r} != instance mode {instance.mode!r}")
     trial_seed = rng.derive(master_seed, rng.TAG_TRIAL, trial_id)
-    state = EngineState(instance)
+    state = {r.id: _ResourceLive(r, trial_seed) for r in instance.resources}
     policy.start_trial(instance, trial_seed)
     returns = []             # heap of (return time, seq, rid, rank)
     seq = 0
@@ -157,27 +129,24 @@ def simulate(instance: model.Instance, policy, master_seed: int, trial_id: int,
     for t, arrival in enumerate(instance.arrivals):
         while returns and returns[0][0] <= arrival.time:
             _, _, rid, rank = heapq.heappop(returns)
-            lv = state.live[rid]
+            lv = state[rid]
             lv.in_use -= 1
             insort(lv.avail, rank)
-        # Every mode's decision becomes one allocation, `ranks` of `rid`, made and recorded below.
+        # Every mode's decision becomes one allocation, `units` of `rid`, made and recorded below.
         decision = policy.decide(t, arrival, state)
-        rid, ranks, offer = None, (), ()
+        rid, units, offer = None, 0, ()
         if decision is None:
             kind = "none"
         elif instance.mode == model.MATCHING:
-            kind, rid = "match", decision
+            kind, rid, units = "match", decision, 1
             if rid not in arrival.demand.resources:
                 raise PolicyProtocolViolation(f"arrival {t}: no edge to resource {rid}")
-            avail = state.live[rid].avail
-            if not avail:
-                raise PolicyProtocolViolation(f"arrival {t}: resource {rid} has no available unit")
-            ranks = (avail[-1],)
         elif instance.mode == model.BUDGETED:
-            kind, (rid, ranks) = "match", decision
-            bids = arrival.demand.bids()
-            if rid not in bids or len(ranks) > bids[rid]:
+            kind, (rid, units) = "match", decision
+            if units > arrival.demand.bids().get(rid, 0):
                 raise PolicyProtocolViolation(f"arrival {t}: allocation exceeds bid for resource {rid}")
+            if units < 1:
+                raise PolicyProtocolViolation(f"arrival {t}: allocation of {units} units of resource {rid} is below 1")
         else:
             kind, offer = "offer", frozenset(decision)
             bids = arrival.demand.bids()
@@ -186,7 +155,7 @@ def simulate(instance: model.Instance, policy, master_seed: int, trial_id: int,
             for i in offer:
                 if i not in bids:
                     raise PolicyProtocolViolation(f"arrival {t}: offered resource {i} has no demand")
-                if state.available_count(i) == 0:
+                if not state[i].avail:
                     raise PolicyProtocolViolation(f"arrival {t}: offered resource {i} is unavailable")
             if offer:
                 if choice_coins is None:
@@ -199,27 +168,25 @@ def simulate(instance: model.Instance, policy, master_seed: int, trial_id: int,
                     probs = choices[key] = [(i, cm.prob(offer, i)) for i in sorted(offer)]
                 rid = rng.pick(choice_coins[t], probs)
             if rid is not None:
-                ranks = state.top_ranks(rid, min(bids[rid], state.available_count(rid)))
-        durations, gained = [], 0.0
+                units = min(bids[rid], len(state[rid].avail))
+        ranks, durations, gained = (), [], 0.0
         if rid is not None:
-            lv = state.live[rid]
+            lv = state[rid]
             avail, fixed = lv.avail, lv.res.fixed_duration   # fixed: no draw can change the duration
+            if units > len(avail):
+                raise PolicyProtocolViolation(f"arrival {t}: resource {rid} has {len(avail) or 'no'} available "
+                                              f"unit{'s' * (len(avail) > 1)}")
+            ranks = avail[: -units - 1 : -1]
+            del avail[-units:]
             if fixed is None:        # a draw is one fold of the use counter onto the unit's stream
                 sample_u, streams, uses = lv.res.usage.sample_u, lv.streams, lv.use_count
-                if shared_durations and ranks:       # one draw for all: unit slot 0, use t
-                    fixed = sample_u(rng.uniform_from1(streams[0] or lv.fold_block(trial_seed, 0), t))
+                if shared_durations:                 # one draw for all: unit slot 0, use t
+                    fixed = sample_u(rng.uniform_from1(streams[0], t))
             for rank in ranks:
-                if avail and avail[-1] == rank:     # top-rank allocation, the common case
-                    avail.pop()
-                else:
-                    try:
-                        avail.remove(rank)
-                    except ValueError:
-                        raise PolicyProtocolViolation(f"unit {rank} of resource {rid} is not available") from None
                 d = fixed
                 if d is None:
                     use = uses[rank] = uses[rank] + 1
-                    d = sample_u(rng.uniform_from1(streams[rank] or lv.fold_block(trial_seed, rank), use))
+                    d = sample_u(rng.uniform_from1(streams[rank], use))
                 durations.append(d)
                 if math.isinf(d):
                     lv.dead += 1
@@ -227,14 +194,17 @@ def simulate(instance: model.Instance, policy, master_seed: int, trial_id: int,
                     lv.in_use += 1
                     seq += 1
                     heapq.heappush(returns, (arrival.time + d, seq, rid, rank))
-            gained = lv.res.reward * len(ranks)
+            gained = lv.res.reward * units
             total += gained
             per_resource[rid] += gained
         if collect_trace:
             records.append(ArrivalRecord(t, arrival.time, kind, rid, tuple(ranks), tuple(durations), gained,
                                          tuple(sorted(offer))))
         if check_invariants:
-            state.check_conservation()
+            for rid, lv in state.items():
+                tracked = len(lv.avail) + lv.in_use + lv.dead
+                if tracked != lv.res.capacity:
+                    raise AssertionError(f"resource {rid}: {tracked} units tracked, capacity {lv.res.capacity}")
 
     return TrialTrace(trial=trial_id, records=records, total_reward=total,
                       per_resource=per_resource, events=dict(getattr(policy, "trial_events", {})))

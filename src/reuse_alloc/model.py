@@ -71,16 +71,9 @@ class _Demand:
 class MatchingEdges(_Demand):
     resources: frozenset    # ids the arrival can be matched to
 
-    def sorted_ids(self) -> tuple:
-        return self._sorted
-
-    @cached_property
-    def _sorted(self) -> tuple:
-        return tuple(sorted(self.resources))
-
     @cached_property
     def _bids(self) -> dict:
-        return dict.fromkeys(self._sorted, 1)
+        return dict.fromkeys(sorted(self.resources), 1)
 
 
 @dataclass(frozen=True)

@@ -21,9 +21,11 @@ Decision rules, with g(x) = exp(-x) throughout:
 
 Each rule is its class's `decide`. A matching rule returns a resource id
 and the engine allocates that resource's highest available rank; a
-budgeted rule returns (resource id, ranks). Ties always break toward the
-lower resource id. All rules are invariant to scaling every reward by a
-positive constant.
+budgeted rule returns (resource id, units) and the engine allocates that
+many of the highest available ranks. A rule reads the trial's state as
+{resource id: live state}, whose `avail` lists the available ranks in
+ascending order. Ties always break toward the lower resource id. All
+rules are invariant to scaling every reward by a positive constant.
 
 A policy whose class defines `decide_batch` also runs in the lockstep engine
 (`engine.lockstep`): the same rule for a chunk of trials at once, reading
@@ -125,12 +127,10 @@ class GreedyPolicy(Policy):
     def decide(self, t, arrival, state):
         """Resource id with max reward among available neighbors, or None."""
         best, best_score = None, -1.0
-        for rid in arrival.demand.sorted_ids():
-            if state.available_count(rid) == 0:
-                continue
-            r = state.live[rid].res.reward
-            if r > best_score:
-                best, best_score = rid, r
+        for rid in arrival.demand.bids():
+            lv = state[rid]
+            if lv.avail and lv.res.reward > best_score:
+                best, best_score = rid, lv.res.reward
         return best
 
     def decide_batch(self, t, arrival, batch):
@@ -144,9 +144,8 @@ class BalancePolicy(Policy):
     def decide(self, t, arrival, state):
         """argmax r_i (1 - e^{-y_i/c_i}) over available neighbors, or None."""
         best, best_score = None, -1.0
-        live = state.live
-        for rid in arrival.demand.sorted_ids():
-            lv = live[rid]
+        for rid in arrival.demand.bids():
+            lv = state[rid]
             y = len(lv.avail)
             if y == 0:
                 continue
@@ -168,9 +167,8 @@ class RbaPolicy(Policy):
         """Resource id maximizing the reduced price of its highest available
         rank, or None; the engine allocates that rank."""
         best, best_score = None, -1.0
-        live = state.live
-        for rid in arrival.demand.sorted_ids():
-            lv = live[rid]
+        for rid in arrival.demand.bids():
+            lv = state[rid]
             if not lv.avail:
                 continue
             score = lv.prices[lv.avail[-1]]
@@ -189,16 +187,16 @@ class RbaBudgetedPolicy(Policy):
     mode = model.BUDGETED
 
     def decide(self, t, arrival, state):
-        """(resource id, top ranks) maximizing the summed reduced price, or None."""
+        """(resource id, min(bid, available)) maximizing the summed reduced
+        price of those top ranks, or None."""
         best, best_score = None, -1.0
-        live = state.live
         for rid, bid in arrival.demand.bids().items():  # bids() is id-sorted
-            lv = live[rid]
+            lv = state[rid]
             if lv.avail:
                 score = top_score(lv, bid)
                 if score > best_score:
-                    best, best_bid, best_score = lv, bid, score
-        return None if best is None else (best.res.id, tuple(best.avail[: -best_bid - 1 : -1]))
+                    best, best_units, best_score = rid, min(bid, len(lv.avail)), score
+        return None if best is None else (best, best_units)
 
     def decide_batch(self, t, arrival, batch):
         """Scores sum the prices of the top min(bid, available) ranks in
@@ -371,13 +369,13 @@ class RowSampler(Policy):
             return None
         sampled, unavailable = self.events
         self.trial_events[sampled] += 1
-        free = state.available_count(rid)
+        free = len(state[rid].avail)
         if not free:
             self.trial_events[unavailable] += 1
             return None
         if self.mode == model.MATCHING:
             return rid
-        return rid, tuple(state.top_ranks(rid, min(arrival.demand.bids()[rid], free)))
+        return rid, min(arrival.demand.bids()[rid], free)
 
     def decide_batch(self, t, arrival, batch):
         if self._picks is None:

@@ -320,7 +320,7 @@ def reference_galg(instance, variant="exact", eps=0.0):
     xs, all_allocs = [], []
     for arrival in instance.arrivals:
         inv.advance(arrival.time)
-        active = list(arrival.demand.sorted_ids())
+        active = sorted(arrival.demand.resources)
         xt, allocs = {}, []
         eta = 0.0
         iters = 0
@@ -647,16 +647,17 @@ def reference_paths(instance: model.Instance, policy, trials: int, master_seed: 
 
 def reference_rba_budgeted_decide(arrival, state):
     """RbaBudgetedPolicy.decide: per neighbour in id order, its top
-    min(bid, available) ranks, descending, and their summed reduced price."""
+    min(bid, available) ranks, descending, and their summed reduced price;
+    the winner and the number of its ranks."""
     best, best_score = None, -1.0
     for rid, bid in arrival.demand.bids().items():
-        lv = state.live[rid]
+        lv = state[rid]
         if not lv.avail:
             continue
         ranks = lv.avail[: -min(bid, len(lv.avail)) - 1 : -1]
         score = sum(map(lv.prices.__getitem__, ranks))
         if score > best_score:
-            best, best_score = (rid, tuple(ranks)), score
+            best, best_score = (rid, len(ranks)), score
     return best
 
 

@@ -3,18 +3,20 @@
 Two checks pin finite-size values that are derived independently of the
 program:
 
-- 4b: the burst/spread instance (example_a1) at n = 50 has LP optimum exactly
-  3n - 1/4. Resource 0 serves the 2n burst with n units, half of which never
-  return; with the earlier spread arrivals also on resource 0, its capacity
-  row at the last spread arrival caps that arrival's share there at 1/2. The
-  other half, served on resource 1, is still out with probability
-  1 - F(2) = 1/2 at the final burst. The total is n + n + (n - 1/4); 3n is
-  only the limit of LP/n. scipy's HiGHS gives the same value.
-- 6a: the 10-resource upper-triangular family at capacity 100 has LP = 1000
-  and a fluid/LP ratio within 0.005 of continuous water-filling's closed form
-  w(10) = 0.66175 (helpers.water_filling_ratio, from harmonic numbers). The
-  guide's 0.664 differs from w(10) by discretisation of order 1/capacity, and
-  w(n) approaches the paper's 1 - 1/e only as the resource count grows
+- 4b: the burst/spread instance (example_a1) at n = 50, 100 and 300 has LP
+  optimum exactly 3n - 1/4. Resource 0 serves the 2n burst with n units,
+  half of which never return; with the earlier spread arrivals also on
+  resource 0, its capacity row at the last spread arrival caps that
+  arrival's share there at 1/2. The other half, served on resource 1, is
+  still out with probability 1 - F(2) = 1/2 at the final burst. The total
+  is n + n + (n - 1/4); 3n is only the limit of LP/n. scipy's HiGHS gives
+  the same value.
+- 6a: the 10-resource upper-triangular family at capacity c has LP = 10c
+  (c = 100, 400, 1600 and 6400), and at capacity 100 a fluid/LP ratio
+  within 0.005 of continuous water-filling's closed form w(10) = 0.66175
+  (helpers.water_filling_ratio, from harmonic numbers). The guide's 0.664
+  differs from w(10) by discretisation of order 1/capacity, and w(n)
+  approaches the paper's 1 - 1/e only as the resource count grows
   (checked by 6b).
 """
 
@@ -134,13 +136,14 @@ def test_acceptance_04a_simulated_policy_separation():
 
 
 def test_acceptance_04b_lp_value_target():
-    n = 50
-    value = lp_value(example_a1(n))
-    target = 3.0 * n - 0.25
-    ok = abs(value - target) <= 1e-6
-    report("4b", ok, f"LP={value:.9f} vs 3n-1/4={target}: n from the burst, n from the final "
-                     f"burst, n-1/4 from the spread (the last spread arrival gets 1/2 on resource 0)")
-    assert ok, f"burst/spread LP optimum at n={n} should be 3n - 1/4 = {target}, got {value}"
+    """At n = 50, and at the capacity ladder's rungs n = 100 and 300."""
+    for n in (50, 100, 300):
+        value = lp_value(example_a1(n))
+        target = 3.0 * n - 0.25
+        ok = abs(value - target) <= 1e-6
+        report("4b", ok, f"n={n}: LP={value:.9f} vs 3n-1/4={target}: n from the burst, n from the final "
+                         f"burst, n-1/4 from the spread (the last spread arrival gets 1/2 on resource 0)")
+        assert ok, f"burst/spread LP optimum at n={n} should be 3n - 1/4 = {target}, got {value}"
 
 
 # -- 5. salg vs galg ---------------------------------------------------------------------
@@ -188,7 +191,13 @@ def test_acceptance_05_salg_tracks_galg_per_resource():
 # -- 6. non-reusable tightness family ------------------------------------------------------
 
 def test_acceptance_06a_ratio_bracket_target():
+    """LP = n*c at c = 100 and at the capacity ladder's rungs c = 400, 1600
+    and 6400; the guide's ratio at c = 100."""
     n, c = 10, 100
+    for rung in (400, 1600, 6400):
+        lp = lp_value(upper_triangular(n, rung))
+        assert report("6a", abs(lp - n * rung) <= 1e-6, f"c={rung}: LP={lp:.6f} vs n*c={n * rung}"), (
+            f"upper_triangular({n}, {rung}) should have LP = {n * rung}, got {lp}")
     inst = upper_triangular(n, c)
     lp = lp_value(inst)
     ratio = run_galg(inst).fluid_reward / lp

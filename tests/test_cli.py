@@ -555,6 +555,18 @@ def test_gen_emits_valid_instance(capsys):
     assert len(inst.arrivals) == 12
 
 
+@pytest.mark.parametrize("param", [["capacity", "-1"], ["capacity", "0"], ["reward", "-3"]])
+def test_gen_rejects_what_validate_rejects(capsys, param):
+    """gen checks its instance as run --gen does: one error line, exit 2."""
+    argv = ["upper_triangular", "--param", "n_resources", "2", "--param", *param]
+    if param[0] != "capacity":
+        argv += ["--param", "capacity", "2"]
+    code, out, err = run_cli(capsys, ["gen", *argv])
+    assert (code, out) == (2, "") and err.startswith("error: invalid instance: ") and err.count("\n") == 1
+    assert run_cli(capsys, ["run", "--gen", *argv, "--policies", "greedy", "--trials", "1", "--seed", "1"]) == (
+        2, "", err)
+
+
 def test_lp_on_deterministic_toy(capsys, tmp_path):
     path = tmp_path / "toy.json"
     inst = {
@@ -738,7 +750,8 @@ def test_every_command_on_an_empty_instance(capsys, tmp_path, instance, argv):
 
 
 @pytest.mark.parametrize("argv", [["lp", "--y-csv"],
-                                  ["certify", "--trials", "3", "--seed", "1", "--alpha", "0.5", "--beta", "1"]])
+                                  ["certify", "--trials", "3", "--seed", "1", "--alpha", "0.5", "--beta", "1"],
+                                  ["lp"]])
 def test_a_full_lp_that_stops_short_is_one_error_line(capsys, monkeypatch, argv):
     from reuse_alloc import simplex
 

@@ -114,28 +114,6 @@ def test_policy_protocol_violation_unavailable():
         engine.simulate(inst, BadPolicy(), 7, 0)
 
 
-def test_budgeted_allocation_below_the_top_rank():
-    class LowRanks(policies.Policy):
-        mode = model.BUDGETED
-
-        def __init__(self, ranks):
-            super().__init__()
-            self.ranks = ranks
-
-        def decide(self, t, arrival, state):
-            return 0, self.ranks
-
-    inst = model.Instance(
-        mode=model.BUDGETED,
-        resources=(model.Resource(0, 4, 1.0, NonReusable()),),
-        arrivals=(model.Arrival(0.0, model.BudgetedBids({0: 2})),),
-    )
-    tr = engine.simulate(inst, LowRanks((1, 3)), 7, 0, check_invariants=True)
-    assert tr.records[0].units == (1, 3)
-    with pytest.raises(engine.PolicyProtocolViolation):
-        engine.simulate(inst, LowRanks((2, 2)), 7, 0)
-
-
 class FixedDecision(policies.Policy):
     """Makes the same decision at every arrival, whatever the state."""
 
@@ -164,11 +142,12 @@ def protocol_instance(mode):
     (model.MATCHING, model.BUDGETED, None, "policy mode 'budgeted' != instance mode 'matching'"),
     (model.MATCHING, model.MATCHING, 1, "arrival 0: no edge to resource 1"),
     (model.MATCHING, model.MATCHING, 0, "arrival 2: resource 0 has no available unit"),
-    (model.BUDGETED, model.BUDGETED, (0, (2, 1)), "arrival 0: allocation exceeds bid for resource 0"),
-    (model.BUDGETED, model.BUDGETED, (0, (2,)), "unit 2 of resource 0 is not available"),
+    (model.BUDGETED, model.BUDGETED, (0, 2), "arrival 0: allocation exceeds bid for resource 0"),
+    (model.BUDGETED, model.BUDGETED, (0, 0), "arrival 0: allocation of 0 units of resource 0 is below 1"),
     (model.ASSORTMENT, model.ASSORTMENT, frozenset({0, 1}), "arrival 0: offered set is not feasible"),
     (model.ASSORTMENT, model.ASSORTMENT, frozenset({1}), "arrival 0: offered resource 1 has no demand"),
     (model.ASSORTMENT, model.ASSORTMENT, frozenset({0}), "arrival 2: offered resource 0 is unavailable"),
+    (model.BUDGETED, model.BUDGETED, (0, 1), "arrival 2: resource 0 has no available unit"),
 ])
 def test_every_protocol_violation_is_named(mode, policy_mode, decision, message):
     with pytest.raises(engine.PolicyProtocolViolation) as err:
@@ -376,35 +355,33 @@ def test_draws_of_every_family_follow_the_scalar_chain(monkeypatch, shared):
 @given(seed=st.integers(0, 2**64 - 1), rid=st.integers(0, 2**40), capacity=st.integers(1, 200),
        data=st.data())
 def test_block_folded_unit_streams_equal_the_scalar_folds(seed, rid, capacity, data):
-    """fold_block folds the streams of the STREAM_BLOCK slots around a rank,
-    slot 0 (the shared draw's) included, each equal to the scalar folds of
-    (TAG_DURATION, resource, slot), and leaves every other block unfolded."""
-    inst = model.Instance(mode=model.MATCHING, resources=(model.Resource(rid, capacity, 1.0, Exponential(1.0)),),
-                          arrivals=())
-    lv = engine.EngineState(inst).live[rid]
-    ranks = data.draw(st.lists(st.integers(0, capacity), max_size=4)) + [0]
+    """A resource's unit slots are one block, folded in one vector call when
+    the trial's live state is made: each slot's stream, slot 0 (the shared
+    draw's) included, equals the scalar folds of (TAG_DURATION, resource,
+    slot). A resource with a fixed duration folds none."""
+    lv = engine._ResourceLive(model.Resource(rid, capacity, 1.0, Exponential(1.0)), seed)
     root = rng.derive(seed, rng.TAG_DURATION)
-    for rank in ranks:
-        assert lv.fold_block(seed, rank) == rng.fold(rng.fold(root, rid), rank)
-    folded = [slot for slot, stream in enumerate(lv.streams) if stream is not None]
-    assert all(lv.streams[slot] == rng.fold(rng.fold(root, rid), slot) for slot in folded)
-    assert {slot // engine.STREAM_BLOCK for slot in folded} == {rank // engine.STREAM_BLOCK for rank in ranks}
+    assert len(lv.streams) == capacity + 1
+    for slot in data.draw(st.lists(st.integers(0, capacity), max_size=4)) + [0, capacity]:
+        assert lv.streams[slot] == rng.fold(rng.fold(root, rid), slot)
+    assert engine._ResourceLive(model.Resource(rid, capacity, 1.0, Deterministic(1.0)), seed).streams is None
 
 
 @pytest.mark.parametrize("shared", [False, True])
 def test_simulate_folds_unit_streams_per_block_not_per_draw(monkeypatch, shared):
-    """rng.fold runs once for the trial seed and once per block of unit
-    streams the trial draws from; a draw folds its use counter inline."""
+    """rng.fold runs once for the trial seed and once per resource with drawn
+    durations, whose unit slots are one block folded when the trial starts;
+    a draw folds its use counter inline."""
     inst = random_battery(BatteryParams(n_instances=1, n_resources=4, n_arrivals=600, capacity_range=(70, 150),
                                         dist_mix=("exponential", "uniform", "two_point_inf")), seed=64)[0]
     folds = []
     fold = rng.fold
     monkeypatch.setattr(rng, "fold", lambda h, *parts: folds.append(parts) or fold(h, *parts))
     tr = engine.simulate(inst, policies.RbaPolicy(), 3, 0, shared_durations=shared)
-    draws = [(rec.resource, 0 if shared else rank) for rec in tr.records for rank in rec.units]
-    blocks = {(rid, rank // engine.STREAM_BLOCK) for rid, rank in draws}
-    assert len(blocks) >= 4 and len(draws) > 10 * len(blocks)
-    assert len(folds) == 1 + len(blocks)
+    draws = [(rec.resource, rank) for rec in tr.records for rank in rec.units]
+    drawn = [r.id for r in inst.resources if r.fixed_duration is None]
+    assert len(drawn) == 4 and {rid for rid, _ in draws} == set(drawn) and len(draws) > 10 * len(drawn)
+    assert len(folds) == 1 + len(drawn)
 
 
 # -- the lockstep engine against the scalar one ----------------------------------

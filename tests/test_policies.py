@@ -26,9 +26,9 @@ def matching_instance(rewards, capacities, usage=None, n_arrivals=1):
 
 
 def state_with_avail(inst, avail):
-    state = engine.EngineState(inst)
+    state = {r.id: engine._ResourceLive(r, 0) for r in inst.resources}
     for rid, ranks in avail.items():
-        lv = state.live[rid]
+        lv = state[rid]
         lv.in_use = lv.res.capacity - len(ranks)
         lv.avail = sorted(ranks)
     return state
@@ -62,13 +62,13 @@ def test_rba_reduced_price_closed_forms():
     st = state_with_avail(inst, {0: [1, 2, 3, 4], 1: [1, 2]})
     assert policies.reduced_price(1.0, 4, 4) == pytest.approx(0.6321, abs=5e-5)
     assert policies.reduced_price(1.0, 2, 4) == pytest.approx(0.3935, abs=5e-5)
-    assert RbaPolicy().decide(0, inst.arrivals[0], st) == 0 and st.live[0].avail[-1] == 4
+    assert RbaPolicy().decide(0, inst.arrivals[0], st) == 0 and st[0].avail[-1] == 4
 
     # Direct arithmetic oracle: 1*(1-e^-1) = 0.6321 beats 2*(1-e^-0.25) = 0.4424.
     inst2 = matching_instance([1.0, 2.0], [4, 4])
     st2 = state_with_avail(inst2, {0: [1, 2, 3, 4], 1: [1]})
     assert 2.0 * (1.0 - math.exp(-0.25)) == pytest.approx(0.4424, abs=5e-5)
-    assert RbaPolicy().decide(0, inst2.arrivals[0], st2) == 0 and st2.live[0].avail[-1] == 4
+    assert RbaPolicy().decide(0, inst2.arrivals[0], st2) == 0 and st2[0].avail[-1] == 4
 
     st3 = state_with_avail(inst2, {0: [], 1: []})
     assert RbaPolicy().decide(0, inst2.arrivals[0], st3) is None
@@ -81,7 +81,7 @@ def test_rba_budgeted_top_ranks_and_caps():
         arrivals=(model.Arrival(0.0, model.BudgetedBids({0: 2})),),
     )
     st = state_with_avail(inst, {0: [1, 2, 3, 4]})
-    assert RbaBudgetedPolicy().decide(0, inst.arrivals[0], st) == (0, (4, 3))
+    assert RbaBudgetedPolicy().decide(0, inst.arrivals[0], st) == (0, 2)
 
     inst2 = model.Instance(
         mode=model.BUDGETED,
@@ -90,7 +90,7 @@ def test_rba_budgeted_top_ranks_and_caps():
                   model.Arrival(1.0, model.BudgetedBids({0: 0}))),
     )
     st2 = state_with_avail(inst2, {0: [1, 2]})
-    assert RbaBudgetedPolicy().decide(0, inst2.arrivals[0], st2) == (0, (2, 1))   # capped at availability
+    assert RbaBudgetedPolicy().decide(0, inst2.arrivals[0], st2) == (0, 2)        # capped at availability
     assert RbaBudgetedPolicy().decide(1, inst2.arrivals[1], st2) is None          # zero bids: no edge
 
 
@@ -111,8 +111,9 @@ def test_rba_budgeted_argmax_matches_hand_scores():
 @settings(max_examples=150)
 @given(data=st.data())
 def test_rba_budgeted_decide_equals_the_reference_rule(data):
-    """decide builds the rank tuple of the winner only; its choice, ranks and
-    tie-breaks are those of the rule that builds every neighbour's."""
+    """decide sums each neighbour's top ranks without a rank list; its
+    choice, unit count and tie-breaks are those of the rule that lists
+    every neighbour's ranks."""
     n = data.draw(st.integers(1, 5))
     caps = data.draw(st.lists(st.integers(1, 12), min_size=n, max_size=n))
     rewards = data.draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 1.3]) | st.floats(0.0, 3.0),

@@ -5,9 +5,13 @@ package or in `perfbench/` outside its own definition. A name counts as an
 identifier, an attribute, an imported name or a string constant (the
 benchmark's tracer patches functions by name). Names are matched alone, not
 by module, so this is a lower bound on what is unused. Oracles that only
-tests need belong in `tests/helpers.py`."""
+tests need belong in `tests/helpers.py`. And no docstring in the package
+names, in backquotes, an identifier that the package and `perfbench/` no
+longer hold."""
 
 import ast
+import builtins
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -64,9 +68,16 @@ def _private_definitions(tree, module):
                 yield f"{module}.{name}", name, node
 
 
-def unreferenced(definitions=_public_definitions) -> set:
+def _trees() -> tuple:
+    """The package's module paths, and the parsed tree of every module in
+    the package and in `perfbench/` by path."""
     package = sorted((ROOT / "src" / "reuse_alloc").glob("*.py"))
-    trees = {path: ast.parse(path.read_text()) for path in package + sorted((ROOT / "perfbench").glob("*.py"))}
+    paths = package + sorted((ROOT / "perfbench").glob("*.py"))
+    return package, {path: ast.parse(path.read_text()) for path in paths}
+
+
+def unreferenced(definitions=_public_definitions) -> set:
+    package, trees = _trees()
     used = sum((_names(tree) for tree in trees.values()), Counter())
     return {qual for path in package for qual, name, node in definitions(trees[path], path.stem)
             if used[name] <= _names(node)[name]}
@@ -78,3 +89,22 @@ def test_every_public_name_in_the_package_has_a_caller():
 
 def test_every_private_module_name_in_the_package_has_a_caller():
     assert unreferenced(_private_definitions) == set()
+
+
+def test_every_name_in_a_docstring_names_something():
+    """Each identifier in a backquoted span of a package docstring is a name
+    in the package or in `perfbench/` (as `_names` counts them, keyword
+    arguments too) or a builtin: a docstring cannot name what was removed."""
+    package, trees = _trees()
+    known = set(dir(builtins))
+    for tree in trees.values():
+        known |= set(_names(tree))
+        known |= {n.arg for n in ast.walk(tree) if isinstance(n, ast.keyword) and n.arg}
+    stale = set()
+    for path in package:
+        for node in ast.walk(trees[path]):
+            if isinstance(node, (ast.Module, ast.FunctionDef, ast.ClassDef)) and ast.get_docstring(node):
+                for span in re.findall(r"`([^`]+)`", ast.get_docstring(node)):
+                    words = re.findall(r"(?<!\w)[A-Za-z_]\w*", span)
+                    stale |= {(path.stem, span, w) for w in words if w not in known}
+    assert stale == set()
