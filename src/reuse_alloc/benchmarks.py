@@ -135,7 +135,8 @@ def _assemble(blocks, rows, price, edge_t, demand_rhs):
         # same window of 2n coordinates keeps every temporary under 3n entries.
         before = np.cumsum(c) - c
         for part in np.split(np.arange(ks.size), np.flatnonzero(np.diff(before // (2 * n))) + 1):
-            pos, j = _pairs(c[part])
+            lens = c[part]      # each row's edges are a prefix of es; pair (row pos, edge j)
+            pos, j = np.repeat(np.arange(lens.size), lens), simplex.ranges(np.zeros_like(lens), lens)
             k1 = k0 + pos.size
             row[k0:k1] = r0 + part[pos]
             col[k0:k1] = es[j]
@@ -195,12 +196,6 @@ def check_lp(c, A, b, res: simplex.SimplexResult) -> tuple:
     return breaches
 
 
-def _pairs(lens: np.ndarray):
-    """(pos, at): every (row, edge) pair of rows whose edges are prefixes of
-    lengths lens: the row's position in lens and the edge's in its prefix."""
-    return np.repeat(np.arange(lens.size), lens), simplex.ranges(np.zeros_like(lens), lens)
-
-
 def _column_pairs(rows: np.ndarray, lens: np.ndarray, edges: np.ndarray):
     """(k, j): for each edge j in `edges`, every row k in `rows` (ascending)
     whose prefix of lens[k] edges holds j."""
@@ -216,22 +211,25 @@ def solve_lp_value(instance: model.Instance) -> simplex.SimplexResult:
 
     Classes: arrivals with the same time and the same bids have the same
     column in every row, so one demand row per class (right-hand side k, its
-    size) and one column per (class, resource) give the same optimum. Rows on
-    demand: the first round has the demand rows only, and each next round
-    adds, of the capacity rows whose load at the last optimum exceeds their
-    capacity at all, the `batch` that exceed it most (ties to the lower
-    block, then the lower row), with batch = 1, 2, 4, ... over the rounds,
-    until none does. So a row never violated at a round's optimum is never
-    added. `_assemble` lays out the rows each round adds. Every round solves
-    on one `simplex.Tableau`: the first from the all-slack basis, the next
-    ones from the last round's basis, by dual simplex steps over the added
-    rows. Only the rows in the LP and the (row, edge) pairs with
-    x != 0 are priced, each once. The solution is mapped back: a member's x
-    is its class's x / k and its demand row takes its class's dual, and a
-    row never added has dual 0. It must pass `simplex.check` on the full
-    LP's (objective, A, right-hand side), less only the entries of A with
-    x = 0 and y = 0, which add exactly zero to A x and to A^T y; else
-    LpError names the breach."""
+    size) and one column per (class, resource) give the same optimum. A
+    class's first arrival has its members' time and bids, so each of
+    `build_lp`'s blocks (`_grouped`) restricted to its class edges has the
+    same rows, each a prefix of those edges. Rows on demand: the first round
+    has the demand rows only, and each next round adds, of the capacity rows
+    whose load at the last optimum exceeds their capacity at all, the
+    `batch` that exceed it most (ties to the lower block, then the lower
+    row), with batch = 1, 2, 4, ... over the rounds, until none does. So a
+    row never violated at a round's optimum is never added. `_assemble` lays
+    out each round's rows. Every round solves on one `simplex.Tableau`: the
+    first from the all-slack basis, the next ones from the last round's
+    basis, by dual simplex steps over the added rows. Only the rows in the
+    LP and the (row, edge) pairs with x != 0 are priced, each once. The
+    solution is mapped back: a member's x is its class's x / k and its
+    demand row takes its class's dual, and a row never added has dual 0. It
+    must pass `simplex.check` on `_assemble`'s layout of `build_lp`'s groups,
+    every coefficient from the cache, less the pairs never priced: those
+    have x = 0 in a row never added, so they add exactly zero to A x and to
+    A^T y. Else LpError names the breach."""
     # rep[t] is the first arrival of t's class; its edges are the class's columns.
     # A class key holds the index of its bids, looked up once per demand object.
     rep = np.empty(len(instance.arrivals), dtype=np.int64)
@@ -242,32 +240,45 @@ def solve_lp_value(instance: model.Instance) -> simplex.SimplexResult:
         rep[t] = first.setdefault((a.time, of_demand[id(a.demand)]), t)
     size = np.bincount(rep, minlength=rep.size)
     edges = list(instance.edges())
-    own = [e for e, (t, _, _) in enumerate(edges) if rep[t] == t]
-    times, edge_t, edge_bid, blocks = _grouped(instance, [edges[e] for e in own])
+    times, edge_t, edge_bid, blocks = _grouped(instance, edges)
     obj = _objective(instance, edges)
-    demand_t = np.unique(edge_t)
-    starts = [np.cumsum(lens) - lens for *_, lens in blocks]
-    # Each block's coefficients in the full LP's (row, edge) layout, NaN until priced.
-    cache = [np.full(int(lens.sum()), np.nan) for *_, lens in blocks]
+    mine = rep[edge_t] == edge_t
+    own = np.flatnonzero(mine)          # the class columns' edges, in edge order
+    column = np.cumsum(mine) - 1        # an own edge's class column
+    # Per block: its class block, over the class columns, and each edge's place in it.
+    classes, up, cls = [], [], np.empty(len(edges), dtype=np.int64)
+    for res, es, ts, taus, _ in blocks:
+        keep = mine[es]
+        ces, cts = column[es[keep]], ts[keep]
+        up.append(np.searchsorted(cts, rep[ts]))
+        cls[es] = ces[up[-1]]
+        classes.append((res, ces, cts, taus, np.searchsorted(cts, taus, side="right")))
+    demand_t, bid = np.unique(edge_t[own]), edge_bid[own]
+    starts = [np.cumsum(lens) - lens for *_, lens in classes]
+    # Each class block's coefficients in its (row, edge) layout, NaN until priced.
+    cache = [np.full(int(lens.sum()), np.nan) for *_, lens in classes]
     # Each capacity row's row in the LP, -1 until it is added; the demand rows come first.
     at_row = [np.full(taus.size, -1) for _, _, _, taus, _ in blocks]
 
     def price(b, k, j):
-        res, es, ts, taus, _ = blocks[b]
+        res, es, ts, taus, _ = classes[b]
         at = starts[b][k] + j
         a = cache[b][at]
         new = np.isnan(a)
         if new.any():           # a round's rows are mostly priced before, by the violation test
-            a[new] = cache[b][at[new]] = _coefficients(res, times, taus[k[new]], ts[j[new]], edge_bid[es[j[new]]])
+            a[new] = cache[b][at[new]] = _coefficients(res, times, taus[k[new]], ts[j[new]], bid[es[j[new]]])
         return a
 
     tableau = simplex.Tableau()
-    A, rhs = _assemble(blocks, [k[:0] for k in at_row], price, edge_t, size[demand_t])
-    sol = simplex.solve(obj[own], A, rhs, tableau)
-    pivots, batch = sol.pivots, 1
-    while sol.status == simplex.OPTIMAL and blocks:
+    rows, demand_rhs, pivots, batch = [k[:0] for k in at_row], size[demand_t], 0, 1
+    while True:
+        A, rhs = _assemble(classes, rows, price, edge_t[own], demand_rhs)
+        sol = simplex.solve(obj[own], A, rhs, tableau)
+        pivots += sol.pivots
+        if sol.status != simplex.OPTIMAL or not blocks:
+            break
         over = []           # (block, row, load - capacity) of the rows not yet added whose load exceeds it
-        for b, (res, es, _, taus, lens) in enumerate(blocks):
+        for b, (res, es, _, taus, lens) in enumerate(classes):
             k, j = _column_pairs(np.flatnonzero(at_row[b] < 0), lens, np.flatnonzero(sol.x[es] != 0.0))
             load = np.bincount(k, weights=price(b, k, j) * sol.x[es[j]], minlength=taus.size)
             ks = np.flatnonzero(load > res.capacity)
@@ -277,54 +288,24 @@ def solve_lp_value(instance: model.Instance) -> simplex.SimplexResult:
             break
         top = np.sort(np.argsort(-excess, kind="stable")[:batch])     # ties to the lower block, then row
         batch *= 2
-        rows = [ks[top][bs[top] == b] for b in range(len(blocks))]
+        rows, demand_rhs = [ks[top][bs[top] == b] for b in range(len(blocks))], None
         m = sol.y.size          # the LP's rows so far
         for b, added in enumerate(rows):
             at_row[b][added] = m + np.arange(added.size)
             m += added.size
-        A, rhs = _assemble(blocks, rows, price, edge_t, None)
-        sol = simplex.solve(obj[own], A, rhs, tableau)
-        pivots += sol.pivots
     del tableau             # its pages go before the map-back
     if sol.status != simplex.OPTIMAL:
         raise LpError(f"LP solve ended with status {sol.status}")
 
-    # Map back and check on the full LP, with every coefficient from the cache.
-    X = sol.x
-    full_t = np.array([t for t, _, _ in edges], dtype=np.int64)
-    col_of = {edges[e][:2]: c for c, e in enumerate(own)}
-    cls = np.array([col_of[(rep[t], rid)] for t, rid, _ in edges], dtype=np.int64)
-    members = np.argsort(cls, kind="stable")      # members[at[c]:at[c] + k] are class column c's edges
-    at = np.searchsorted(cls[members], np.arange(len(own)))
-    row, col, val, y, rhs = [], [], [], [], []
-    for b, (res, es, ts, taus, lens) in enumerate(blocks):
-        added = at_row[b] >= 0
-        dual = np.zeros(taus.size)
-        dual[added] = sol.y[at_row[b][added]]
-        # Every pair with X != 0, then those with X = 0 in a row with a dual != 0.
-        k, j = _column_pairs(np.arange(taus.size), lens, np.flatnonzero(X[es] != 0.0))
-        ks = np.flatnonzero(dual)
-        pos, jj = _pairs(lens[ks])
-        zero = X[es[jj]] == 0.0
-        k, j = np.concatenate([k, ks[pos[zero]]]), np.concatenate([j, jj[zero]])
-        reps = size[ts[j]]
-        row.append(len(rhs) + np.repeat(k, reps))
-        col.append(members[simplex.ranges(at[es[j]], reps)])
-        val.append(np.repeat(price(b, k, j), reps))
-        y.append(dual)
-        rhs += [float(res.capacity)] * taus.size
-    full_demand = np.unique(full_t)
-    y.append(sol.y[np.searchsorted(demand_t, rep[full_demand])])
-    row.append(len(rhs) + np.searchsorted(full_demand, full_t))
-    col.append(np.arange(len(edges)))
-    val.append(np.ones(len(edges)))
-    rhs += [1.0] * full_demand.size
-    # Each list is joined and dropped in turn, so that its parts and its join never all coexist.
-    row = np.concatenate(row, dtype=np.int32)
-    col = np.concatenate(col, dtype=np.int32)
-    A = simplex.Coo(row, col, np.concatenate(val), (len(rhs), len(edges)))
-    out = simplex.SimplexResult(simplex.OPTIMAL, sol.objective, X[cls] / size[rep[full_t]], pivots, np.concatenate(y))
-    check_lp(obj, A, np.array(rhs), out)
+    # Map back and check on build_lp's layout, with every coefficient from the cache.
+    A, rhs = _assemble(blocks, [np.arange(taus.size) for _, _, _, taus, _ in blocks],
+                       lambda b, k, j: cache[b][starts[b][k] + up[b][j]], edge_t, 1.0)
+    priced = ~np.isnan(A.val)
+    A = simplex.Coo(A.row[priced], A.col[priced], A.val[priced], A.shape)
+    y = [np.where(k >= 0, sol.y[k], 0.0) for k in at_row] + [sol.y[np.searchsorted(demand_t, rep[np.unique(edge_t)])]]
+    x = sol.x[cls] / size[rep[edge_t]]
+    out = simplex.SimplexResult(simplex.OPTIMAL, sol.objective, x, pivots, np.concatenate(y))
+    check_lp(obj, A, rhs, out)
     return out
 
 
@@ -339,7 +320,6 @@ class LpRoundingPolicy(RowSampler):
 
     name = "lp_rounding"
     events = ("lp_rounding_sampled", "lp_rounding_sampled_unavailable")
-    decide_batch = RowSampler.decide_batch
 
     def __init__(self, lp: LpModel, res: simplex.SimplexResult):
         super().__init__()

@@ -26,10 +26,10 @@ draw is one inline fold of its use counter (`rng.uniform_from1`), and it
 computes the choice probabilities of an offered set once per instance
 (`Instance.offer_probs`). `lockstep` runs a chunk of trials at once as
 arrays over (trials x resources) and (trials x units), for the policies
-whose class defines a batched rule, `decide_batch`, and records per
-(trial, arrival) what was matched when asked; its allocation takes a unit
-count per trial. Every key stays the same: trial seeds come from
-`rng.derive_vec`, a unit's duration stream
+whose `decide` comes with a batched rule, `decide_batch` (`batched`), and
+records per (trial, arrival) what was matched when asked; its allocation
+takes a unit count per trial. Every key stays the same: trial seeds come
+from `rng.derive_vec`, a unit's duration stream
 is folded to (resource, rank) once per chunk and each draw is one fold of
 its use counter, and the uniform becomes a duration through the family's
 scalar `sample_u`, the one `simulate` calls (numpy's vector log1p, expm1
@@ -280,11 +280,14 @@ TRIAL_CELLS = 1 << 21        # (trial, arrival), (trial, drawn unit) and bit-wor
 
 
 def batched(instance: model.Instance, policy) -> bool:
-    """Whether `lockstep` can run `policy` on `instance`: the policy's own
-    class defines `decide_batch` (a subclass that only inherits it may have
-    changed `decide`), and the modes are matching or budgeted and agree."""
-    return ("decide_batch" in type(policy).__dict__ and policy.mode == instance.mode
-            and instance.mode in (model.MATCHING, model.BUDGETED))
+    """Whether `lockstep` can run `policy` on `instance`: the class that
+    defines its `decide_batch` also defines its `decide` (a subclass that
+    only inherits the batched rule may have changed `decide`), compared by
+    `__qualname__`, which a wrapper made by `functools.update_wrapper` keeps;
+    and the modes are matching or budgeted and agree."""
+    rule, decide = getattr(type(policy), "decide_batch", None), type(policy).decide
+    return (rule is not None and rule.__qualname__.rpartition(".")[0] == decide.__qualname__.rpartition(".")[0]
+            and policy.mode == instance.mode and instance.mode in (model.MATCHING, model.BUDGETED))
 
 
 @dataclass

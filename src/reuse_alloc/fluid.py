@@ -97,12 +97,9 @@ class ResourceFluid:
     dropped parcels, both views into the flat arrays of the `FluidLedger`
     that holds it."""
 
-    def __init__(self, res, levels=None):
+    def __init__(self, res, levels: list):
         self.res = res
-        c = res.capacity
-        if levels is None:
-            levels = list(range(1, c + 1))
-        bounds = levels + [c + 1]
+        bounds = levels + [res.capacity + 1]
         self.index_value = np.array(levels, dtype=float)        # rank used in scores
         self.size = np.array([bounds[j + 1] - bounds[j] for j in range(len(levels))], dtype=float)
         self.n_groups = len(levels)
@@ -145,8 +142,7 @@ class FluidLedger:
     at once rather than left to the cycle collector."""
 
     def __init__(self, instance, quantize_eps: float = 0.0):
-        fluids = [ResourceFluid(r, quantized_levels(r.capacity, quantize_eps) if quantize_eps > 0 else None)
-                  for r in instance.resources]
+        fluids = [ResourceFluid(r, quantized_levels(r.capacity, quantize_eps)) for r in instance.resources]
         self.state = {rf.res.id: rf for rf in fluids}
         self._times = np.array([a.time for a in instance.arrivals], dtype=float)
         self.size = np.concatenate([np.zeros(0), *(rf.size for rf in fluids)])

@@ -27,11 +27,11 @@ many of the highest available ranks. A rule reads the trial's state as
 ascending order. Ties always break toward the lower resource id. All
 rules are invariant to scaling every reward by a positive constant.
 
-A policy whose class defines `decide_batch` also runs in the lockstep engine
-(`engine.lockstep`): the same rule for a chunk of trials at once, reading
-(trials x resources) arrays of the highest available rank and the available
-count, and returning each trial's resource index (-1 for none), with the
-number of units in budgeted mode.
+A policy whose `decide` comes with a `decide_batch` also runs in the
+lockstep engine (`engine.lockstep`): the same rule for a chunk of trials at
+once, reading (trials x resources) arrays of the highest available rank and
+the available count, and returning each trial's resource index (-1 for
+none), with the number of units in budgeted mode.
 """
 
 from __future__ import annotations
@@ -357,9 +357,7 @@ class RowSampler(Policy):
     from the row `_rows[t]`, [(resource id, probability)] in id order, which
     is served, with min(bid, available) units in budgeted mode, only if a
     unit is free. `events` names the counts of sampled arrivals and of those
-    whose pick had nothing free. A subclass builds `_rows` and sets
-    `decide_batch = RowSampler.decide_batch`: `engine.batched` runs only a
-    class's own batched rule."""
+    whose pick had nothing free. A subclass builds `_rows`."""
 
     _picks = None               # pick_table of `_rows`, built by the first decide_batch
 
@@ -398,7 +396,6 @@ class SalgPolicy(RowSampler):
 
     name = "salg"
     events = ("salg_sampled", "salg_sampled_unavailable")
-    decide_batch = RowSampler.decide_batch
 
     def __init__(self, variant: str = "exact", eps: float = 0.0):
         super().__init__()

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -300,12 +301,35 @@ def test_solve_lp_checks_every_optimum(monkeypatch):
 
 # --- the value path: identical-arrival classes and capacity rows on demand ----------
 
-@pytest.mark.parametrize("inst", builder_cases() + offline_bounds_lps())
+def checked_lp_value(inst, lp):
+    """solve_lp_value(inst), whose own check must see lp's objective and
+    right-hand side, and an A of lp.A's entries at lp.A's places, bit for
+    bit, that leaves out only entries with x = 0 and y = 0."""
+    with mock.patch.object(benchmarks, "check_lp", wraps=benchmarks.check_lp) as spy:
+        res = benchmarks.solve_lp_value(inst)
+    (c, A, b, out), = [call.args for call in spy.call_args_list]
+    assert out is res and A.shape == lp.A.shape
+    assert c.tobytes() == lp.obj.tobytes() and b.tobytes() == lp.rhs.tobytes()
+    n = lp.A.shape[1]
+    full, kept = lp.A.row.astype(np.int64) * n + lp.A.col, A.row.astype(np.int64) * n + A.col
+    order = np.argsort(full)
+    at = order[np.minimum(np.searchsorted(full, kept, sorter=order), full.size - 1)]
+    assert np.array_equal(full[at], kept) and np.unique(kept).size == kept.size
+    assert A.val.tobytes() == lp.A.val[at].tobytes()
+    left = np.ones(full.size, dtype=bool)
+    left[at] = False
+    assert not res.x[lp.A.col[left]].any() and not res.y[lp.A.row[left]].any()
+    return res
+
+
+@pytest.mark.parametrize("inst", builder_cases() + offline_bounds_lps()
+                         + [pytest.param(upper_triangular(4, 5), id="upper_triangular_4x5")])
 def test_lp_value_maps_back_to_a_full_optimum(inst):
     """solve_lp_value's x and y, mapped back, pass the check on the full LP,
-    and its value is the full solve's."""
+    and its value is the full solve's; its own check ran on build_lp's A less
+    entries with x = 0 and y = 0 (`checked_lp_value`)."""
     lp = build_lp(inst)
-    res = benchmarks.solve_lp_value(inst)
+    res = checked_lp_value(inst, lp)
     assert res.status == OPTIMAL
     assert (res.x.size, res.y.size) == (lp.A.shape[1], lp.A.shape[0])
     check_lp(lp.obj, lp.A, lp.rhs, res)
@@ -500,10 +524,11 @@ def repeated_instances(draw, mode, families=FAMILIES, max_groups=6, max_copies=4
 def test_lp_value_equals_the_full_lp_property(mode, data):
     """Classes plus rows on demand give the full LP's optimum: the dense
     reference simplex's and HiGHS' within 1e-9 relative, with a mapped-back
-    x and y that pass the full LP's check."""
+    x and y that pass the full LP's check, and its own check ran on build_lp's
+    A less entries with x = 0 and y = 0 (`checked_lp_value`)."""
     inst = data.draw(repeated_instances(mode))
     lp = build_lp(inst)
-    res = benchmarks.solve_lp_value(inst)
+    res = checked_lp_value(inst, lp)
     check_lp(lp.obj, lp.A, lp.rhs, res)
     if not lp.obj.size:     # no edge: the reference simplex needs a column
         assert res.objective == 0.0

@@ -50,6 +50,7 @@ def test_unknown_policy_exits_2(capsys):
     ["run", "--gen", "example_a1", "--param", "n", "2", "--policies", "greedy", "--trials", "0"],
     ["run", "--gen", "example_a1", "--param", "n", "0", "--policies", "greedy", "--trials", "2"],
     ["run", "--gen", "example_a1", "--param", "n", "2", "--policies", "galg_fast_thresh:1.5", "--trials", "2"],
+    ["run", "--gen", "nosuch", "--policies", "greedy", "--trials", "2"],
 ])
 def test_bad_input_gives_one_error_line(capsys, argv):
     code, out, err = run_cli(capsys, argv + ["--seed", "1"])
@@ -108,10 +109,33 @@ def _capacity_x(obj):
     return json.dumps(obj)
 
 
+def _usage(usage):
+    def text(obj):
+        obj["resources"][0]["usage"] = usage
+        return json.dumps(obj)
+    return text
+
+
+def _not_downward_closed(obj):
+    obj = json.loads(_assortment_json({"type": "mnl", "v0": 1.0, "weights": {"0": 1.0, "1": 1.0}}))
+    obj["arrivals"][0]["demand"]["feasible"] = {"type": "explicit", "sets": [[0, 1]]}
+    return json.dumps(obj)
+
+
 @pytest.mark.parametrize("text,message", [
     (_without_reward, "resources[0]: missing field 'reward'"),
     (_capacity_x, "resource 0: capacity must be an integer >= 1"),
     (lambda obj: json.dumps(obj)[:60], "Expecting"),          # a truncated file
+    (lambda obj: json.dumps({**obj, "resources": obj["resources"] * 2}), "invalid instance: duplicate resource id 0"),
+    (lambda obj: json.dumps({**obj, "mode": "weird"}), "invalid instance: unknown mode 'weird'"),
+    (_not_downward_closed, "invalid instance: arrival 0: explicit feasible list is not downward closed"),
+    (_usage({"type": "deterministic", "d": -1.0}), "resource 0: deterministic duration must be >= 0"),
+    (_usage({"type": "two_point_inf", "d": 1.0, "p": 1.5}),
+     "resource 0: two-point return probability must be in [0, 1]"),
+    (_usage({"type": "zero_or_inf", "p": -0.5}), "resource 0: zero-or-inf probability must be in [0, 1]"),
+    (_usage({"type": "mixture_inf", "p_finite": 2.0, "base": {"type": "exponential", "rate": 1.0}}),
+     "resource 0: mixture p_finite must be in [0, 1]"),
+    (_usage({"type": "foo"}), "resources[0]: unknown distribution type 'foo'"),
 ])
 def test_malformed_instance_json_gives_one_error_line(capsys, tmp_path, text, message):
     path = tmp_path / "instance.json"

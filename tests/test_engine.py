@@ -128,10 +128,13 @@ class FixedDecision(policies.Policy):
 def protocol_instance(mode):
     """Resources of two and five units that never return, three arrivals that
     demand one unit of resource 0 (at most one item per offer); a budgeted
-    arrival also bids 3 on resource 1."""
+    arrival also bids 3 on resource 1. "explicit" is the assortment instance
+    with a feasible list that holds no nonempty set."""
     demand = {model.MATCHING: model.MatchingEdges(frozenset({0})),
               model.BUDGETED: model.BudgetedBids({0: 1, 1: 3}),
-              model.ASSORTMENT: model.AssortmentRequest(0, {0: 1}, model.MaxCardinality(1))}[mode]
+              model.ASSORTMENT: model.AssortmentRequest(0, {0: 1}, model.MaxCardinality(1)),
+              "explicit": model.AssortmentRequest(0, {0: 1}, model.ExplicitList(()))}[mode]
+    mode = model.ASSORTMENT if mode == "explicit" else mode
     return model.Instance(
         mode=mode,
         resources=tuple(model.Resource(i, c, 1.0, NonReusable()) for i, c in enumerate((2, 5))),
@@ -151,6 +154,7 @@ def protocol_instance(mode):
     (model.BUDGETED, model.BUDGETED, (0, 1), "arrival 2: resource 0 has no available unit"),
     (model.BUDGETED, model.BUDGETED, (1, 3), "arrival 1: resource 1 has 2 available units"),
     (model.BUDGETED, model.BUDGETED, (1, 2), "arrival 2: resource 1 has 1 available unit"),
+    ("explicit", model.ASSORTMENT, frozenset({0}), "arrival 0: offered set is not feasible"),
 ])
 def test_every_protocol_violation_is_named(mode, policy_mode, decision, message):
     with pytest.raises(engine.PolicyProtocolViolation) as err:
@@ -241,6 +245,17 @@ def contract_instance(key):
         return random_battery(BatteryParams(**params, mode=model.BUDGETED, max_bid=3), seed=62)[0]
     if key == "assortment":
         return assortment_battery()[0]
+    if key == "explicit":
+        # Each arrival may be offered one of its resources or its two lowest ids, and
+        # every second one has choice model 1, which gives each item probability 0.
+        inst = assortment_battery()[0]
+        zero = MNL(v0=0.0, weights=dict.fromkeys(inst.choice_models[0].weights, 0.0))
+        arrivals = []
+        for t, a in enumerate(inst.arrivals):
+            ids = sorted(a.demand.bids())
+            listed = model.ExplicitList(tuple(frozenset(s) for s in [*([i] for i in ids), ids[:2]]))
+            arrivals.append(model.Arrival(a.time, model.AssortmentRequest(t % 2, a.demand.amounts, listed)))
+        return model.Instance(model.ASSORTMENT, inst.resources, tuple(arrivals), (inst.choice_models[0], zero))
     return example_a1(30)
 
 
@@ -254,7 +269,7 @@ def contract_policy(name, inst):
     ("matching", "rba", False), ("matching", "salg", False), ("budgeted", "rba_budgeted", False),
     ("budgeted", "lp_rounding", False), ("assortment", "astalg", False),
     ("assortment", "rba_assortment", False), ("a1", "salg", False), ("a1", "galg_fast_quant:0.1", False),
-    ("budgeted", "rba_budgeted", True), ("assortment", "astalg", True)])
+    ("budgeted", "rba_budgeted", True), ("assortment", "astalg", True), ("explicit", "rba_assortment", False)])
 def test_draws_follow_the_scalar_chain(monkeypatch, key, name, shared):
     """Every duration in a trace is sample(dist, (resource, rank, use)) with
     `use` counted along the trace, or (resource, 0, arrival) when allocations
@@ -291,6 +306,8 @@ def test_draws_follow_the_scalar_chain(monkeypatch, key, name, shared):
                 cm = inst.choice_models[inst.arrivals[rec.arrival].demand.choice_model]
                 u = rng.uniform(trial_seed, rng.TAG_CHOICE, rec.arrival)
                 assert rec.resource == rng.pick(u, [(rid, cm.prob(offer, rid)) for rid in rec.offered])
+        if key == "explicit":           # MNL.prob is 0.0 under choice model 1: nothing is offered there
+            assert not any(rec.offered or rec.reward for rec in tr.records if rec.arrival % 2)
         if name in ("salg", "lp_rounding", "galg_fast_quant:0.1"):
             assert pol.coins() == [rng.uniform(trial_seed, rng.TAG_POLICY, t) for t in arrivals]
         if name == "astalg":
@@ -304,6 +321,7 @@ def test_draws_follow_the_scalar_chain(monkeypatch, key, name, shared):
         assert out.tolist() == expected
     if inst.mode == model.ASSORTMENT:
         assert rng.TAG_CHOICE in {tag for _, (tag, *_), _ in vectors}
+        assert model.validate(inst) == []
 
 
 EVERY_FAMILY = (Deterministic(1.5), Deterministic(0.0), NonReusable(), ZeroOrInf(0.0), ZeroOrInf(0.4),
