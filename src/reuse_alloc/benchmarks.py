@@ -5,11 +5,12 @@ The LP treats reusability fluidly: a unit matched at time a(t) counts toward
 the capacity row at a later time a(tau) with weight 1 - F(a(tau) - a(t)), the
 expected fraction still in use. Its optimum upper-bounds every online policy
 and the clairvoyant; asymptotically (large capacities) the two benchmarks
-coincide, so vs-LP ratios carry empirical slack at desk scale. `lp_value`
-takes the optimum from a smaller, exact reduction (`solve_lp_value`);
-`build_lp` and `solve_lp` give the full LP's vertex, which LP rounding reads.
-Both paths return a `simplex.SimplexResult` over `build_lp`'s columns
-(x in `LpModel.edges` order) that `check_lp` passed, or raise LpError.
+coincide, so vs-LP ratios carry empirical slack at desk scale. The one
+solve, `solve_lp_value`, takes the optimum of `build_lp`'s full LP from a
+smaller, exact reduction and returns a `simplex.SimplexResult` over
+`build_lp`'s columns (x in `Instance.edges` order) that `check_lp` passed
+on the full LP, or raises LpError. The LP value, `lp --y-csv` and LP
+rounding all read it.
 
 The certificate checker evaluates a two-condition linear system whose
 feasibility witnesses a competitive ratio: per-resource pseudo-rewards
@@ -175,16 +176,6 @@ def build_lp(instance: model.Instance) -> LpModel:
     return LpModel(instance=instance, edges=edges, obj=_objective(instance, edges), A=A, rhs=rhs)
 
 
-def solve_lp(lp: LpModel) -> simplex.SimplexResult:
-    """The optimum of `lp`, x over `lp.edges`; LpError unless the solve
-    ends at an optimum that passes `check_lp`."""
-    res = simplex.solve(lp.obj, lp.A, lp.rhs)
-    if res.status != simplex.OPTIMAL:
-        raise LpError(f"LP solve ended with status {res.status}")
-    check_lp(lp.obj, lp.A, lp.rhs, res)
-    return res
-
-
 def check_lp(c, A, b, res: simplex.SimplexResult) -> tuple:
     """`simplex.check` of res on max c.x s.t. A x <= b, x >= 0: its (name,
     breach) pairs, or LpError naming the first breach above
@@ -309,27 +300,22 @@ def solve_lp_value(instance: model.Instance) -> simplex.SimplexResult:
     return out
 
 
-def lp_value(instance: model.Instance) -> float:
-    """The fluid LP's optimum by `solve_lp_value`."""
-    return solve_lp_value(instance).objective
-
-
 class LpRoundingPolicy(RowSampler):
-    """Offline rounding of an LP solution res of lp (x over lp.edges):
-    sample i w.p. y_{it}/(1+2 delta)."""
+    """Offline rounding of an LP solution res of instance (x over
+    `build_lp`'s columns, as `solve_lp_value` gives it): sample i w.p.
+    y_{it}/(1+2 delta)."""
 
     name = "lp_rounding"
     events = ("lp_rounding_sampled", "lp_rounding_sampled_unavailable")
 
-    def __init__(self, lp: LpModel, res: simplex.SimplexResult):
+    def __init__(self, instance: model.Instance, res: simplex.SimplexResult):
         super().__init__()
-        instance = lp.instance
         self.mode = instance.mode
         c_min = min((r.capacity for r in instance.resources), default=1)
         self.delta = math.sqrt(math.log(c_min) / c_min) if c_min > 1 else 0.0
         scale = 1.0 / (1.0 + 2.0 * self.delta)
         self._rows = [[] for _ in instance.arrivals]
-        for (t, rid, _), y in zip(lp.edges, res.x.tolist()):
+        for (t, rid, _), y in zip(instance.edges(), res.x.tolist()):
             if (w := y * scale) > 0.0:
                 self._rows[t].append((rid, w))
 

@@ -5,6 +5,10 @@ ratio), lp (LP value, optionally the y vector or the fluid-guide value),
 certify (certificate report), gen (instance JSON), randproc (fluid
 availability of a single-unit process spec).
 
+lp, compare and certify read one LP solve, `benchmarks.solve_lp_value`: the
+LP value, and the y that `lp --y-csv` prints and LP rounding samples (an
+optimum, not always a vertex: a class of arrivals splits its y evenly).
+
 Output is CSV with a header row, 12 significant digits, fully determined by
 the flags and the mandatory --seed; there is no wall-clock seeding anywhere.
 Malformed input, and a path that cannot be read or written, give one line
@@ -162,7 +166,7 @@ def cmd_compare(args) -> int:
 
     inst, name = _load_instance(args)
     named = _policies(args, inst, galg=True)
-    lp = benchmarks.lp_value(inst)
+    lp = benchmarks.solve_lp_value(inst).objective
     # galg's value is the exact guide's, which an exact salg builds for its trials too: build it once.
     salg = next((pol for _, pol in named if isinstance(pol, policies.SalgPolicy) and pol.variant == "exact"), None)
     rows = []
@@ -188,12 +192,11 @@ def cmd_lp(args) -> int:
     inst, name = _load_instance(args)
     if args.galg:
         _check_mode(inst, "galg", model.MATCHING)
+    res = benchmarks.solve_lp_value(inst)
     if args.y_csv:
-        lp = benchmarks.build_lp(inst)
-        rows = [[t, rid, y] for (t, rid, _), y in zip(lp.edges, benchmarks.solve_lp(lp).x.tolist()) if y > 1e-12]
+        rows = [[t, rid, y] for (t, rid, _), y in zip(inst.edges(), res.x.tolist()) if y > 1e-12]
         _emit(rows, ["arrival", "resource", "y"], args.out)
         return 0
-    res = benchmarks.solve_lp_value(inst)
     rows = [[name, res.status, res.objective]]
     header = ["instance", "status", "lp_value"]
     if args.galg:
@@ -209,8 +212,7 @@ def cmd_certify(args) -> int:
             raise CliError(f"{flag} must be a finite number, got {value}")
     inst, name = _load_instance(args)
     _check_mode(inst, "certify", model.MATCHING)
-    lp = benchmarks.build_lp(inst)
-    opt = benchmarks.LpRoundingPolicy(lp, benchmarks.solve_lp(lp))
+    opt = benchmarks.LpRoundingPolicy(inst, benchmarks.solve_lp_value(inst))
     report = benchmarks.certificate_check(inst, args.alg, opt, args.trials,
                                           args.alpha, args.beta, master_seed=args.seed)
     rows = [[name, r.resource, r.theta, r.opt_lambda_sum, r.opt_i, r.lhs, r.rhs, r.se,

@@ -46,11 +46,11 @@ nonzero become resident (a quarter on upper_triangular 10x100), at one
 fault each (a few microseconds). `np.zeros` would ask for huge pages at
 4 MiB and up, which a few scattered writes make resident, and a MAP_SHARED
 mapping (`mmap`'s default) makes its read faults resident too. A first
-call makes room for its rows only, or, given a `Tableau` that later calls
-will add rows to, for twice its rows; a later call that needs more moves
-the nonzeros into a tableau with room for twice the rows it adds. So the
-LP value's second round writes into the first round's mapping, and no
-pivot reads the room's rows: they are zero.
+call makes room for twice its rows, which costs only untouched zero
+pages; a later call that needs more moves the nonzeros into a tableau
+with room for twice the rows it adds. So the LP value's second round
+writes into the first round's mapping, and no pivot reads the room's
+rows: they are zero.
 
 A pivot scales the pivot row at its nonzeros (a zero divided by p keeps or
 flips its sign), then updates only the rows with a nonzero in the pivot
@@ -143,14 +143,14 @@ def solve(c, A, b, tableau=None) -> SimplexResult:
     tab = Tableau() if tableau is None else tableau
     warm = tab.T is not None
     tab.lp.append((A, b))
-    res = _solve_on(tab, c, A, b, tableau is not None)
+    res = _solve_on(tab, c, A, b)
     if not warm or res.status not in (OPTIMAL, INFEASIBLE, _STALLED):
         return res
     A, b = _stack(tab.lp, n), np.concatenate([b for _, b in tab.lp])
     if res.status == OPTIMAL and all(breach <= tolerance(res) for _, breach in check(c, A, b, res)):
         return res
     tab.T = None
-    again = _solve_on(tab, c, A, b, True)
+    again = _solve_on(tab, c, A, b)
     return dataclasses.replace(again, pivots=res.pivots + again.pivots)
 
 
@@ -175,14 +175,13 @@ def tolerance(res) -> float:
     return FEAS_TOL * max(1.0, abs(res.objective))
 
 
-def _solve_on(tab, c, A, b, spare):
+def _solve_on(tab, c, A, b):
     """`solve` on tab, whose rows so far are solved: the rows of A enter,
     and the dual and then the primal steps run (or, on a first call,
     `_unit_optimum` writes where they would end); on a later call they
-    stop at as many pivots as the tableau has rows. A first call with
-    `spare` makes room for twice its rows."""
+    stop at as many pivots as the tableau has rows."""
     fresh = tab.T is None
-    _make_room(tab, c, *A.shape, spare)
+    _make_room(tab, c, *A.shape)
     _write_rows(tab, A, b)
     limit = MAX_PIVOTS if fresh else min(tab.basis.size, MAX_PIVOTS)
     status, pivots = _iterate(tab.T, tab.basis, _dual_step, -1.0, 0, limit)
@@ -209,13 +208,12 @@ def _zeros(rows, cols):
     return np.frombuffer(buf, dtype=float).reshape(rows, cols)
 
 
-def _make_room(tab, c, k, n, spare):
+def _make_room(tab, c, k, n):
     """Room for k more rows in tab: a first tableau, of the cost row -c with
-    room for k rows (2k with `spare`), or, where the room left is too small,
-    the nonzeros moved into a tableau with room for 2k more rows than it
-    holds."""
+    room for 2k rows, or, where the room left is too small, the nonzeros
+    moved into a tableau with room for 2k more rows than it holds."""
     if tab.T is None:
-        room = 2 * k if spare else k
+        room = 2 * k
         tab.T = _zeros(room + 1, n + room + 1)
         tab.T[room, :n] = -c
         tab.basis = np.zeros(0, dtype=np.int64)

@@ -44,10 +44,12 @@ eta_t = 0 changes nothing), the exact check of a probability-match
 collection, and `uniform_from` (a keyed uniform folded on from a prefix
 state) are oracles that only the tests call.
 
-`as_coo` gives a dense matrix as the coordinates `simplex.solve` takes,
-`row_kinds` names the rows of `build_lp`'s LP, `lp_rounding` builds LP
-rounding on the full LP's optimum, and `one_resource_ledger` builds a fluid
-ledger over one resource.
+`solve_lp` solves `build_lp`'s full LP from the all-slack basis, the
+oracle the package's one LP solve (`solve_lp_value`) is checked against;
+`lp_value` is `solve_lp_value`'s objective. `as_coo` gives a dense matrix as the
+coordinates `simplex.solve` takes, `row_kinds` names the rows of
+`build_lp`'s LP, `lp_rounding` builds LP rounding as `certify` does, and
+`one_resource_ledger` builds a fluid ledger over one resource.
 
 `fresh_objects` rebuilds an instance with a new demand and a new arrival
 object at every arrival, as instances were built before they shared one
@@ -62,10 +64,10 @@ from unittest import mock
 
 import numpy as np
 
-from reuse_alloc import fluid, model, policies, rng
+from reuse_alloc import fluid, model, policies, rng, simplex
 from reuse_alloc.assortment import assortment_oracle
-from reuse_alloc.benchmarks import (CertificateReport, CertificateRow, LpModel, LpRoundingPolicy, UnsupportedMode,
-                                    _galg_candidate, _grouped, build_lp, solve_lp)
+from reuse_alloc.benchmarks import (CertificateReport, CertificateRow, LpError, LpModel, LpRoundingPolicy,
+                                    UnsupportedMode, _galg_candidate, _grouped, check_lp, solve_lp_value)
 from reuse_alloc.engine import Paths, simulate
 from reuse_alloc.simplex import (FEAS_TOL, INFEASIBLE, ITERATION_LIMIT, MAX_PIVOTS, OPT_TOL, OPTIMAL, PIVOT_TOL,
                                  STALL_LIMIT, Coo, SimplexResult)
@@ -546,10 +548,25 @@ def as_coo(A) -> Coo:
     return Coo(row, col, A[row, col], A.shape)
 
 
+def solve_lp(lp: LpModel) -> SimplexResult:
+    """The optimum of `build_lp`'s lp by one solve from the all-slack basis,
+    x over `lp.edges`; LpError unless the solve ends at an optimum that
+    passes `check_lp`."""
+    res = simplex.solve(lp.obj, lp.A, lp.rhs)
+    if res.status != OPTIMAL:
+        raise LpError(f"LP solve ended with status {res.status}")
+    check_lp(lp.obj, lp.A, lp.rhs, res)
+    return res
+
+
+def lp_value(instance: model.Instance) -> float:
+    """The fluid LP's optimum, as `compare` reads it."""
+    return solve_lp_value(instance).objective
+
+
 def lp_rounding(instance: model.Instance) -> LpRoundingPolicy:
-    """`LpRoundingPolicy` on the full LP's optimum, as `certify` builds it."""
-    lp = build_lp(instance)
-    return LpRoundingPolicy(lp, solve_lp(lp))
+    """`LpRoundingPolicy` on `solve_lp_value`'s optimum, as `certify` builds it."""
+    return LpRoundingPolicy(instance, solve_lp_value(instance))
 
 
 def reference_fluid_process(spec):

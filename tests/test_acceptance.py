@@ -25,12 +25,12 @@ import random
 
 import numpy as np
 
-from helpers import (check_monotonicity, check_zero_point_augmentation, lp_rounding, stochastic_rewards_greedy,
-                     verify_probability_match, water_filling_ratio)
+from helpers import (check_monotonicity, check_zero_point_augmentation, lp_rounding, lp_value,
+                     stochastic_rewards_greedy, verify_probability_match, water_filling_ratio)
 
 from reuse_alloc import model
 from reuse_alloc.assortment import MNL, AstalgPolicy, _probability_match_generic, probability_match, run_astgalg
-from reuse_alloc.benchmarks import certificate_check, lp_value, brute_force_clairvoyant
+from reuse_alloc.benchmarks import certificate_check, brute_force_clairvoyant
 from reuse_alloc.distributions import (Deterministic, Exponential, TwoPointInf, Uniform)
 from reuse_alloc.engine import run_trials
 from reuse_alloc.generators import (BatteryParams, example_a1, random_battery,

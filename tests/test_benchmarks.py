@@ -11,16 +11,17 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from helpers import lp_rounding, reference_build_lp, reference_certificate_check, reference_simplex, row_kinds
+from helpers import (lp_rounding, lp_value, reference_build_lp, reference_certificate_check, reference_simplex,
+                     row_kinds, solve_lp)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 from scipy.sparse import coo_array
 
 import reuse_alloc
-from reuse_alloc import benchmarks, engine, model, policies, simplex
+from reuse_alloc import benchmarks, cli, engine, model, policies, simplex
 from reuse_alloc.benchmarks import (LpRoundingPolicy, UnsupportedMode, brute_force_clairvoyant, build_lp,
-                                    certificate_check, check_lp, lp_value, solve_lp)
+                                    certificate_check, check_lp, solve_lp_value)
 from reuse_alloc.distributions import (Deterministic, Exponential, MixtureWithInf, NonReusable, TwoPointInf,
                                        Uniform, WeibullIFR, ZeroOrInf)
 from reuse_alloc.generators import (BatteryParams, example_a1, mnl_counterexample, random_battery,
@@ -99,9 +100,8 @@ def test_lp_dominates_simulation():
 
 def test_lp_rounding_matches_at_lp_rate():
     inst = single(NonReusable(), capacity=100, times=tuple(float(t) for t in range(100)))
-    lp = build_lp(inst)
-    sol = solve_lp(lp)
-    pol = LpRoundingPolicy(lp, sol)
+    sol = solve_lp_value(inst)
+    pol = LpRoundingPolicy(inst, sol)
     s = engine.run_trials(inst, pol, 2000, 5)
     delta = math.sqrt(math.log(100) / 100)
     assert s.mean / sol.objective == pytest.approx(1.0 / (1.0 + 2.0 * delta), abs=0.01)
@@ -109,10 +109,9 @@ def test_lp_rounding_matches_at_lp_rate():
 
 def test_lp_rounding_zero_solution_never_matches():
     inst = single(NonReusable())
-    lp = build_lp(inst)
-    sol = solve_lp(lp)
+    sol = solve_lp_value(inst)
     zero = dataclasses.replace(sol, objective=0.0, x=np.zeros_like(sol.x))
-    s = engine.run_trials(inst, LpRoundingPolicy(lp, zero), 50, 2)
+    s = engine.run_trials(inst, LpRoundingPolicy(inst, zero), 50, 2)
     assert s.mean == 0.0
 
 
@@ -335,6 +334,39 @@ def test_lp_value_maps_back_to_a_full_optimum(inst):
     check_lp(lp.obj, lp.A, lp.rhs, res)
     full = solve_lp(lp).objective
     assert res.objective == pytest.approx(full, rel=1e-9, abs=1e-9)
+
+
+@pytest.mark.parametrize("inst", [
+    pytest.param(example_a1(20), id="example_a1_20"), pytest.param(upper_triangular(4, 5), id="upper_triangular_4x5"),
+    pytest.param(random_battery(BatteryParams(n_instances=1, n_resources=5, n_arrivals=60, capacity_range=(2, 6),
+                                              horizon=12.0, mode=model.BUDGETED, max_bid=3), seed=2)[0],
+                 id="budgeted")])
+def test_lp_y_csv_is_an_optimum_of_the_full_lp(tmp_path, inst):
+    """`lp --y-csv`'s rows, read back over build_lp's columns, are a feasible
+    point of the full LP within `simplex.tolerance` of the solve it prints,
+    whose value is HiGHS' within 1e-9 relative. Where a class has more than
+    one arrival, that point need not be a vertex."""
+    path = tmp_path / "instance.json"
+    path.write_text(model.dumps(inst))
+    assert cli.main(["lp", "--instance", str(path), "--y-csv", "--out", str(tmp_path / "y.csv")]) == 0
+    lp = build_lp(inst)
+    column = {(t, rid): e for e, (t, rid, _) in enumerate(lp.edges)}
+    x = np.zeros(len(lp.edges))
+    for line in (tmp_path / "y.csv").read_text().splitlines()[1:]:
+        t, rid, y = line.split(",")
+        x[column[int(t), int(rid)]] = float(y)
+    tol = simplex.tolerance(solve_lp_value(inst))
+    Ax = np.bincount(lp.A.row, weights=lp.A.val * x[lp.A.col], minlength=lp.A.shape[0])
+    assert x.min() >= 0.0 and (Ax - lp.rhs).max() <= tol
+    assert float(lp.obj @ x) == pytest.approx(scipy_lp_value(inst), rel=1e-9)
+
+
+def test_lp_value_x_is_the_full_solves_on_upper_triangular():
+    """certify's LP rounding samples solve_lp_value's x; on upper_triangular
+    10 x 100, the `offline_bounds` certify instance, that is the full
+    solve's x byte for byte, so certify's output is the full solve's."""
+    inst = upper_triangular(10, 100)
+    assert solve_lp_value(inst).x.tobytes() == solve_lp(build_lp(inst)).x.tobytes()
 
 
 def _load_workloads(monkeypatch):

@@ -67,7 +67,7 @@ def test_compare_checks_policies_before_the_lp_solve(capsys, monkeypatch, polici
     def no_solve(instance):
         raise AssertionError("the LP solve started")
 
-    monkeypatch.setattr(benchmarks, "lp_value", no_solve)
+    monkeypatch.setattr(benchmarks, "solve_lp_value", no_solve)
     code, out, err = run_cli(capsys, ["compare", "--gen", "example_a1", "--param", "n", "150",
                                       "--policies", policies, "--trials", "2", "--seed", "1"])
     assert code == 2
@@ -79,10 +79,10 @@ def test_compare_checks_policies_before_the_lp_solve(capsys, monkeypatch, polici
 def test_certify_rejects_a_non_finite_parameter_before_the_lp(capsys, monkeypatch, flag, value):
     from reuse_alloc import benchmarks
 
-    def no_solve(lp):
+    def no_solve(instance):
         raise AssertionError("the LP solve started")
 
-    monkeypatch.setattr(benchmarks, "solve_lp", no_solve)
+    monkeypatch.setattr(benchmarks, "solve_lp_value", no_solve)
     params = {"--alpha": "0.5", "--beta": "1.0", flag: value}
     code, out, err = run_cli(capsys, ["certify", "--gen", "upper_triangular", "--param", "n_resources", "2",
                                       "--param", "capacity", "2", "--trials", "2", "--seed", "1",
@@ -617,7 +617,7 @@ def test_lp_galg_benchmark_column(capsys):
 
 def test_lp_y_csv_with_galg_is_one_error_line(capsys, monkeypatch):
     # --y-csv prints the LP's y rows, with no row for galg_fluid to go in.
-    monkeypatch.setattr(cli.benchmarks, "build_lp", mock.Mock(side_effect=AssertionError("LP built")))
+    monkeypatch.setattr(cli.benchmarks, "solve_lp_value", mock.Mock(side_effect=AssertionError("LP solved")))
     code, out, err = run_cli(capsys, ["lp", "--gen", "upper_triangular", "--param", "n_resources", "3",
                                       "--param", "capacity", "4", "--y-csv", "--galg"])
     assert (code, out) == (2, "")
@@ -819,7 +819,7 @@ def test_mode_mismatch_is_one_error_line_before_any_work(capsys, tmp_path, monke
     def no_work(*args, **kwargs):
         raise AssertionError("an LP solve or a trial started")
 
-    monkeypatch.setattr(benchmarks, "solve_lp", no_work)
+    monkeypatch.setattr(benchmarks, "solve_lp_value", no_work)
     monkeypatch.setattr(engine, "run_trials", no_work)
     monkeypatch.chdir(tmp_path)
     (tmp_path / "budgeted.json").write_text(json.dumps(BUDGETED))
@@ -879,7 +879,7 @@ def test_too_large_is_one_error_line(capsys, monkeypatch):
     def too_large(instance):
         raise model.TooLarge("explicit-table oracle is limited to 20 items")
 
-    monkeypatch.setattr(benchmarks, "lp_value", too_large)
+    monkeypatch.setattr(benchmarks, "solve_lp_value", too_large)
     code, out, err = run_cli(capsys, ["compare", "--gen", "example_a1", "--param", "n", "2",
                                       "--policies", "greedy", "--trials", "2", "--seed", "1"])
     assert (code, out) == (2, "")
@@ -920,17 +920,19 @@ def test_a_non_optimal_lp_value_is_one_error_line(capsys, monkeypatch):
 
 
 def test_lp_value_and_vertex_paths(capsys, monkeypatch):
-    """`lp` prints the value from the reduced LP and never builds the full
-    one; `lp --y-csv` prints the full LP's vertex."""
+    """`lp`, `lp --y-csv` and `certify` all read the reduced LP's solve and
+    never build the full LP."""
     from reuse_alloc import benchmarks
-
-    gen = ["lp", "--gen", "upper_triangular", "--param", "n_resources", "3", "--param", "capacity", "2"]
-    code, out, _ = run_cli(capsys, gen + ["--y-csv"])
-    assert code == 0 and out.startswith("arrival,resource,y\n") and len(out.splitlines()) > 1
 
     def no_build(instance):
         raise AssertionError("the full LP was built")
 
     monkeypatch.setattr(benchmarks, "build_lp", no_build)
-    code, out, _ = run_cli(capsys, gen)
+    gen = ["--gen", "upper_triangular", "--param", "n_resources", "3", "--param", "capacity", "2"]
+    code, out, _ = run_cli(capsys, ["lp", *gen, "--y-csv"])
+    assert code == 0 and out.startswith("arrival,resource,y\n") and len(out.splitlines()) > 1
+    code, out, _ = run_cli(capsys, ["lp", *gen])
     assert (code, out) == (0, "instance,status,lp_value\nupper_triangular,Optimal,6\n")
+    code, out, _ = run_cli(capsys, ["certify", *gen, "--trials", "3", "--seed", "1", "--alpha", "0.5",
+                                    "--beta", "1"])
+    assert code == 0 and "cond1" in out

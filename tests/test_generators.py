@@ -4,10 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from helpers import stochastic_rewards_greedy
+from helpers import lp_value, stochastic_rewards_greedy
 
 from reuse_alloc import cli, engine, model, policies
-from reuse_alloc.benchmarks import lp_value
 from reuse_alloc.distributions import MixtureWithInf, NonReusable, ZeroOrInf
 from reuse_alloc.generators import (BatteryParams, battery_hash, example_a1, example_a2,
                                     mnl_counterexample, omniscient_gap, random_battery,

@@ -452,10 +452,12 @@ def _huge_pages_always():
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads the peak resident size, VmHWM")
 @pytest.mark.skipif(_huge_pages_always(), reason="transparent huge pages 'always' back the mapping in 2 MiB pages")
 def test_only_the_tableau_pages_that_hold_a_nonzero_become_resident():
-    # The 1056 x 6556 tableau takes 55 MB, but only about a quarter of its
-    # pages ever hold a nonzero; a dense np.zeros tableau raised the peak by
-    # 52.9 MB here (2-core x86-64), the mapped one by 13.5 MB. VmHWM, not
-    # ru_maxrss: a child's ru_maxrss starts at its forking parent's peak.
+    # The tableau maps 128 MB (1056 rows written, room for 2110), but only
+    # the pages that ever hold a nonzero become resident; a dense np.zeros
+    # tableau of the 1056 rows alone raised the peak by 52.9 MB here (2-core
+    # x86-64), the mapped one by 13.5 MB, and by 14.6 MB with its room.
+    # VmHWM, not ru_maxrss: a child's ru_maxrss starts at its forking
+    # parent's peak.
     src = str(Path(simplex.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     out = subprocess.run([sys.executable, "-c", TABLEAU_RSS], env=env, capture_output=True, text=True,

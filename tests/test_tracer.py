@@ -31,8 +31,7 @@ def current(owner, attr):
 def test_tracer_installs_runs_and_restores(capsys):
     tracer = load_tracer().Tracer()
     inst = example_a1(12)
-    lp = benchmarks.build_lp(inst)
-    lp_rounding = benchmarks.LpRoundingPolicy(lp, benchmarks.solve_lp(lp))
+    lp_rounding = benchmarks.LpRoundingPolicy(inst, benchmarks.solve_lp_value(inst))
     tracer.install(reuse_alloc)
     patches = list(tracer._patches)
     try:
@@ -50,6 +49,6 @@ def test_tracer_installs_runs_and_restores(capsys):
     assert all(current(owner, attr) is orig for owner, attr, orig in patches)
     frames, counts, _ = tracer.merged()
     assert {"engine.run_trials", "benchmarks.certificate_check"} <= {name for name, _ in frames}
-    assert counts["lp_rows"] > 0
+    assert counts["pivots"] > 0
     # BATCH_MIN_TRIALS trials of salg and certify's lp_rounding run in lockstep: no scalar decide call.
     assert counts["decide_calls.salg"] == counts["decide_calls.lp_rounding"] == 0
