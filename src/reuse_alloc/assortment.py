@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from . import model, rng
 from .distributions import is_number
-from .policies import FluidGuide, Policy, top_score
+from .policies import FluidGuide, Policy, RbaPolicy
 
 PM_TOL = 1e-12
 
@@ -320,8 +320,9 @@ class AstalgPolicy(Policy):
         return rng.pick(coins[1], pieces) or frozenset()
 
 
-class RbaAssortmentPolicy(Policy):
-    """Offers the oracle-optimal set under reduced prices of available units."""
+class RbaAssortmentPolicy(RbaPolicy):
+    """Offers the oracle-optimal set under rba's scores, the summed reduced
+    prices of the top min(bid, available) ranks."""
 
     name = "rba_assortment"
     mode = model.ASSORTMENT
@@ -332,7 +333,7 @@ class RbaAssortmentPolicy(Policy):
         for rid, bid in arrival.demand.bids().items():
             lv = state[rid]
             if lv.avail:
-                w[rid] = top_score(lv, bid)
+                w[rid] = self.score(lv, bid)
         if not w:
             return frozenset()
         return assortment_oracle(cm, arrival.demand.feasible, w)

@@ -16,11 +16,11 @@ touching the stream.
 
 Two engines share these semantics. `simulate` runs one trial, a policy
 `decide` call per arrival; it is the oracle and the only one that records
-traces. Rules read the trial's state as {resource id: `_ResourceLive`}.
-It turns the decision of every mode into one allocation, a resource and a
-unit count (1 in matching mode, plus the offered set in assortment mode),
-takes that many of the resource's highest available ranks, and applies
-and records it in one place. It folds each unit stream of a resource with
+traces. Rules read the trial's state as {resource id: `_ResourceLive`}. It
+turns the decision of every mode into one resource, the matched one or the
+customer's choice from the offered set, takes min(bid, available) of its
+highest available ranks (one in matching mode), and applies and records
+that allocation in one place. It folds each unit stream of a resource with
 drawn durations in one `rng.derive_vec` call when the trial starts, so a
 draw is one inline fold of its use counter (`rng.uniform_from1`), and it
 computes the choice probabilities of an offered set once per instance
@@ -28,8 +28,8 @@ computes the choice probabilities of an offered set once per instance
 arrays over (trials x resources) and (trials x units), for the policies
 whose `decide` comes with a batched rule, `decide_batch` (`batched`), and
 records per (trial, arrival) what was matched when asked; its allocation
-takes a unit count per trial. Every key stays the same: trial seeds come
-from `rng.derive_vec`, a unit's duration stream
+takes a resource per trial and allocates the same units. Every key stays
+the same: trial seeds come from `rng.derive_vec`, a unit's duration stream
 is folded to (resource, rank) once per chunk and each draw is one fold of
 its use counter, and the uniform becomes a duration through the family's
 scalar `sample_u`, the one `simulate` calls (numpy's vector log1p, expm1
@@ -132,24 +132,18 @@ def simulate(instance: model.Instance, policy, master_seed: int, trial_id: int,
             lv = state[rid]
             lv.in_use -= 1
             insort(lv.avail, rank)
-        # Every mode's decision becomes one allocation, `units` of `rid`, made and recorded below.
+        # Every mode's decision becomes one resource `rid`, of which min(bid, available) units are
+        # allocated and recorded below.
         decision = policy.decide(t, arrival, state)
-        rid, units, offer = None, 0, ()
+        rid, offer, bids = None, (), arrival.demand.bids()
         if decision is None:
             kind = "none"
-        elif instance.mode == model.MATCHING:
-            kind, rid, units = "match", decision, 1
-            if rid not in arrival.demand.resources:
+        elif instance.mode != model.ASSORTMENT:
+            kind, rid = "match", decision
+            if rid not in bids:
                 raise PolicyProtocolViolation(f"arrival {t}: no edge to resource {rid}")
-        elif instance.mode == model.BUDGETED:
-            kind, (rid, units) = "match", decision
-            if units > arrival.demand.bids().get(rid, 0):
-                raise PolicyProtocolViolation(f"arrival {t}: allocation exceeds bid for resource {rid}")
-            if units < 1:
-                raise PolicyProtocolViolation(f"arrival {t}: allocation of {units} units of resource {rid} is below 1")
         else:
             kind, offer = "offer", frozenset(decision)
-            bids = arrival.demand.bids()
             if offer and not arrival.demand.feasible.allows(offer):
                 raise PolicyProtocolViolation(f"arrival {t}: offered set is not feasible")
             for i in offer:
@@ -167,16 +161,14 @@ def simulate(instance: model.Instance, policy, master_seed: int, trial_id: int,
                     cm = instance.choice_models[key[0]]
                     probs = choices[key] = [(i, cm.prob(offer, i)) for i in sorted(offer)]
                 rid = rng.pick(choice_coins[t], probs)
-            if rid is not None:
-                units = min(bids[rid], len(state[rid].avail))
         ranks, durations, gained = (), [], 0.0
         if rid is not None:
             lv = state[rid]
             avail, fixed = lv.avail, lv.res.fixed_duration   # fixed: no draw can change the duration
-            if units > len(avail):
-                raise PolicyProtocolViolation(f"arrival {t}: resource {rid} has {len(avail) or 'no'} available "
-                                              f"unit{'s' * (len(avail) > 1)}")
-            ranks = avail[: -units - 1 : -1]
+            if not avail:
+                raise PolicyProtocolViolation(f"arrival {t}: resource {rid} has no available unit")
+            ranks = avail[: -bids[rid] - 1 : -1]            # the top min(bid, available) ranks
+            units = len(ranks)
             del avail[-units:]
             if fixed is None:        # a draw is one fold of the use counter onto the unit's stream
                 sample_u, streams, uses = lv.res.usage.sample_u, lv.streams, lv.use_count
@@ -281,12 +273,16 @@ TRIAL_CELLS = 1 << 21        # (trial, arrival), (trial, drawn unit) and bit-wor
 
 def batched(instance: model.Instance, policy) -> bool:
     """Whether `lockstep` can run `policy` on `instance`: the class that
-    defines its `decide_batch` also defines its `decide` (a subclass that
-    only inherits the batched rule may have changed `decide`), compared by
-    `__qualname__`, which a wrapper made by `functools.update_wrapper` keeps;
-    and the modes are matching or budgeted and agree."""
-    rule, decide = getattr(type(policy), "decide_batch", None), type(policy).decide
-    return (rule is not None and rule.__qualname__.rpartition(".")[0] == decide.__qualname__.rpartition(".")[0]
+    defines its `decide_batch` also defines its `decide`, and the class that
+    defines its `score_batch`, if any, also defines its `score` (a subclass
+    that only inherits the batched form may have changed the scalar one),
+    compared by `__qualname__`, which a wrapper made by
+    `functools.update_wrapper` keeps; and the modes are matching or budgeted
+    and agree."""
+    def owner(name):
+        return getattr(getattr(type(policy), name, None), "__qualname__", "").rpartition(".")[0]
+
+    return (owner("decide_batch") == owner("decide") and owner("score_batch") == owner("score")
             and policy.mode == instance.mode and instance.mode in (model.MATCHING, model.BUDGETED))
 
 
@@ -321,6 +317,7 @@ class _Plan:
         self.units = int(caps.sum())
         self.unit_res = np.repeat(np.arange(len(res)), caps)
         self.unit_rank = np.arange(self.units) - self.uoff[self.unit_res] + 1
+        self.budgeted = instance.mode == model.BUDGETED
         self.fixed = np.array([math.nan if r.fixed_duration is None else r.fixed_duration for r in res])
         self.drawn = np.isnan(self.fixed)
         self.samplers = [r.usage.sample_u for r in res]
@@ -445,18 +442,24 @@ class Lockstep:
         np.maximum.at(self.top.ravel(), pairs, ranks)
         np.add.at(self.count.ravel(), pairs, 1)
 
-    def allocate(self, t: int, choice: np.ndarray, take: np.ndarray):
-        """Give each trial the `take` top units of its choice at arrival t;
-        choice -1 is no match."""
+    def allocate(self, t: int, choice: np.ndarray):
+        """Give each trial the top min(bid, available) units of its choice at
+        arrival t, one in matching mode; choice -1 is no match."""
         rows = np.flatnonzero(choice >= 0)
         if not rows.size:
             return
         plan = self.plan
-        cols, take = choice[rows], take[rows]
+        cols = choice[rows]
+        pairs = rows * plan.caps.size + cols
+        if plan.budgeted:
+            bid = np.zeros(plan.caps.size, dtype=np.int64)
+            bid[plan.nbr[t]] = plan.bid[t]
+            take = np.minimum(bid[cols], self.count.ravel()[pairs])
+        else:
+            take = np.ones(rows.size, dtype=np.int64)
         gained = plan.rewards[cols] * take
         self.total[rows] += gained
         self.per_resource.ravel()[cols * self.n + rows] += gained
-        pairs = rows * plan.caps.size + cols
         top, bits = self.top.ravel(), self._bits.ravel()
         ranks = top[pairs]
         if self.record:
@@ -513,19 +516,15 @@ def lockstep(instance: model.Instance, policy, trials: int, master_seed: int,
         raise ValueError(f"policy {policy.name!r} has no batched rule for {instance.mode} instances")
     plan = _Plan(instance)
     policy.prepare(instance)
-    budgeted = instance.mode == model.BUDGETED
     size = max(1, TRIAL_CELLS // (plan.times.size + plan.n_drawn + plan.full.size + 1))
     chunks = []
     for k0 in range(0, trials, size):
         seeds = rng.derive_vec(master_seed, rng.TAG_TRIAL, np.arange(k0, min(trials, k0 + size)))
         batch = Lockstep(plan, seeds, policy.events, record)
-        one = np.ones(batch.n, dtype=np.int64)        # a matching rule's unit count
         for t, arrival in enumerate(instance.arrivals):
             batch.release(t)
             if plan.nbr[t].size:        # no neighbour: no rule matches or counts an event
-                out = policy.decide_batch(t, arrival, batch)
-                choice, take = out if budgeted else (out, one)
-                batch.allocate(t, choice, take)
+                batch.allocate(t, policy.decide_batch(t, arrival, batch))
         chunks.append(batch)
     paths = Paths(totals=np.concatenate([c.total for c in chunks]),
                   per_resource=np.concatenate([c.per_resource for c in chunks], axis=1),

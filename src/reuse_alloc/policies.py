@@ -19,19 +19,20 @@ Decision rules, with g(x) = exp(-x) throughout:
     `RowSampler`, is shared with the LP-rounding benchmark
     (`benchmarks.LpRoundingPolicy`), which samples the LP's y_{it} instead.
 
-Each rule is its class's `decide`. A matching rule returns a resource id
-and the engine allocates that resource's highest available rank; a
-budgeted rule returns (resource id, units) and the engine allocates that
-many of the highest available ranks. A rule reads the trial's state as
-{resource id: live state}, whose `avail` lists the available ranks in
-ascending order. Ties always break toward the lower resource id. All
-rules are invariant to scaling every reward by a positive constant.
+Each rule is its class's `decide`, which returns a resource id or None,
+and the engine allocates min(bid, available) of that resource's highest
+available ranks: one in matching mode. Greedy, balance and rba are one
+`ScoreRule` and differ only in their score, and budgeted rba is rba on
+budgeted instances. A rule reads the trial's state as {resource id: live
+state}, whose `avail` lists the available ranks in ascending order. Ties
+always break toward the lower resource id. All rules are invariant to
+scaling every reward by a positive constant.
 
 A policy whose `decide` comes with a `decide_batch` also runs in the
 lockstep engine (`engine.lockstep`): the same rule for a chunk of trials at
 once, reading (trials x resources) arrays of the highest available rank and
 the available count, and returning each trial's resource index (-1 for
-none), with the number of units in budgeted mode.
+none).
 """
 
 from __future__ import annotations
@@ -48,15 +49,6 @@ def reduced_price(reward: float, rank: int, capacity: int) -> float:
     return reward * (1.0 - math.exp(-rank / capacity))
 
 
-def best_of(batch, nb, score, ok) -> tuple:
-    """The batched form of the rules' loops: per trial, the position in `nb`
-    (neighbour indices in id order) of the highest `score` among the `ok`
-    neighbours, ties to the lower id, and that resource; -1 for none."""
-    j = np.where(ok, score, -1.0).argmax(axis=1)
-    j = np.where(ok[batch.rows, j], j, -1)
-    return j, np.where(j >= 0, nb[j], -1)
-
-
 def pick_table(rows: list, index: dict) -> list:
     """Per arrival, the running totals of a [(resource id, weight)] row and
     the resources' indices, for `pick_batch`."""
@@ -71,14 +63,6 @@ def pick_batch(u: np.ndarray, cum: np.ndarray, vals: np.ndarray) -> np.ndarray:
         return np.full(u.shape, -1)
     i = np.searchsorted(cum, u, side="right")
     return np.where(i < cum.size, vals[np.minimum(i, cum.size - 1)], -1)
-
-
-def top_score(lv, bid: int) -> float:
-    """The summed reduced price of the top min(bid, available) ranks of a
-    resource's live state with a unit available, added in descending rank
-    order."""
-    avail = lv.avail
-    return lv.prices[avail[-1]] if bid == 1 else sum(map(lv.prices.__getitem__, avail[: -bid - 1 : -1]))
 
 
 class Policy:
@@ -121,94 +105,82 @@ class Policy:
         return self._coins
 
 
-class GreedyPolicy(Policy):
-    name = "greedy"
+class ScoreRule(Policy):
+    """A rule that matches each arrival to its neighbour of highest `score`
+    among those with a unit available, ties to the lower id; the engine
+    allocates min(bid, available) of its top ranks. A subclass defines
+    `score(lv, bid)` on a resource's live state and `score_batch(batch, nb,
+    bid)`, its (trials x neighbours) form."""
 
     def decide(self, t, arrival, state):
-        """Resource id with max reward among available neighbors, or None."""
         best, best_score = None, -1.0
-        for rid in arrival.demand.bids():
-            lv = state[rid]
-            if lv.avail and lv.res.reward > best_score:
-                best, best_score = rid, lv.res.reward
-        return best
-
-    def decide_batch(self, t, arrival, batch):
-        nb = batch.plan.nbr[t]
-        return best_of(batch, nb, batch.plan.rewards[nb], batch.count[:, nb] > 0)[1]
-
-
-class BalancePolicy(Policy):
-    name = "balance"
-
-    def decide(self, t, arrival, state):
-        """argmax r_i (1 - e^{-y_i/c_i}) over available neighbors, or None."""
-        best, best_score = None, -1.0
-        for rid in arrival.demand.bids():
-            lv = state[rid]
-            y = len(lv.avail)
-            if y == 0:
-                continue
-            score = lv.prices[y]          # the reduced-price formula at y
-            if score > best_score:
-                best, best_score = rid, score
-        return best
-
-    def decide_batch(self, t, arrival, batch):
-        nb = batch.plan.nbr[t]
-        y = batch.count[:, nb]
-        return best_of(batch, nb, batch.price(nb, y), y > 0)[1]
-
-
-class RbaPolicy(Policy):
-    name = "rba"
-
-    def decide(self, t, arrival, state):
-        """Resource id maximizing the reduced price of its highest available
-        rank, or None; the engine allocates that rank."""
-        best, best_score = None, -1.0
-        for rid in arrival.demand.bids():
-            lv = state[rid]
-            if not lv.avail:
-                continue
-            score = lv.prices[lv.avail[-1]]
-            if score > best_score:
-                best, best_score = rid, score
-        return best
-
-    def decide_batch(self, t, arrival, batch):
-        nb = batch.plan.nbr[t]
-        z = batch.top[:, nb]
-        return best_of(batch, nb, batch.price(nb, z), z > 0)[1]
-
-
-class RbaBudgetedPolicy(Policy):
-    name = "rba_budgeted"
-    mode = model.BUDGETED
-
-    def decide(self, t, arrival, state):
-        """(resource id, min(bid, available)) maximizing the summed reduced
-        price of those top ranks, or None."""
-        best, best_score = None, -1.0
-        for rid, bid in arrival.demand.bids().items():  # bids() is id-sorted
+        for rid, bid in arrival.demand.bids().items():      # id order
             lv = state[rid]
             if lv.avail:
-                score = top_score(lv, bid)
+                score = self.score(lv, bid)
                 if score > best_score:
-                    best, best_units, best_score = rid, min(bid, len(lv.avail)), score
-        return None if best is None else (best, best_units)
+                    best, best_score = rid, score
+        return best
 
     def decide_batch(self, t, arrival, batch):
-        """Scores sum the prices of the top min(bid, available) ranks in
-        descending order; a missing rank is rank 0, priced 0.0."""
-        nb, bid = batch.plan.nbr[t], batch.plan.bid[t]
-        z = ranks = batch.top[:, nb]
-        score = batch.price(nb, z)
+        """`decide` per trial: the resource index of the best neighbour (`nb`
+        in id order, so argmax ties go to the lower id), -1 for none."""
+        nb = batch.plan.nbr[t]
+        ok = batch.count[:, nb] > 0
+        j = np.where(ok, self.score_batch(batch, nb, batch.plan.bid[t]), -1.0).argmax(axis=1)
+        return np.where(ok[batch.rows, j], nb[j], -1)
+
+
+class GreedyPolicy(ScoreRule):
+    """Highest reward among available neighbours."""
+
+    name = "greedy"
+
+    def score(self, lv, bid):
+        return lv.res.reward
+
+    def score_batch(self, batch, nb, bid):
+        return batch.plan.rewards[nb]
+
+
+class BalancePolicy(ScoreRule):
+    """Highest r_i (1 - e^{-y_i/c_i}), the reduced price at the available count y_i."""
+
+    name = "balance"
+
+    def score(self, lv, bid):
+        return lv.prices[len(lv.avail)]
+
+    def score_batch(self, batch, nb, bid):
+        return batch.price(nb, batch.count[:, nb])
+
+
+class RbaPolicy(ScoreRule):
+    """Highest reduced price of the top min(bid, available) ranks, summed."""
+
+    name = "rba"
+
+    def score(self, lv, bid):
+        """The summed reduced price of the top min(bid, available) ranks of a
+        resource's live state with a unit available, added in descending rank
+        order; at bid 1 the top rank's price."""
+        return lv.prices[lv.avail[-1]] if bid == 1 else sum(map(lv.prices.__getitem__, lv.avail[: -bid - 1 : -1]))
+
+    def score_batch(self, batch, nb, bid):
+        """`score` per trial; a missing rank is rank 0, priced 0.0."""
+        ranks = batch.top[:, nb]
+        score = batch.price(nb, ranks)
         for level in range(2, int(bid.max()) + 1):
             ranks = np.where(bid >= level, batch.lower(batch.rows[:, None], nb, ranks), 0)
             score = score + batch.price(nb, ranks)
-        j, choice = best_of(batch, nb, score, z > 0)
-        return choice, np.minimum(bid[j], batch.count[batch.rows, choice])
+        return score
+
+
+class RbaBudgetedPolicy(RbaPolicy):
+    """rba on budgeted instances."""
+
+    name = "rba_budgeted"
+    mode = model.BUDGETED
 
 
 # --- fluid guide -------------------------------------------------------------
@@ -355,9 +327,9 @@ def salg_delta(capacity: int) -> float:
 class RowSampler(Policy):
     """The rule of salg and lp_rounding: arrival t's coin picks a resource
     from the row `_rows[t]`, [(resource id, probability)] in id order, which
-    is served, with min(bid, available) units in budgeted mode, only if a
-    unit is free. `events` names the counts of sampled arrivals and of those
-    whose pick had nothing free. A subclass builds `_rows`."""
+    is served only if a unit is free. `events` names the counts of sampled
+    arrivals and of those whose pick had nothing free. A subclass builds
+    `_rows`."""
 
     _picks = None               # pick_table of `_rows`, built by the first decide_batch
 
@@ -367,28 +339,20 @@ class RowSampler(Policy):
             return None
         sampled, unavailable = self.events
         self.trial_events[sampled] += 1
-        free = len(state[rid].avail)
-        if not free:
+        if not state[rid].avail:
             self.trial_events[unavailable] += 1
             return None
-        if self.mode == model.MATCHING:
-            return rid
-        return rid, min(arrival.demand.bids()[rid], free)
+        return rid
 
     def decide_batch(self, t, arrival, batch):
         if self._picks is None:
             self._picks = pick_table(self._rows, batch.plan.index)
         choice = pick_batch(batch.coins()[t], *self._picks[t])
         sampled = choice >= 0
-        free = np.where(sampled, batch.count[batch.rows, choice], 0)
+        free = sampled & (batch.count[batch.rows, choice] > 0)
         batch.events[self.events[0]] += int(sampled.sum())
-        batch.events[self.events[1]] += int((sampled & (free == 0)).sum())
-        choice = np.where(free > 0, choice, -1)
-        if self.mode == model.MATCHING:
-            return choice
-        bid = np.zeros(batch.count.shape[1], dtype=np.int64)
-        bid[batch.plan.nbr[t]] = batch.plan.bid[t]
-        return choice, np.minimum(bid[choice], free)
+        batch.events[self.events[1]] += int((sampled & ~free).sum())
+        return np.where(free, choice, -1)
 
 
 class SalgPolicy(RowSampler):

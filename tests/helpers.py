@@ -665,7 +665,7 @@ def reference_paths(instance: model.Instance, policy, trials: int, master_seed: 
 def reference_rba_budgeted_decide(arrival, state):
     """RbaBudgetedPolicy.decide: per neighbour in id order, its top
     min(bid, available) ranks, descending, and their summed reduced price;
-    the winner and the number of its ranks."""
+    the winner."""
     best, best_score = None, -1.0
     for rid, bid in arrival.demand.bids().items():
         lv = state[rid]
@@ -674,7 +674,7 @@ def reference_rba_budgeted_decide(arrival, state):
         ranks = lv.avail[: -min(bid, len(lv.avail)) - 1 : -1]
         score = sum(map(lv.prices.__getitem__, ranks))
         if score > best_score:
-            best, best_score = (rid, len(ranks)), score
+            best, best_score = rid, score
     return best
 
 

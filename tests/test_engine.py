@@ -146,14 +146,11 @@ def protocol_instance(mode):
     (model.MATCHING, model.BUDGETED, None, "policy mode 'budgeted' != instance mode 'matching'"),
     (model.MATCHING, model.MATCHING, 1, "arrival 0: no edge to resource 1"),
     (model.MATCHING, model.MATCHING, 0, "arrival 2: resource 0 has no available unit"),
-    (model.BUDGETED, model.BUDGETED, (0, 2), "arrival 0: allocation exceeds bid for resource 0"),
-    (model.BUDGETED, model.BUDGETED, (0, 0), "arrival 0: allocation of 0 units of resource 0 is below 1"),
+    (model.BUDGETED, model.BUDGETED, 5, "arrival 0: no edge to resource 5"),
+    (model.BUDGETED, model.BUDGETED, 0, "arrival 2: resource 0 has no available unit"),
     (model.ASSORTMENT, model.ASSORTMENT, frozenset({0, 1}), "arrival 0: offered set is not feasible"),
     (model.ASSORTMENT, model.ASSORTMENT, frozenset({1}), "arrival 0: offered resource 1 has no demand"),
     (model.ASSORTMENT, model.ASSORTMENT, frozenset({0}), "arrival 2: offered resource 0 is unavailable"),
-    (model.BUDGETED, model.BUDGETED, (0, 1), "arrival 2: resource 0 has no available unit"),
-    (model.BUDGETED, model.BUDGETED, (1, 3), "arrival 1: resource 1 has 2 available units"),
-    (model.BUDGETED, model.BUDGETED, (1, 2), "arrival 2: resource 1 has 1 available unit"),
     ("explicit", model.ASSORTMENT, frozenset({0}), "arrival 0: offered set is not feasible"),
 ])
 def test_every_protocol_violation_is_named(mode, policy_mode, decision, message):
@@ -462,6 +459,21 @@ def test_batched_summary_equals_scalar_on_named_instances(key):
         assert_batched_equals_scalar(inst, name, engine.BATCH_MIN_TRIALS + 8, 17)
 
 
+def test_rba_budgeted_at_bid_one_is_rba():
+    """A budgeted instance whose every bid is 1 runs rba_budgeted bit for bit
+    as its matching twin runs rba, in `simulate` and in `lockstep`."""
+    matching = parity_instance("battery_matching")
+    budgeted = model.Instance(mode=model.BUDGETED, resources=matching.resources,
+                              arrivals=tuple(model.Arrival(a.time, model.BudgetedBids(dict(a.demand.bids())))
+                                             for a in matching.arrivals))
+    n = engine.BATCH_MIN_TRIALS
+    assert summary_bits(scalar_summary(budgeted, policies.RbaBudgetedPolicy(), n, 5)) == \
+        summary_bits(scalar_summary(matching, policies.RbaPolicy(), n, 5))
+    with mock.patch.object(engine, "simulate", side_effect=AssertionError("took the scalar path")):
+        assert summary_bits(engine.run_trials(budgeted, policies.RbaBudgetedPolicy(), n, 5)) == \
+            summary_bits(engine.run_trials(matching, policies.RbaPolicy(), n, 5))
+
+
 @st.composite
 def lockstep_instances(draw, mode):
     """Small instances over every duration family, with bursts, arrivals
@@ -588,14 +600,20 @@ def test_run_trials_stays_scalar_without_a_batched_rule(monkeypatch):
         def decide(self, t, arrival, state):
             return None if t % 2 else super().decide(t, arrival, state)
 
+    class Rich(policies.RbaPolicy):           # changes score, inherits score_batch
+        def score(self, lv, bid):
+            return lv.res.reward
+
     counted = CountedSimulate()
     monkeypatch.setattr(engine, "simulate", counted)
     n = engine.BATCH_MIN_TRIALS
-    engine.run_trials(parity_instance("battery_matching"), Cautious(), n, 3)
-    assert counted.calls == n
-    with pytest.raises(ValueError, match="no batched rule"):
-        engine.lockstep(parity_instance("battery_matching"), Cautious(), n, 3)
+    for scalar in (Cautious, Rich):
+        calls = counted.calls
+        engine.run_trials(parity_instance("battery_matching"), scalar(), n, 3)
+        assert counted.calls == calls + n
+        with pytest.raises(ValueError, match="no batched rule"):
+            engine.lockstep(parity_instance("battery_matching"), scalar(), n, 3)
     assortment = contract_instance("assortment")
     for name in ("rba_assortment", "astalg"):
         engine.run_trials(assortment, policies.make_policy(name), n, 3)
-    assert counted.calls == 3 * n
+    assert counted.calls == 4 * n

@@ -81,7 +81,7 @@ def test_rba_budgeted_top_ranks_and_caps():
         arrivals=(model.Arrival(0.0, model.BudgetedBids({0: 2})),),
     )
     st = state_with_avail(inst, {0: [1, 2, 3, 4]})
-    assert RbaBudgetedPolicy().decide(0, inst.arrivals[0], st) == (0, 2)
+    assert RbaBudgetedPolicy().decide(0, inst.arrivals[0], st) == 0
 
     inst2 = model.Instance(
         mode=model.BUDGETED,
@@ -90,7 +90,7 @@ def test_rba_budgeted_top_ranks_and_caps():
                   model.Arrival(1.0, model.BudgetedBids({0: 0}))),
     )
     st2 = state_with_avail(inst2, {0: [1, 2]})
-    assert RbaBudgetedPolicy().decide(0, inst2.arrivals[0], st2) == (0, 2)        # capped at availability
+    assert RbaBudgetedPolicy().decide(0, inst2.arrivals[0], st2) == 0             # bid above availability
     assert RbaBudgetedPolicy().decide(1, inst2.arrivals[1], st2) is None          # zero bids: no edge
 
 
@@ -105,15 +105,15 @@ def test_rba_budgeted_argmax_matches_hand_scores():
     s0 = sum(1.0 * (1 - math.exp(-k / 4)) for k in (4, 3))
     s1 = sum(0.9 * (1 - math.exp(-k / 8)) for k in (8, 7))
     want = 0 if s0 > s1 else 1
-    assert RbaBudgetedPolicy().decide(0, inst.arrivals[0], st)[0] == want
+    assert RbaBudgetedPolicy().decide(0, inst.arrivals[0], st) == want
 
 
 @settings(max_examples=150)
 @given(data=st.data())
 def test_rba_budgeted_decide_equals_the_reference_rule(data):
     """decide sums each neighbour's top ranks without a rank list; its
-    choice, unit count and tie-breaks are those of the rule that lists
-    every neighbour's ranks."""
+    choice and tie-breaks are those of the rule that lists every
+    neighbour's ranks."""
     n = data.draw(st.integers(1, 5))
     caps = data.draw(st.lists(st.integers(1, 12), min_size=n, max_size=n))
     rewards = data.draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 1.3]) | st.floats(0.0, 3.0),
