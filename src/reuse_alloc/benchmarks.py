@@ -28,11 +28,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import model, rng, simplex
-from .distributions import Deterministic, NonReusable, TwoPointInf, ZeroOrInf, exact_vector_cdf
+from .distributions import Deterministic, NonReusable, TwoPointInf, ZeroOrInf
 from .engine import lockstep, mean_se, simulate  # noqa: F401  (perfbench/tracer.py wraps benchmarks.simulate)
 from .policies import RbaPolicy, RowSampler, run_galg
-
-CDF_RUN = 1 << 14       # ages per list of Python floats in `_coefficients`
 
 
 class UnsupportedMode(ValueError):
@@ -94,18 +92,8 @@ def _grouped(instance: model.Instance, edges: list):
 def _coefficients(res: model.Resource, times: np.ndarray, row_t: np.ndarray, edge_t: np.ndarray,
                   bids: np.ndarray) -> np.ndarray:
     """bid * (1 - F(times[row_t] - times[edge_t])) per (row, edge) pair, with
-    the CDF F of `res` at each distinct age: one vector call where that is
-    bit-exact (`exact_vector_cdf`), else one scalar call per age. The
-    scalar calls take Python floats (the same bits as numpy scalars, without
-    their arithmetic), CDF_RUN ages to a list, into one float array."""
-    ages, which = np.unique(times[row_t] - times[edge_t], return_inverse=True)
-    F = res.usage.cdf
-    if exact_vector_cdf(res.usage):
-        cdf = F(ages)
-    else:
-        runs = (ages[lo : lo + CDF_RUN].tolist() for lo in range(0, ages.size, CDF_RUN))
-        cdf = np.fromiter(map(F, itertools.chain.from_iterable(runs)), float, ages.size)
-    return bids * (1.0 - cdf[which])
+    the CDF F of `res`."""
+    return bids * (1.0 - res.usage.cdf(times[row_t] - times[edge_t]))
 
 
 def _objective(instance: model.Instance, edges: list) -> np.ndarray:
@@ -356,7 +344,7 @@ def brute_force_clairvoyant(instance: model.Instance) -> float:
                     per_unit.append((rid, "A", 1.0, None))
                 else:
                     tau, cred = st[1], st[2]
-                    new_cdf = res[rid].usage.cdf(times[t_next] - tau)
+                    new_cdf = float(res[rid].usage.cdf(times[t_next] - tau))
                     p_ret = 0.0 if 1.0 - cred <= 0.0 else (new_cdf - cred) / (1.0 - cred)
                     per_unit.append((rid, st, p_ret, new_cdf))
         dist = [((), 1.0)]

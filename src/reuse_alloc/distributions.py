@@ -10,6 +10,9 @@ Conventions shared with the simulator and the fluid relaxations:
     at d. A unit matched at time tau with realized duration d is available
     again at exactly tau + d, and returns due at an arrival's time are
     processed before that arrival is matched.
+  - cdf is one numpy expression, with the same bits on a float and on an
+    array. The mass at +inf is 1 - cdf(+inf). Where a product or power
+    overflows, IEEE's limit gives the exact cdf, so numpy does not warn.
   - Sampling is a pure function of (distribution, key, seed) via the
     counter-based stream in :mod:`reuse_alloc.rng`.
 """
@@ -46,12 +49,7 @@ class Deterministic:
     d: float  # fixed duration, >= 0
 
     def cdf(self, t):
-        if isinstance(t, np.ndarray):
-            return np.where(t >= self.d, 1.0, 0.0)
-        return 1.0 if t >= self.d else 0.0
-
-    def mass_at_inf(self):
-        return 0.0
+        return np.where(t >= self.d, 1.0, 0.0)
 
     def sample_u(self, u):
         if isinstance(u, np.ndarray):
@@ -67,12 +65,7 @@ class TwoPointInf:
     p: float  # return probability
 
     def cdf(self, t):
-        if isinstance(t, np.ndarray):
-            return np.where(t >= self.d, self.p, 0.0)
-        return self.p if t >= self.d else 0.0
-
-    def mass_at_inf(self):
-        return 1.0 - self.p
+        return np.where(t >= self.d, self.p, 0.0)
 
     def sample_u(self, u):
         if isinstance(u, np.ndarray):
@@ -87,12 +80,7 @@ class ZeroOrInf:
     p: float  # probability of duration 0
 
     def cdf(self, t):
-        if isinstance(t, np.ndarray):
-            return np.full(t.shape, self.p)
-        return self.p
-
-    def mass_at_inf(self):
-        return 1.0 - self.p
+        return np.full(np.shape(t), self.p, dtype=float)
 
     def sample_u(self, u):
         if isinstance(u, np.ndarray):
@@ -104,13 +92,9 @@ class ZeroOrInf:
 class Exponential:
     rate: float  # > 0
 
+    @np.errstate(over="ignore")
     def cdf(self, t):
-        if isinstance(t, np.ndarray):
-            return -np.expm1(-self.rate * t)
-        return -math.expm1(-self.rate * t)
-
-    def mass_at_inf(self):
-        return 0.0
+        return -np.expm1(-self.rate * t)
 
     def sample_u(self, u):
         if isinstance(u, np.ndarray):
@@ -126,12 +110,9 @@ class Uniform:
     lo: float
     hi: float  # 0 <= lo < hi
 
+    @np.errstate(over="ignore")
     def cdf(self, t):
-        x = (t - self.lo) / (self.hi - self.lo)
-        return np.clip(x, 0.0, 1.0) if isinstance(t, np.ndarray) else min(max(x, 0.0), 1.0)
-
-    def mass_at_inf(self):
-        return 0.0
+        return np.clip((t - self.lo) / (self.hi - self.lo), 0.0, 1.0)
 
     def sample_u(self, u):
         return self.lo + u * (self.hi - self.lo)
@@ -147,13 +128,11 @@ class WeibullIFR:
     scale: float
     shape: float
 
+    @np.errstate(over="ignore")
     def cdf(self, t):
-        if isinstance(t, np.ndarray):
-            return -np.expm1(-((t / self.scale) ** self.shape))
-        return -math.expm1(-((t / self.scale) ** self.shape))
-
-    def mass_at_inf(self):
-        return 0.0
+        # np.power, not **: a numpy scalar's ** is libm's pow, whose last
+        # bits differ from the array loop's.
+        return -np.expm1(-np.power(t / self.scale, self.shape))
 
     def sample_u(self, u):
         if isinstance(u, np.ndarray):
@@ -174,9 +153,6 @@ class MixtureWithInf:
     def cdf(self, t):
         return self.p_finite * self.base.cdf(t)
 
-    def mass_at_inf(self):
-        return (1.0 - self.p_finite) + self.p_finite * self.base.mass_at_inf()
-
     def sample_u(self, u):
         # Splits one uniform: u < p_finite selects the base branch, and
         # u / p_finite is again uniform on [0, 1) within that branch.
@@ -194,10 +170,7 @@ class NonReusable:
     """All mass at +inf: a matched unit never comes back."""
 
     def cdf(self, t):
-        return np.zeros(t.shape) if isinstance(t, np.ndarray) else 0.0
-
-    def mass_at_inf(self):
-        return 1.0
+        return np.zeros(np.shape(t))
 
     def sample_u(self, u):
         return np.full(u.shape, INF) if isinstance(u, np.ndarray) else INF
@@ -211,24 +184,11 @@ def sample(dist, key: DurationStreamKey, seed: int):
 
 def fixed_duration(dist):
     """The duration every draw of `dist` gives whatever its uniform, or None
-    when the draw depends on it: d for Deterministic(d), +inf for a family
-    whose finite branch has probability 0 (its `sample_u` tests u < 0)."""
+    when the draw depends on it: d for Deterministic(d), +inf where all the
+    mass is at +inf (cdf(+inf) == 0)."""
     if isinstance(dist, Deterministic):
         return dist.d
-    if isinstance(dist, NonReusable):
-        return INF
-    if isinstance(dist, (ZeroOrInf, TwoPointInf)) and dist.p <= 0.0:
-        return INF
-    if isinstance(dist, MixtureWithInf) and dist.p_finite <= 0.0:
-        return INF
-    return None
-
-
-def exact_vector_cdf(dist) -> bool:
-    """Whether `dist.cdf` on an array equals the scalar cdf bit for bit: where
-    it calls no elementary function (numpy's `expm1` is not `math`'s)."""
-    base = dist.base if isinstance(dist, MixtureWithInf) else dist
-    return isinstance(base, (Deterministic, TwoPointInf, ZeroOrInf, Uniform, NonReusable))
+    return INF if dist.cdf(INF) == 0.0 else None
 
 
 def compute_L(dist, eps: float, grid: float = 1e-3) -> float:
@@ -241,14 +201,14 @@ def compute_L(dist, eps: float, grid: float = 1e-3) -> float:
     """
     if not (0.0 < eps < 1.0):
         raise ValueError("eps must be in (0, 1)")
-    if not hasattr(dist, "quantile") or dist.mass_at_inf() > 0.0:
+    if not hasattr(dist, "quantile") or dist.cdf(INF) < 1.0:
         raise UnsupportedDistribution(f"compute_L needs a continuous distribution, got {dist!r}")
     q_eps = dist.quantile(eps)
     hi = dist.quantile(1.0 - 1e-9)
     lo = max(dist.quantile(1e-12), hi * 1e-12, 1e-12)
     n = max(2, int(math.ceil(math.log(hi / lo) / math.log1p(grid))) + 1)
     xs = np.concatenate([[0.0], lo * (1.0 + grid) ** np.arange(n)])
-    vals = (np.asarray(dist.cdf(xs + q_eps)) - np.asarray(dist.cdf(xs))) / eps
+    vals = (dist.cdf(xs + q_eps) - dist.cdf(xs)) / eps
     return float(vals.max())
 
 

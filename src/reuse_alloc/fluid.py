@@ -103,8 +103,7 @@ class ResourceFluid:
         self.index_value = np.array(levels, dtype=float)        # rank used in scores
         self.size = np.array([bounds[j + 1] - bounds[j] for j in range(len(levels))], dtype=float)
         self.n_groups = len(levels)
-        self._mass_inf = res.usage.mass_at_inf()
-        self._cdf_inf = res.usage.cdf(math.inf)
+        self._cdf_inf = float(res.usage.cdf(math.inf))
         self._hint_floor = None
 
     def advance(self, now: float):
@@ -128,7 +127,7 @@ class ResourceFluid:
     def consume(self, g: int, amount: float, now: float):
         """Match `amount` of bucket g at `now`, the clock of the last advance."""
         self.Y[g] -= amount
-        if self._mass_inf == 1.0:       # nothing of it ever returns
+        if self._cdf_inf == 0.0:        # nothing of it ever returns
             self.lost[g] += amount
             return
         self._ledger.book(self._p, g, amount, now)
@@ -150,7 +149,7 @@ class FluidLedger:
         self.lost = np.zeros(len(self.size))
         self.hints = [rf.n_groups - 1 for rf in fluids]     # each fluid's top_group bound
         offs = np.cumsum([0] + [rf.n_groups for rf in fluids])
-        booking = [k for k, rf in enumerate(fluids) if rf._mass_inf != 1.0]   # fluids that book parcels
+        booking = [k for k, rf in enumerate(fluids) if rf._cdf_inf != 0.0]   # fluids that book parcels
         ledger = weakref.proxy(self)
         for k, rf in enumerate(fluids):
             rf._ledger, rf._hints, rf._k = ledger, self.hints, k
@@ -161,7 +160,7 @@ class FluidLedger:
         self._booking = booking
         self._offs = offs[booking].tolist()
         self._usage = [fluids[k].res.usage for k in booking]
-        self._cdf_inf = np.array([np.nan if fluids[k]._mass_inf == 0.0 else fluids[k]._cdf_inf for k in booking])
+        self._cdf_inf = np.array([np.nan if fluids[k]._cdf_inf == 1.0 else fluids[k]._cdf_inf for k in booking])
         self._col0 = [0] * len(booking)     # each booking fluid's first block column
         # The ledger, in booking order: each parcel's mass (0.0 once
         # dropped), flat bucket and booking column in the current block.
@@ -295,8 +294,7 @@ class FluidLedger:
         elapsed = np.maximum(rows[None, :] - ctime[:, None], 0.0)
         C = np.empty((ncols, k))
         for p, usage in enumerate(self._usage):
-            C[starts[p]:starts[p] + width[p]] = np.asarray(usage.cdf(elapsed[starts[p]:starts[p] + width[p]]),
-                                                           dtype=float)
+            C[starts[p]:starts[p] + width[p]] = usage.cdf(elapsed[starts[p]:starts[p] + width[p]])
         self._col0 = (starts + nlive).tolist()
         D = np.empty((ncols, k))
         D[at_live, 0] = C[at_live, 0] - lcred

@@ -67,8 +67,8 @@ def fluid_process(spec: ProcessSpec):
 
     Row t takes the dot consumed[lo:t] @ (cdf(sigma_t - sigma[lo:t]) -
     credited[lo:t]). The window's front `lo` moves up 64 arrivals at a time
-    once each of their credited levels equals the family's vector
-    cdf(+inf), which it then keeps (the CDF is monotone and bounded by it).
+    once each of their credited levels equals cdf(+inf), which it then
+    keeps (the CDF is monotone and bounded by it).
     A term left out is a non-negative consumed times +0.0, which adds
     nothing, and 64 is a multiple of the BLAS dot kernel's unroll width, so
     every term kept keeps its accumulator: the result is bit-identical to
@@ -86,7 +86,7 @@ def fluid_process(spec: ProcessSpec):
     sigma = np.asarray(spec.sigma)
     p = np.asarray(spec.p)
     cdf = spec.dist.cdf
-    cdf_inf = float(np.asarray(cdf(np.array([math.inf])), dtype=float)[0])
+    cdf_inf = float(cdf(math.inf))
     eta = np.zeros(T)
     consumed = np.zeros(T)      # eta_tau * p_tau
     credited = np.zeros(T)      # CDF level already paid back per tau, as of the last block
@@ -101,7 +101,7 @@ def fluid_process(spec: ProcessSpec):
         # C[r, j] is the CDF level of arrival lo + j at row t0 + r; a column
         # at or after its row is priced at elapsed time 0 and never counted.
         elapsed = np.subtract.outer(sigma[t0:t1], sigma[lo:t1 - 1])
-        C = np.asarray(cdf(np.maximum(elapsed, 0.0, out=elapsed)), dtype=float)
+        C = cdf(np.maximum(elapsed, 0.0, out=elapsed))
         for t in range(t0, t1):
             r, w = t - t0, t - lo
             if r:

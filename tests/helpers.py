@@ -151,8 +151,8 @@ class ReferenceResourceFluid:
         self._credited = np.zeros(cap)
         self._group = np.zeros(cap, dtype=np.int64)
         self._n = 0
-        self._mass_inf = res.usage.mass_at_inf()
         self._cdf_inf = res.usage.cdf(math.inf)
+        self._mass_inf = 1.0 - self._cdf_inf
         self._cdf0 = res.usage.cdf(0.0)
         # The clock of the last advance, and how many parcels it settled.
         self._clock = None

@@ -528,7 +528,7 @@ def test_lp_value_bits_do_not_depend_on_blas_threads():
 
 FAMILIES = (NonReusable(), Deterministic(0.7), Exponential(1.0), Exponential(0.3), TwoPointInf(1.0, 0.5),
             Uniform(0.2, 1.3), ZeroOrInf(0.5), MixtureWithInf(0.6, Exponential(2.0)),
-            MixtureWithInf(0.5, Deterministic(0.7)))
+            MixtureWithInf(0.5, Deterministic(0.7)), WeibullIFR(1.2, 1.5), MixtureWithInf(0.6, WeibullIFR(1.2, 1.5)))
 
 
 @st.composite

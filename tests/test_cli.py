@@ -1,5 +1,6 @@
 import json
 import random
+import warnings
 from unittest import mock
 
 import pytest
@@ -201,6 +202,25 @@ def test_a_reward_times_bid_beyond_a_float_is_one_error_line(capsys, tmp_path, m
     code, out, err = run_cli(capsys, argv + ["--instance", str(path)])
     assert (code, out) == (2, "")
     assert err == "error: invalid instance: arrival 0: reward * bid for resource 0 must be finite\n"
+
+
+@pytest.mark.parametrize("usage", [{"type": "weibull", "scale": 1.0, "shape": 1000.0},
+                                   {"type": "exponential", "rate": 1e308}], ids=["weibull", "exponential"])
+@pytest.mark.parametrize("argv", [["lp"], ["compare", "--policies", "salg", "--trials", "2", "--seed", "1"],
+                                  ["run", "--policies", "salg", "--trials", "2", "--seed", "1"]],
+                         ids=["lp", "compare", "run"])
+def test_a_cdf_that_overflows_to_one_runs_without_a_warning(capsys, tmp_path, usage, argv):
+    # (3 / 1) ** 1000 and 1e308 * 3 overflow; IEEE's inf gives the exact cdf, 1.
+    obj = _instance_json()
+    obj["resources"][0].update(capacity=1, usage=usage)
+    obj["arrivals"].append({"time": 3.0, "demand": {"type": "edges", "resources": [0]}})
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(obj))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(capsys, argv + ["--instance", str(path)])
+    assert (code, err, caught) == (0, "", [])
+    assert len(out.splitlines()) == 2
 
 
 @pytest.mark.parametrize("argv", [["run", "--policies", "greedy", "--trials", "64", "--seed", "1"], ["lp"]],

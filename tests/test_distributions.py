@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_engine import EVERY_FAMILY
 
 from reuse_alloc import distributions as dist
 from reuse_alloc import rng
@@ -37,11 +38,11 @@ def test_cdf_exponential_closed_form():
 
 
 def test_mass_at_inf():
-    assert TwoPointInf(1.0, 0.5).mass_at_inf() == 0.5
-    assert Exponential(1.0).mass_at_inf() == 0.0
-    assert MixtureWithInf(0.9, Exponential(1.0)).mass_at_inf() == pytest.approx(0.1)
-    assert NonReusable().mass_at_inf() == 1.0
-    assert ZeroOrInf(0.25).mass_at_inf() == 0.75
+    assert 1 - TwoPointInf(1.0, 0.5).cdf(INF) == 0.5
+    assert 1 - Exponential(1.0).cdf(INF) == 0.0
+    assert 1 - MixtureWithInf(0.9, Exponential(1.0)).cdf(INF) == pytest.approx(0.1)
+    assert 1 - NonReusable().cdf(INF) == 1.0
+    assert 1 - ZeroOrInf(0.25).cdf(INF) == 0.75
 
 
 def test_cdf_monotone_on_grid():
@@ -50,7 +51,7 @@ def test_cdf_monotone_on_grid():
         vals = np.asarray(d.cdf(ts), dtype=float)
         assert (np.diff(vals) >= -1e-15).all()
         assert vals.min() >= 0.0
-        assert vals.max() <= 1.0 - d.mass_at_inf() + 1e-15
+        assert vals.max() <= d.cdf(INF) + 1e-15
 
 
 def test_sample_deterministic_and_nonreusable():
@@ -146,29 +147,20 @@ def test_validate_accepts_numpy_scalars():
     assert dist.validate(Uniform(np.float64(0.5), np.int64(2))) == []
 
 
-_PROB = st.floats(0.0, 1.0)
-_TIME = st.floats(0.0, 50.0)
-_EXACT_BASES = st.one_of(
-    st.builds(Deterministic, _TIME),
-    st.builds(TwoPointInf, _TIME, _PROB),
-    st.builds(ZeroOrInf, _PROB),
-    st.builds(lambda lo, width: Uniform(lo, lo + width), st.floats(0.0, 10.0), st.floats(0.01, 20.0)),
-    st.just(NonReusable()),
-)
+_FINITE_BASES = tuple(d for d in EVERY_FAMILY if d.cdf(INF) == 1.0) + (WeibullIFR(1.2, 1.5),)
+ONE_FORM = EVERY_FAMILY + (WeibullIFR(1.2, 1.5),) + tuple(MixtureWithInf(0.6, d) for d in _FINITE_BASES)
 
 
-@given(st.one_of(_EXACT_BASES, st.builds(MixtureWithInf, _PROB, _EXACT_BASES)), st.data())
-def test_vector_cdf_equals_the_scalar_one_where_flagged_exact(d, data):
-    # The LP builder prices every distinct age with one vector call for these families.
-    assert dist.exact_vector_cdf(d)
+@pytest.mark.parametrize("d", ONE_FORM)
+@settings(max_examples=25)
+@given(data=st.data())
+def test_cdf_of_a_float_is_the_cdf_of_an_array(d, data):
+    # Every caller, the LP's rows and the clairvoyant's scalar reads included,
+    # gets the same bits from one numpy expression.
     base = getattr(d, "base", d)
-    edges = [0.0] + [getattr(base, f) for f in ("d", "lo", "hi") if hasattr(base, f)]
+    edges = [0.0] + [getattr(base, f) for f in ("d", "lo", "hi", "scale") if hasattr(base, f)]
     near = [float(np.nextafter(e, to)) for e in edges for to in (0.0, INF)]
-    ages = np.array(data.draw(st.lists(st.sampled_from(edges + near) | _TIME, min_size=1, max_size=40)))
-    want = np.array([d.cdf(age) for age in ages], dtype=float)
-    assert np.asarray(d.cdf(ages), dtype=float).tobytes() == want.tobytes()
-
-
-@pytest.mark.parametrize("d", [Exponential(1.0), WeibullIFR(1.0, 2.0), MixtureWithInf(0.5, Exponential(1.0))])
-def test_vector_cdf_is_not_flagged_exact_with_an_elementary_function(d):
-    assert not dist.exact_vector_cdf(d)
+    ages = data.draw(st.lists(st.sampled_from(edges + near + [INF]) | st.floats(0.0, 50.0), min_size=1,
+                              max_size=40))
+    vector = d.cdf(np.array(ages))
+    assert [np.float64(d.cdf(float(a))).tobytes() for a in ages] == [v.tobytes() for v in vector]

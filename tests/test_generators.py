@@ -165,7 +165,7 @@ def test_mixture_inf_battery_validates_and_round_trips():
     battery = random_battery(BatteryParams(n_instances=3, n_resources=6, n_arrivals=40,
                                            dist_mix=("mixture_inf",)), seed=5)
     usages = [r.usage for inst in battery for r in inst.resources]
-    assert all(isinstance(u, MixtureWithInf) and 0.0 < u.p_finite < 1.0 and u.base.mass_at_inf() == 0.0
+    assert all(isinstance(u, MixtureWithInf) and 0.0 < u.p_finite < 1.0 and u.base.cdf(math.inf) == 1.0
                for u in usages)
     assert len({type(u.base) for u in usages}) > 1
     for inst in battery:

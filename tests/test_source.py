@@ -5,9 +5,9 @@ package or in `perfbench/` outside its own definition. A name counts as an
 identifier, an attribute, an imported name or a string constant (the
 benchmark's tracer patches functions by name). Names are matched alone, not
 by module, so this is a lower bound on what is unused. Oracles that only
-tests need belong in `tests/helpers.py`. And no docstring in the package
-names, in backquotes, an identifier that the package and `perfbench/` no
-longer hold."""
+tests need belong in `tests/helpers.py`. And no docstring in the package, nor
+README.md, names in backquotes an identifier that the package and
+`perfbench/` (or, for README.md, `tests/`) no longer hold."""
 
 import ast
 import builtins
@@ -91,15 +91,36 @@ def test_every_private_module_name_in_the_package_has_a_caller():
     assert unreferenced(_private_definitions) == set()
 
 
-def test_every_name_in_a_docstring_names_something():
-    """Each identifier in a backquoted span of a package docstring is a name
-    in the package or in `perfbench/` (as `_names` counts them, keyword
-    arguments too) or a builtin: a docstring cannot name what was removed."""
-    package, trees = _trees()
+def _known(trees) -> set:
+    """The names of `trees` as `_names` counts them, keyword arguments too,
+    and the builtins."""
     known = set(dir(builtins))
-    for tree in trees.values():
+    for tree in trees:
         known |= set(_names(tree))
         known |= {n.arg for n in ast.walk(tree) if isinstance(n, ast.keyword) and n.arg}
+    return known
+
+
+def _readme_names():
+    """(span, word) for each name in a backquoted span of README.md outside
+    its code fences. Paths, CLI flags, globs and plain lowercase words (prose
+    such as `true`, or an instance name) are skipped; each part of a dotted
+    name is kept."""
+    prose = re.sub(r"^```.*?^```", "", (ROOT / "README.md").read_text(), flags=re.S | re.M)
+    for span in re.findall(r"`([^`]+)`", prose):
+        code = re.sub(r"\S*/\S*|\S+\.(?:py|md|json|csv|toml|txt)\b|(?<![\w-])-[\w-]+", " ", span)
+        for dotted in re.findall(r"(?<![\w*-])(?:[A-Za-z_]\w*\.)*[A-Za-z_]\w*(?![\w*-])", code, flags=re.ASCII):
+            parts = dotted.split(".")
+            yield from ((span, w) for w in parts if len(parts) > 1 or not re.fullmatch(r"[a-z]+\d*", w))
+
+
+def test_every_name_in_a_docstring_names_something():
+    """Each identifier in a backquoted span of a package docstring is a name
+    in the package or in `perfbench/` or a builtin, and each name in one of
+    README.md's (see `_readme_names`) is one of those or a name in `tests/`:
+    neither can name what was removed."""
+    package, trees = _trees()
+    known = _known(trees.values())
     stale = set()
     for path in package:
         for node in ast.walk(trees[path]):
@@ -107,4 +128,6 @@ def test_every_name_in_a_docstring_names_something():
                 for span in re.findall(r"`([^`]+)`", ast.get_docstring(node)):
                     words = re.findall(r"(?<!\w)[A-Za-z_]\w*", span)
                     stale |= {(path.stem, span, w) for w in words if w not in known}
+    known |= _known(ast.parse(path.read_text()) for path in sorted((ROOT / "tests").glob("*.py")))
+    stale |= {("README.md", span, w) for span, w in _readme_names() if w not in known}
     assert stale == set()
